@@ -75,7 +75,11 @@ class FullGradient:
     """Dense loss gradient w.r.t. the merged weight of one adapted layer."""
 
     g: np.ndarray
-    layer_id: str = "layer0"
+
+
+def gradient_array(g) -> np.ndarray:
+    """The dense gradient matrix of a FullGradient or of any array-like."""
+    return g.g if isinstance(g, FullGradient) else np.asarray(g, dtype=np.float64)
 
 
 @dataclass
@@ -162,7 +166,7 @@ def lora_grads(g, layer: LoraLayer):
 
     grad_a = s B^T G,  grad_b = s G A^T.
     """
-    gm = g.g if isinstance(g, FullGradient) else np.asarray(g, dtype=np.float64)
+    gm = gradient_array(g)
     if gm.shape != (layer.k, layer.d):
         raise ShapeMismatch(f"gradient {gm.shape} vs layer {(layer.k, layer.d)}")
     return layer.s * (layer.b.T @ gm), layer.s * (gm @ layer.a.T)

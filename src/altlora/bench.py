@@ -34,8 +34,7 @@ from .adapter import (
 )
 from .matcore import (
     RandomStream,
-    _cholesky_factor,
-    _solve_lower,
+    cholesky_factor,
     frobenius,
     orthonormal_columns,
 )
@@ -205,8 +204,7 @@ def _conditioned_inputs(d: int, m: int, kappa: float, stream: RandomStream) -> n
     """Inputs whitened then reshaped so X X^T / m has spectrum spanning kappa."""
     z = stream.normal(d, m)
     cov = z @ z.T / m
-    lo = _cholesky_factor(cov)
-    white = _solve_lower(lo, z)
+    white = np.linalg.solve(cholesky_factor(cov), z)
     q = orthonormal_columns(d, d, stream)
     lam = _log_spaced_spectrum(d, kappa)
     return (q * np.sqrt(lam)) @ (q.T @ white)

@@ -1,10 +1,10 @@
 """Dense matrix kernels shared by the whole library.
 
-Everything here is pure float64 numpy: ridge-damped Gram inverses solved
-through an explicit pivoted Cholesky factorization, subspace projectors,
-seeded random factor generation, a one-sided Jacobi SVD used as an
-independent spectral oracle, and the row-major text serialization used by
-golden-file tests.
+Everything here is pure float64 numpy: ridge-damped Gram inverses formed
+from numpy's Cholesky factor under an explicit pivot threshold, subspace
+projectors, seeded random factor generation, a one-sided Jacobi SVD used
+as an independent spectral oracle, and the row-major text serialization
+used by golden-file tests.
 
 Randomness contract: all sampling goes through :class:`RandomStream`, a
 PCG64 bit generator whose uniform doubles feed an explicit Box-Muller
@@ -23,6 +23,7 @@ __all__ = [
     "ShapeMismatch",
     "RandomStream",
     "as_matrix",
+    "cholesky_factor",
     "damped_gram_inverse",
     "projector",
     "orthonormal_columns",
@@ -72,50 +73,31 @@ def rel_error(got: np.ndarray, want: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# SPD solves
+# Gram factorization and inverses
 
 
-def _cholesky_factor(s: np.ndarray) -> np.ndarray:
+def cholesky_factor(gram: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix, pivot-thresholded.
 
-    Raises SingularGram when any pivot falls below PIVOT_RTOL * trace(s),
-    which is the library's definition of "numerically singular".
+    Raises SingularGram when LAPACK rejects the matrix or any pivot L_jj^2
+    is not positive or falls below PIVOT_RTOL * trace(gram), which is the
+    library's definition of "numerically singular". A Gram with NaN entries
+    raises too instead of factoring into NaNs.
     """
-    n = s.shape[0]
-    tol = PIVOT_RTOL * float(np.trace(s))
-    lo = np.zeros_like(s)
-    for j in range(n):
-        pivot = s[j, j] - lo[j, :j] @ lo[j, :j]
-        if pivot <= 0.0 or pivot < tol:
-            raise SingularGram(
-                f"pivot {pivot:.3e} below threshold {tol:.3e} at column {j}; "
-                "supply a damping lambda > 0"
-            )
-        lo[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            lo[j + 1 :, j] = (s[j + 1 :, j] - lo[j + 1 :, :j] @ lo[j, :j]) / lo[j, j]
+    try:
+        lo = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"{exc}; supply a damping lambda > 0") from exc
+    tol = PIVOT_RTOL * float(np.trace(gram))
+    pivots = np.diagonal(lo) ** 2
+    ok = (pivots > 0.0) & (pivots >= tol)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise SingularGram(
+            f"pivot {pivots[j]:.3e} below threshold {tol:.3e} at column {j}; "
+            "supply a damping lambda > 0"
+        )
     return lo
-
-
-def _solve_lower(lo: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.empty_like(b)
-    for i in range(lo.shape[0]):
-        x[i] = (b[i] - lo[i, :i] @ x[:i]) / lo[i, i]
-    return x
-
-
-def _solve_upper(up: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = up.shape[0]
-    x = np.empty_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - up[i, i + 1 :] @ x[i + 1 :]) / up[i, i]
-    return x
-
-
-def spd_solve(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve s @ x = b for symmetric positive definite s via Cholesky."""
-    lo = _cholesky_factor(s)
-    return _solve_upper(lo.T, _solve_lower(lo, b))
 
 
 def damped_gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
@@ -124,8 +106,9 @@ def damped_gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
     side="left"  -> (m.T @ m + lam I)^-1, an r x r matrix with r = cols(m);
     side="right" -> (m @ m.T + lam I)^-1, with r = rows(m).
 
-    The result is symmetrized before return. With lam = 0 a rank-deficient
-    Gram raises SingularGram.
+    Computed as L^-T L^-1 from the Cholesky factor L and symmetrized
+    before return. With lam = 0 a rank-deficient Gram raises SingularGram,
+    and so does a Gram with NaN entries at any lam.
     """
     m = np.asarray(m, dtype=np.float64)
     if lam < 0.0:
@@ -138,7 +121,8 @@ def damped_gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if lam > 0.0:
         gram = gram + lam * np.eye(gram.shape[0])
-    inv = spd_solve(gram, np.eye(gram.shape[0]))
+    linv = np.linalg.inv(cholesky_factor(gram))
+    inv = linv.T @ linv
     return (inv + inv.T) / 2.0
 
 

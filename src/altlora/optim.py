@@ -17,9 +17,14 @@ Momentum realignment (old -> new opposite factor):
     align_momentum_a = (Bn^T Bn + lam I)^-1 Bn^T Bo M^A
     align_momentum_b = M^B Ao An^T (An An^T + lam I)^-1
 
+Each _b form is the transpose of its _a form on the transposed problem
+(A <-> B^T, G <-> G^T). So the B-phase is the A-phase of that problem, and
+one phase body serves both phases of AltLoRA and of AltLoRA+, which only
+adds an elementwise second-moment transform.
+
 Baselines (plain SGD on raw factor gradients, elementwise AdamW, a two-rate
 variant, and a joint scaled-gradient stepper) share the same state record.
-Nothing in this module ever allocates a k x d buffer.
+No stepper in this module allocates a k x d buffer.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import FullGradient, LoraLayer, lora_grads
+from .adapter import LoraLayer, gradient_array, lora_grads
 from .matcore import damped_gram_inverse
 
 A_FIRST = "a_first"
@@ -144,11 +149,8 @@ class AltLoraState:
         )
 
     def entry_count(self) -> int:
-        total = 0
-        for buf in (self.ma, self.mb, self.prev_a, self.prev_b, self.va, self.vb):
-            if buf is not None:
-                total += buf.size
-        return total
+        buffers = (self.ma, self.mb, self.prev_a, self.prev_b, self.va, self.vb)
+        return sum(buf.size for buf in buffers if buf is not None)
 
     def check_budget(self, layer: LoraLayer) -> None:
         """Assert every buffer is factor-shaped and the total stays low-rank.
@@ -177,19 +179,21 @@ def scaled_grad_a(grad_a: np.ndarray, b: np.ndarray, s: float, lam: float) -> np
 def scaled_grad_b(grad_b: np.ndarray, a: np.ndarray, s: float, lam: float) -> np.ndarray:
     """Preconditioned B-gradient: (1/s^2) grad_b (A A^T + lam I)^-1.
 
+    The transpose of scaled_grad_a on the transposed problem (A <-> B^T).
     In the alternating scheme the A passed here is the already-updated
     factor, with the gradient re-evaluated at the half-step weight.
     """
-    return grad_b @ damped_gram_inverse(a, "right", lam) / (s * s)
+    return scaled_grad_a(grad_b.T, a.T, s, lam).T
 
 
 def align_momentum_b(mb: np.ndarray, a_old: np.ndarray, a_new: np.ndarray, lam: float) -> np.ndarray:
     """Carry the B-moment from the a_old row space onto a_new's.
 
     Least-squares re-expression: mb a_old a_new^T (a_new a_new^T + lam I)^-1,
-    the minimizer of || mb a_old - z a_new ||_F.
+    the minimizer of || mb a_old - z a_new ||_F. Evaluated as the transposed
+    align_momentum_a, so the k x d product mb a_old never forms.
     """
-    return mb @ a_old @ a_new.T @ damped_gram_inverse(a_new, "right", lam)
+    return align_momentum_a(mb.T, a_old.T, a_new.T, lam).T
 
 
 def align_momentum_a(ma: np.ndarray, b_old: np.ndarray, b_new: np.ndarray, lam: float) -> np.ndarray:
@@ -206,12 +210,43 @@ def update_phase(t: int, order: str) -> str:
     raise ValueError(f"alternating steppers need order a_first or b_first, got {order!r}")
 
 
-def _gradient_array(g) -> np.ndarray:
-    return g.g if isinstance(g, FullGradient) else np.asarray(g, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # Alternating steppers
+
+
+def _alternating_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig, adaptive: bool):
+    """One phase of altlora_step, or of altlora_plus_step when ``adaptive``.
+
+    Written for the A-phase. The B-phase is the A-phase of the transposed
+    problem (A <-> B^T, G <-> G^T): it runs on transposed views of the
+    factors, moment and snapshot, and stores the transposes back.
+    """
+    grad_a, grad_b = lora_grads(g, layer)
+    a_phase = update_phase(state.t, cfg.order) == "a"
+    if a_phase:
+        x, y, grad, m, prev_y = layer.a, layer.b, grad_a, state.ma, state.prev_b
+    else:
+        x, y, grad, m, prev_y = layer.b.T, layer.a.T, grad_b.T, state.mb.T, state.prev_a.T
+    tilde = scaled_grad_a(grad, y, layer.s, cfg.lam)
+    if cfg.beta1 != 0.0:
+        m = cfg.beta1 * align_momentum_a(m, prev_y, y, cfg.lam) + (1.0 - cfg.beta1) * tilde
+    else:
+        m = tilde
+    direction = m
+    tau = (state.tau_a if a_phase else state.tau_b) + 1
+    if adaptive:
+        v = cfg.beta2 * (state.va if a_phase else state.vb.T) + (1.0 - cfg.beta2) * (tilde * tilde)
+        state.va, state.vb = (v, state.vb) if a_phase else (state.va, v.T)
+        c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
+        direction = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+    x = x - cfg.eta * (direction + cfg.gamma * x)
+    if a_phase:
+        layer.a, state.ma, state.tau_a, state.prev_b = x, m, tau, layer.b.copy()
+    else:
+        layer.b, state.mb, state.tau_b, state.prev_a = x.T, m.T, tau, layer.a.copy()
+    state.t += 1
+    state.check_budget(layer)
+    return layer, state
 
 
 def altlora_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig):
@@ -222,32 +257,7 @@ def altlora_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig):
     against the current opposite factor, mixed with beta1, and applied with
     decoupled weight decay. The opposite-factor snapshot is then refreshed.
     """
-    gm = _gradient_array(g)
-    phase = update_phase(state.t, cfg.order)
-    grad_a, grad_b = lora_grads(gm, layer)
-    if phase == "a":
-        tilde = scaled_grad_a(grad_a, layer.b, layer.s, cfg.lam)
-        if cfg.beta1 != 0.0:
-            aligned = align_momentum_a(state.ma, state.prev_b, layer.b, cfg.lam)
-            state.ma = cfg.beta1 * aligned + (1.0 - cfg.beta1) * tilde
-        else:
-            state.ma = tilde
-        layer.a = layer.a - cfg.eta * (state.ma + cfg.gamma * layer.a)
-        state.prev_b = layer.b.copy()
-        state.tau_a += 1
-    else:
-        tilde = scaled_grad_b(grad_b, layer.a, layer.s, cfg.lam)
-        if cfg.beta1 != 0.0:
-            aligned = align_momentum_b(state.mb, state.prev_a, layer.a, cfg.lam)
-            state.mb = cfg.beta1 * aligned + (1.0 - cfg.beta1) * tilde
-        else:
-            state.mb = tilde
-        layer.b = layer.b - cfg.eta * (state.mb + cfg.gamma * layer.b)
-        state.prev_a = layer.a.copy()
-        state.tau_b += 1
-    state.t += 1
-    state.check_budget(layer)
-    return layer, state
+    return _alternating_step(layer, state, g, cfg, adaptive=False)
 
 
 def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig):
@@ -259,46 +269,9 @@ def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
     invariance. Bias correction (per-factor update counts) is on by default
     behind cfg.bias_correction.
     """
-    gm = _gradient_array(g)
     if state.va is None or state.vb is None:
         raise ValueError("altlora_plus_step needs a state built with second_moment=True")
-    phase = update_phase(state.t, cfg.order)
-    grad_a, grad_b = lora_grads(gm, layer)
-    if phase == "a":
-        tilde = scaled_grad_a(grad_a, layer.b, layer.s, cfg.lam)
-        if cfg.beta1 != 0.0:
-            aligned = align_momentum_a(state.ma, state.prev_b, layer.b, cfg.lam)
-            state.ma = cfg.beta1 * aligned + (1.0 - cfg.beta1) * tilde
-        else:
-            state.ma = tilde
-        state.va = cfg.beta2 * state.va + (1.0 - cfg.beta2) * (tilde * tilde)
-        state.tau_a += 1
-        m_hat, v_hat = state.ma, state.va
-        if cfg.bias_correction:
-            m_hat = m_hat / (1.0 - cfg.beta1 ** state.tau_a)
-            v_hat = v_hat / (1.0 - cfg.beta2 ** state.tau_a)
-        direction = m_hat / (np.sqrt(v_hat) + cfg.eps)
-        layer.a = layer.a - cfg.eta * (direction + cfg.gamma * layer.a)
-        state.prev_b = layer.b.copy()
-    else:
-        tilde = scaled_grad_b(grad_b, layer.a, layer.s, cfg.lam)
-        if cfg.beta1 != 0.0:
-            aligned = align_momentum_b(state.mb, state.prev_a, layer.a, cfg.lam)
-            state.mb = cfg.beta1 * aligned + (1.0 - cfg.beta1) * tilde
-        else:
-            state.mb = tilde
-        state.vb = cfg.beta2 * state.vb + (1.0 - cfg.beta2) * (tilde * tilde)
-        state.tau_b += 1
-        m_hat, v_hat = state.mb, state.vb
-        if cfg.bias_correction:
-            m_hat = m_hat / (1.0 - cfg.beta1 ** state.tau_b)
-            v_hat = v_hat / (1.0 - cfg.beta2 ** state.tau_b)
-        direction = m_hat / (np.sqrt(v_hat) + cfg.eps)
-        layer.b = layer.b - cfg.eta * (direction + cfg.gamma * layer.b)
-        state.prev_a = layer.a.copy()
-    state.t += 1
-    state.check_budget(layer)
-    return layer, state
+    return _alternating_step(layer, state, g, cfg, adaptive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +280,9 @@ def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
 
 def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig):
     """One joint step of a baseline optimizer (both factors move at once)."""
-    gm = _gradient_array(g)
-    grad_a, grad_b = lora_grads(gm, layer)
-    if kind == LORA_SGD:
-        layer.a = layer.a - cfg.eta * (grad_a + cfg.gamma * layer.a)
-        layer.b = layer.b - cfg.eta * (grad_b + cfg.gamma * layer.b)
-    elif kind == LORA_PLUS:
-        eta_b = cfg.lora_plus_ratio * cfg.eta
+    grad_a, grad_b = lora_grads(g, layer)
+    if kind in (LORA_SGD, LORA_PLUS):
+        eta_b = cfg.lora_plus_ratio * cfg.eta if kind == LORA_PLUS else cfg.eta
         layer.a = layer.a - cfg.eta * (grad_a + cfg.gamma * layer.a)
         layer.b = layer.b - eta_b * (grad_b + cfg.gamma * layer.b)
     elif kind == LORA_ADAM:
@@ -324,15 +293,11 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g, cfg: Trai
         state.va = cfg.beta2 * state.va + (1.0 - cfg.beta2) * (grad_a * grad_a)
         state.mb = cfg.beta1 * state.mb + (1.0 - cfg.beta1) * grad_b
         state.vb = cfg.beta2 * state.vb + (1.0 - cfg.beta2) * (grad_b * grad_b)
-        ma_hat, va_hat = state.ma, state.va
-        mb_hat, vb_hat = state.mb, state.vb
-        if cfg.bias_correction:
-            c1 = 1.0 - cfg.beta1**tau
-            c2 = 1.0 - cfg.beta2**tau
-            ma_hat, va_hat = ma_hat / c1, va_hat / c2
-            mb_hat, vb_hat = mb_hat / c1, vb_hat / c2
-        layer.a = layer.a - cfg.eta * (ma_hat / (np.sqrt(va_hat) + cfg.eps) + cfg.gamma * layer.a)
-        layer.b = layer.b - cfg.eta * (mb_hat / (np.sqrt(vb_hat) + cfg.eps) + cfg.gamma * layer.b)
+        c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
+        dir_a = (state.ma / c1) / (np.sqrt(state.va / c2) + cfg.eps)
+        dir_b = (state.mb / c1) / (np.sqrt(state.vb / c2) + cfg.eps)
+        layer.a = layer.a - cfg.eta * (dir_a + cfg.gamma * layer.a)
+        layer.b = layer.b - cfg.eta * (dir_b + cfg.gamma * layer.b)
         state.tau_a += 1
         state.tau_b += 1
     elif kind == SCALEDGD_JOINT:
@@ -391,7 +356,7 @@ def lorapro_equiv_grad(g, layer: LoraLayer, x_aux: np.ndarray, lam: float):
     The induced merged-weight change s B g_a + s g_b A is independent of X:
     the ancillary matrix only redistributes the update between the factors.
     """
-    gm = _gradient_array(g)
+    gm = gradient_array(g)
     a, b, s = layer.a, layer.b, layer.s
     binv = damped_gram_inverse(b, "left", lam)
     ainv = damped_gram_inverse(a, "right", lam)

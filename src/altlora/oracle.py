@@ -2,7 +2,7 @@
 
 Every optimality claim made by :mod:`altlora.optim` is re-derived here by a
 deliberately different route: least-squares objectives are flattened to
-normal-equation systems and solved column-by-column with a generic LU
+normal-equation systems and solved for all columns with a generic LU
 solver, merged-weight updates are materialized densely, and optimizer
 trajectories are replayed under gauge changes. This module is allowed to
 allocate k x d verification buffers; it is exempt from the optimizer's
@@ -23,11 +23,11 @@ from . import optim
 from .adapter import (
     LINEAR_REGRESSION,
     TWO_LAYER_RELU,
-    FullGradient,
     LoraLayer,
     ToyModel,
     forward,
     full_gradient,
+    gradient_array,
     init_layer,
     lora_grads,
     merged_weight,
@@ -63,16 +63,13 @@ class PreconditionViolated(Exception):
 
 
 def _solve_normal_columns(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve coef @ z_j = rhs_j per column with a generic LU solve.
+    """Solve coef @ z_j = rhs_j for every column with a generic LU solve.
 
     Deliberately not the library's Cholesky path.
     """
     if np.linalg.matrix_rank(coef) < coef.shape[0]:
         raise SingularSystem(f"normal matrix of shape {coef.shape} is rank-deficient")
-    out = np.empty_like(rhs)
-    for j in range(rhs.shape[1]):
-        out[:, j] = np.linalg.solve(coef, rhs[:, j])
-    return out
+    return np.linalg.solve(coef, rhs)
 
 
 def lstsq_oracle(objective: str, **inputs) -> np.ndarray:
@@ -148,7 +145,7 @@ def joint_cross_term(layer: LoraLayer, g, cfg: optim.TrainConfig) -> np.ndarray:
 
     (eta^2 / s) G A^T (A A^T + lam I)^-1 (B^T B + lam I)^-1 B^T G.
     """
-    gm = g.g if isinstance(g, FullGradient) else np.asarray(g, dtype=np.float64)
+    gm = gradient_array(g)
     right = damped_gram_inverse(layer.a, "right", cfg.lam)
     left = damped_gram_inverse(layer.b, "left", cfg.lam)
     return (cfg.eta**2 / layer.s) * (gm @ layer.a.T @ right @ left @ layer.b.T @ gm)
@@ -163,8 +160,7 @@ def decompose_pair_step(layer: LoraLayer, g_t, g_half, cfg: optim.TrainConfig) -
     """
     if cfg.beta1 != 0.0 or cfg.gamma != 0.0:
         raise ValueError("decomposition requires beta1 = 0 and gamma = 0")
-    gt = g_t.g if isinstance(g_t, FullGradient) else np.asarray(g_t, dtype=np.float64)
-    gh = g_half.g if isinstance(g_half, FullGradient) else np.asarray(g_half, dtype=np.float64)
+    gt, gh = gradient_array(g_t), gradient_array(g_half)
 
     cfg_alt = replace(cfg, order=optim.A_FIRST)
     alt = layer.copy()

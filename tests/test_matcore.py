@@ -52,6 +52,32 @@ def test_singular_gram_raises_without_damping():
     mc.damped_gram_inverse(rank_deficient, "left", 1e-6)
 
 
+def test_pivot_below_threshold_raises_although_lapack_factors():
+    m = np.diag([1.0, 1e-7])  # left Gram diag(1, 1e-14): pivots 1 and 1e-14 < 1e-12 * trace
+    np.linalg.cholesky(m.T @ m)  # LAPACK alone accepts it
+    with pytest.raises(mc.SingularGram):
+        mc.damped_gram_inverse(m, "left", 0.0)
+    # damping rescues the same input
+    out = mc.damped_gram_inverse(m, "left", 1e-6)
+    np.testing.assert_allclose(out, np.diag([1.0 / (1.0 + 1e-6), 1.0 / (1e-14 + 1e-6)]), rtol=1e-12)
+
+
+def test_nan_gram_raises_instead_of_returning_nan():
+    with pytest.raises(mc.SingularGram):
+        mc.cholesky_factor(np.full((2, 2), np.nan))
+    with pytest.raises(mc.SingularGram):
+        mc.damped_gram_inverse(np.array([[np.nan, 1.0], [0.0, 1.0]]), "left", 1e-6)
+
+
+def test_cholesky_factor_is_lower_and_reconstructs_gram():
+    m = mc.RandomStream(12).normal(9, 4)
+    gram = m.T @ m
+    lo = mc.cholesky_factor(gram)
+    assert np.all(np.triu(lo, 1) == 0.0)
+    assert np.all(np.diag(lo) > 0.0)
+    assert mc.rel_error(lo @ lo.T, gram) < 1e-14
+
+
 def test_projector_unit_direction():
     p = mc.projector(np.array([[1.0], [1.0]]), "column", 0.0)
     np.testing.assert_allclose(p, [[0.5, 0.5], [0.5, 0.5]], rtol=1e-15)

@@ -1,12 +1,13 @@
 """Optimizer tests: scaled gradients, momentum alignment, steppers, baselines."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from altlora import optim
-from altlora.adapter import LoraLayer, lora_grads
+from altlora.adapter import LoraLayer, lora_grads, merged_weight
 from altlora.matcore import RandomStream, damped_gram_inverse, frobenius, gauge_sample, rel_error
 from altlora.oracle import (
     MOMENTUM_A,
@@ -124,6 +125,20 @@ def test_momentum_alignment_solves_least_squares():
         b_old, b_new = stream.normal(k, r), stream.normal(k, r)
         got = optim.align_momentum_a(ma, b_old, b_new, 0.0)
         assert rel_error(got, lstsq_oracle(MOMENTUM_A, ma=ma, b_old=b_old, b_new=b_new)) < 1e-9
+
+
+def test_align_momentum_b_never_forms_a_k_by_d_product():
+    stream = RandomStream(127)
+    k = d = 512
+    r = 4
+    mb, a_old, a_new = stream.normal(k, r), stream.normal(r, d), stream.normal(r, d)
+    tracemalloc.start()
+    try:
+        optim.align_momentum_b(mb, a_old, a_new, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < k * d * 8  # one k x d float64 array
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +318,33 @@ def test_altlora_plus_requires_second_moment_state():
     state = optim.AltLoraState.init(layer)  # no second moments
     with pytest.raises(ValueError):
         optim.altlora_plus_step(layer, state, np.zeros((4, 6)), optim.TrainConfig(eta=0.1))
+
+
+@pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
+@pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
+def test_b_phase_is_the_a_phase_of_the_transposed_problem(kind, order):
+    # The twin (W0^T, B^T, A^T) trained on G^T in the opposite order must
+    # track the transposes of every factor and buffer of the original run.
+    stream = RandomStream(113)
+    layer = _random_layer(stream, k=12, d=20, r=3)
+    target = stream.normal(12, 20) / np.sqrt(20)
+    twin = LoraLayer(layer.w0.T, layer.b.T, layer.a.T, layer.alpha)
+    cfg = optim.TrainConfig(eta=0.05, beta1=0.9, gamma=0.01, order=order)
+    cfg_twin = replace(cfg, order=optim.B_FIRST if order == optim.A_FIRST else optim.A_FIRST)
+    state, state_twin = optim.make_state(kind, layer), optim.make_state(kind, twin)
+    step = optim.make_stepper(kind)
+    for _ in range(8):
+        step(layer, state, merged_weight(layer) - target, cfg)
+        step(twin, state_twin, merged_weight(twin) - target.T, cfg_twin)
+        pairs = [
+            (layer.a, twin.b), (layer.b, twin.a), (state.ma, state_twin.mb), (state.mb, state_twin.ma),
+            (state.prev_a, state_twin.prev_b), (state.prev_b, state_twin.prev_a),
+        ]
+        if kind == optim.ALTLORA_PLUS:
+            pairs += [(state.va, state_twin.vb), (state.vb, state_twin.va)]
+        for got, twin_buf in pairs:
+            assert rel_error(twin_buf.T, got) <= 1e-12
+        assert (state.tau_a, state.tau_b) == (state_twin.tau_b, state_twin.tau_a)
 
 
 # ---------------------------------------------------------------------------
