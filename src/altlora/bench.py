@@ -16,7 +16,7 @@ CSV schema: ``step,loss,weight_err,grad_norm,state_entries,flops``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .adapter import (
 )
 from .matcore import (
     RandomStream,
+    SingularGram,
     cholesky_factor,
     frobenius,
     orthonormal_columns,
@@ -45,6 +46,9 @@ KAPPA_KNOBS = ("teacher", "input")
 CSV_HEADER = "step,loss,weight_err,grad_norm,state_entries,flops"
 LOSS_THRESHOLD = 1e-3
 DIVERGENCE_LIMIT = 1e6
+# JSON names of config fields that differ from the Python name
+# ("lambda" is a Python keyword).
+JSON_ALIASES = {"lam": "lambda"}
 
 
 class InvalidSpec(Exception):
@@ -112,37 +116,16 @@ class ExperimentSpec:
         return float(self.alpha) if self.alpha is not None else float(self.r)
 
     def to_dict(self) -> dict:
-        train = {
-            "eta": self.train.eta,
-            "beta1": self.train.beta1,
-            "beta2": self.train.beta2,
-            "gamma": self.train.gamma,
-            "lambda": self.train.lam,
-            "order": self.train.order,
-            "steps": self.train.steps,
-            "eps": self.train.eps,
-            "lora_plus_ratio": self.train.lora_plus_ratio,
-            "bias_correction": self.train.bias_correction,
-            "schedule": self.train.schedule,
-            "warmup_ratio": self.train.warmup_ratio,
-        }
-        return {
-            "task": self.task,
-            "k": self.k,
-            "d": self.d,
-            "r": self.r,
-            "width": self.width,
-            "teacher_rank": self.teacher_rank,
-            "kappa": self.kappa,
-            "optimizer": self.optimizer,
-            "train": train,
-            "init_a": self.init_a,
-            "init_b": self.init_b,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "eval_every": self.eval_every,
-            "kappa_knob": self.kappa_knob,
-        }
+        """The spec as JSON: fields in declaration order, under their JSON names."""
+        return _json_dict(self)
+
+
+def _json_dict(config) -> dict:
+    doc = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        doc[JSON_ALIASES.get(f.name, f.name)] = _json_dict(value) if is_dataclass(value) else value
+    return doc
 
 
 @dataclass
@@ -322,7 +305,8 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
 
     Records an eval row at step 0, every eval_every steps, and at the final
     step. Deterministic per spec. Raises DivergenceDetected (carrying the
-    partial record) when the loss exceeds 1e6 or stops being finite.
+    partial record) when the loss exceeds 1e6 or stops being finite, or
+    when a step meets a singular Gram.
     """
     task = generate_task(spec)
     model, x, y = task.model, task.x, task.y
@@ -351,7 +335,11 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
             break
         eta_t = optim.effective_eta(cfg, t)
         step_cfg = cfg if eta_t == cfg.eta else replace(cfg, eta=eta_t)
-        stepper(model.layer, state, g, step_cfg)
+        try:
+            stepper(model.layer, state, g, step_cfg)
+        except SingularGram as exc:
+            rec = RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)
+            raise DivergenceDetected(f"singular Gram in the update at step {t}: {exc}", rec) from exc
     return RunRecord(rows, steps_to_threshold, final_loss=loss)
 
 

@@ -2,8 +2,10 @@
 
 JSON configs in, CSV metric streams out. All file writes are atomic
 (write-temp-then-rename), sweep cells are resumable (a cell is complete
-exactly when its JSON sidecar exists), and configs are validated strictly:
-unknown keys are rejected so typos in sweep files fail loudly.
+exactly when its JSON sidecar exists), and configs are validated strictly
+against the fields of bench.ExperimentSpec and optim.TrainConfig: unknown
+keys, values of the wrong JSON type and non-finite numbers are rejected, so
+typos in sweep files fail loudly.
 
 Exit codes: 0 success, 1 check/run failure, 2 usage/config error,
 3 internal error.
@@ -12,16 +14,20 @@ Exit codes: 0 success, 1 check/run failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import decimal
+import functools
 import itertools
 import json
 import math
 import os
 import sys
 import traceback
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import __version__, bench, optim, oracle
+from . import __version__, bench, oracle
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -31,48 +37,43 @@ EXIT_INTERNAL = 3
 RUN_SCHEMA = "altlora-run/1"
 DEFAULT_CHECK_SEED = 1789
 
-_TRAIN_KEYS = {
-    "eta",
-    "beta1",
-    "beta2",
-    "gamma",
-    "lambda",
-    "order",
-    "steps",
-    "eps",
-    "lora_plus_ratio",
-    "bias_correction",
-    "schedule",
-    "warmup_ratio",
-}
-_SPEC_KEYS = {
-    "task",
-    "k",
-    "d",
-    "r",
-    "width",
-    "teacher_rank",
-    "kappa",
-    "optimizer",
-    "init_a",
-    "init_b",
-    "alpha",
-    "seed",
-    "eval_every",
-    "kappa_knob",
-}
-_TOP_KEYS = _SPEC_KEYS | {"train", "out", "name", "grid"}
-_GRID_KEYS = {"eta", "alpha", "order", "optimizer"}
+# The CLI's own top-level keys and their types. Every other key is a field of
+# bench.ExperimentSpec under its JSON name; a dataclass field is a section.
+_CLI_KEYS = {"out": str, "name": str, "grid": dict}
+# Grid axis -> the section it overrides (None: the top level).
+_GRID_AXES = {"eta": "train", "alpha": None, "order": "train", "optimizer": None}
 
 
 class ConfigError(Exception):
     """Malformed or invalid configuration input."""
 
 
-def _reject_unknown(given: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(given) - allowed)
+@functools.cache
+def _schema(cls) -> dict:
+    """JSON key -> declared type of each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {bench.JSON_ALIASES.get(f.name, f.name): hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _check_type(value, hint, where: str) -> None:
+    # Exact types, so a bool is no int; a float field also takes an int.
+    kinds = typing.get_args(hint) or (hint,)
+    ok = type(value) in kinds or (float in kinds and type(value) is int)
+    if not ok or (type(value) is float and not math.isfinite(value)):
+        names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+        raise ConfigError(f"{where} must be {names}, got {value!r}")
+
+
+def _check_section(doc: dict, schema: dict, where: str) -> None:
+    unknown = sorted(set(doc) - set(schema))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    for key, value in doc.items():
+        hint = schema[key]
+        section = dataclasses.is_dataclass(hint)
+        _check_type(value, dict if section else hint, f"{where}.{key}")
+        if section:
+            _check_section(value, _schema(hint), f"{where}.{key}")
 
 
 def load_config(path: str) -> dict:
@@ -80,39 +81,45 @@ def load_config(path: str) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        # NaN and Infinity are not JSON: as Decimals they fail every type check
+        doc = json.loads(p.read_text(encoding="utf-8"), parse_constant=decimal.Decimal)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(doc).__name__}")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    train = doc.get("train", {})
-    if not isinstance(train, dict):
-        raise ConfigError("'train' must be a JSON object")
-    _reject_unknown(train, _TRAIN_KEYS, "config.train")
-    if "grid" in doc:
-        grid = doc["grid"]
-        if not isinstance(grid, dict):
-            raise ConfigError("'grid' must be a JSON object")
-        _reject_unknown(grid, _GRID_KEYS, "config.grid")
-        for axis, values in grid.items():
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"grid axis {axis!r} must be a nonempty list")
+    spec_schema = _schema(bench.ExperimentSpec)
+    _check_section(doc, spec_schema | _CLI_KEYS, "config")
+    grid = doc.get("grid", {})
+    _check_section(grid, dict.fromkeys(_GRID_AXES, list), "config.grid")
+    for axis, values in grid.items():
+        if not values:
+            raise ConfigError(f"config.grid.{axis} must be a nonempty list")
+        section = _GRID_AXES[axis]
+        hint = (_schema(spec_schema[section]) if section else spec_schema)[axis]
+        for i, value in enumerate(values):
+            _check_type(value, hint, f"config.grid.{axis}[{i}]")
     return doc
 
 
+def _construct(cls, doc: dict):
+    """A dataclass field is built from its section even when that is absent,
+    so a config without "train" reports the missing required eta."""
+    schema = _schema(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = bench.JSON_ALIASES.get(f.name, f.name)
+        if dataclasses.is_dataclass(schema[key]):
+            kwargs[f.name] = _construct(schema[key], doc.get(key, {}))
+        elif key in doc:
+            kwargs[f.name] = doc[key]
+    return cls(**kwargs)
+
+
 def build_spec(doc: dict, seed_override: int | None = None) -> bench.ExperimentSpec:
-    train_doc = dict(doc.get("train", {}))
-    if "eta" not in train_doc:
-        raise ConfigError("config.train.eta is required")
-    if "lambda" in train_doc:
-        train_doc["lam"] = train_doc.pop("lambda")
+    if seed_override is not None:
+        doc = {**doc, "seed": seed_override}
     try:
-        train = optim.TrainConfig(**train_doc)
-        spec_kwargs = {k: doc[k] for k in _SPEC_KEYS if k in doc}
-        if seed_override is not None:
-            spec_kwargs["seed"] = seed_override
-        return bench.ExperimentSpec(train=train, **spec_kwargs)
+        return _construct(bench.ExperimentSpec, doc)
     except (TypeError, ValueError, bench.InvalidSpec) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -121,7 +128,7 @@ def resolve_out_dir(flag_value: str | None, doc: dict | None = None) -> Path:
     if flag_value:
         return Path(flag_value)
     if doc and doc.get("out"):
-        return Path(str(doc["out"]))
+        return Path(doc["out"])
     env = os.environ.get("ALTLORA_OUT")
     if env:
         return Path(env)
@@ -205,40 +212,33 @@ def cmd_train(args) -> int:
     spec = build_spec(doc, seed_override=args.seed)
     out_dir = resolve_out_dir(args.out, doc)
     name = doc.get("name") or Path(args.config).stem
-    ok, message = execute_run(spec, out_dir, str(name))
+    ok, message = execute_run(spec, out_dir, name)
     print(message)
     return EXIT_OK if ok else EXIT_FAILURE
 
 
 def _grid_cells(doc: dict):
     grid = doc.get("grid", {})
-    axes = []
-    for axis in ("eta", "alpha", "order", "optimizer"):
-        axes.append([(axis, v) for v in grid[axis]] if axis in grid else [(axis, None)])
-    for combo in itertools.product(*axes):
-        overrides = {axis: v for axis, v in combo if v is not None}
-        yield overrides
+    axes = [axis for axis in _GRID_AXES if axis in grid]
+    for values in itertools.product(*(grid[axis] for axis in axes)):
+        yield dict(zip(axes, values))
 
 
 def _cell_name(base: str, overrides: dict) -> str:
     parts = [base]
-    for axis in ("eta", "alpha", "order", "optimizer"):
-        if axis in overrides:
-            parts.append(f"{axis}-{overrides[axis]:g}" if axis in ("eta", "alpha") else f"{axis}-{overrides[axis]}")
+    for axis, value in overrides.items():
+        parts.append(f"{axis}-{value:g}" if isinstance(value, (int, float)) else f"{axis}-{value}")
     return "__".join(parts)
 
 
 def _cell_spec(doc: dict, overrides: dict, seed_override) -> bench.ExperimentSpec:
-    cell_doc = {k: v for k, v in doc.items() if k not in ("grid", "out", "name")}
-    cell_doc["train"] = dict(doc.get("train", {}))
-    if "eta" in overrides:
-        cell_doc["train"]["eta"] = overrides["eta"]
-    if "order" in overrides:
-        cell_doc["train"]["order"] = overrides["order"]
-    if "alpha" in overrides:
-        cell_doc["alpha"] = overrides["alpha"]
-    if "optimizer" in overrides:
-        cell_doc["optimizer"] = overrides["optimizer"]
+    cell_doc = dict(doc)
+    for axis, value in overrides.items():
+        section = _GRID_AXES[axis]
+        if section is None:
+            cell_doc[axis] = value
+        else:
+            cell_doc[section] = {**cell_doc.get(section, {}), axis: value}
     return build_spec(cell_doc, seed_override=seed_override)
 
 
@@ -247,7 +247,7 @@ def cmd_sweep(args) -> int:
     if "grid" not in doc:
         raise ConfigError("sweep config needs a 'grid' section")
     out_dir = resolve_out_dir(args.out, doc)
-    base = str(doc.get("name") or Path(args.config).stem)
+    base = doc.get("name") or Path(args.config).stem
     pending = []
     skipped = 0
     for overrides in _grid_cells(doc):
@@ -379,6 +379,12 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="altlora", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1, help="parallel sweep cells")
+    p_sweep.add_argument("--threads", type=_positive_int, default=1, help="parallel sweep cells")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="aggregate a directory of runs")

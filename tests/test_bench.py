@@ -1,9 +1,12 @@
 """Experiment-harness tests: task generation, the runner, probes, accounting."""
 
+import json
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
-from altlora import bench, optim
+from altlora import bench, cli, optim
 from altlora.adapter import merged_weight
 from altlora.matcore import RandomStream, jacobi_svd, rel_error
 
@@ -279,3 +282,44 @@ def test_spec_round_trips_to_dict():
     assert doc["alpha"] == 16.0
     assert doc["train"]["lambda"] == spec.train.lam
     assert doc["kappa_knob"] == "teacher"
+
+    # every field set away from its default, so each one must survive the trip
+    spec = bench.ExperimentSpec(
+        task="two_layer_relu",
+        k=16,
+        d=8,
+        r=3,
+        width=40,
+        teacher_rank=2,
+        kappa=10.0,
+        optimizer=optim.ALTLORA_PLUS,
+        train=optim.TrainConfig(
+            eta=0.2,
+            beta1=0.5,
+            beta2=0.99,
+            gamma=0.01,
+            lam=1e-4,
+            order=optim.A_FIRST,
+            steps=7,
+            eps=1e-7,
+            lora_plus_ratio=8.0,
+            bias_correction=False,
+            schedule="cosine",
+            warmup_ratio=0.1,
+        ),
+        init_a="gaussian",
+        init_b="spectral",
+        alpha=16.0,
+        seed=9,
+        eval_every=3,
+        kappa_knob="teacher",
+    )
+    for config in (spec, spec.train):
+        for f in fields(config):
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            assert getattr(config, f.name) != default, f.name
+    doc = spec.to_dict()
+    for section, config in ((doc, spec), (doc["train"], spec.train)):
+        assert list(section) == [bench.JSON_ALIASES.get(f.name, f.name) for f in fields(config)]
+    assert "lambda" in doc["train"] and "lam" not in doc["train"]
+    assert cli.build_spec(json.loads(json.dumps(doc))) == spec

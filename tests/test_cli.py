@@ -72,6 +72,34 @@ def test_train_unknown_key_rejected(tmp_path):
     assert cli.main(["train", str(cfg2), "--out", str(tmp_path / "o2")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "key, literal",
+    [
+        ("r", "2.0"),
+        ("train.steps", "30.0"),
+        ("train.eta", '"0.3"'),
+        ("train.bias_correction", '"no"'),
+        ("seed", "true"),
+        ("kappa", "Infinity"),
+        ("train.eta", "NaN"),
+        ("kappa", "1e400"),
+        ("grid.eta", '["x", 0.3]'),
+    ],
+)
+def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, key, literal):
+    cfg = tmp_path / "bad.json"
+    doc = _write_config(cfg)
+    # spliced in as JSON source text, so NaN and Infinity can be written
+    section, _, name = key.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[name] = "@"
+    cfg.write_text(json.dumps(doc).replace('"@"', literal), encoding="utf-8")
+    command = "sweep" if section == "grid" else "train"
+    out = tmp_path / "out"
+    assert cli.main([command, str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"config.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_config_exits_2(tmp_path):
     assert cli.main(["train", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
 
@@ -193,6 +221,35 @@ def test_sweep_parallel_threads(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "2"]) == cli.EXIT_OK
     assert len(list(out.glob("*.csv"))) == 4
+
+
+def test_sweep_records_singular_gram_cell_and_runs_the_rest(tmp_path, capsys):
+    cfg = tmp_path / "singular.json"
+    _write_config(
+        cfg,
+        init_b="zero",
+        train={"eta": 0.3, "beta1": 0.0, "lambda": 0, "steps": 10},
+        grid={"order": ["a_first", "b_first"]},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), "--out", str(out)]) == cli.EXIT_FAILURE
+    text = capsys.readouterr().out
+    assert "singular Gram in the update at step 0" in text
+    assert "sweep: 2 run, 0 skipped, 1 failed" in text
+    for order, failed in (("a_first", True), ("b_first", False)):
+        meta = json.loads((out / f"singular__order-{order}.json").read_text())
+        assert meta["diverged"] is failed
+        assert bench.RunRecord.parse_csv((out / f"singular__order-{order}.csv").read_text()).rows
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_threads_below_one_is_usage_error(tmp_path, threads):
+    cfg = tmp_path / "grid.json"
+    _write_config(cfg, grid={"eta": [0.1, 0.2]})
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sweep", str(cfg), "--out", str(tmp_path / "o"), "--threads", threads])
+    assert info.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_without_grid_is_config_error(tmp_path):
