@@ -4,12 +4,14 @@ A layer holds a frozen base weight W0 plus trainable factors A (r x d) and
 B (k x r) with scaling s = alpha / r; the effective weight is W0 + s B A.
 The toy models (a linear regression head and a two-layer ReLU network with
 an adapted first layer) come with manual forward/backward for MSE, which
-supplies the dense loss gradient with respect to the merged weight.
+supplies the loss gradient with respect to the merged weight as the factors
+of G = dZ X^T, so no training pass forms a k x d array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,9 +74,19 @@ class LoraLayer:
 
 @dataclass
 class FullGradient:
-    """Dense loss gradient w.r.t. the merged weight of one adapted layer."""
+    """Loss gradient w.r.t. the merged weight of one adapted layer, G = u v^T.
 
-    g: np.ndarray
+    u (k x m) is the gradient w.r.t. the layer's outputs Z and v (d x m) its
+    inputs. The dense k x d ``g`` is built on first access and then kept;
+    only oracles and eval rows read it.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self.u @ self.v.T
 
 
 def gradient_array(g) -> np.ndarray:
@@ -93,6 +105,8 @@ class ToyModel:
     kind: str
     layer: LoraLayer
     w2: np.ndarray | None = None
+    # (w0, x, w0 @ x) of the batch given to cache_base
+    _base: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (LINEAR_REGRESSION, TWO_LAYER_RELU):
@@ -109,6 +123,21 @@ class ToyModel:
     def copy(self) -> "ToyModel":
         return ToyModel(self.kind, self.layer.copy(), self.w2)
 
+    def cache_base(self, x) -> None:
+        """Compute the frozen base product W0 X once for a batch used again.
+
+        forward on this same array, with the same w0, reuses it instead of
+        redoing the k x d x m product; any other batch is multiplied afresh.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        self._base = (self.layer.w0, x, self.layer.w0 @ x)
+
+    def _base_product(self, x: np.ndarray) -> np.ndarray:
+        w0 = self.layer.w0
+        if self._base is not None and self._base[0] is w0 and self._base[1] is x:
+            return self._base[2]
+        return w0 @ x
+
 
 def merged_weight(layer: LoraLayer) -> np.ndarray:
     return layer.w0 + layer.s * (layer.b @ layer.a)
@@ -117,19 +146,18 @@ def merged_weight(layer: LoraLayer) -> np.ndarray:
 def forward(model: ToyModel, x: np.ndarray):
     """Evaluate the model on a batch (one column per sample).
 
-    Returns (y, cache); the cache carries what backward needs.
+    The adapted layer computes Z = W0 X + s B (A X); the merged weight is
+    never formed. Returns (y, cache); the cache carries Z and y for backward.
     """
     x = np.asarray(x, dtype=np.float64)
     layer = model.layer
     if x.ndim != 2 or x.shape[0] != layer.d:
         raise ShapeMismatch(f"batch shape {x.shape} does not match input dim {layer.d}")
-    w = merged_weight(layer)
-    z = w @ x
-    if model.kind == LINEAR_REGRESSION:
-        return z, {"x": x}
-    h = np.maximum(z, 0.0)
-    y = model.w2 @ h
-    return y, {"x": x, "z": z}
+    z = layer.b @ (layer.a @ x)
+    z *= layer.s
+    z += model._base_product(x)
+    y = z if model.kind == LINEAR_REGRESSION else model.w2 @ np.maximum(z, 0.0)
+    return y, {"z": z, "y": y}
 
 
 def mse_loss(y: np.ndarray, target: np.ndarray) -> float:
@@ -138,38 +166,40 @@ def mse_loss(y: np.ndarray, target: np.ndarray) -> float:
     target = np.asarray(target, dtype=np.float64)
     if y.shape != target.shape:
         raise ShapeMismatch(f"prediction {y.shape} vs target {target.shape}")
-    m = y.shape[1]
     diff = y - target
-    return float(np.sum(diff * diff) / m)
+    return float(np.sum(np.square(diff, out=diff)) / y.shape[1])
 
 
 def full_gradient(model: ToyModel, x: np.ndarray, target: np.ndarray, cache) -> list[FullGradient]:
-    """Gradient of the MSE loss w.r.t. each adapted layer's merged weight."""
+    """Gradient of the MSE loss w.r.t. each adapted layer's merged weight.
+
+    Read from forward's cache as the factors of G = dZ X^T.
+    """
     x = np.asarray(x, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    m = x.shape[1]
+    dy = cache["y"] - np.asarray(target, dtype=np.float64)
+    dy *= 2.0 / x.shape[1]
     if model.kind == LINEAR_REGRESSION:
-        y = merged_weight(model.layer) @ x
-        dy = (2.0 / m) * (y - target)
-        return [FullGradient(dy @ x.T)]
-    z = cache["z"]
-    h = np.maximum(z, 0.0)
-    y = model.w2 @ h
-    dy = (2.0 / m) * (y - target)
+        return [FullGradient(dy, x)]
     # ReLU derivative at exactly 0 is taken as 0
-    dz = (model.w2.T @ dy) * (z > 0.0)
-    return [FullGradient(dz @ x.T)]
+    return [FullGradient((model.w2.T @ dy) * (cache["z"] > 0.0), x)]
 
 
 def lora_grads(g, layer: LoraLayer):
     """Factor gradients induced by the chain rule through W = W0 + s B A.
 
-    grad_a = s B^T G,  grad_b = s G A^T.
+    grad_a = s B^T G,  grad_b = s G A^T. For G = u v^T (a FullGradient)
+    they are s (B^T u) v^T and u (s A v)^T, with no k x d product.
     """
+    s, a, b = layer.s, layer.a, layer.b
+    if isinstance(g, FullGradient):
+        u, v = g.u, g.v
+        if u.shape[0] != layer.k or v.shape[0] != layer.d or u.shape[1] != v.shape[1]:
+            raise ShapeMismatch(f"gradient factors {u.shape} x {v.shape} vs layer {(layer.k, layer.d)}")
+        return (s * (b.T @ u)) @ v.T, u @ (s * (a @ v)).T
     gm = gradient_array(g)
     if gm.shape != (layer.k, layer.d):
         raise ShapeMismatch(f"gradient {gm.shape} vs layer {(layer.k, layer.d)}")
-    return layer.s * (layer.b.T @ gm), layer.s * (gm @ layer.a.T)
+    return s * (b.T @ gm), s * (gm @ a.T)
 
 
 # ---------------------------------------------------------------------------

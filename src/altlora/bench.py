@@ -260,39 +260,43 @@ def generate_task(spec: ExperimentSpec) -> Task:
 
 
 def _task_flops(spec: ExperimentSpec) -> int:
+    """One factored training pass: forward from the cached W0 X, loss, dZ.
+
+    The base product W0 X is computed once per run and the gradient is kept
+    as the factors of dZ X^T, so neither counts here; nor do eval rows.
+    """
     d = spec.d
     k = spec.k if spec.task == "lowrank" else spec.width
     r, m = spec.r, 4 * spec.d
-    merge = 2 * k * r * d + k * d
-    fwd = 2 * k * d * m
-    loss = 3 * k * m
-    bwd = 2 * k * d * m
+    fwd = 2 * r * d * m + 2 * k * r * m + 2 * k * m  # A X, B (A X), scale and add W0 X
+    out, bwd = k, 0
     if spec.task == "two_layer_relu":
         out = d
-        fwd += 2 * out * k * m + k * m
-        bwd += 2 * out * k * m + k * m
-    return merge + fwd + loss + bwd
+        fwd += k * m + 2 * out * k * m  # ReLU, W2 H
+        bwd = 2 * out * k * m + k * m  # W2^T dY, ReLU mask
+    loss = 3 * out * m
+    return fwd + loss + 2 * out * m + bwd  # 2 out m: dY = (2 / m) (Y - T)
 
 
 def _optimizer_flops(spec: ExperimentSpec) -> int:
     k = spec.k if spec.task == "lowrank" else spec.width
-    d, r = spec.d, spec.r
-    factor_grad = 2 * k * r * d  # one factor gradient from G
+    d, r, m = spec.d, spec.r, 4 * spec.d
+    factor_grads = 4 * r * m * (k + d)  # lora_grads: both factors from G = u v^T
     gram = 2 * r * r * max(k, d) + r**3  # form Gram + factorize
     solve = 2 * r * r * max(k, d)  # apply the inverse
     align = gram + 2 * r * r * max(k, d)
     axpy = 2 * r * max(k, d)
     kind = spec.optimizer
     if kind == optim.ALTLORA:
-        return factor_grad + gram + solve + align + axpy
+        return factor_grads + gram + solve + align + axpy
     if kind == optim.ALTLORA_PLUS:
-        return factor_grad + gram + solve + align + 4 * r * max(k, d) + axpy
+        return factor_grads + gram + solve + align + 4 * r * max(k, d) + axpy
     if kind in (optim.LORA_SGD, optim.LORA_PLUS):
-        return 2 * factor_grad + 2 * axpy
+        return factor_grads + 2 * axpy
     if kind == optim.LORA_ADAM:
-        return 2 * factor_grad + 8 * r * (k + d) + 2 * axpy
+        return factor_grads + 8 * r * (k + d) + 2 * axpy
     if kind == optim.SCALEDGD_JOINT:
-        return 2 * (factor_grad + gram + solve) + 2 * axpy
+        return factor_grads + 2 * (gram + solve) + 2 * axpy
     raise InvalidSpec(f"unknown optimizer {kind!r}")
 
 
@@ -303,7 +307,9 @@ def _optimizer_flops(spec: ExperimentSpec) -> int:
 def run_experiment(spec: ExperimentSpec) -> RunRecord:
     """Full-batch training loop; gradient recomputed before every phase.
 
-    Records an eval row at step 0, every eval_every steps, and at the final
+    W0 X is computed once; every pass runs in O(r (k + d) m) and forms no
+    k x d array. Records an eval row (which builds the merged weight and
+    the dense gradient) at step 0, every eval_every steps, and at the final
     step. Deterministic per spec. Raises DivergenceDetected (carrying the
     partial record) when the loss exceeds 1e6 or stops being finite, or
     when a step meets a singular Gram.
@@ -313,6 +319,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     cfg = spec.train
     stepper = optim.make_stepper(spec.optimizer)
     state = optim.make_state(spec.optimizer, model.layer)
+    model.cache_base(x)
     flops_per_step = _task_flops(spec) + _optimizer_flops(spec)
     teacher_norm = max(frobenius(task.teacher_weight), 1e-300)
 
@@ -328,6 +335,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
         if steps_to_threshold < 0 and loss <= LOSS_THRESHOLD:
             steps_to_threshold = t
         g = full_gradient(model, x, y, cache)[0]
+        del y_hat, cache  # with `del g` below, no k x m array of a pass outlives it
         if t % spec.eval_every == 0 or t == cfg.steps:
             werr = frobenius(merged_weight(model.layer) - task.teacher_weight) / teacher_norm
             rows.append((t, loss, werr, frobenius(g.g), state.entry_count(), t * flops_per_step))
@@ -340,6 +348,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
         except SingularGram as exc:
             rec = RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)
             raise DivergenceDetected(f"singular Gram in the update at step {t}: {exc}", rec) from exc
+        del g
     return RunRecord(rows, steps_to_threshold, final_loss=loss)
 
 
@@ -371,22 +380,21 @@ def _probe_once(
     stream = RandomStream(seed)
     u = orthonormal_columns(n, rank, stream)
     v = orthonormal_columns(n, rank, stream)
-    w_star = (u * (teacher_scale * math.sqrt(n))) @ v.T
     m = 2 * n
     x = stream.normal(n, m)
-    y = w_star @ x
+    y = (u * (teacher_scale * math.sqrt(n))) @ (v.T @ x)
     layer = init_layer(np.zeros((n, n)), rank, init_a="kaiming", init_b="zero", stream=stream)
     model = ToyModel(LINEAR_REGRESSION, layer)
     stepper = optim.make_stepper(optimizer_kind)
     state = optim.make_state(optimizer_kind, layer)
+    model.cache_base(x)
     step_cfg = replace(cfg, order=optim.B_FIRST, steps=2)
     for _ in range(2):
         _, cache = forward(model, x)
         g = full_gradient(model, x, y, cache)[0]
         stepper(layer, state, g, step_cfg)
-    dw = merged_weight(layer) - layer.w0
     probe = stream.normal(n, 1)
-    return float(np.max(np.abs(dw @ probe)))
+    return float(np.max(np.abs(layer.s * (layer.b @ (layer.a @ probe)))))
 
 
 def width_scaling_probe(

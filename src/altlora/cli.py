@@ -176,8 +176,13 @@ def execute_run(spec: bench.ExperimentSpec, out_dir: Path, name: str) -> tuple[b
 
 
 def _sweep_worker(payload):
+    """One sweep cell. One that raises fails alone and writes no sidecar, so a resume retries it."""
     spec, out_dir, name = payload
-    return execute_run(spec, Path(out_dir), name)
+    try:
+        return execute_run(spec, Path(out_dir), name)
+    except Exception as exc:
+        traceback.print_exc()
+        return False, f"{name}: error ({type(exc).__name__}: {exc})"
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +253,15 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep config needs a 'grid' section")
     out_dir = resolve_out_dir(args.out, doc)
     base = doc.get("name") or Path(args.config).stem
-    pending = []
-    skipped = 0
+    cells = {}
     for overrides in _grid_cells(doc):
         name = _cell_name(base, overrides)
+        if name in cells:
+            raise ConfigError(f"grid cells {cells[name]} and {overrides} share the name {name!r}")
+        cells[name] = overrides
+    pending = []
+    skipped = 0
+    for name, overrides in cells.items():
         if (out_dir / f"{name}.json").exists():
             skipped += 1
             continue

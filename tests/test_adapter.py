@@ -1,5 +1,6 @@
 """Layer and toy-model tests: forward, manual backward, factor gradients."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,91 @@ def test_lora_grads_match_direct_finite_differences():
             fd_b[i, j] = (loss_with(b=up) - loss_with(b=down)) / (2 * h)
     assert fd_entrywise_deviation(grad_a, fd_a) < 1e-6
     assert fd_entrywise_deviation(grad_b, fd_b) < 1e-6
+
+
+def _random_model(kind, k, d, r, m, seed):
+    stream = RandomStream(seed)
+    layer = ad.LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), 2.0 * r)
+    w2 = stream.normal(3, k) if kind == ad.TWO_LAYER_RELU else None
+    model = ad.ToyModel(kind, layer, w2=w2)
+    x = stream.normal(d, m)
+    target = stream.normal(k if w2 is None else 3, m)
+    return model, x, target
+
+
+@pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
+@pytest.mark.parametrize("k, d, r", [(12, 7, 3), (12, 7, 7), (5, 9, 5)])
+def test_lora_grads_outer_product_matches_dense(kind, k, d, r):
+    model, x, target = _random_model(kind, k, d, r, 11, seed=k + d + r)
+    layer = model.layer
+    _, cache = ad.forward(model, x)
+    g = ad.full_gradient(model, x, target, cache)[0]
+    dense = g.u @ g.v.T
+    grad_a, grad_b = ad.lora_grads(g, layer)
+    assert rel_error(grad_a, layer.s * (layer.b.T @ dense)) <= 1e-12
+    assert rel_error(grad_b, layer.s * (dense @ layer.a.T)) <= 1e-12
+    assert g.g is g.g  # built once, then kept
+    np.testing.assert_array_equal(g.g, dense)
+    dense_a, dense_b = ad.lora_grads(g.g, layer)
+    assert rel_error(grad_a, dense_a) <= 1e-12 and rel_error(grad_b, dense_b) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
+def test_outer_product_grad_a_exactly_zero_when_b_is_zero(kind):
+    model, x, target = _random_model(kind, 6, 5, 2, 8, seed=21)
+    model.layer.b[:] = 0.0
+    _, cache = ad.forward(model, x)
+    grad_a, grad_b = ad.lora_grads(ad.full_gradient(model, x, target, cache)[0], model.layer)
+    assert np.all(grad_a == 0.0)
+    assert np.any(grad_b != 0.0)
+
+
+def test_lora_grads_rejects_mismatched_factors():
+    model, x, target = _random_model(ad.LINEAR_REGRESSION, 6, 5, 2, 8, seed=22)
+    _, cache = ad.forward(model, x)
+    g = ad.full_gradient(model, x, target, cache)[0]
+    with pytest.raises(ad.ShapeMismatch):
+        ad.lora_grads(ad.FullGradient(g.u, g.v[:, :-1]), model.layer)
+    with pytest.raises(ad.ShapeMismatch):
+        ad.lora_grads(ad.FullGradient(g.v, g.u), model.layer)
+
+
+def test_cached_base_product_serves_only_its_batch_and_base():
+    model, x, _ = _random_model(ad.TWO_LAYER_RELU, 12, 7, 3, 9, seed=23)
+    fresh, _ = ad.forward(model, x)
+    model.cache_base(x)
+    cached, _ = ad.forward(model, x)
+    np.testing.assert_array_equal(cached, fresh)
+    other = x + 1.0
+    got, cache = ad.forward(model, other)
+    assert rel_error(cache["z"], ad.merged_weight(model.layer) @ other) < 1e-12
+    layer = model.layer
+    model.layer = ad.LoraLayer(2.0 * layer.w0, layer.a, layer.b, layer.alpha)
+    _, cache = ad.forward(model, x)
+    assert rel_error(cache["z"], ad.merged_weight(model.layer) @ x) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
+def test_training_pass_never_forms_a_k_by_d_array(kind):
+    k = d = 1024
+    r, m = 4, 64
+    stream = RandomStream(24)
+    layer = ad.init_layer(stream.normal(k, d), r, init_b="gaussian", stream=stream)
+    w2 = stream.normal(8, k) if kind == ad.TWO_LAYER_RELU else None
+    model = ad.ToyModel(kind, layer, w2=w2)
+    x = stream.normal(d, m)
+    target = stream.normal(k if w2 is None else 8, m)
+    model.cache_base(x)
+    tracemalloc.start()
+    try:
+        y, cache = ad.forward(model, x)
+        ad.mse_loss(y, target)
+        g = ad.full_gradient(model, x, target, cache)[0]
+        ad.lora_grads(g, layer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < k * d * 8  # one k x d float64 array
 
 
 def test_merged_weight_basics():

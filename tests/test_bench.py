@@ -276,6 +276,25 @@ def test_state_accounting_matches_real_state_within_bound():
         assert real <= acc.optimizer_state <= 6 * (k * r + r * d)
 
 
+def test_flop_model_counts_a_factored_pass():
+    cfg = optim.TrainConfig(eta=0.1)
+    k, d, r, m = 32, 16, 4, 64  # m = 4 d
+    lowrank = bench.ExperimentSpec(task="lowrank", k=k, d=d, r=r, teacher_rank=2, train=cfg)
+    # A X, B (A X), scale and add the cached W0 X; the loss; dY; no k d m term
+    forward = 2 * r * d * m + 2 * k * r * m + 2 * k * m
+    assert bench._task_flops(lowrank) == forward + 3 * k * m + 2 * k * m == 38912
+    # both factor gradients from u and v, then one phase: Gram, solve, realignment, update
+    gram = 2 * r * r * k + r**3
+    phase = gram + 2 * r * r * k + (gram + 2 * r * r * k) + 2 * r * k
+    assert bench._optimizer_flops(lowrank) == 4 * r * m * (k + d) + phase == 53632
+    width = 64
+    relu = bench.ExperimentSpec(task="two_layer_relu", d=d, width=width, r=r, teacher_rank=2, train=cfg)
+    # plus the ReLU, W2 H and the loss on d outputs; W2^T dY and the ReLU mask
+    forward = 2 * r * d * m + 2 * width * r * m + 2 * width * m + width * m + 2 * d * width * m
+    backward = 2 * d * m + 2 * d * width * m + width * m
+    assert bench._task_flops(relu) == forward + 3 * d * m + backward == 324608
+
+
 def test_spec_round_trips_to_dict():
     spec = _spec(alpha=16.0, kappa=10.0)
     doc = spec.to_dict()

@@ -242,6 +242,46 @@ def test_sweep_records_singular_gram_cell_and_runs_the_rest(tmp_path, capsys):
         assert bench.RunRecord.parse_csv((out / f"singular__order-{order}.csv").read_text()).rows
 
 
+@pytest.mark.parametrize(
+    "grid, clash",
+    [
+        # distinct values that print alike, and a repeated value
+        ({"eta": [0.1, 0.1000001]}, "{'eta': 0.1} and {'eta': 0.1000001} share the name 'clash__eta-0.1'"),
+        ({"eta": [0.2, 0.3, 0.2]}, "{'eta': 0.2} and {'eta': 0.2} share the name 'clash__eta-0.2'"),
+    ],
+)
+def test_sweep_cell_name_clash_exits_2_before_running(tmp_path, capsys, grid, clash):
+    cfg = tmp_path / "clash.json"
+    _write_config(cfg, grid=grid)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"grid cells {clash}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_cell_that_raises_is_a_failed_cell(tmp_path, capsys, monkeypatch):
+    real = bench.run_experiment
+
+    def flaky(spec):
+        if spec.train.eta == 0.2:
+            raise RuntimeError("boom")
+        return real(spec)
+
+    monkeypatch.setattr(bench, "run_experiment", flaky)
+    cfg = tmp_path / "grid.json"
+    _write_config(cfg, grid={"eta": [0.1, 0.2, 0.3]})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == cli.EXIT_FAILURE
+    text = capsys.readouterr().out
+    assert "grid__eta-0.2: error (RuntimeError: boom)" in text
+    assert "sweep: 3 run, 0 skipped, 1 failed" in text
+    assert sorted(p.name for p in out.glob("*.json")) == ["grid__eta-0.1.json", "grid__eta-0.3.json"]
+    # the failed cell left no sidecar, so resuming retries exactly that cell
+    monkeypatch.setattr(bench, "run_experiment", real)
+    assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == cli.EXIT_OK
+    assert "sweep: 1 run, 2 skipped, 0 failed" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_sweep_threads_below_one_is_usage_error(tmp_path, threads):
     cfg = tmp_path / "grid.json"
