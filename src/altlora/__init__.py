@@ -27,8 +27,7 @@ from .bench import (
     InvalidSpec,
     RunRecord,
     Task,
-    gen_lowrank_task,
-    gen_relu_task,
+    generate_task,
     run_experiment,
     state_accounting,
     width_scaling_probe,

@@ -11,7 +11,7 @@ of G = dZ X^T, so no training pass forms a k x d array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -206,29 +206,19 @@ def lora_grads(g, layer: LoraLayer):
 # Initialization policies
 
 
-def _init_a(policy: str, r: int, d: int, w0: np.ndarray, stream: RandomStream) -> np.ndarray:
-    if policy == "zero":
-        return np.zeros((r, d))
-    if policy == "gaussian":
-        return stream.normal(r, d) / np.sqrt(d)
-    if policy == "kaiming":
-        return stream.normal(r, d) * np.sqrt(2.0 / d)
-    if policy == "spectral":
-        _, _, vt = jacobi_svd(w0)
-        return vt[:r].copy()
-    raise ValueError(f"unknown init policy {policy!r}")
+def _init_factor(policy: str, rows: int, cols: int, stream: RandomStream, spectral) -> np.ndarray:
+    """One factor under a named policy; Gaussian and Kaiming scale by the fan-in cols.
 
-
-def _init_b(policy: str, k: int, r: int, w0: np.ndarray, stream: RandomStream) -> np.ndarray:
+    spectral() returns the factor's slice of the SVD of w0; only "spectral" calls it.
+    """
     if policy == "zero":
-        return np.zeros((k, r))
+        return np.zeros((rows, cols))
     if policy == "gaussian":
-        return stream.normal(k, r) / np.sqrt(r)
+        return stream.normal(rows, cols) / np.sqrt(cols)
     if policy == "kaiming":
-        return stream.normal(k, r) * np.sqrt(2.0 / r)
+        return stream.normal(rows, cols) * np.sqrt(2.0 / cols)
     if policy == "spectral":
-        u, _, _ = jacobi_svd(w0)
-        return u[:, :r].copy()
+        return spectral().copy()
     raise ValueError(f"unknown init policy {policy!r}")
 
 
@@ -251,6 +241,7 @@ def init_layer(
     if stream is None:
         stream = RandomStream(seed)
     k, d = w0.shape
-    a = _init_a(init_a, r, d, w0, stream)
-    b = _init_b(init_b, k, r, w0, stream)
+    svd = cache(lambda: jacobi_svd(w0))  # once per layer, and only for "spectral"
+    a = _init_factor(init_a, r, d, stream, lambda: svd()[2][:r])
+    b = _init_factor(init_b, k, r, stream, lambda: svd()[0][:, :r])
     return LoraLayer(w0, a, b, float(alpha) if alpha is not None else float(r))

@@ -1,4 +1,4 @@
-"""Desk-scale experiments: task generators, the runner, probes, accounting.
+"""Desk-scale experiments: the task generator, the runner, probes, accounting.
 
 Tasks are synthetic analogues of fine-tuning toward a low-rank residual:
 a teacher weight W* = W0 + Delta* with a controllable singular spectrum,
@@ -92,17 +92,18 @@ class ExperimentSpec:
             raise InvalidSpec(f"init policies must be among {INIT_POLICIES}")
         if self.kappa < 1.0:
             raise InvalidSpec(f"kappa must be >= 1, got {self.kappa}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.eval_every < 1:
             raise InvalidSpec(f"eval_every must be positive, got {self.eval_every}")
         if self.kappa_knob is None:
             self.kappa_knob = "teacher" if self.task == "lowrank" else "input"
         if self.kappa_knob not in KAPPA_KNOBS:
             raise InvalidSpec(f"kappa_knob must be one of {KAPPA_KNOBS}")
-        k_eff = self.k if self.task == "lowrank" else self.width
-        if not (1 <= self.teacher_rank <= self.r <= min(k_eff, self.d)):
+        if not (1 <= self.teacher_rank <= self.r <= min(self.layer_k, self.d)):
             raise InvalidSpec(
                 f"need teacher_rank <= r <= min(k, d); got r*={self.teacher_rank}, "
-                f"r={self.r}, k={k_eff}, d={self.d}"
+                f"r={self.r}, k={self.layer_k}, d={self.d}"
             )
         if self.task == "two_layer_relu" and self.width < 4 * self.d:
             raise InvalidSpec(f"relu task needs width >= 4 d, got {self.width} < {4 * self.d}")
@@ -110,6 +111,16 @@ class ExperimentSpec:
             raise InvalidSpec(f"alpha must be positive, got {self.alpha}")
         if self.optimizer in (optim.ALTLORA, optim.ALTLORA_PLUS) and self.train.order == optim.JOINT:
             raise InvalidSpec("alternating optimizers take order a_first or b_first")
+
+    @property
+    def layer_k(self) -> int:
+        """Output width of the adapted layer: k, or the hidden width of the ReLU task."""
+        return self.k if self.task == "lowrank" else self.width
+
+    @property
+    def batch_size(self) -> int:
+        """Columns of the full training batch."""
+        return 4 * self.d
 
     @property
     def effective_alpha(self) -> float:
@@ -193,66 +204,30 @@ def _conditioned_inputs(d: int, m: int, kappa: float, stream: RandomStream) -> n
     return (q * np.sqrt(lam)) @ (q.T @ white)
 
 
-def gen_lowrank_task(spec: ExperimentSpec) -> Task:
+def generate_task(spec: ExperimentSpec) -> Task:
     """Teacher W* = W0 + Delta*, Delta* rank r* with a log-spaced spectrum.
 
-    Data is standard Gaussian d x 4d (or conditioned when the kappa knob is
-    on the inputs); targets are exactly W* X. Deterministic per seed.
+    The adapted layer is spec.layer_k x d. Data is standard Gaussian d x 4d
+    (or conditioned when the kappa knob is on the inputs); targets are W* X.
+    The ReLU task also draws the frozen second layer w2, shared by teacher and
+    student, after the teacher and targets w2 relu(W* X). Deterministic per seed.
     """
-    if spec.task != "lowrank":
-        raise InvalidSpec(f"gen_lowrank_task got task {spec.task!r}")
     stream = RandomStream(spec.seed)
-    k, d, rstar = spec.k, spec.d, spec.teacher_rank
+    k, d, rstar = spec.layer_k, spec.d, spec.teacher_rank
     w0 = stream.normal(k, d) / math.sqrt(d)
     u = orthonormal_columns(k, rstar, stream)
     v = orthonormal_columns(d, rstar, stream)
     teacher_kappa = spec.kappa if spec.kappa_knob == "teacher" else 1.0
-    sing = _log_spaced_spectrum(rstar, teacher_kappa)
-    w_star = w0 + (u * sing) @ v.T
-    m = 4 * d
-    if spec.kappa_knob == "input":
-        x = _conditioned_inputs(d, m, spec.kappa, stream)
-    else:
-        x = stream.normal(d, m)
-    y = w_star @ x
+    w_star = w0 + (u * _log_spaced_spectrum(rstar, teacher_kappa)) @ v.T
+    relu = spec.task == "two_layer_relu"
+    w2 = stream.normal(d, k) / math.sqrt(k) if relu else None
+    m = spec.batch_size
+    x = _conditioned_inputs(d, m, spec.kappa, stream) if spec.kappa_knob == "input" else stream.normal(d, m)
+    y = w2 @ np.maximum(w_star @ x, 0.0) if relu else w_star @ x
     layer = init_layer(
         w0, spec.r, alpha=spec.effective_alpha, init_a=spec.init_a, init_b=spec.init_b, stream=stream
     )
-    return Task(ToyModel(LINEAR_REGRESSION, layer), x, y, w_star)
-
-
-def gen_relu_task(spec: ExperimentSpec) -> Task:
-    """Over-parameterized two-layer ReLU student with adapted first layer.
-
-    The teacher shares the frozen second layer and differs by a rank-r*
-    perturbation of the first; by default the condition number rides on the
-    input covariance spectrum.
-    """
-    if spec.task != "two_layer_relu":
-        raise InvalidSpec(f"gen_relu_task got task {spec.task!r}")
-    stream = RandomStream(spec.seed)
-    n, d, rstar = spec.width, spec.d, spec.teacher_rank
-    w1 = stream.normal(n, d) / math.sqrt(d)
-    u = orthonormal_columns(n, rstar, stream)
-    v = orthonormal_columns(d, rstar, stream)
-    teacher_kappa = spec.kappa if spec.kappa_knob == "teacher" else 1.0
-    sing = _log_spaced_spectrum(rstar, teacher_kappa)
-    w1_star = w1 + (u * sing) @ v.T
-    w2 = stream.normal(d, n) / math.sqrt(n)
-    m = 4 * d
-    if spec.kappa_knob == "input":
-        x = _conditioned_inputs(d, m, spec.kappa, stream)
-    else:
-        x = stream.normal(d, m)
-    y = w2 @ np.maximum(w1_star @ x, 0.0)
-    layer = init_layer(
-        w1, spec.r, alpha=spec.effective_alpha, init_a=spec.init_a, init_b=spec.init_b, stream=stream
-    )
-    return Task(ToyModel(TWO_LAYER_RELU, layer, w2=w2), x, y, w1_star)
-
-
-def generate_task(spec: ExperimentSpec) -> Task:
-    return gen_lowrank_task(spec) if spec.task == "lowrank" else gen_relu_task(spec)
+    return Task(ToyModel(TWO_LAYER_RELU if relu else LINEAR_REGRESSION, layer, w2=w2), x, y, w_star)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +240,7 @@ def _task_flops(spec: ExperimentSpec) -> int:
     The base product W0 X is computed once per run and the gradient is kept
     as the factors of dZ X^T, so neither counts here; nor do eval rows.
     """
-    d = spec.d
-    k = spec.k if spec.task == "lowrank" else spec.width
-    r, m = spec.r, 4 * spec.d
+    k, d, r, m = spec.layer_k, spec.d, spec.r, spec.batch_size
     fwd = 2 * r * d * m + 2 * k * r * m + 2 * k * m  # A X, B (A X), scale and add W0 X
     out, bwd = k, 0
     if spec.task == "two_layer_relu":
@@ -279,8 +252,7 @@ def _task_flops(spec: ExperimentSpec) -> int:
 
 
 def _optimizer_flops(spec: ExperimentSpec) -> int:
-    k = spec.k if spec.task == "lowrank" else spec.width
-    d, r, m = spec.d, spec.r, 4 * spec.d
+    k, d, r, m = spec.layer_k, spec.d, spec.r, spec.batch_size
     factor_grads = 4 * r * m * (k + d)  # lora_grads: both factors from G = u v^T
     gram = 2 * r * r * max(k, d) + r**3  # form Gram + factorize
     solve = 2 * r * r * max(k, d)  # apply the inverse

@@ -85,6 +85,8 @@ def load_config(path: str) -> dict:
         doc = json.loads(p.read_text(encoding="utf-8"), parse_constant=decimal.Decimal)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(doc).__name__}")
     spec_schema = _schema(bench.ExperimentSpec)
@@ -297,8 +299,11 @@ def _load_runs(directory: Path):
         sidecar_path = csv_path.with_suffix(".json")
         if not sidecar_path.exists():
             continue
-        meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        if meta.get("schema") != RUN_SCHEMA:
+        try:
+            meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        except ValueError:  # malformed JSON or not UTF-8
+            meta = None
+        if not isinstance(meta, dict) or meta.get("schema") != RUN_SCHEMA:
             offenders.append(sidecar_path.name)
             continue
         runs.append((csv_path.stem, meta, record))
@@ -311,7 +316,7 @@ def cmd_report(args) -> int:
         raise ConfigError(f"not a directory: {directory}")
     runs, offenders = _load_runs(directory)
     if offenders:
-        print("schema mismatch in: " + ", ".join(offenders), file=sys.stderr)
+        print("malformed or schema-mismatched run file(s): " + ", ".join(offenders), file=sys.stderr)
         return EXIT_CONFIG
     if not runs:
         print(f"no runs in {directory}")
@@ -373,7 +378,8 @@ def cmd_report(args) -> int:
                     for _, meta, _ in runs
                     if meta["spec"]["optimizer"] == opt_name and meta["spec"]["kappa"] == kappa
                 ]
-                per_kappa.append(min(vals) if vals else None)
+                # -1 (never reached) only when no cell at this kappa reached the threshold
+                per_kappa.append(min(vals, key=lambda v: (v < 0, v)) if vals else None)
             print(
                 f"  {opt_name:<16}"
                 + " ".join(f"{v if v is not None else '-':>12}" for v in per_kappa)
@@ -389,10 +395,13 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,21 +410,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant/oracle check suite")
     p_verify.add_argument("--filter", default=None, help="glob over check names")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_CHECK_SEED)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_CHECK_SEED)
     p_verify.add_argument("--out", default=None, help="output directory (default $ALTLORA_OUT)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_train = sub.add_parser("train", help="run one experiment from a JSON config")
     p_train.add_argument("config")
-    p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_train.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed")
     p_train.add_argument("--out", default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_sweep = sub.add_parser("sweep", help="run a grid of experiments (resumable)")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep.add_argument("--seed", type=_int_at_least(0), default=None)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--threads", type=_positive_int, default=1, help="parallel sweep cells")
+    p_sweep.add_argument("--threads", type=_int_at_least(1), default=1, help="parallel sweep cells")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="aggregate a directory of runs")

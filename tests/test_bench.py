@@ -33,7 +33,7 @@ def _spec(**kw):
 
 
 def test_lowrank_rank_one_teacher_has_single_direction():
-    task = bench.gen_lowrank_task(_spec(teacher_rank=1, r=2))
+    task = bench.generate_task(_spec(teacher_rank=1, r=2))
     delta = task.teacher_weight - task.model.layer.w0
     sing = jacobi_svd(delta)[1]
     assert sing[0] > 0.9
@@ -41,8 +41,8 @@ def test_lowrank_rank_one_teacher_has_single_direction():
 
 
 def test_lowrank_task_deterministic():
-    a = bench.gen_lowrank_task(_spec(seed=5))
-    b = bench.gen_lowrank_task(_spec(seed=5))
+    a = bench.generate_task(_spec(seed=5))
+    b = bench.generate_task(_spec(seed=5))
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.teacher_weight, b.teacher_weight)
@@ -50,7 +50,7 @@ def test_lowrank_task_deterministic():
 
 
 def test_lowrank_teacher_spectrum_spans_kappa():
-    task = bench.gen_lowrank_task(_spec(kappa=100.0))
+    task = bench.generate_task(_spec(kappa=100.0))
     delta = task.teacher_weight - task.model.layer.w0
     sing = jacobi_svd(delta)[1][:4]
     assert abs(sing[0] / sing[3] - 100.0) < 1e-9
@@ -58,7 +58,7 @@ def test_lowrank_teacher_spectrum_spans_kappa():
 
 def test_lowrank_input_knob_conditions_the_data():
     spec = _spec(kappa=50.0, kappa_knob="input")
-    task = bench.gen_lowrank_task(spec)
+    task = bench.generate_task(spec)
     cov = task.x @ task.x.T / task.x.shape[1]
     eig = jacobi_svd(cov)[1]
     assert abs(eig[0] / eig[-1] - 50.0) < 1e-6
@@ -70,8 +70,8 @@ def test_lowrank_input_knob_conditions_the_data():
 
 def test_relu_task_mirrors_lowrank_contracts():
     spec = _spec(task="two_layer_relu", d=8, width=32, r=3, teacher_rank=2, kappa=25.0)
-    a = bench.gen_relu_task(spec)
-    b = bench.gen_relu_task(spec)
+    a = bench.generate_task(spec)
+    b = bench.generate_task(spec)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     delta = a.teacher_weight - a.model.layer.w0
     sing = jacobi_svd(delta)[1]
@@ -180,7 +180,7 @@ def test_cosine_schedule_runs_and_decays():
 def test_update_order_property_a_first_stalls_under_standard_init():
     """With B = 0, the first A-phase moves A only through weight decay."""
     spec = _spec(train=optim.TrainConfig(eta=0.3, beta1=0.9, gamma=0.0, order=optim.A_FIRST, steps=1))
-    task = bench.gen_lowrank_task(spec)
+    task = bench.generate_task(spec)
     layer = task.model.layer
     a_before = layer.a.copy()
     state = optim.make_state(optim.ALTLORA, layer)
@@ -192,7 +192,7 @@ def test_update_order_property_a_first_stalls_under_standard_init():
     assert np.array_equal(layer.a, a_before)  # bit-exact stall at gamma = 0
 
     spec2 = _spec(train=optim.TrainConfig(eta=0.3, beta1=0.9, gamma=0.01, order=optim.A_FIRST, steps=1))
-    task2 = bench.gen_lowrank_task(spec2)
+    task2 = bench.generate_task(spec2)
     layer2 = task2.model.layer
     a_before2 = layer2.a.copy()
     state2 = optim.make_state(optim.ALTLORA, layer2)
@@ -342,3 +342,8 @@ def test_spec_round_trips_to_dict():
         assert list(section) == [bench.JSON_ALIASES.get(f.name, f.name) for f in fields(config)]
     assert "lambda" in doc["train"] and "lam" not in doc["train"]
     assert cli.build_spec(json.loads(json.dumps(doc))) == spec
+
+
+def test_negative_seed_is_invalid_spec():
+    with pytest.raises(bench.InvalidSpec, match="seed"):
+        _spec(seed=-1)

@@ -368,3 +368,61 @@ def test_cli_entry_point_usage_error():
     with pytest.raises(SystemExit) as info:
         cli.main(["not-a-command"])
     assert info.value.code == 2
+
+
+def test_train_non_utf8_config_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert cli.main(["train", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert "utf16.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config_seed, flags",
+    [
+        ("train", -1, []),
+        ("sweep", -1, []),
+        ("train", 3, ["--seed", "-3"]),
+        ("sweep", 3, ["--seed", "-3"]),
+        ("verify", None, ["--seed", "-1"]),
+    ],
+)
+def test_negative_seed_is_usage_error(tmp_path, capsys, command, config_seed, flags):
+    argv = [command]
+    if config_seed is not None:
+        cfg = tmp_path / "run.json"
+        grid = {"grid": {"eta": [0.1, 0.2]}} if command == "sweep" else {}
+        _write_config(cfg, seed=config_seed, **grid)
+        argv.append(str(cfg))
+    argv += ["--out", str(tmp_path / "o"), *flags]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    assert code == cli.EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sidecar", ['{"schema": ', "[1, 2]"])
+def test_report_malformed_sidecar_lists_offender(tmp_path, capsys, sidecar):
+    _fake_run(tmp_path, "good", "altlora", 1.0, 12)
+    _fake_run(tmp_path, "bad", "altlora", 1.0, 12)
+    (tmp_path / "bad.json").write_text(sidecar, encoding="utf-8")
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad.json" in err and "good.json" not in err
+
+
+def test_report_kappa_matrix_skips_cells_that_never_reached(tmp_path, capsys):
+    _fake_run(tmp_path, "alt_k1", "altlora", 1.0, 20)
+    _fake_run(tmp_path, "alt_k100_reached", "altlora", 100.0, 16)
+    _fake_run(tmp_path, "alt_k100_never", "altlora", 100.0, -1)
+    _fake_run(tmp_path, "sgd_k1", "lora_sgd", 1.0, 70)
+    _fake_run(tmp_path, "sgd_k100_never", "lora_sgd", 100.0, -1)
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_OK
+    matrix = capsys.readouterr().out.split("steps_to_threshold vs kappa:")[1].splitlines()
+    assert matrix[2].split() == ["altlora", "20", "16"]
+    assert "ratio max/min = 1.25" in matrix[3]
+    assert matrix[4].split() == ["lora_sgd", "70", "-1"]  # -1 only when no cell at that kappa reached it
+    assert len(matrix) == 5  # and no ratio line for lora_sgd
