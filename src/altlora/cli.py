@@ -35,7 +35,6 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 RUN_SCHEMA = "altlora-run/1"
-DEFAULT_CHECK_SEED = 1789
 
 # The CLI's own top-level keys and their types. Every other key is a field of
 # bench.ExperimentSpec under its JSON name; a dataclass field is a section.
@@ -301,9 +300,13 @@ def _load_runs(directory: Path):
             continue
         try:
             meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
-        except ValueError:  # malformed JSON or not UTF-8
-            meta = None
-        if not isinstance(meta, dict) or meta.get("schema") != RUN_SCHEMA:
+            # report reads the outcome and a spec, which must pass the config schema and rebuild to itself
+            _check_section({"spec": meta["spec"]}, {"spec": bench.ExperimentSpec}, "sidecar")
+            ok = meta["schema"] == RUN_SCHEMA and meta.keys() >= {"steps_to_threshold", "final_loss", "diverged"}
+            ok = ok and build_spec(meta["spec"]).to_dict() == meta["spec"]
+        except (ValueError, LookupError, TypeError, ConfigError):  # TypeError: not a JSON object
+            ok = False
+        if not ok:
             offenders.append(sidecar_path.name)
             continue
         runs.append((csv_path.stem, meta, record))
@@ -410,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant/oracle check suite")
     p_verify.add_argument("--filter", default=None, help="glob over check names")
-    p_verify.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_CHECK_SEED)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=oracle.DEFAULT_CHECK_SEED)
     p_verify.add_argument("--out", default=None, help="output directory (default $ALTLORA_OUT)")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -2,9 +2,8 @@
 
 Everything here is pure float64 numpy: ridge-damped Gram inverses formed
 from numpy's Cholesky factor under an explicit pivot threshold, subspace
-projectors, seeded random factor generation, a one-sided Jacobi SVD used
-as an independent spectral oracle, and the row-major text serialization
-used by golden-file tests.
+projectors, seeded random factor generation, and a one-sided Jacobi SVD
+used as an independent spectral oracle.
 
 Randomness contract: all sampling goes through :class:`RandomStream`, a
 PCG64 bit generator whose uniform doubles feed an explicit Box-Muller
@@ -31,10 +30,6 @@ __all__ = [
     "jacobi_svd",
     "frobenius",
     "rel_error",
-    "format_matrix",
-    "parse_matrix",
-    "save_matrix",
-    "load_matrix",
 ]
 
 # Cholesky pivots below PIVOT_RTOL * trace(gram) are treated as singular.
@@ -171,27 +166,6 @@ class RandomStream:
         return z.reshape(shape) if shape else float(z[0])
 
 
-def _orthogonal(n: int, stream: RandomStream) -> np.ndarray:
-    """Haar-ish orthogonal matrix: Householder QR of a Gaussian sample."""
-    a = stream.normal(n, n)
-    q = np.eye(n)
-    r = a.copy()
-    for j in range(n - 1):
-        x = r[j:, j]
-        alpha = -math.copysign(float(np.linalg.norm(x)), float(x[0]))
-        v = x.copy()
-        v[0] -= alpha
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        v /= nv
-        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v)
-    signs = np.sign(np.diag(r)).copy()
-    signs[signs == 0.0] = 1.0
-    return q * signs
-
-
 def orthonormal_columns(rows: int, cols: int, stream: RandomStream) -> np.ndarray:
     """Seeded rows x cols matrix with orthonormal columns (twice-iterated MGS)."""
     if cols > rows:
@@ -222,8 +196,8 @@ def gauge_sample(r: int, cond_max: float, seed: int) -> np.ndarray:
     if cond_max < 1.0:
         raise ValueError(f"cond_max must be >= 1, got {cond_max}")
     stream = RandomStream(seed)
-    q1 = _orthogonal(r, stream)
-    q2 = _orthogonal(r, stream)
+    q1 = orthonormal_columns(r, r, stream)
+    q2 = orthonormal_columns(r, r, stream)
     half_log = 0.5 * math.log(cond_max)
     sing = np.exp(-half_log + stream.uniform(r) * (2.0 * half_log))
     return (q1 * sing) @ q2.T
@@ -276,35 +250,3 @@ def jacobi_svd(a: np.ndarray, max_sweeps: int = 60, tol: float = 1e-14):
     if transposed:
         return v, sing, u.T
     return u, sing, v.T
-
-
-# ---------------------------------------------------------------------------
-# Text serialization (golden-file format)
-
-_FMT = "%.17g"
-
-
-def format_matrix(m: np.ndarray) -> str:
-    """Row-major text form: one row per line, space-separated, 17 sig digits."""
-    m = np.asarray(m, dtype=np.float64)
-    return "\n".join(" ".join(_FMT % x for x in row) for row in m) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-    if not rows:
-        raise ValueError("empty matrix text")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged matrix text: rows have differing lengths")
-    return as_matrix([[float(x) for x in row] for row in rows], name="parsed matrix")
-
-
-def save_matrix(path, m: np.ndarray) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_matrix(m))
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())

@@ -15,7 +15,7 @@ by ``altlora verify``.
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -178,8 +178,7 @@ def decompose_pair_step(layer: LoraLayer, g_t, g_half, cfg: optim.TrainConfig) -
     stj = optim.AltLoraState.init(joint)
     optim.baseline_step(optim.SCALEDGD_JOINT, joint, stj, gt, cfg)
     dw_joint = equivalent_update(layer, joint)
-    cross = dw_joint + cfg.eta * (projector(layer.b, "column", cfg.lam) @ gt)
-    cross = cross + cfg.eta * (gt @ projector(layer.a, "row", cfg.lam))
+    cross = dw_joint + col_term + cfg.eta * (gt @ projector(layer.a, "row", cfg.lam))
 
     return DecompositionReport(col_term, row_term, cross, residual)
 
@@ -274,6 +273,7 @@ def trajectory_invariance_check(
 # Named check suite
 
 REPORT_SCHEMA = "altlora-check-report/1"
+DEFAULT_CHECK_SEED = 1789
 
 
 @dataclass
@@ -285,13 +285,7 @@ class CheckResult:
     info: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "max_deviation": self.max_deviation,
-            "passed": bool(self.passed),
-            "info": self.info,
-        }
+        return {**asdict(self), "passed": bool(self.passed)}
 
 
 def _random_instance(stream: RandomStream, r_max: int = 8, dim_max: int = 64):
@@ -682,7 +676,7 @@ def select_checks(pattern: str | None = None) -> list[str]:
     return [n for n in names if fnmatch.fnmatchcase(n, pattern)]
 
 
-def run_checks(pattern: str | None = None, seed: int = 1789) -> dict:
+def run_checks(pattern: str | None = None, seed: int = DEFAULT_CHECK_SEED) -> dict:
     """Run the (optionally filtered) check suite; returns the JSON report."""
     results = [CHECKS[name](seed) for name in select_checks(pattern)]
     return {

@@ -8,8 +8,9 @@ import pytest
 
 import scalar_reference as ref
 from altlora import adapter as ad
-from altlora.matcore import RandomStream, load_matrix, rel_error
+from altlora.matcore import RandomStream, rel_error
 from altlora.oracle import fd_entrywise_deviation, fd_merged_gradient
+from matrix_text import load_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -414,6 +414,37 @@ def test_report_malformed_sidecar_lists_offender(tmp_path, capsys, sidecar):
     assert "bad.json" in err and "good.json" not in err
 
 
+@pytest.mark.parametrize(
+    "drop",
+    [("spec",), ("steps_to_threshold",), ("final_loss",), ("spec", "optimizer"), ("spec", "train", "eta")],
+    ids=".".join,
+)
+def test_report_sidecar_missing_a_read_key_lists_offender(tmp_path, capsys, drop):
+    _fake_run(tmp_path, "good", "altlora", 1.0, 12)
+    _fake_run(tmp_path, "bad", "altlora", 1.0, 12)
+    meta = json.loads((tmp_path / "bad.json").read_text())
+    section = meta
+    for key in drop[:-1]:
+        section = section[key]
+    del section[drop[-1]]
+    (tmp_path / "bad.json").write_text(json.dumps(meta), encoding="utf-8")
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad.json" in err and "good.json" not in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "sidecar", ['{"schema": "altlora-run/1"}', '{"schema": "altlora-run/1", "spec": [1]}']
+)
+def test_report_schema_only_sidecar_lists_offender(tmp_path, capsys, sidecar):
+    _fake_run(tmp_path, "good", "altlora", 1.0, 12)
+    _fake_run(tmp_path, "bad", "altlora", 1.0, 12)
+    (tmp_path / "bad.json").write_text(sidecar, encoding="utf-8")
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "bad.json" in capsys.readouterr().err
+
+
 def test_report_kappa_matrix_skips_cells_that_never_reached(tmp_path, capsys):
     _fake_run(tmp_path, "alt_k1", "altlora", 1.0, 20)
     _fake_run(tmp_path, "alt_k100_reached", "altlora", 100.0, 16)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from altlora import matcore as mc
+from matrix_text import format_matrix, load_matrix, parse_matrix, save_matrix
 
 
 def test_damped_inverse_zero_matrix_is_identity_over_lambda():
@@ -143,6 +144,15 @@ def test_orthonormal_columns():
         mc.orthonormal_columns(3, 5, mc.RandomStream(4))
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_square_orthonormal_columns_is_the_unique_qr_factor(r):
+    # Q with R's diagonal positive is unique, so MGS and LAPACK's QR must agree
+    # on the same Gaussian draw; gauge_sample relies on this.
+    got = mc.orthonormal_columns(r, r, mc.RandomStream(40 + r))
+    q, upper = np.linalg.qr(mc.RandomStream(40 + r).normal(r, r))
+    np.testing.assert_allclose(got, q * np.sign(np.diag(upper)), rtol=0, atol=1e-12)
+
+
 def test_random_stream_deterministic_and_gaussian():
     a = mc.RandomStream(17).normal(100, 7)
     b = mc.RandomStream(17).normal(100, 7)
@@ -156,24 +166,24 @@ def test_matrix_text_round_trip_is_exact():
     stream = mc.RandomStream(21)
     for _ in range(5):
         m = stream.normal(4, 7) * 10.0 ** int(stream.uniform() * 8 - 4)
-        again = mc.parse_matrix(mc.format_matrix(m))
+        again = parse_matrix(format_matrix(m))
         assert np.array_equal(m, again)
 
 
 def test_matrix_text_rejects_bad_input():
     with pytest.raises(ValueError):
-        mc.parse_matrix("")
+        parse_matrix("")
     with pytest.raises(ValueError):
-        mc.parse_matrix("1 2\n3\n")
+        parse_matrix("1 2\n3\n")
     with pytest.raises(ValueError):
-        mc.parse_matrix("1 nan\n2 3\n")
+        parse_matrix("1 nan\n2 3\n")
 
 
 def test_save_load_matrix(tmp_path):
     m = mc.RandomStream(5).normal(3, 3)
     path = tmp_path / "m.txt"
-    mc.save_matrix(path, m)
-    assert np.array_equal(mc.load_matrix(path), m)
+    save_matrix(path, m)
+    assert np.array_equal(load_matrix(path), m)
 
 
 def test_as_matrix_validation():
