@@ -21,6 +21,7 @@ LINEAR_REGRESSION = "linear_regression"
 TWO_LAYER_RELU = "two_layer_relu"
 
 INIT_POLICIES = ("gaussian", "kaiming", "spectral", "zero")
+_F64 = np.dtype(np.float64)
 
 
 @dataclass
@@ -66,7 +67,7 @@ class LoraLayer:
 
     @property
     def s(self) -> float:
-        return self.alpha / self.r
+        return self.alpha / self.a.shape[0]
 
     def copy(self) -> "LoraLayer":
         return LoraLayer(self.w0, self.a.copy(), self.b.copy(), self.alpha)
@@ -78,15 +79,22 @@ class FullGradient:
 
     u (k x m) is the gradient w.r.t. the layer's outputs Z and v (d x m) its
     inputs. The dense k x d ``g`` is built on first access and then kept;
-    only oracles and eval rows read it.
+    only oracles and eval rows read it. ``ax`` is forward's (A, X, A X):
+    lora_grads reuses A X while the layer's A is that array and v is X.
     """
 
     u: np.ndarray
     v: np.ndarray
+    ax: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def g(self) -> np.ndarray:
         return self.u @ self.v.T
+
+
+def _f64(x) -> np.ndarray:
+    """x as a float64 ndarray, skipping np.asarray's cost when x already is one."""
+    return x if type(x) is np.ndarray and x.dtype is _F64 else np.asarray(x, dtype=np.float64)
 
 
 def gradient_array(g) -> np.ndarray:
@@ -147,55 +155,59 @@ def forward(model: ToyModel, x: np.ndarray):
     """Evaluate the model on a batch (one column per sample).
 
     The adapted layer computes Z = W0 X + s B (A X); the merged weight is
-    never formed. Returns (y, cache); the cache carries Z and y for backward.
+    never formed. Returns (y, cache); cache holds Z, y, (A, X, A X) for backward.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _f64(x)
     layer = model.layer
     if x.ndim != 2 or x.shape[0] != layer.d:
         raise ShapeMismatch(f"batch shape {x.shape} does not match input dim {layer.d}")
-    z = layer.b @ (layer.a @ x)
+    ax = np.dot(layer.a, x)  # np.dot: the BLAS call @ makes, bit for bit, without matmul's dispatch
+    z = np.dot(layer.b, ax)  # np.dot: as above
     z *= layer.s
     z += model._base_product(x)
-    y = z if model.kind == LINEAR_REGRESSION else model.w2 @ np.maximum(z, 0.0)
-    return y, {"z": z, "y": y}
+    y = z if model.kind == LINEAR_REGRESSION else np.dot(model.w2, np.maximum(z, 0.0))  # np.dot: as above
+    return y, {"z": z, "y": y, "ax": (layer.a, x, ax)}
 
 
 def mse_loss(y: np.ndarray, target: np.ndarray) -> float:
     """Mean squared error with 1/m batch normalization (m = columns)."""
-    y = np.asarray(y, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    y, target = _f64(y), _f64(target)
     if y.shape != target.shape:
         raise ShapeMismatch(f"prediction {y.shape} vs target {target.shape}")
     diff = y - target
-    return float(np.sum(np.square(diff, out=diff)) / y.shape[1])
+    # the reduction np.sum makes, without its Python wrapper
+    return float(np.add.reduce(np.square(diff, out=diff), axis=None) / y.shape[1])
 
 
 def full_gradient(model: ToyModel, x: np.ndarray, target: np.ndarray, cache) -> list[FullGradient]:
     """Gradient of the MSE loss w.r.t. each adapted layer's merged weight.
 
-    Read from forward's cache as the factors of G = dZ X^T.
+    Read from forward's cache as the factors of G = dZ X^T, with its A X.
     """
-    x = np.asarray(x, dtype=np.float64)
-    dy = cache["y"] - np.asarray(target, dtype=np.float64)
+    x = _f64(x)
+    dy = cache["y"] - _f64(target)
     dy *= 2.0 / x.shape[1]
     if model.kind == LINEAR_REGRESSION:
-        return [FullGradient(dy, x)]
+        return [FullGradient(dy, x, cache.get("ax"))]
     # ReLU derivative at exactly 0 is taken as 0
-    return [FullGradient((model.w2.T @ dy) * (cache["z"] > 0.0), x)]
+    return [FullGradient((model.w2.T @ dy) * (cache["z"] > 0.0), x, cache.get("ax"))]
 
 
 def lora_grads(g, layer: LoraLayer):
     """Factor gradients induced by the chain rule through W = W0 + s B A.
 
     grad_a = s B^T G,  grad_b = s G A^T. For G = u v^T (a FullGradient)
-    they are s (B^T u) v^T and u (s A v)^T, with no k x d product.
+    they are s (B^T u) v^T and u (s A v)^T, with no k x d product; A v is
+    forward's A X when the gradient carries it for this very A and v.
     """
     s, a, b = layer.s, layer.a, layer.b
     if isinstance(g, FullGradient):
-        u, v = g.u, g.v
+        u, v, held = g.u, g.v, g.ax
         if u.shape[0] != layer.k or v.shape[0] != layer.d or u.shape[1] != v.shape[1]:
             raise ShapeMismatch(f"gradient factors {u.shape} x {v.shape} vs layer {(layer.k, layer.d)}")
-        return (s * (b.T @ u)) @ v.T, u @ (s * (a @ v)).T
+        reuse = held is not None and held[0] is a and held[1] is v
+        av = held[2] if reuse else np.dot(a, v)  # np.dot: bitwise @ without matmul's dispatch
+        return np.dot(s * np.dot(b.T, u), v.T), np.dot(u, (s * av).T)  # np.dot: as above
     gm = gradient_array(g)
     if gm.shape != (layer.k, layer.d):
         raise ShapeMismatch(f"gradient {gm.shape} vs layer {(layer.k, layer.d)}")

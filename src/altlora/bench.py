@@ -279,12 +279,13 @@ def _optimizer_flops(spec: ExperimentSpec) -> int:
 def run_experiment(spec: ExperimentSpec) -> RunRecord:
     """Full-batch training loop; gradient recomputed before every phase.
 
-    W0 X is computed once; every pass runs in O(r (k + d) m) and forms no
-    k x d array. Records an eval row (which builds the merged weight and
-    the dense gradient) at step 0, every eval_every steps, and at the final
-    step. Deterministic per spec. Raises DivergenceDetected (carrying the
-    partial record) when the loss exceeds 1e6 or stops being finite, or
-    when a step meets a singular Gram.
+    W0 X is computed once, and A X once per pass (forward's product serves
+    the factor gradients, bit for bit); a pass runs in O(r (k + d) m) and
+    forms no k x d array. Records an eval row (which builds the merged
+    weight and the dense gradient) at step 0, every eval_every steps, and
+    at the final step. Deterministic per spec. Raises DivergenceDetected
+    (carrying the partial record) when the loss exceeds 1e6 or stops being
+    finite, or when a step meets a singular Gram.
     """
     task = generate_task(spec)
     model, x, y = task.model, task.x, task.y
@@ -295,10 +296,11 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     flops_per_step = _task_flops(spec) + _optimizer_flops(spec)
     teacher_norm = max(frobenius(task.teacher_weight), 1e-300)
 
+    layer, steps, eval_every = model.layer, cfg.steps, spec.eval_every
     rows: list = []
     steps_to_threshold = -1
     loss = math.nan
-    for t in range(cfg.steps + 1):
+    for t in range(steps + 1):
         y_hat, cache = forward(model, x)
         loss = mse_loss(y_hat, y)
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
@@ -308,15 +310,15 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
             steps_to_threshold = t
         g = full_gradient(model, x, y, cache)[0]
         del y_hat, cache  # with `del g` below, no k x m array of a pass outlives it
-        if t % spec.eval_every == 0 or t == cfg.steps:
-            werr = frobenius(merged_weight(model.layer) - task.teacher_weight) / teacher_norm
+        if t % eval_every == 0 or t == steps:
+            werr = frobenius(merged_weight(layer) - task.teacher_weight) / teacher_norm
             rows.append((t, loss, werr, frobenius(g.g), state.entry_count(), t * flops_per_step))
-        if t == cfg.steps:
+        if t == steps:
             break
         eta_t = optim.effective_eta(cfg, t)
         step_cfg = cfg if eta_t == cfg.eta else replace(cfg, eta=eta_t)
         try:
-            stepper(model.layer, state, g, step_cfg)
+            stepper(layer, state, g, step_cfg)
         except SingularGram as exc:
             rec = RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)
             raise DivergenceDetected(f"singular Gram in the update at step {t}: {exc}", rec) from exc

@@ -303,6 +303,10 @@ def _load_runs(directory: Path):
             # report reads the outcome and a spec, which must pass the config schema and rebuild to itself
             _check_section({"spec": meta["spec"]}, {"spec": bench.ExperimentSpec}, "sidecar")
             ok = meta["schema"] == RUN_SCHEMA and meta.keys() >= {"steps_to_threshold", "final_loss", "diverged"}
+            # the outcome as the runner writes it: a diverged run may record an infinite loss
+            loss = meta["final_loss"]
+            ok = ok and type(meta["steps_to_threshold"]) is int and type(meta["diverged"]) is bool
+            ok = ok and (loss is None or (type(loss) in (int, float) and not math.isnan(loss)))
             ok = ok and build_spec(meta["spec"]).to_dict() == meta["spec"]
         except (ValueError, LookupError, TypeError, ConfigError):  # TypeError: not a JSON object
             ok = False

@@ -29,6 +29,7 @@ No stepper in this module allocates a k x d buffer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,7 +151,7 @@ class AltLoraState:
 
     def entry_count(self) -> int:
         buffers = (self.ma, self.mb, self.prev_a, self.prev_b, self.va, self.vb)
-        return sum(buf.size for buf in buffers if buf is not None)
+        return sum([buf.size for buf in buffers if buf is not None])
 
     def check_budget(self, layer: LoraLayer) -> None:
         """Assert every buffer is factor-shaped and the total stays low-rank.
@@ -158,13 +159,16 @@ class AltLoraState:
         Trips if any code path ever materializes a k x d optimizer buffer.
         """
         k, d, r = layer.k, layer.d, layer.r
-        allowed = {(r, d), (k, r)}
+        allowed = ((r, d), (k, r))
+        total = 0
         for buf in (self.ma, self.mb, self.prev_a, self.prev_b, self.va, self.vb):
-            if buf is not None and buf.shape not in allowed:
-                raise AssertionError(f"optimizer buffer has non-factor shape {buf.shape}")
+            if buf is not None:
+                if buf.shape not in allowed:
+                    raise AssertionError(f"optimizer buffer has non-factor shape {buf.shape}")
+                total += buf.size
         bound = 6 * (k * r + r * d)
-        if self.entry_count() > bound:
-            raise AssertionError(f"state holds {self.entry_count()} entries > 6(kr+rd) = {bound}")
+        if total > bound:
+            raise AssertionError(f"state holds {total} entries > 6(kr+rd) = {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +214,11 @@ def update_phase(t: int, order: str) -> str:
     raise ValueError(f"alternating steppers need order a_first or b_first, got {order!r}")
 
 
+def _descend(x: np.ndarray, eta: float, direction: np.ndarray, gamma: float) -> np.ndarray:
+    """x - eta (direction + gamma x); the decay term is formed only when gamma != 0."""
+    return x - eta * (direction + gamma * x) if gamma else x - eta * direction
+
+
 # ---------------------------------------------------------------------------
 # Alternating steppers
 
@@ -239,7 +248,7 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
         state.va, state.vb = (v, state.vb) if a_phase else (state.va, v.T)
         c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
         direction = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
-    x = x - cfg.eta * (direction + cfg.gamma * x)
+    x = _descend(x, cfg.eta, direction, cfg.gamma)
     if a_phase:
         layer.a, state.ma, state.tau_a, state.prev_b = x, m, tau, layer.b.copy()
     else:
@@ -283,8 +292,8 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g, cfg: Trai
     grad_a, grad_b = lora_grads(g, layer)
     if kind in (LORA_SGD, LORA_PLUS):
         eta_b = cfg.lora_plus_ratio * cfg.eta if kind == LORA_PLUS else cfg.eta
-        layer.a = layer.a - cfg.eta * (grad_a + cfg.gamma * layer.a)
-        layer.b = layer.b - eta_b * (grad_b + cfg.gamma * layer.b)
+        layer.a = _descend(layer.a, cfg.eta, grad_a, cfg.gamma)
+        layer.b = _descend(layer.b, eta_b, grad_b, cfg.gamma)
     elif kind == LORA_ADAM:
         if state.va is None or state.vb is None:
             raise ValueError("lora_adam needs a state built with second_moment=True")
@@ -296,8 +305,8 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g, cfg: Trai
         c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
         dir_a = (state.ma / c1) / (np.sqrt(state.va / c2) + cfg.eps)
         dir_b = (state.mb / c1) / (np.sqrt(state.vb / c2) + cfg.eps)
-        layer.a = layer.a - cfg.eta * (dir_a + cfg.gamma * layer.a)
-        layer.b = layer.b - cfg.eta * (dir_b + cfg.gamma * layer.b)
+        layer.a = _descend(layer.a, cfg.eta, dir_a, cfg.gamma)
+        layer.b = _descend(layer.b, cfg.eta, dir_b, cfg.gamma)
         state.tau_a += 1
         state.tau_b += 1
     elif kind == SCALEDGD_JOINT:
@@ -312,8 +321,8 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g, cfg: Trai
             state.mb = cfg.beta1 * state.mb + (1.0 - cfg.beta1) * tilde_b
         else:
             state.ma, state.mb = tilde_a, tilde_b
-        layer.a = layer.a - cfg.eta * (state.ma + cfg.gamma * layer.a)
-        layer.b = layer.b - cfg.eta * (state.mb + cfg.gamma * layer.b)
+        layer.a = _descend(layer.a, cfg.eta, state.ma, cfg.gamma)
+        layer.b = _descend(layer.b, cfg.eta, state.mb, cfg.gamma)
         state.tau_a += 1
         state.tau_b += 1
     else:
@@ -336,10 +345,7 @@ def make_stepper(kind: str):
     if kind == ALTLORA_PLUS:
         return altlora_plus_step
     if kind in BASELINES:
-        def step(layer, state, g, cfg, _kind=kind):
-            return baseline_step(_kind, layer, state, g, cfg)
-
-        return step
+        return functools.partial(baseline_step, kind)
     raise ValueError(f"unknown optimizer kind {kind!r}")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import scalar_reference as ref
 from altlora import adapter as ad
+from altlora import optim
 from altlora.matcore import RandomStream, rel_error
 from altlora.oracle import fd_entrywise_deviation, fd_merged_gradient
 from matrix_text import load_matrix
@@ -223,6 +224,79 @@ def test_cached_base_product_serves_only_its_batch_and_base():
     model.layer = ad.LoraLayer(2.0 * layer.w0, layer.a, layer.b, layer.alpha)
     _, cache = ad.forward(model, x)
     assert rel_error(cache["z"], ad.merged_weight(model.layer) @ x) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
+def test_lora_grads_reuses_forward_ax_bit_for_bit(kind):
+    model, x, target = _random_model(kind, 12, 7, 3, 11, seed=25)
+    layer = model.layer
+    _, cache = ad.forward(model, x)
+    g = ad.full_gradient(model, x, target, cache)[0]
+    assert g.ax[0] is layer.a and g.ax[1] is g.v
+    cached = ad.lora_grads(g, layer)
+    fresh = ad.lora_grads(ad.FullGradient(g.u, g.v), layer)
+    for got, want in zip(cached, fresh):
+        np.testing.assert_array_equal(got, want)
+    # the carried product is the one used: doubling it doubles grad_b exactly
+    doubled = ad.lora_grads(ad.FullGradient(g.u, g.v, (layer.a, g.v, 2.0 * g.ax[2])), layer)
+    np.testing.assert_array_equal(doubled[1], 2.0 * fresh[1])
+
+
+def test_lora_grads_ignores_ax_of_another_a_or_batch():
+    model, x, target = _random_model(ad.LINEAR_REGRESSION, 12, 7, 3, 11, seed=26)
+    layer = model.layer
+    _, cache = ad.forward(model, x)
+    g = ad.full_gradient(model, x, target, cache)[0]
+    # a v that is not the X the (here deliberately wrong) product was taken with
+    other_v = ad.FullGradient(g.u, g.v.copy(), (layer.a, g.v, 2.0 * g.ax[2]))
+    want = ad.lora_grads(ad.FullGradient(g.u, g.v), layer)[1]
+    np.testing.assert_array_equal(ad.lora_grads(other_v, layer)[1], want)
+    # a step rebinds layer.a, so the product taken at the old A is stale
+    cfg = optim.TrainConfig(eta=0.1, order=optim.A_FIRST)
+    optim.altlora_step(layer, optim.make_state(optim.ALTLORA, layer), g, cfg)
+    assert g.ax[0] is not layer.a
+    stale, fresh = ad.lora_grads(g, layer), ad.lora_grads(ad.FullGradient(g.u, g.v), layer)
+    assert not np.array_equal(g.ax[2], layer.a @ x)
+    for got, want in zip(stale, fresh):
+        np.testing.assert_array_equal(got, want)
+
+
+# (left, right) operands of every np.dot in forward and lora_grads at the
+# benchmark's shapes; ".T" marks the transposed view of a stored array.
+_DOT_OPERANDS = [
+    # desk low-rank task: k = d = 32, r = 4, m = 128
+    ("4x32", "32x128"),  # A X
+    ("32x4", "4x128"),  # B (A X)
+    ("32x4.T", "32x128"),  # B^T u
+    ("4x128", "32x128.T"),  # (s B^T u) v^T
+    ("32x128", "4x128.T"),  # u (s A v)^T
+    # desk ReLU task: width 128
+    ("128x4", "4x128"),
+    ("32x128", "128x128"),  # W2 relu(Z)
+    ("128x4.T", "128x128"),
+    ("128x128", "4x128.T"),
+    # wide layer: k = d = 1024, r = 16, m = 4096
+    ("16x1024", "1024x4096"),
+    ("1024x16", "16x4096"),
+    ("1024x16.T", "1024x4096"),
+    ("16x4096", "1024x4096.T"),
+    ("1024x4096", "16x4096.T"),
+]
+
+
+def _operand(spec, stream):
+    rows, cols = (int(n) for n in spec.removesuffix(".T").split("x"))
+    m = stream.normal(rows, cols)
+    return m.T if spec.endswith(".T") else m
+
+
+@pytest.mark.parametrize("left, right", _DOT_OPERANDS, ids=[f"{a}@{b}" for a, b in _DOT_OPERANDS])
+def test_np_dot_is_bitwise_matmul_at_the_pass_shapes(left, right):
+    # A platform fact the training pass relies on: np.dot makes the same BLAS
+    # call as @, so swapping one for the other changes no output bit.
+    stream = RandomStream(27)
+    a, b = _operand(left, stream), _operand(right, stream)
+    assert np.array_equal(np.dot(a, b), a @ b), f"np.dot differs from @ at {left} @ {right}"
 
 
 @pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])

@@ -457,3 +457,76 @@ def test_report_kappa_matrix_skips_cells_that_never_reached(tmp_path, capsys):
     assert "ratio max/min = 1.25" in matrix[3]
     assert matrix[4].split() == ["lora_sgd", "70", "-1"]  # -1 only when no cell at that kappa reached it
     assert len(matrix) == 5  # and no ratio line for lora_sgd
+
+
+@pytest.mark.parametrize(
+    "key, value, accepted",
+    [
+        ("steps_to_threshold", "5", False),
+        ("steps_to_threshold", True, False),
+        ("steps_to_threshold", 5.0, False),
+        ("diverged", "false", False),
+        ("diverged", 0, False),
+        ("final_loss", "1e-4", False),
+        ("final_loss", True, False),
+        ("final_loss", [1e-4], False),
+        ("final_loss", float("nan"), False),
+        # a diverged run records an infinite loss; a NaN loss is written as null
+        ("final_loss", float("inf"), True),
+        ("final_loss", None, True),
+        ("final_loss", 0, True),
+    ],
+)
+def test_report_checks_sidecar_outcome_types(tmp_path, capsys, key, value, accepted):
+    _fake_run(tmp_path, "good", "altlora", 1.0, 12)
+    _fake_run(tmp_path, "bad", "altlora", 1.0, 12)
+    meta = json.loads((tmp_path / "bad.json").read_text())
+    meta[key] = value
+    (tmp_path / "bad.json").write_text(json.dumps(meta), encoding="utf-8")
+    code = cli.main(["report", str(tmp_path)])
+    err = capsys.readouterr().err
+    if accepted:
+        assert code == cli.EXIT_OK and (tmp_path / "summary.csv").exists()
+    else:
+        assert code == cli.EXIT_CONFIG
+        assert "bad.json" in err and "good.json" not in err
+        assert not (tmp_path / "summary.csv").exists()
+
+
+class _Killed(BaseException):
+    """The process dying mid-write; no handler in the CLI catches it."""
+
+
+@pytest.mark.parametrize("killed", [".csv", ".json"])  # the CSV, or the sidecar (the completion marker)
+def test_sweep_killed_mid_write_resumes_only_that_cell(tmp_path, capsys, monkeypatch, killed):
+    cfg = tmp_path / "grid.json"
+    train = {"eta": 0.3, "beta1": 0.0, "order": "b_first", "steps": 5}
+    _write_config(cfg, train=train, grid={"eta": [0.1, 0.2]})
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    assert cli.main(["sweep", str(cfg), "--out", str(clean)]) == cli.EXIT_OK
+    victim = out / f"grid__eta-0.2{killed}"
+    real_replace = os.replace
+
+    def replace(src, dst):
+        # the temporary file is written; the kill comes before it takes the real name
+        if dst == victim:
+            raise _Killed
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace)
+    with pytest.raises(_Killed):
+        cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "1"])
+    monkeypatch.undo()
+    # nothing half-written under a real name: the killed cell has no sidecar,
+    # and a CSV only if the kill came after it was complete
+    assert sorted(p.name for p in out.glob("*.json")) == ["grid__eta-0.1.json"]
+    want_csvs = ["grid__eta-0.1.csv"] + (["grid__eta-0.2.csv"] if killed == ".json" else [])
+    assert sorted(p.name for p in out.glob("*.csv")) == want_csvs
+    for name in want_csvs:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+    capsys.readouterr()
+    assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == cli.EXIT_OK
+    assert "sweep: 1 run, 1 skipped, 0 failed" in capsys.readouterr().out
+    for path in clean.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes()
+    assert cli.main(["report", str(out)]) == cli.EXIT_OK

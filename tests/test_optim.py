@@ -471,6 +471,16 @@ def test_state_memory_stays_factor_shaped():
         bad.check_budget(layer)
 
 
+@pytest.mark.parametrize("slot", ["ma", "mb", "prev_a", "prev_b", "va", "vb"])
+def test_check_budget_trips_on_a_k_by_d_buffer_in_every_slot(slot):
+    stream = RandomStream(108)
+    layer = _random_layer(stream, k=32, d=48, r=4)
+    state = optim.make_state(optim.ALTLORA_PLUS, layer)
+    setattr(state, slot, np.zeros((layer.k, layer.d)))
+    with pytest.raises(AssertionError, match=r"non-factor shape \(32, 48\)"):
+        state.check_budget(layer)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         optim.TrainConfig(eta=-0.1)
