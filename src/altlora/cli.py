@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import traceback
 import typing
@@ -266,6 +267,10 @@ def cmd_sweep(args) -> int:
         if (out_dir / f"{name}.json").exists():
             skipped += 1
             continue
+        # a killed sweep leaves its temporary files under its own pid, which no later write replaces
+        for stale in out_dir.glob(".*.tmp"):
+            if re.fullmatch(rf"\.{re.escape(name)}\.(csv|json)\.\d+\.tmp", stale.name):
+                stale.unlink()
         pending.append((_cell_spec(doc, overrides, args.seed), str(out_dir), name))
     if skipped:
         print(f"resuming: {skipped} completed cell(s) skipped")

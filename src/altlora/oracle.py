@@ -15,6 +15,7 @@ by ``altlora verify``.
 from __future__ import annotations
 
 import fnmatch
+import functools
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -56,6 +57,12 @@ class SingularSystem(Exception):
 
 class PreconditionViolated(Exception):
     """Inputs do not satisfy a check's stated precondition."""
+
+
+def _worst(devs, least: bool = False) -> float:
+    """Largest deviation (smallest with least=True), NaN if any is NaN: built-in max/min drop it."""
+    devs = np.asarray(devs, dtype=float)
+    return float(devs.min() if least else devs.max())
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +206,8 @@ def projector_gauge_check(a1, b1, a2, b2, tol: float = 1e-9):
         raise PreconditionViolated(f"factor products differ by {prod_dev:.3e} > 1e-10")
     col_dev = rel_error(projector(b2, "column", 0.0), projector(b1, "column", 0.0))
     row_dev = rel_error(projector(a2, "row", 0.0), projector(a1, "row", 0.0))
-    dev = max(col_dev, row_dev)
+    dev = _worst([col_dev, row_dev])
     return dev <= tol, dev
-
-
-def _unpack_task(task):
-    if hasattr(task, "model"):
-        return task.model, task.x, task.y
-    model, x, y = task
-    return model, x, y
 
 
 def gauge_map_layer(layer: LoraLayer, gauge: np.ndarray) -> LoraLayer:
@@ -242,11 +242,11 @@ def trajectory_invariance_check(
     """Per-step relative merged-weight deviation between gauge twins.
 
     Runs the optimizer from (A, B) and from (R^-1 A, B R) with state mapped
-    accordingly, on the same task and step schedule, and reports
+    accordingly, on the same task (model, x, y) and step schedule, and reports
     ||W1_t - W2_t||_F / ||W1_t||_F after every step. Returns
     (passed, deviations); passed means every step stayed within tol.
     """
-    model, x, y = _unpack_task(task)
+    model, x, y = task
     stepper = optim.make_stepper(optimizer)
 
     run1 = model.copy()
@@ -266,7 +266,7 @@ def trajectory_invariance_check(
         w1 = merged_weight(run1.layer)
         w2 = merged_weight(run2.layer)
         devs[t] = rel_error(w2, w1)
-    return bool(devs.max() <= tol), devs
+    return _worst(devs) <= tol, devs
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +274,9 @@ def trajectory_invariance_check(
 
 REPORT_SCHEMA = "altlora-check-report/1"
 DEFAULT_CHECK_SEED = 1789
+
+# check name -> callable(seed) -> CheckResult, filled by the registrations below
+CHECKS: dict = {}
 
 
 @dataclass
@@ -284,8 +287,37 @@ class CheckResult:
     passed: bool
     info: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if np.isnan(self.max_deviation):  # a NaN deviation fails its check, reported as inf
+            self.max_deviation, self.passed = np.inf, False
+
     def to_json(self) -> dict:
         return {**asdict(self), "passed": bool(self.passed)}
+
+
+def _check(fn):
+    """Register fn(seed) -> (instances, max_deviation, passed[, info]) under fn's name."""
+    name = fn.__name__.lstrip("_")
+    CHECKS[name] = lambda seed: CheckResult(name, *fn(seed))
+    return fn
+
+
+def _per_instance(instances: int, tol: float):
+    """Register a check from its deviation on one instance, fn(stream, seed + i).
+
+    One stream serves the instances in order; the worst deviation must be within tol.
+    """
+
+    def register(deviation):
+        @functools.wraps(deviation)
+        def run(seed: int):
+            stream = RandomStream(seed)
+            worst = _worst([deviation(stream, seed + i) for i in range(instances)])
+            return instances, worst, worst <= tol
+
+        return _check(run)
+
+    return register
 
 
 def _random_instance(stream: RandomStream, r_max: int = 8, dim_max: int = 64):
@@ -296,86 +328,75 @@ def _random_instance(stream: RandomStream, r_max: int = 8, dim_max: int = 64):
     return k, d, r, s
 
 
-def _check_gram_inverse_identity(seed: int, instances: int = 200) -> CheckResult:
-    stream = RandomStream(seed)
-    worst = 0.0
-    for _ in range(instances):
-        k, d, r, _ = _random_instance(stream)
-        m = stream.normal(k, r)
-        lam = float(np.exp(stream.normal() - 3.0))
-        inv = damped_gram_inverse(m, "left", lam)
-        gram = m.T @ m + lam * np.eye(r)
-        worst = max(worst, rel_error(inv @ gram, np.eye(r)))
-    return CheckResult("gram_inverse_identity", instances, worst, worst <= 1e-9)
+@_per_instance(200, 1e-9)
+def _gram_inverse_identity(stream: RandomStream, *_) -> float:
+    k, d, r, _ = _random_instance(stream)
+    m = stream.normal(k, r)
+    lam = float(np.exp(stream.normal() - 3.0))
+    return rel_error(damped_gram_inverse(m, "left", lam) @ (m.T @ m + lam * np.eye(r)), np.eye(r))
 
 
-def _check_projector_idempotence(seed: int, instances: int = 100) -> CheckResult:
-    stream = RandomStream(seed)
-    worst = 0.0
-    for _ in range(instances):
-        k, d, r, _ = _random_instance(stream)
-        b = stream.normal(k, r)
-        a = stream.normal(r, d)
-        for m, space in ((b, "column"), (a, "row")):
-            p = projector(m, space, 0.0)
-            worst = max(worst, rel_error(p @ p, p))
-            worst = max(worst, float(np.max(np.abs(p - p.T))) / max(frobenius(p), 1e-300))
-        worst = max(worst, rel_error(projector(b, "column", 0.0) @ b, b))
-    return CheckResult("projector_idempotence", instances, worst, worst <= 1e-10)
+@_per_instance(100, 1e-10)
+def _projector_idempotence(stream: RandomStream, *_) -> float:
+    k, d, r, _ = _random_instance(stream)
+    b = stream.normal(k, r)
+    a = stream.normal(r, d)
+    devs = [rel_error(projector(b, "column", 0.0) @ b, b)]
+    for m, space in ((b, "column"), (a, "row")):
+        p = projector(m, space, 0.0)
+        devs += [rel_error(p @ p, p), float(np.max(np.abs(p - p.T))) / max(frobenius(p), 1e-300)]
+    return _worst(devs)
 
 
-def _check_gauge_sample_quality(seed: int, instances: int = 50) -> CheckResult:
-    stream = RandomStream(seed)
-    worst = 0.0
-    for i in range(instances):
-        r = 1 + int(stream.uniform() * 8)
-        cond = 1.0 + float(stream.uniform()) * 9.0
-        g1 = gauge_sample(r, cond, seed + i)
-        g2 = gauge_sample(r, cond, seed + i)
-        if not np.array_equal(g1, g2):
-            return CheckResult("gauge_sample_quality", instances, np.inf, False)
-        sing = jacobi_svd(g1)[1]
-        if sing[-1] <= 0.0:
-            return CheckResult("gauge_sample_quality", instances, np.inf, False)
-        worst = max(worst, max(0.0, sing[0] / sing[-1] - cond))
-    return CheckResult("gauge_sample_quality", instances, worst, worst <= 1e-9)
+@_per_instance(50, 1e-9)
+def _gauge_sample_quality(stream: RandomStream, instance_seed: int) -> float:
+    r = 1 + int(stream.uniform() * 8)
+    cond = 1.0 + float(stream.uniform()) * 9.0
+    g1 = gauge_sample(r, cond, instance_seed)
+    sing = jacobi_svd(g1)[1]
+    if not np.array_equal(g1, gauge_sample(r, cond, instance_seed)) or sing[-1] <= 0.0:
+        return np.inf
+    return np.maximum(sing[0] / sing[-1] - cond, 0.0)
 
 
-def _lstsq_check(name: str, seed: int, instances: int = 200) -> CheckResult:
-    stream = RandomStream(seed)
-    worst = 0.0
-    for _ in range(instances):
-        k, d, r, s = _random_instance(stream)
-        g = stream.normal(k, d)
-        if name == "lstsq_scaled_grad_a":
-            b = stream.normal(k, r)
-            grad_a = s * (b.T @ g)
-            got = optim.scaled_grad_a(grad_a, b, s, 0.0)
-            want = lstsq_oracle(LEFT_FACTOR, b=b, g=g, s=s)
-        elif name == "lstsq_scaled_grad_b":
-            a = stream.normal(r, d)
-            grad_b = s * (g @ a.T)
-            got = optim.scaled_grad_b(grad_b, a, s, 0.0)
-            want = lstsq_oracle(RIGHT_FACTOR, a=a, g=g, s=s)
-        elif name == "lstsq_align_momentum_b":
-            mb = stream.normal(k, r)
-            a_old = stream.normal(r, d)
-            a_new = stream.normal(r, d)
-            got = optim.align_momentum_b(mb, a_old, a_new, 0.0)
-            want = lstsq_oracle(MOMENTUM_B, mb=mb, a_old=a_old, a_new=a_new)
-        elif name == "lstsq_align_momentum_a":
-            ma = stream.normal(r, d)
-            b_old = stream.normal(k, r)
-            b_new = stream.normal(k, r)
-            got = optim.align_momentum_a(ma, b_old, b_new, 0.0)
-            want = lstsq_oracle(MOMENTUM_A, ma=ma, b_old=b_old, b_new=b_new)
-        else:
-            raise ValueError(name)
-        worst = max(worst, rel_error(got, want))
-    return CheckResult(name, instances, worst, worst <= 1e-9)
+@_per_instance(200, 1e-9)
+def _lstsq_scaled_grad_a(stream: RandomStream, *_) -> float:
+    k, d, r, s = _random_instance(stream)
+    g = stream.normal(k, d)
+    b = stream.normal(k, r)
+    got = optim.scaled_grad_a(s * (b.T @ g), b, s, 0.0)
+    return rel_error(got, lstsq_oracle(LEFT_FACTOR, b=b, g=g, s=s))
 
 
-def _check_lstsq_local_minimality(seed: int, instances: int = 5, probes: int = 1000) -> CheckResult:
+@_per_instance(200, 1e-9)
+def _lstsq_scaled_grad_b(stream: RandomStream, *_) -> float:
+    k, d, r, s = _random_instance(stream)
+    g = stream.normal(k, d)
+    a = stream.normal(r, d)
+    got = optim.scaled_grad_b(s * (g @ a.T), a, s, 0.0)
+    return rel_error(got, lstsq_oracle(RIGHT_FACTOR, a=a, g=g, s=s))
+
+
+@_per_instance(200, 1e-9)
+def _lstsq_align_momentum_b(stream: RandomStream, *_) -> float:
+    k, d, r, s = _random_instance(stream)
+    g = stream.normal(k, d)
+    mb, a_old, a_new = stream.normal(k, r), stream.normal(r, d), stream.normal(r, d)
+    got = optim.align_momentum_b(mb, a_old, a_new, 0.0)
+    return rel_error(got, lstsq_oracle(MOMENTUM_B, mb=mb, a_old=a_old, a_new=a_new))
+
+
+@_per_instance(200, 1e-9)
+def _lstsq_align_momentum_a(stream: RandomStream, *_) -> float:
+    k, d, r, s = _random_instance(stream)
+    g = stream.normal(k, d)
+    ma, b_old, b_new = stream.normal(r, d), stream.normal(k, r), stream.normal(k, r)
+    got = optim.align_momentum_a(ma, b_old, b_new, 0.0)
+    return rel_error(got, lstsq_oracle(MOMENTUM_A, ma=ma, b_old=b_old, b_new=b_new))
+
+
+@_check
+def _lstsq_local_minimality(seed: int, instances: int = 5, probes: int = 1000):
     stream = RandomStream(seed)
     for _ in range(instances):
         k, d, r, s = 16, 32, 4, 1.0
@@ -388,8 +409,8 @@ def _check_lstsq_local_minimality(seed: int, instances: int = 5, probes: int = 1
             delta *= 1e-3 / frobenius(delta)
             perturbed = lstsq_residual(LEFT_FACTOR, z + delta, b=b, g=g, s=s)
             if perturbed <= base:
-                return CheckResult("lstsq_local_minimality", instances, np.inf, False)
-    return CheckResult("lstsq_local_minimality", instances, 0.0, True, {"probes": probes})
+                return instances, np.inf, False
+    return instances, 0.0, True, {"probes": probes}
 
 
 def _pair_instance(stream: RandomStream, k: int = 16, d: int = 32, r: int = 4):
@@ -404,36 +425,30 @@ def _pair_instance(stream: RandomStream, k: int = 16, d: int = 32, r: int = 4):
     return layer, g_t, g_half
 
 
-def _check_pair_step_residual(seed: int, instances: int = 100) -> CheckResult:
-    stream = RandomStream(seed)
+@_per_instance(100, 1e-10)
+def _pair_step_residual(stream: RandomStream, *_) -> float:
     cfg = optim.TrainConfig(eta=0.05, beta1=0.0, lam=0.0)
-    worst = 0.0
-    for _ in range(instances):
-        layer, g_t, g_half = _pair_instance(stream)
-        rep = decompose_pair_step(layer, g_t, g_half, cfg)
-        alt_norm = frobenius(rep.projected_col_term + rep.projected_row_term)
-        worst = max(worst, rep.residual_norm / max(alt_norm, 1e-300))
-    return CheckResult("pair_step_residual", instances, worst, worst <= 1e-10)
+    rep = decompose_pair_step(*_pair_instance(stream), cfg)
+    return rep.residual_norm / max(frobenius(rep.projected_col_term + rep.projected_row_term), 1e-300)
 
 
-def _check_joint_cross_term(seed: int, instances: int = 100) -> CheckResult:
+@_check
+def _joint_cross_term(seed: int, instances: int = 100):
     stream = RandomStream(seed)
     cfg = optim.TrainConfig(eta=0.05, beta1=0.0, lam=0.0)
-    worst = 0.0
-    nonzero = True
+    devs, nonzero = [], True
     for _ in range(instances):
         layer, g_t, _ = _pair_instance(stream)
         rep = decompose_pair_step(layer, g_t, g_t, cfg)
-        explicit = joint_cross_term(layer, g_t, cfg)
-        worst = max(worst, rel_error(rep.cross_term, explicit))
+        devs.append(rel_error(rep.cross_term, joint_cross_term(layer, g_t, cfg)))
         bound = 1e-8 * cfg.eta**2 * frobenius(g_t) ** 2
         nonzero = nonzero and frobenius(rep.cross_term) > bound
-    return CheckResult(
-        "joint_cross_term", instances, worst, worst <= 1e-10 and nonzero, {"nonzero": nonzero}
-    )
+    worst = _worst(devs)
+    return instances, worst, worst <= 1e-10 and nonzero, {"nonzero": nonzero}
 
 
-def _check_eta_order_slopes(seed: int) -> CheckResult:
+@_check
+def _eta_order_slopes(seed: int):
     stream = RandomStream(seed)
     k, d, r = 16, 32, 4
     # well-conditioned factors keep the row-projector term's eta dependence
@@ -458,29 +473,17 @@ def _check_eta_order_slopes(seed: int) -> CheckResult:
     log_etas = np.log(etas)
     proj_slope = float(np.polyfit(log_etas, np.log(proj_norms), 1)[0])
     cross_slope = float(np.polyfit(log_etas, np.log(cross_norms), 1)[0])
-    dev = max(abs(proj_slope - 1.0), abs(cross_slope - 2.0))
-    return CheckResult(
-        "eta_order_slopes",
-        len(etas),
-        dev,
-        dev <= 0.01,
-        {"proj_slope": proj_slope, "cross_slope": cross_slope},
-    )
+    dev = _worst([abs(proj_slope - 1.0), abs(cross_slope - 2.0)])
+    return len(etas), dev, dev <= 0.01, {"proj_slope": proj_slope, "cross_slope": cross_slope}
 
 
-def _check_projector_gauge_invariance(seed: int, instances: int = 200) -> CheckResult:
-    stream = RandomStream(seed)
-    worst = 0.0
+@_per_instance(200, 1e-9)
+def _projector_gauge_invariance(stream: RandomStream, instance_seed: int) -> float:
     k, d, r = 12, 20, 3
-    for i in range(instances):
-        a1 = stream.normal(r, d)
-        b1 = stream.normal(k, r)
-        gauge = gauge_sample(r, 10.0, seed + 1000 + i)
-        a2 = np.linalg.solve(gauge, a1)
-        b2 = b1 @ gauge
-        _, dev = projector_gauge_check(a1, b1, a2, b2)
-        worst = max(worst, dev)
-    return CheckResult("projector_gauge_invariance", instances, worst, worst <= 1e-9)
+    a1 = stream.normal(r, d)
+    b1 = stream.normal(k, r)
+    gauge = gauge_sample(r, 10.0, instance_seed + 1000)
+    return projector_gauge_check(a1, b1, np.linalg.solve(gauge, a1), b1 @ gauge)[1]
 
 
 def _invariance_task(stream: RandomStream, k: int = 16, d: int = 32, r: int = 4):
@@ -493,67 +496,53 @@ def _invariance_task(stream: RandomStream, k: int = 16, d: int = 32, r: int = 4)
     return ToyModel(LINEAR_REGRESSION, layer), x, y
 
 
-def _check_trajectory_invariance_altlora(seed: int, gauges: int = 20, steps: int = 50) -> CheckResult:
+@_check
+def _trajectory_invariance_altlora(seed: int, gauges: int = 20, steps: int = 50):
     stream = RandomStream(seed)
-    worst = 0.0
+    devs = []
     for i in range(gauges):
         task = _invariance_task(stream)
         gauge = gauge_sample(task[0].layer.r, 10.0, seed + 31 + i)
         for beta1 in (0.0, 0.9):
             cfg = optim.TrainConfig(eta=0.2, beta1=beta1, lam=0.0, order=optim.B_FIRST)
-            _, devs = trajectory_invariance_check(task, cfg, gauge, steps)
-            worst = max(worst, float(devs.max()))
+            devs.append(trajectory_invariance_check(task, cfg, gauge, steps)[1])
+    worst = _worst(devs)
     # informational only: behavior under nonzero weight decay is not part
     # of the gated claim but is recorded alongside it
     decay_task = _invariance_task(stream)
     decay_gauge = gauge_sample(decay_task[0].layer.r, 10.0, seed + 997)
     decay_cfg = optim.TrainConfig(eta=0.2, beta1=0.9, gamma=0.01, lam=0.0, order=optim.B_FIRST)
     _, decay_devs = trajectory_invariance_check(decay_task, decay_cfg, decay_gauge, steps)
-    return CheckResult(
-        "trajectory_invariance_altlora",
-        gauges,
-        worst,
-        worst <= 1e-6,
-        {"weight_decay_deviation_informational": float(decay_devs.max())},
-    )
+    info = {"weight_decay_deviation_informational": float(decay_devs.max())}
+    return gauges, worst, worst <= 1e-6, info
 
 
-def _check_trajectory_invariance_negative_control(
-    seed: int, gauges: int = 20, steps: int = 50
-) -> CheckResult:
+@_check
+def _trajectory_invariance_negative_control(seed: int, gauges: int = 20, steps: int = 50):
     """Elementwise-adaptive baseline must break gauge invariance."""
     stream = RandomStream(seed)
-    least = np.inf
     cfg = optim.TrainConfig(eta=0.02, beta1=0.9, beta2=0.999, lam=0.0)
+    run_devs = []
     for i in range(gauges):
         task = _invariance_task(stream)
         gauge = gauge_sample(task[0].layer.r, 10.0, seed + 97 + i)
         _, devs = trajectory_invariance_check(task, cfg, gauge, steps, optimizer=optim.LORA_ADAM)
-        least = min(least, float(devs.max()))
-    return CheckResult(
-        "trajectory_invariance_negative_control",
-        gauges,
-        least,
-        least > 1e-3,
-        {"note": "max_deviation is the smallest observed divergence; it must exceed 1e-3"},
-    )
+        run_devs.append(_worst(devs))
+    least = _worst(run_devs, least=True)
+    note = "max_deviation is the smallest observed divergence; it must exceed 1e-3"
+    return gauges, least, least > 1e-3, {"note": note}
 
 
-def _check_lorapro_x_independence(seed: int, pairs: int = 50) -> CheckResult:
-    stream = RandomStream(seed)
-    worst = 0.0
-    for _ in range(pairs):
-        k, d, r, s = _random_instance(stream, r_max=6, dim_max=32)
-        layer = LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), s * r)
-        g = stream.normal(k, d)
-        x1 = stream.normal(r, r)
-        x2 = stream.normal(r, r)
-        ga1, gb1 = optim.lorapro_equiv_grad(g, layer, x1, 1e-8)
-        ga2, gb2 = optim.lorapro_equiv_grad(g, layer, x2, 1e-8)
-        eq1 = optim.equivalent_gradient(ga1, gb1, layer)
-        eq2 = optim.equivalent_gradient(ga2, gb2, layer)
-        worst = max(worst, rel_error(eq2, eq1))
-    return CheckResult("lorapro_x_independence", pairs, worst, worst <= 1e-10)
+@_per_instance(50, 1e-10)
+def _lorapro_x_independence(stream: RandomStream, *_) -> float:
+    k, d, r, s = _random_instance(stream, r_max=6, dim_max=32)
+    layer = LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), s * r)
+    g = stream.normal(k, d)
+    x1, x2 = stream.normal(r, r), stream.normal(r, r)
+    ga1, gb1 = optim.lorapro_equiv_grad(g, layer, x1, 1e-8)
+    ga2, gb2 = optim.lorapro_equiv_grad(g, layer, x2, 1e-8)
+    eq1 = optim.equivalent_gradient(ga1, gb1, layer)
+    return rel_error(optim.equivalent_gradient(ga2, gb2, layer), eq1)
 
 
 def fd_merged_gradient(model: ToyModel, x: np.ndarray, y: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -598,27 +587,32 @@ def _fd_models(seed: int):
     return (lin, x_lin, y_lin), (relu, x_relu, y_relu)
 
 
-def _check_gradient_finite_difference(seed: int) -> CheckResult:
-    worst = 0.0
+
+
+@_check
+def _gradient_finite_difference(seed: int):
+    devs = []
     for model, x, y in _fd_models(seed):
         _, cache = forward(model, x)
         got = full_gradient(model, x, y, cache)[0].g
-        want = fd_merged_gradient(model, x, y)
-        worst = max(worst, fd_entrywise_deviation(got, want))
-    return CheckResult("gradient_finite_difference", 2, worst, worst < 1e-6)
+        devs.append(fd_entrywise_deviation(got, fd_merged_gradient(model, x, y)))
+    worst = _worst(devs)
+    return len(devs), worst, worst < 1e-6
 
 
-def _check_bzero_stall(seed: int) -> CheckResult:
+@_check
+def _bzero_stall(seed: int):
     stream = RandomStream(seed)
     layer = init_layer(stream.normal(8, 12), r=2, init_a="kaiming", init_b="zero", seed=seed)
     g = stream.normal(8, 12)
     grad_a, _ = lora_grads(g, layer)
     scaled = optim.scaled_grad_a(grad_a, layer.b, layer.s, optim.DEFAULT_DAMPING)
     exact = bool(np.all(grad_a == 0.0) and np.all(scaled == 0.0))
-    return CheckResult("bzero_stall", 1, 0.0 if exact else np.inf, exact)
+    return 1, 0.0 if exact else np.inf, exact
 
 
-def _check_state_budget(seed: int) -> CheckResult:
+@_check
+def _state_budget(seed: int):
     shapes = [(8, 12, 2), (64, 64, 8), (128, 32, 4)]
     for k, d, r in shapes:
         stream = RandomStream(seed + k)
@@ -627,46 +621,19 @@ def _check_state_budget(seed: int) -> CheckResult:
             st = optim.make_state(kind, layer)
             st.check_budget(layer)
             if st.entry_count() > 6 * (k * r + r * d):
-                return CheckResult("state_budget", len(shapes), np.inf, False)
-    return CheckResult("state_budget", len(shapes), 0.0, True)
+                return len(shapes), np.inf, False
+    return len(shapes), 0.0, True
 
 
-def _check_equivalent_update_identity(seed: int, instances: int = 50) -> CheckResult:
-    stream = RandomStream(seed)
-    worst = 0.0
-    for _ in range(instances):
-        k, d, r, s = _random_instance(stream, r_max=6, dim_max=24)
-        before = LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), s * r)
-        da = stream.normal(r, d)
-        db = stream.normal(k, r)
-        after = LoraLayer(before.w0, before.a + da, before.b + db, before.alpha)
-        got = equivalent_update(before, after)
-        want = before.s * (db @ before.a + before.b @ da + db @ da)
-        worst = max(worst, rel_error(got, want))
-    return CheckResult("equivalent_update_identity", instances, worst, worst <= 1e-12)
-
-
-CHECKS = {
-    "gram_inverse_identity": _check_gram_inverse_identity,
-    "projector_idempotence": _check_projector_idempotence,
-    "projector_gauge_invariance": _check_projector_gauge_invariance,
-    "gauge_sample_quality": _check_gauge_sample_quality,
-    "lstsq_scaled_grad_a": lambda seed: _lstsq_check("lstsq_scaled_grad_a", seed),
-    "lstsq_scaled_grad_b": lambda seed: _lstsq_check("lstsq_scaled_grad_b", seed),
-    "lstsq_align_momentum_a": lambda seed: _lstsq_check("lstsq_align_momentum_a", seed),
-    "lstsq_align_momentum_b": lambda seed: _lstsq_check("lstsq_align_momentum_b", seed),
-    "lstsq_local_minimality": _check_lstsq_local_minimality,
-    "pair_step_residual": _check_pair_step_residual,
-    "joint_cross_term": _check_joint_cross_term,
-    "eta_order_slopes": _check_eta_order_slopes,
-    "trajectory_invariance_altlora": _check_trajectory_invariance_altlora,
-    "trajectory_invariance_negative_control": _check_trajectory_invariance_negative_control,
-    "lorapro_x_independence": _check_lorapro_x_independence,
-    "gradient_finite_difference": _check_gradient_finite_difference,
-    "bzero_stall": _check_bzero_stall,
-    "state_budget": _check_state_budget,
-    "equivalent_update_identity": _check_equivalent_update_identity,
-}
+@_per_instance(50, 1e-12)
+def _equivalent_update_identity(stream: RandomStream, *_) -> float:
+    k, d, r, s = _random_instance(stream, r_max=6, dim_max=24)
+    before = LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), s * r)
+    da = stream.normal(r, d)
+    db = stream.normal(k, r)
+    after = LoraLayer(before.w0, before.a + da, before.b + db, before.alpha)
+    want = before.s * (db @ before.a + before.b @ da + db @ da)
+    return rel_error(equivalent_update(before, after), want)
 
 
 def select_checks(pattern: str | None = None) -> list[str]:

@@ -530,3 +530,21 @@ def test_sweep_killed_mid_write_resumes_only_that_cell(tmp_path, capsys, monkeyp
     for path in clean.iterdir():
         assert (out / path.name).read_bytes() == path.read_bytes()
     assert cli.main(["report", str(out)]) == cli.EXIT_OK
+
+
+def test_sweep_resume_removes_temporary_files_a_killed_sweep_left(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    train = {"eta": 0.3, "beta1": 0.0, "order": "b_first", "steps": 5}
+    _write_config(cfg, train=train, grid={"eta": [0.1, 0.2]})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    # a sweep killed before its renames, under a pid the resumed sweep does not have
+    (out / "grid__eta-0.2.json").unlink()
+    foreign = os.getpid() + 1
+    for ext in ("csv", "json"):
+        (out / f".grid__eta-0.2.{ext}.{foreign}.tmp").write_text("half-written", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == cli.EXIT_OK
+    assert "sweep: 1 run, 1 skipped, 0 failed" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir() if p.name.endswith(".tmp")) == []
+    assert (out / "grid__eta-0.2.json").exists()

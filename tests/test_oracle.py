@@ -1,5 +1,7 @@
 """Oracle tests: the verifiers themselves, plus the named check suite."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -233,4 +235,68 @@ def test_checks_catch_broken_preconditioner(monkeypatch):
 
     monkeypatch.setattr(optim, "scaled_grad_a", unpreconditioned)
     report = oracle.run_checks("lstsq_scaled_grad_a")
+    assert report["passed"] is False
+
+
+def _nan_from_call(first, fn):
+    """fn, except that its first-th and later calls return all-NaN arrays."""
+    calls = itertools.count(1)
+    return lambda *args: fn(*args) * (np.nan if next(calls) >= first else 1.0)
+
+
+def _nan_steps(monkeypatch, poisoned):
+    """Steppers that write NaN into B after each step where poisoned(kind, call number) holds."""
+    make_stepper, calls = optim.make_stepper, itertools.count(1)
+
+    def patched(kind):
+        stepper = make_stepper(kind)
+
+        def step(layer, state, g, cfg):
+            stepper(layer, state, g, cfg)
+            if poisoned(kind, next(calls)):
+                layer.b[...] = np.nan
+
+        return step
+
+    monkeypatch.setattr(optim, "make_stepper", patched)
+
+
+def _nan_row_projector(monkeypatch):
+    real = oracle.projector
+    monkeypatch.setattr(
+        oracle, "projector", lambda m, space, lam: real(m, space, lam) * (np.nan if space == "row" else 1.0)
+    )
+
+
+NAN_INJECTIONS = {
+    "every_scaled_grad_a": (
+        "lstsq_scaled_grad_a",
+        lambda mp: mp.setattr(optim, "scaled_grad_a", _nan_from_call(1, optim.scaled_grad_a)),
+    ),
+    # the 200th and last instance, so the NaN is not the first value aggregated
+    "last_scaled_grad_a": (
+        "lstsq_scaled_grad_a",
+        lambda mp: mp.setattr(optim, "scaled_grad_a", _nan_from_call(200, optim.scaled_grad_a)),
+    ),
+    # call 100 is the second twin's 50th and final step of the first gauge
+    "final_step_of_one_gauge_twin": (
+        "trajectory_invariance_altlora",
+        lambda mp: _nan_steps(mp, lambda kind, call: call == 100),
+    ),
+    "lora_adam_runs": (
+        "trajectory_invariance_negative_control",
+        lambda mp: _nan_steps(mp, lambda kind, call: kind == optim.LORA_ADAM),
+    ),
+    "row_space_deviation": ("projector_gauge_invariance", _nan_row_projector),
+}
+
+
+@pytest.mark.parametrize("injection", sorted(NAN_INJECTIONS))
+def test_checks_fail_on_nan_from_the_library(monkeypatch, injection):
+    """Mutation probe: a NaN deviation fails its check instead of vanishing in the aggregate."""
+    name, inject = NAN_INJECTIONS[injection]
+    inject(monkeypatch)
+    report = oracle.run_checks(name)
+    assert [c["name"] for c in report["checks"]] == [name]
+    assert report["checks"][0]["max_deviation"] == np.inf
     assert report["passed"] is False

@@ -1,0 +1,157 @@
+"""Property tests: the four closed forms of optim against independent solves.
+
+Over drawn shapes (up to r = min(k, d)), scales s in [1e-3, 1e3] and factors
+with one direction shrunk toward singular, each of scaled_grad_a/b and
+align_momentum_a/b must match
+- at lam = 0, the least-squares minimizer from oracle.lstsq_oracle;
+- at lam in (0, 1], the damped normal equations, solved here with
+  np.linalg.solve.
+
+The tolerance is the forward-error bound of a normal-equations solve,
+C * kappa(Gram) * eps * (1 + rho), with one constant C for every form.
+rho = ||T|| / (||Y||_2 ||Z||) for the least-squares problem min ||Y Z - T||
+that the form solves: a right-hand side Y^T T formed in floating point
+carries rounding of size eps ||Y|| ||T||, which only rho relates to the
+answer Z. It matters for the momentum forms, whose target is not in the
+new factor's span (draws measured up to 700 kappa eps without it).
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, reject, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from altlora import optim  # noqa: E402
+from altlora.matcore import PIVOT_RTOL, RandomStream, frobenius, rel_error  # noqa: E402
+from altlora.oracle import (  # noqa: E402
+    LEFT_FACTOR,
+    MOMENTUM_A,
+    MOMENTUM_B,
+    RIGHT_FACTOR,
+    SingularSystem,
+    lstsq_oracle,
+)
+
+# 6000 random draws per form reached 1.4 of the bound at C = 1
+C = 16.0
+EPS = np.finfo(np.float64).eps
+# Grams nearer singular than this are the library's SingularGram by design
+# (pivots below PIVOT_RTOL * trace), not a closed form to compare.
+KAPPA_MAX = 1e-2 / PIVOT_RTOL
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+@st.composite
+def problems(draw):
+    """(stream, k, d, r, s, shrink) for one instance."""
+    k = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(k, d)))
+    s = draw(st.floats(1e-3, 1e3))
+    shrink = draw(st.floats(1e-3, 1.0))
+    return RandomStream(draw(st.integers(0, 2**31 - 1))), k, d, r, s, shrink
+
+
+def _near_singular(stream, rows, cols, shrink, axis):
+    """Gaussian factor whose first column (axis=1) or row (axis=0) is scaled by shrink."""
+    y = stream.normal(rows, cols)
+    y[(slice(None), 0) if axis == 1 else 0] *= shrink
+    return y
+
+
+# Each form returns (library call at lam, Gram it inverts, zero-damping oracle,
+# damped reference given the damped Gram, design Y, target T).
+
+
+def _scaled_grad_a(stream, k, d, r, s, shrink):
+    b, g = _near_singular(stream, k, r, shrink, axis=1), stream.normal(k, d)
+    grad_a = s * (b.T @ g)
+    return (
+        lambda lam: optim.scaled_grad_a(grad_a, b, s, lam),
+        b.T @ b,
+        lambda: lstsq_oracle(LEFT_FACTOR, b=b, g=g, s=s),
+        lambda gram: np.linalg.solve(gram, grad_a) / (s * s),
+        s * b,
+        g,
+    )
+
+
+def _scaled_grad_b(stream, k, d, r, s, shrink):
+    a, g = _near_singular(stream, r, d, shrink, axis=0), stream.normal(k, d)
+    grad_b = s * (g @ a.T)
+    return (
+        lambda lam: optim.scaled_grad_b(grad_b, a, s, lam),
+        a @ a.T,
+        lambda: lstsq_oracle(RIGHT_FACTOR, a=a, g=g, s=s),
+        lambda gram: np.linalg.solve(gram, grad_b.T).T / (s * s),
+        s * a,
+        g,
+    )
+
+
+def _align_momentum_a(stream, k, d, r, s, shrink):
+    ma, b_old = stream.normal(r, d), stream.normal(k, r)
+    b_new = _near_singular(stream, k, r, shrink, axis=1)
+    return (
+        lambda lam: optim.align_momentum_a(ma, b_old, b_new, lam),
+        b_new.T @ b_new,
+        lambda: lstsq_oracle(MOMENTUM_A, ma=ma, b_old=b_old, b_new=b_new),
+        lambda gram: np.linalg.solve(gram, b_new.T @ (b_old @ ma)),
+        b_new,
+        b_old @ ma,
+    )
+
+
+def _align_momentum_b(stream, k, d, r, s, shrink):
+    mb, a_old = stream.normal(k, r), stream.normal(r, d)
+    a_new = _near_singular(stream, r, d, shrink, axis=0)
+    return (
+        lambda lam: optim.align_momentum_b(mb, a_old, a_new, lam),
+        a_new @ a_new.T,
+        lambda: lstsq_oracle(MOMENTUM_B, mb=mb, a_old=a_old, a_new=a_new),
+        lambda gram: np.linalg.solve(gram, a_new @ (mb @ a_old).T).T,
+        a_new,
+        mb @ a_old,
+    )
+
+
+FORMS = {
+    "scaled_grad_a": _scaled_grad_a,
+    "scaled_grad_b": _scaled_grad_b,
+    "align_momentum_a": _align_momentum_a,
+    "align_momentum_b": _align_momentum_b,
+}
+
+
+def _tolerance(kappa, y, t, z):
+    rho = frobenius(t) / (np.linalg.norm(y, 2) * frobenius(z))
+    return C * kappa * EPS * (1.0 + rho)
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@PROPERTY
+@given(problem=problems())
+def test_closed_form_is_the_lstsq_minimizer_at_zero_damping(form, problem):
+    got, gram, oracle, _, y, t = FORMS[form](*problem)
+    try:
+        want = oracle()
+    except SingularSystem:
+        reject()
+    kappa = np.linalg.cond(gram)
+    assume(kappa <= KAPPA_MAX)
+    assert rel_error(got(0.0), want) <= _tolerance(kappa, y, t, want)
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@PROPERTY
+@given(problem=problems(), lam=st.floats(0.0, 1.0, exclude_min=True))
+def test_closed_form_solves_the_damped_normal_equations(form, problem, lam):
+    got, gram, _, solve, y, t = FORMS[form](*problem)
+    damped = gram + lam * np.eye(len(gram))
+    kappa = np.linalg.cond(damped)
+    assume(kappa <= KAPPA_MAX)
+    want = solve(damped)
+    assert rel_error(got(lam), want) <= _tolerance(kappa, y, t, want)
