@@ -189,8 +189,9 @@ def full_gradient(model: ToyModel, x: np.ndarray, target: np.ndarray, cache) -> 
     dy *= 2.0 / x.shape[1]
     if model.kind == LINEAR_REGRESSION:
         return [FullGradient(dy, x, cache.get("ax"))]
-    # ReLU derivative at exactly 0 is taken as 0
-    return [FullGradient((model.w2.T @ dy) * (cache["z"] > 0.0), x, cache.get("ax"))]
+    dz = model.w2.T @ dy
+    dz *= cache["z"] > 0.0  # ReLU derivative at exactly 0 is taken as 0; in place, no k x m temporary
+    return [FullGradient(dz, x, cache.get("ax"))]
 
 
 def lora_grads(g, layer: LoraLayer):

@@ -55,7 +55,7 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.asarray(m, dtype=np.float64) ** 2)))
+    return math.sqrt(np.add.reduce(np.square(m, dtype=np.float64), axis=None))  # np.sum's pairwise sum
 
 
 def rel_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -84,10 +84,10 @@ def cholesky_factor(gram: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularGram(f"{exc}; supply a damping lambda > 0") from exc
     tol = PIVOT_RTOL * float(np.trace(gram))
-    pivots = np.diagonal(lo) ** 2
-    ok = (pivots > 0.0) & (pivots >= tol)
-    if not ok.all():
-        j = int(np.argmin(ok))
+    pivots = lo.diagonal() ** 2
+    least = pivots.min()
+    if not (least > 0.0 and least >= tol):  # a NaN pivot or tol fails here too
+        j = int(np.argmin((pivots > 0.0) & (pivots >= tol)))
         raise SingularGram(
             f"pivot {pivots[j]:.3e} below threshold {tol:.3e} at column {j}; "
             "supply a damping lambda > 0"
@@ -101,24 +101,25 @@ def damped_gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
     side="left"  -> (m.T @ m + lam I)^-1, an r x r matrix with r = cols(m);
     side="right" -> (m @ m.T + lam I)^-1, with r = rows(m).
 
-    Computed as L^-T L^-1 from the Cholesky factor L and symmetrized
-    before return. With lam = 0 a rank-deficient Gram raises SingularGram,
-    and so does a Gram with NaN entries at any lam.
+    Computed as L^-T L^-1 from the Cholesky factor L in one symmetric
+    product (BLAS syrk), so the result is exactly symmetric. With lam = 0 a
+    rank-deficient Gram raises SingularGram, and so does a Gram with NaN
+    entries at any lam.
     """
     m = np.asarray(m, dtype=np.float64)
     if lam < 0.0:
         raise ValueError(f"damping must be nonnegative, got {lam}")
     if side == "left":
-        gram = m.T @ m
+        gram = np.dot(m.T, m)
     elif side == "right":
-        gram = m @ m.T
+        gram = np.dot(m, m.T)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if lam > 0.0:
-        gram = gram + lam * np.eye(gram.shape[0])
+        diag = gram.ravel()[:: gram.shape[0] + 1]  # a view: gram is a fresh C-ordered array
+        diag += lam
     linv = np.linalg.inv(cholesky_factor(gram))
-    inv = linv.T @ linv
-    return (inv + inv.T) / 2.0
+    return np.dot(linv.T, linv)
 
 
 def projector(m: np.ndarray, space: str, lam: float) -> np.ndarray:
@@ -156,14 +157,19 @@ class RandomStream:
         return self._gen.random(shape if shape else None)
 
     def normal(self, *shape: int) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         half = (count + 1) // 2
-        u1 = 1.0 - self._gen.random(half)  # (0, 1]: log is finite
-        u2 = self._gen.random(half)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
-        return z.reshape(shape) if shape else float(z[0])
+        u = self._gen.random(2 * half)  # u1 then u2, one draw of 2 ceil(count/2)
+        radius, angle = u[:half], u[half:]
+        np.subtract(1.0, radius, radius)  # (0, 1]: log is finite
+        np.log(radius, radius)
+        radius *= -2.0
+        np.sqrt(radius, radius)
+        angle *= 2.0 * np.pi
+        z = np.empty(2 * half)
+        np.multiply(radius, np.cos(angle), z[:half])
+        np.multiply(radius, np.sin(angle), z[half:])
+        return z[:count].reshape(shape) if shape else float(z[0])
 
 
 def orthonormal_columns(rows: int, cols: int, stream: RandomStream) -> np.ndarray:

@@ -619,7 +619,10 @@ def _state_budget(seed: int):
         layer = LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), float(r))
         for kind in (optim.ALTLORA, optim.ALTLORA_PLUS):
             st = optim.make_state(kind, layer)
-            st.check_budget(layer)
+            try:
+                st.check_budget(layer)
+            except AssertionError as exc:  # a non-factor buffer fails the check, not the suite
+                return len(shapes), np.inf, False, {"optimizer": kind, "layer": [k, d, r], "error": str(exc)}
             if st.entry_count() > 6 * (k * r + r * d):
                 return len(shapes), np.inf, False
     return len(shapes), 0.0, True

@@ -299,6 +299,22 @@ def test_np_dot_is_bitwise_matmul_at_the_pass_shapes(left, right):
     assert np.array_equal(np.dot(a, b), a @ b), f"np.dot differs from @ at {left} @ {right}"
 
 
+# m of every Gram product in damped_gram_inverse at the benchmark's shapes:
+# B^T B and A A^T of the desk, ReLU and wide layers, then L^-T L^-1 of r x r
+# factors; ".T" marks the transposed view of a stored array.
+_GRAM_OPERANDS = ["32x4", "4x32", "4x32.T", "128x4", "4x128", "1024x16", "16x1024", "4x4", "16x16", "6x6.T"]
+
+
+@pytest.mark.parametrize("spec", _GRAM_OPERANDS)
+def test_np_dot_is_bitwise_matmul_at_the_gram_shapes(spec):
+    # Same platform fact for the symmetric products m^T m and m m^T, which
+    # both np.dot and @ send to BLAS syrk: one exactly symmetric result.
+    m = _operand(spec, RandomStream(28))
+    for got, want in ((np.dot(m.T, m), m.T @ m), (np.dot(m, m.T), m @ m.T)):
+        assert np.array_equal(got, want), f"np.dot differs from @ for the Gram of {spec}"
+        assert np.array_equal(got, got.T)
+
+
 @pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
 def test_training_pass_never_forms_a_k_by_d_array(kind):
     k = d = 1024
@@ -320,6 +336,29 @@ def test_training_pass_never_forms_a_k_by_d_array(kind):
     finally:
         tracemalloc.stop()
     assert peak < k * d * 8  # one k x d float64 array
+
+
+def test_relu_backward_forms_one_k_by_m_float_array():
+    # Desk ReLU head: width k = 128, m = 128 columns, so a k x m float64 array
+    # is 128 KiB, below the size at which numpy reuses a temporary operand in
+    # place. dZ = (W2^T dY) * mask must be formed in place: the peak then holds
+    # dZ, the bool mask, the out x m residual dY and numpy's bool-to-float64
+    # cast buffer, while a separate product would add a second k x m array.
+    k, d, r, m, out = 128, 32, 4, 128, 32
+    stream = RandomStream(25)
+    layer = ad.init_layer(stream.normal(k, d), r, init_b="gaussian", stream=stream)
+    model = ad.ToyModel(ad.TWO_LAYER_RELU, layer, w2=stream.normal(out, k))
+    x = stream.normal(d, m)
+    target = stream.normal(out, m)
+    model.cache_base(x)
+    _, cache = ad.forward(model, x)
+    tracemalloc.start()
+    try:
+        ad.full_gradient(model, x, target, cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * k * m * 8
 
 
 def test_merged_weight_basics():

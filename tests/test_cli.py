@@ -156,6 +156,26 @@ def test_verify_exit_code_tracks_report(tmp_path, monkeypatch):
     assert report["passed"] is False
 
 
+def test_state_budget_fails_instead_of_raising(tmp_path, monkeypatch, capsys):
+    """A k x d optimizer buffer fails the state_budget check; verify exits 1, not 3."""
+    make_state = optim.make_state
+
+    def dense(kind, layer):
+        state = make_state(kind, layer)
+        state.ma = np.zeros((layer.k, layer.d))
+        return state
+
+    monkeypatch.setattr(optim, "make_state", dense)
+    (check,) = oracle.run_checks("state_budget")["checks"]
+    assert check["passed"] is False and check["max_deviation"] == np.inf
+    assert "(8, 12)" in check["info"]["error"]
+    code = cli.main(["verify", "--filter", "state_budget", "--out", str(tmp_path)])
+    assert code == cli.EXIT_FAILURE
+    assert "FAILED: state_budget" in capsys.readouterr().err
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert report["passed"] is False
+
+
 def test_sweep_single_cell_matches_train(tmp_path):
     train_cfg = tmp_path / "single.json"
     _write_config(train_cfg)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from altlora import matcore as mc
 from matrix_text import format_matrix, load_matrix, parse_matrix, save_matrix
 
@@ -160,6 +161,87 @@ def test_random_stream_deterministic_and_gaussian():
     big = mc.RandomStream(17).normal(200000)
     assert abs(float(np.mean(big))) < 0.02
     assert abs(float(np.std(big)) - 1.0) < 0.02
+
+
+def _gram_inputs(side, stream):
+    # (rows, cols) of m with r = cols (left) or rows (right), r = k included;
+    # each drawn both as a stored array and as a transposed view
+    for k, r in ((32, 4), (128, 4), (24, 6), (6, 6), (1, 1), (9, 1), (64, 16)):
+        rows, cols = (k, r) if side == "left" else (r, k)
+        yield stream.normal(rows, cols)
+        yield stream.normal(cols, rows).T
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.3])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_damped_inverse_is_bitwise_the_reference_formula_and_exactly_symmetric(side, lam):
+    stream = mc.RandomStream(31)
+    inputs = list(_gram_inputs(side, stream))
+    if lam > 0.0:
+        inputs.append(np.zeros((5, 3)) if side == "left" else np.zeros((3, 5)))
+    for m in inputs:
+        got = mc.damped_gram_inverse(m, side, lam)
+        assert np.array_equal(got, ref.damped_gram_inverse(m, side, lam)), (m.shape, m.flags.f_contiguous)
+        assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        np.zeros((3, 3)),  # LAPACK rejects it
+        np.diag([1.0, 1e-14]),  # LAPACK factors it; the pivot threshold rejects column 1
+        np.diag([1.0, 1.0, 1e-15, 1e-14]),  # first of two small pivots: column 2
+        np.diag([1e-30, 1.0]),  # column 0
+        np.full((2, 2), np.nan),
+        np.array([[1.0, 0.0], [0.0, np.nan]]),
+    ],
+)
+def test_cholesky_verdict_and_message_match_the_reference(gram):
+    with pytest.raises(mc.SingularGram) as want:
+        ref.cholesky_factor(gram)
+    with pytest.raises(mc.SingularGram) as got:
+        mc.cholesky_factor(gram)
+    assert str(got.value) == str(want.value)
+
+
+def test_frobenius_is_bitwise_the_reference_formula():
+    stream = mc.RandomStream(32)
+    wide = stream.normal(4, 32)
+    cases = [
+        wide,
+        wide.T,
+        stream.normal(33, 7).T,
+        stream.normal(33, 7),  # here and at 1024 x 16 a BLAS dot product sums in another order
+        stream.normal(1024, 16),
+        stream.normal(1000),
+        stream.normal(3, 4, 5),
+        np.arange(12).reshape(3, 4),
+        np.arange(-6, 6, dtype=np.int32).reshape(4, 3).T,
+        [[1.0, 2.0], [3.0, 4.5]],
+        [3, -4],
+        np.zeros((2, 2)),
+        np.array([[np.nan, 1.0]]),
+        2.5,
+    ]
+    for m in cases:
+        got = mc.frobenius(m)
+        want = ref.frobenius(m)
+        assert type(got) is float
+        assert got == want or (np.isnan(got) and np.isnan(want)), m
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1789])
+def test_random_stream_is_bitwise_the_two_draw_reference(seed):
+    # u1 and u2 are the two halves of one draw of 2 ceil(n/2) doubles, the
+    # same stream order as two draws of ceil(n/2) each
+    got, want = mc.RandomStream(seed), ref.RandomStream(seed)
+    for shape in [(), (1,), (3,), (4, 32), (5, 7), (2, 3, 5), (0,), (), (128,), (17, 3)]:
+        a, b = got.normal(*shape), want.normal(*shape)
+        assert type(a) is type(b)
+        assert np.shape(a) == np.shape(b) and np.array_equal(a, b), shape
+        assert got.uniform() == want.uniform()
+        assert np.array_equal(got.uniform(3), want.uniform(3))
+    assert type(mc.RandomStream(seed).normal()) is float
 
 
 def test_matrix_text_round_trip_is_exact():
