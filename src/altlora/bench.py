@@ -109,8 +109,6 @@ class ExperimentSpec:
             raise InvalidSpec(f"relu task needs width >= 4 d, got {self.width} < {4 * self.d}")
         if self.alpha is not None and self.alpha <= 0.0:
             raise InvalidSpec(f"alpha must be positive, got {self.alpha}")
-        if self.optimizer in (optim.ALTLORA, optim.ALTLORA_PLUS) and self.train.order == optim.JOINT:
-            raise InvalidSpec("alternating optimizers take order a_first or b_first")
 
     @property
     def layer_k(self) -> int:
@@ -416,7 +414,7 @@ class StateAccounting:
 # Factor-shaped buffer multiples per optimizer: persistent state plus the
 # per-step work buffers of one update. One unit is (k r + r d) entries.
 _STATE_UNITS = {
-    optim.ALTLORA: 4,  # first moments, factor snapshots, raw + scaled gradients
+    optim.ALTLORA: 4,  # first moments, raw + scaled gradients, realigned moment
     optim.ALTLORA_PLUS: 6,  # + second moments, bias-corrected direction
     optim.LORA_SGD: 1,  # raw gradients
     optim.LORA_PLUS: 1,

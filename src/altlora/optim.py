@@ -1,9 +1,9 @@
 """Optimizers over low-rank factor pairs.
 
 The centerpiece is the alternating scheme: each step updates exactly one
-factor with a Gram-preconditioned ("scaled") gradient, and the stored first
-moment is re-expressed in the coordinates of the freshly updated opposite
-factor before being mixed. That realignment is what keeps the momentum's
+factor with a Gram-preconditioned ("scaled") gradient, and the opposite
+factor's first moment is at once re-expressed in the coordinates of the
+factor that moved. That realignment is what keeps the momentum's
 contribution to the merged weight intact across subspace changes, and it is
 what the trajectory-invariance checks in :mod:`altlora.oracle` exercise.
 
@@ -40,7 +40,6 @@ from .matcore import damped_gram_inverse
 
 A_FIRST = "a_first"
 B_FIRST = "b_first"
-JOINT = "joint"
 
 ALTLORA = "altlora"
 ALTLORA_PLUS = "altlora_plus"
@@ -81,14 +80,18 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {v}")
         if self.gamma < 0.0 or self.lam < 0.0:
             raise ValueError("gamma and lam must be nonnegative")
-        if self.order not in (A_FIRST, B_FIRST, JOINT):
-            raise ValueError(f"order must be one of a_first/b_first/joint, got {self.order!r}")
+        if self.order not in (A_FIRST, B_FIRST):
+            raise ValueError(f"order must be a_first or b_first, got {self.order!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
         if self.eps <= 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"schedule must be constant or cosine, got {self.schedule!r}")
+        if self.lora_plus_ratio <= 0.0:
+            raise ValueError(f"lora_plus_ratio must be positive, got {self.lora_plus_ratio}")
+        if not 0.0 <= self.warmup_ratio <= 1.0:
+            raise ValueError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
 
 
 def effective_eta(cfg: TrainConfig, t: int) -> float:
@@ -107,22 +110,16 @@ def effective_eta(cfg: TrainConfig, t: int) -> float:
 class AltLoraState:
     """Per-layer optimizer state; every buffer is factor-shaped.
 
-    ma (r x d) and mb (k x r) are first moments kept aligned to the current
-    opposite-factor subspace; prev_b / prev_a snapshot the opposite factor
-    each moment was last aligned against. va / vb are elementwise second
-    moments (AltLoRA+ and Adam baselines only). t counts steps, tau_a/tau_b
-    count per-factor updates (bias correction).
+    ma (r x d) and mb (k x r) are first moments, each kept in the
+    coordinates of the current opposite factor. va / vb are elementwise
+    second moments (AltLoRA+ and Adam baselines only). t counts steps.
     """
 
     ma: np.ndarray
     mb: np.ndarray
-    prev_a: np.ndarray
-    prev_b: np.ndarray
     va: np.ndarray | None = None
     vb: np.ndarray | None = None
     t: int = 0
-    tau_a: int = 0
-    tau_b: int = 0
 
     @classmethod
     def init(cls, layer: LoraLayer, second_moment: bool = False) -> "AltLoraState":
@@ -130,8 +127,6 @@ class AltLoraState:
         return cls(
             ma=np.zeros((r, d)),
             mb=np.zeros((k, r)),
-            prev_a=layer.a.copy(),
-            prev_b=layer.b.copy(),
             va=np.zeros((r, d)) if second_moment else None,
             vb=np.zeros((k, r)) if second_moment else None,
         )
@@ -140,28 +135,23 @@ class AltLoraState:
         return AltLoraState(
             ma=self.ma.copy(),
             mb=self.mb.copy(),
-            prev_a=self.prev_a.copy(),
-            prev_b=self.prev_b.copy(),
             va=None if self.va is None else self.va.copy(),
             vb=None if self.vb is None else self.vb.copy(),
             t=self.t,
-            tau_a=self.tau_a,
-            tau_b=self.tau_b,
         )
 
     def entry_count(self) -> int:
-        buffers = (self.ma, self.mb, self.prev_a, self.prev_b, self.va, self.vb)
-        return sum([buf.size for buf in buffers if buf is not None])
+        return sum([buf.size for buf in (self.ma, self.mb, self.va, self.vb) if buf is not None])
 
     def check_budget(self, layer: LoraLayer) -> None:
         """Assert every buffer is factor-shaped, r x d or k x r.
 
         Trips if any code path ever materializes a k x d optimizer buffer.
-        The shape check is the whole budget: six factor-shaped buffers hold
-        at most 6 max(kr, rd) < 6(kr + rd) entries.
+        The shape check is the whole budget: four factor-shaped buffers hold
+        at most 4 max(kr, rd) < 4(kr + rd) entries.
         """
         allowed = ((layer.r, layer.d), (layer.k, layer.r))
-        for buf in (self.ma, self.mb, self.prev_a, self.prev_b, self.va, self.vb):
+        for buf in (self.ma, self.mb, self.va, self.vb):
             if buf is not None and buf.shape not in allowed:
                 raise AssertionError(f"optimizer buffer has non-factor shape {buf.shape}")
 
@@ -201,12 +191,8 @@ def align_momentum_a(ma: np.ndarray, b_old: np.ndarray, b_new: np.ndarray, lam: 
 
 
 def update_phase(t: int, order: str) -> str:
-    """Which factor moves at step t: "a" or "b"."""
-    if order == A_FIRST:
-        return "a" if t % 2 == 0 else "b"
-    if order == B_FIRST:
-        return "b" if t % 2 == 0 else "a"
-    raise ValueError(f"alternating steppers need order a_first or b_first, got {order!r}")
+    """Which factor moves at step t under order a_first or b_first: "a" or "b"."""
+    return "a" if (t % 2 == 0) == (order == A_FIRST) else "b"
 
 
 def _descend(x: np.ndarray, eta: float, direction: np.ndarray, gamma: float) -> np.ndarray:
@@ -223,31 +209,31 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
 
     Written for the A-phase. The B-phase is the A-phase of the transposed
     problem (A <-> B^T, G <-> G^T): it runs on transposed views of the
-    factors, moment and snapshot, and stores the transposes back.
+    factors and moments, and stores the transposes back. m_y is the opposite
+    factor's moment with r rows (mb^T or ma), as align_momentum_a takes it.
     """
     grad_a, grad_b = lora_grads(g, layer)
     a_phase = update_phase(state.t, cfg.order) == "a"
     if a_phase:
-        x, y, grad, m, prev_y = layer.a, layer.b, grad_a, state.ma, state.prev_b
+        x, y, grad, m, m_y = layer.a, layer.b, grad_a, state.ma, state.mb.T
     else:
-        x, y, grad, m, prev_y = layer.b.T, layer.a.T, grad_b.T, state.mb.T, state.prev_a.T
+        x, y, grad, m, m_y = layer.b.T, layer.a.T, grad_b.T, state.mb.T, state.ma
     tilde = scaled_grad_a(grad, y, layer.s, cfg.lam)
-    if cfg.beta1 != 0.0:
-        m = cfg.beta1 * align_momentum_a(m, prev_y, y, cfg.lam) + (1.0 - cfg.beta1) * tilde
-    else:
-        m = tilde
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * tilde if cfg.beta1 != 0.0 else tilde
     direction = m
-    tau = (state.tau_a if a_phase else state.tau_b) + 1
     if adaptive:
+        tau = state.t // 2 + 1  # this factor's update count: phases alternate from t = 0
         v = cfg.beta2 * (state.va if a_phase else state.vb.T) + (1.0 - cfg.beta2) * (tilde * tilde)
         state.va, state.vb = (v, state.vb) if a_phase else (state.va, v.T)
         c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
         direction = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
-    x = _descend(x, cfg.eta, direction, cfg.gamma)
+    x_new = _descend(x, cfg.eta, direction, cfg.gamma)
+    if cfg.beta1 != 0.0:  # x moved: align_momentum_b, in this phase's orientation
+        m_y = align_momentum_a(m_y, x.T, x_new.T, cfg.lam)
     if a_phase:
-        layer.a, state.ma, state.tau_a, state.prev_b = x, m, tau, layer.b.copy()
+        layer.a, state.ma, state.mb = x_new, m, m_y.T
     else:
-        layer.b, state.mb, state.tau_b, state.prev_a = x.T, m.T, tau, layer.a.copy()
+        layer.b, state.mb, state.ma = x_new.T, m.T, m_y
     state.t += 1
     state.check_budget(layer)
     return layer, state
@@ -257,9 +243,9 @@ def altlora_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig):
     """One alternating step with first-moment momentum.
 
     Updates exactly one factor (phase set by t and cfg.order): the raw
-    factor gradient is Gram-preconditioned, the stored moment is realigned
-    against the current opposite factor, mixed with beta1, and applied with
-    decoupled weight decay. The opposite-factor snapshot is then refreshed.
+    factor gradient is Gram-preconditioned, mixed with beta1 into the
+    factor's moment, and applied with decoupled weight decay. The opposite
+    factor's moment is then realigned to the factor that moved.
     """
     return _alternating_step(layer, state, g, cfg, adaptive=False)
 
@@ -270,8 +256,8 @@ def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
     First moments are realigned exactly as in altlora_step; second moments
     are plain elementwise EMAs of the squared scaled gradient and are NOT
     subspace-realigned, which is why this variant gives up transformation
-    invariance. Bias correction (per-factor update counts) is on by default
-    behind cfg.bias_correction.
+    invariance. Bias correction (per-factor update counts, t // 2 + 1) is on
+    by default behind cfg.bias_correction.
     """
     if state.va is None or state.vb is None:
         raise ValueError("altlora_plus_step needs a state built with second_moment=True")
@@ -302,8 +288,6 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g, cfg: Trai
         dir_b = (state.mb / c1) / (np.sqrt(state.vb / c2) + cfg.eps)
         layer.a = _descend(layer.a, cfg.eta, dir_a, cfg.gamma)
         layer.b = _descend(layer.b, cfg.eta, dir_b, cfg.gamma)
-        state.tau_a += 1
-        state.tau_b += 1
     elif kind == SCALEDGD_JOINT:
         # Both scaled gradients from the same G at the same point; this is
         # the stepper whose merged-weight update carries the eta^2 cross
@@ -318,8 +302,6 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g, cfg: Trai
             state.ma, state.mb = tilde_a, tilde_b
         layer.a = _descend(layer.a, cfg.eta, state.ma, cfg.gamma)
         layer.b = _descend(layer.b, cfg.eta, state.mb, cfg.gamma)
-        state.tau_a += 1
-        state.tau_b += 1
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     state.t += 1

@@ -79,6 +79,22 @@ def _solve_normal_columns(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(coef, rhs)
 
 
+# objective -> its inputs as (Y, T, s, side): min_Z || s Y Z - T ||_F (left)
+# or || s Z Y - T ||_F (right)
+_OBJECTIVES = {
+    LEFT_FACTOR: lambda i: (i["b"], i["g"], float(i.get("s", 1.0)), "left"),
+    RIGHT_FACTOR: lambda i: (i["a"], i["g"], float(i.get("s", 1.0)), "right"),
+    MOMENTUM_B: lambda i: (i["a_new"], i["mb"] @ i["a_old"], 1.0, "right"),
+    MOMENTUM_A: lambda i: (i["b_new"], i["b_old"] @ i["ma"], 1.0, "left"),
+}
+
+
+def _objective(objective: str, inputs: dict):
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    return _OBJECTIVES[objective](inputs)
+
+
 def lstsq_oracle(objective: str, **inputs) -> np.ndarray:
     """Independent minimizer for the library's four projection objectives.
 
@@ -89,35 +105,17 @@ def lstsq_oracle(objective: str, **inputs) -> np.ndarray:
 
     Full-rank instances only (the oracle works at zero damping).
     """
-    if objective == LEFT_FACTOR:
-        b, g, s = inputs["b"], inputs["g"], float(inputs.get("s", 1.0))
-        return _solve_normal_columns((s * s) * (b.T @ b), s * (b.T @ g))
-    if objective == RIGHT_FACTOR:
-        a, g, s = inputs["a"], inputs["g"], float(inputs.get("s", 1.0))
-        # rows of Z decouple: (s^2 A A^T) z_i^T = s A g_i^T
-        return _solve_normal_columns((s * s) * (a @ a.T), s * (a @ g.T)).T
-    if objective == MOMENTUM_B:
-        mb, a_old, a_new = inputs["mb"], inputs["a_old"], inputs["a_new"]
-        target = mb @ a_old
-        return _solve_normal_columns(a_new @ a_new.T, a_new @ target.T).T
-    if objective == MOMENTUM_A:
-        ma, b_old, b_new = inputs["ma"], inputs["b_old"], inputs["b_new"]
-        target = b_old @ ma
-        return _solve_normal_columns(b_new.T @ b_new, b_new.T @ target)
-    raise ValueError(f"unknown objective {objective!r}")
+    y, t, s, side = _objective(objective, inputs)
+    if side == "left":
+        return _solve_normal_columns((s * s) * (y.T @ y), s * (y.T @ t))
+    # rows of Z decouple: (s^2 Y Y^T) z_i^T = s Y t_i^T
+    return _solve_normal_columns((s * s) * (y @ y.T), s * (y @ t.T)).T
 
 
 def lstsq_residual(objective: str, z: np.ndarray, **inputs) -> float:
     """Frobenius residual of a candidate Z under the chosen objective."""
-    if objective == LEFT_FACTOR:
-        return frobenius(float(inputs.get("s", 1.0)) * inputs["b"] @ z - inputs["g"])
-    if objective == RIGHT_FACTOR:
-        return frobenius(float(inputs.get("s", 1.0)) * z @ inputs["a"] - inputs["g"])
-    if objective == MOMENTUM_B:
-        return frobenius(inputs["mb"] @ inputs["a_old"] - z @ inputs["a_new"])
-    if objective == MOMENTUM_A:
-        return frobenius(inputs["b_old"] @ inputs["ma"] - inputs["b_new"] @ z)
-    raise ValueError(f"unknown objective {objective!r}")
+    y, t, s, side = _objective(objective, inputs)
+    return frobenius(((s * y) @ z if side == "left" else (s * z) @ y) - t)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +224,6 @@ def gauge_map_state(state: optim.AltLoraState, gauge: np.ndarray) -> optim.AltLo
     mapped = state.copy()
     mapped.ma = np.linalg.solve(gauge, state.ma)
     mapped.mb = state.mb @ gauge
-    mapped.prev_a = np.linalg.solve(gauge, state.prev_a)
-    mapped.prev_b = state.prev_b @ gauge
     return mapped
 
 
@@ -253,9 +249,7 @@ def trajectory_invariance_check(
     run2 = model.copy()
     run2.layer = gauge_map_layer(model.layer, gauge)
     st1 = optim.make_state(optimizer, run1.layer)
-    st2 = gauge_map_state(st1, gauge) if optimizer in (optim.ALTLORA,) else optim.make_state(
-        optimizer, run2.layer
-    )
+    st2 = gauge_map_state(st1, gauge)
 
     devs = np.empty(steps)
     for t in range(steps):
@@ -585,8 +579,6 @@ def _fd_models(seed: int):
     x_relu = stream.normal(3, 5)
     y_relu = stream.normal(3, 5)
     return (lin, x_lin, y_lin), (relu, x_relu, y_relu)
-
-
 
 
 @_check

@@ -92,8 +92,6 @@ def test_invalid_specs_are_rejected():
         _spec(task="two_layer_relu", d=16, width=16)  # width < 4 d
     with pytest.raises(bench.InvalidSpec):
         _spec(optimizer="sgd_but_better")
-    with pytest.raises(bench.InvalidSpec):
-        _spec(train=optim.TrainConfig(eta=0.1, order=optim.JOINT))
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,22 @@ def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, key, literal):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("order", "joint"), ("lora_plus_ratio", -1.0), ("lora_plus_ratio", 0.0), ("warmup_ratio", 3.0),
+     ("warmup_ratio", -0.5)],
+)
+def test_out_of_range_train_value_exits_2_naming_the_field(tmp_path, capsys, name, value):
+    cfg = tmp_path / "bad.json"
+    doc = _write_config(cfg)
+    doc["train"][name] = value
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["train", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_config_exits_2(tmp_path):
     assert cli.main(["train", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
 

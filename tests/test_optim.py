@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import snapshot_reference as ref
 from altlora import optim
 from altlora.adapter import LoraLayer, lora_grads, merged_weight
 from altlora.matcore import RandomStream, damped_gram_inverse, frobenius, gauge_sample, rel_error
@@ -159,7 +160,9 @@ def test_first_b_phase_from_standard_init():
     tilde = g @ a.T @ damped_gram_inverse(a, "right", cfg.lam) / layer.s
     np.testing.assert_allclose(layer.b, -cfg.eta * (1 - cfg.beta1) * tilde, rtol=1e-12)
     assert np.array_equal(layer.a, a_before)
-    assert state.t == 1 and state.tau_b == 1 and state.tau_a == 0
+    assert state.t == 1
+    np.testing.assert_allclose(state.mb, (1 - cfg.beta1) * tilde, rtol=1e-12)
+    assert not state.ma.any()  # the zero A-moment stays zero when realigned to the new B
 
 
 def test_pure_weight_decay_shrinks_factor():
@@ -199,9 +202,11 @@ def test_pair_of_steps_decomposes_into_projected_terms(order):
     assert rel_error(dw, want) < 1e-10
 
 
-def test_update_phase_rejects_joint():
-    with pytest.raises(ValueError):
-        optim.update_phase(0, optim.JOINT)
+def test_train_config_rejects_joint_order():
+    # no stepper reads a joint order: baselines ignore the order and an
+    # alternating step needs a first factor
+    with pytest.raises(ValueError, match="order must be a_first or b_first"):
+        optim.TrainConfig(eta=0.1, order="joint")
 
 
 def test_step_under_gauge_change_commutes():
@@ -312,6 +317,33 @@ def test_altlora_plus_bias_correction_flag():
     np.testing.assert_allclose(off.b, want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
+def test_altlora_plus_bias_correction_counts_per_factor_updates(order):
+    # Phases alternate from t = 0, so step t is update t // 2 + 1 of the
+    # factor it moves, and its moments are corrected by that power of beta.
+    stream = RandomStream(63)
+    layer = _random_layer(stream, k=6, d=9, r=2)
+    target = stream.normal(6, 9)
+    cfg = optim.TrainConfig(eta=0.05, lam=1e-6, order=order)
+    state = optim.make_state(optim.ALTLORA_PLUS, layer)
+    for t in range(6):
+        g = merged_weight(layer) - target
+        grad_a, grad_b = lora_grads(g, layer)
+        phase = optim.update_phase(t, order)
+        if phase == "a":
+            x, m, v = layer.a, state.ma, state.va
+            tilde = optim.scaled_grad_a(grad_a, layer.b, layer.s, cfg.lam)
+        else:
+            x, m, v = layer.b, state.mb, state.vb
+            tilde = optim.scaled_grad_b(grad_b, layer.a, layer.s, cfg.lam)
+        m = cfg.beta1 * m + (1 - cfg.beta1) * tilde
+        v = cfg.beta2 * v + (1 - cfg.beta2) * tilde * tilde
+        n = t // 2 + 1
+        want = x - cfg.eta * (m / (1 - cfg.beta1**n)) / (np.sqrt(v / (1 - cfg.beta2**n)) + cfg.eps)
+        optim.altlora_plus_step(layer, state, g, cfg)
+        np.testing.assert_allclose(layer.a if phase == "a" else layer.b, want, rtol=1e-12)
+
+
 def test_altlora_plus_requires_second_moment_state():
     stream = RandomStream(71)
     layer = _random_layer(stream, k=4, d=6, r=2)
@@ -336,15 +368,51 @@ def test_b_phase_is_the_a_phase_of_the_transposed_problem(kind, order):
     for _ in range(8):
         step(layer, state, merged_weight(layer) - target, cfg)
         step(twin, state_twin, merged_weight(twin) - target.T, cfg_twin)
-        pairs = [
-            (layer.a, twin.b), (layer.b, twin.a), (state.ma, state_twin.mb), (state.mb, state_twin.ma),
-            (state.prev_a, state_twin.prev_b), (state.prev_b, state_twin.prev_a),
-        ]
+        pairs = [(layer.a, twin.b), (layer.b, twin.a), (state.ma, state_twin.mb), (state.mb, state_twin.ma)]
         if kind == optim.ALTLORA_PLUS:
             pairs += [(state.va, state_twin.vb), (state.vb, state_twin.va)]
         for got, twin_buf in pairs:
             assert rel_error(twin_buf.T, got) <= 1e-12
-        assert (state.tau_a, state.tau_b) == (state_twin.tau_b, state_twin.tau_a)
+        assert state.t == state_twin.t
+
+
+@pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
+@pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
+@pytest.mark.parametrize("beta1", [0.0, 0.9])
+@pytest.mark.parametrize("lam", [0.0, 1e-6])
+def test_step_matches_the_snapshot_stepper(kind, order, beta1, lam):
+    # The snapshot stepper realigns a moment only when its own factor next
+    # moves; realigning the opposite moment as soon as a factor moves must
+    # give the same trajectory. With momentum the realignment runs against
+    # differently laid out copies of the same factor, so only the last bits
+    # may differ.
+    stream = RandomStream(131)
+    layer = _random_layer(stream, k=16, d=64, r=4)  # a shape where the layouts change bits
+    target = stream.normal(16, 64) / np.sqrt(64)
+    adaptive = kind == optim.ALTLORA_PLUS
+    cfg = optim.TrainConfig(eta=0.05, beta1=beta1, gamma=0.01, lam=lam, order=order)
+    state = optim.make_state(kind, layer)
+    old_layer = layer.copy()
+    old = ref.SnapshotState.init(old_layer, second_moment=adaptive)
+    step = optim.make_stepper(kind)
+    for t in range(24):
+        step(layer, state, merged_weight(layer) - target, cfg)
+        ref.alternating_step(old_layer, old, merged_weight(old_layer) - target, cfg, adaptive)
+        ma, mb = old.ma, old.mb
+        if beta1 != 0.0:  # carry the snapshot stepper's stale moment to the current factor
+            if optim.update_phase(t, order) == "a":
+                mb = optim.align_momentum_b(mb, old.prev_a, old_layer.a, lam)
+            else:
+                ma = optim.align_momentum_a(ma, old.prev_b, old_layer.b, lam)
+        pairs = [(layer.a, old_layer.a), (layer.b, old_layer.b), (state.ma, ma), (state.mb, mb)]
+        if adaptive:
+            pairs += [(state.va, old.va), (state.vb, old.vb)]
+        for got, want in pairs:
+            if beta1 == 0.0:
+                assert np.array_equal(got, want)
+            else:
+                assert rel_error(got, want) <= 1e-12
+    assert state.t == old.t == 24
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +539,7 @@ def test_state_memory_stays_factor_shaped():
         bad.check_budget(layer)
 
 
-@pytest.mark.parametrize("slot", ["ma", "mb", "prev_a", "prev_b", "va", "vb"])
+@pytest.mark.parametrize("slot", ["ma", "mb", "va", "vb"])
 def test_check_budget_trips_on_a_k_by_d_buffer_in_every_slot(slot):
     stream = RandomStream(108)
     layer = _random_layer(stream, k=32, d=48, r=4)
@@ -488,6 +556,14 @@ def test_train_config_validation():
         optim.TrainConfig(eta=0.1, beta1=1.0)
     with pytest.raises(ValueError):
         optim.TrainConfig(eta=0.1, order="sideways")
+    for ratio in (0.0, -1.0):
+        with pytest.raises(ValueError, match="lora_plus_ratio"):
+            optim.TrainConfig(eta=0.1, lora_plus_ratio=ratio)
+    for ratio in (-0.1, 1.5, 3.0):
+        with pytest.raises(ValueError, match="warmup_ratio"):
+            optim.TrainConfig(eta=0.1, schedule="cosine", warmup_ratio=ratio)
+    for ratio in (0.0, 1.0):
+        optim.TrainConfig(eta=0.1, schedule="cosine", warmup_ratio=ratio)
     cosine = optim.TrainConfig(eta=1.0, schedule="cosine", steps=100)
     assert optim.effective_eta(cosine, 0) == pytest.approx(1.0)
     assert optim.effective_eta(cosine, 50) == pytest.approx(0.5)
