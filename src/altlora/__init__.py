@@ -20,6 +20,7 @@ from .adapter import (
     lora_grads,
     merged_weight,
     mse_loss,
+    training_pass,
 )
 from .bench import (
     DivergenceDetected,

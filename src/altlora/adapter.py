@@ -163,20 +163,41 @@ def forward(model: ToyModel, x: np.ndarray):
         raise ShapeMismatch(f"batch shape {x.shape} does not match input dim {layer.d}")
     ax = np.dot(layer.a, x)  # np.dot: the BLAS call @ makes, bit for bit, without matmul's dispatch
     z = np.dot(layer.b, ax)  # np.dot: as above
-    z *= layer.s
+    s = layer.s
+    if s != 1.0:  # times 1.0 is the identity on every float, so the default alpha = r skips it
+        z *= s
     z += model._base_product(x)
     y = z if model.kind == LINEAR_REGRESSION else np.dot(model.w2, np.maximum(z, 0.0))  # np.dot: as above
     return y, {"z": z, "y": y, "ax": (layer.a, x, ax)}
 
 
-def mse_loss(y: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error with 1/m batch normalization (m = columns)."""
-    y, target = _f64(y), _f64(target)
+def _residual(y: np.ndarray, target, out=None) -> np.ndarray:
+    """Y - T, into ``out`` when given (out=y subtracts in place)."""
+    target = _f64(target)
     if y.shape != target.shape:
         raise ShapeMismatch(f"prediction {y.shape} vs target {target.shape}")
-    diff = y - target
-    # the reduction np.sum makes, without its Python wrapper
-    return float(np.add.reduce(np.square(diff, out=diff), axis=None) / y.shape[1])
+    return np.subtract(y, target, out=out)
+
+
+def _mean_square(res: np.ndarray, out=None) -> float:
+    """sum(res^2) / m by np.sum's reduction, minus its wrapper; out=res squares in place."""
+    return float(np.add.reduce(np.square(res, out=out), axis=None) / res.shape[1])
+
+
+def _backward(model: ToyModel, x: np.ndarray, dy: np.ndarray, cache) -> FullGradient:
+    """The factors of G = dZ X^T; dy holds Y - T and is scaled in place into dY = (2/m) (Y - T)."""
+    dy *= 2.0 / x.shape[1]
+    if model.kind == LINEAR_REGRESSION:
+        return FullGradient(dy, x, cache.get("ax"))
+    dz = model.w2.T @ dy
+    dz *= cache["z"] > 0.0  # ReLU derivative at exactly 0 is taken as 0; in place, no k x m temporary
+    return FullGradient(dz, x, cache.get("ax"))
+
+
+def mse_loss(y: np.ndarray, target: np.ndarray) -> float:
+    """Mean squared error with 1/m batch normalization (m = columns)."""
+    diff = _residual(_f64(y), target)
+    return _mean_square(diff, out=diff)
 
 
 def full_gradient(model: ToyModel, x: np.ndarray, target: np.ndarray, cache) -> list[FullGradient]:
@@ -184,14 +205,20 @@ def full_gradient(model: ToyModel, x: np.ndarray, target: np.ndarray, cache) -> 
 
     Read from forward's cache as the factors of G = dZ X^T, with its A X.
     """
+    return [_backward(model, _f64(x), _residual(cache["y"], target), cache)]
+
+
+def training_pass(model: ToyModel, x: np.ndarray, target: np.ndarray) -> tuple[float, FullGradient]:
+    """One forward and backward pass: the MSE loss and its FullGradient.
+
+    Bit for bit forward, mse_loss and full_gradient in turn, with the
+    residual Y - T formed once, in place on forward's fresh output, and
+    then scaled in place into dY.
+    """
     x = _f64(x)
-    dy = cache["y"] - _f64(target)
-    dy *= 2.0 / x.shape[1]
-    if model.kind == LINEAR_REGRESSION:
-        return [FullGradient(dy, x, cache.get("ax"))]
-    dz = model.w2.T @ dy
-    dz *= cache["z"] > 0.0  # ReLU derivative at exactly 0 is taken as 0; in place, no k x m temporary
-    return [FullGradient(dz, x, cache.get("ax"))]
+    y, cache = forward(model, x)
+    res = _residual(y, target, out=y)
+    return _mean_square(res), _backward(model, x, res, cache)
 
 
 def lora_grads(g, layer: LoraLayer):
@@ -208,7 +235,11 @@ def lora_grads(g, layer: LoraLayer):
             raise ShapeMismatch(f"gradient factors {u.shape} x {v.shape} vs layer {(layer.k, layer.d)}")
         reuse = held is not None and held[0] is a and held[1] is v
         av = held[2] if reuse else np.dot(a, v)  # np.dot: bitwise @ without matmul's dispatch
-        return np.dot(s * np.dot(b.T, u), v.T), np.dot(u, (s * av).T)  # np.dot: as above
+        btu = np.dot(b.T, u)  # np.dot: as above
+        if s != 1.0:  # as in forward; av may be forward's, so it is scaled into a new array
+            btu *= s
+            av = s * av
+        return np.dot(btu, v.T), np.dot(u, av.T)  # np.dot: as above
     gm = gradient_array(g)
     if gm.shape != (layer.k, layer.d):
         raise ShapeMismatch(f"gradient {gm.shape} vs layer {(layer.k, layer.d)}")

@@ -30,7 +30,7 @@ from .adapter import (
     full_gradient,
     init_layer,
     merged_weight,
-    mse_loss,
+    training_pass,
 )
 from .matcore import (
     RandomStream,
@@ -237,6 +237,10 @@ def _task_flops(spec: ExperimentSpec) -> int:
 
     The base product W0 X is computed once per run and the gradient is kept
     as the factors of dZ X^T, so neither counts here; nor do eval rows.
+    This is the documented analytic convention behind the CSV flops column:
+    it counts the scale by s and the loss's subtraction as before, also
+    where s = 1 skips the scale and the pass shares one residual between
+    loss and dY, so the CSVs stay byte-identical.
     """
     k, d, r, m = spec.layer_k, spec.d, spec.r, spec.batch_size
     fwd = 2 * r * d * m + 2 * k * r * m + 2 * k * m  # A X, B (A X), scale and add W0 X
@@ -277,13 +281,15 @@ def _optimizer_flops(spec: ExperimentSpec) -> int:
 def run_experiment(spec: ExperimentSpec) -> RunRecord:
     """Full-batch training loop; gradient recomputed before every phase.
 
-    W0 X is computed once, and A X once per pass (forward's product serves
-    the factor gradients, bit for bit); a pass runs in O(r (k + d) m) and
-    forms no k x d array. Records an eval row (which builds the merged
-    weight and the dense gradient) at step 0, every eval_every steps, and
-    at the final step. Deterministic per spec. Raises DivergenceDetected
-    (carrying the partial record) when the loss exceeds 1e6 or stops being
-    finite, or when a step meets a singular Gram.
+    Each pass is one adapter.training_pass: the residual Y - T is formed
+    once and serves both the loss and dY. W0 X is computed once, and A X
+    once per pass (forward's product serves the factor gradients, bit for
+    bit); a pass runs in O(r (k + d) m) and forms no k x d array. Records
+    an eval row (which builds the merged weight and the dense gradient) at
+    step 0, every eval_every steps, and at the final step. Deterministic
+    per spec. Raises DivergenceDetected (carrying the partial record) when
+    the loss exceeds 1e6 or stops being finite, or when a step meets a
+    singular Gram.
     """
     task = generate_task(spec)
     model, x, y = task.model, task.x, task.y
@@ -299,15 +305,12 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     steps_to_threshold = -1
     loss = math.nan
     for t in range(steps + 1):
-        y_hat, cache = forward(model, x)
-        loss = mse_loss(y_hat, y)
+        loss, g = training_pass(model, x, y)
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             rec = RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)
             raise DivergenceDetected(f"loss {loss} at step {t}", rec)
         if steps_to_threshold < 0 and loss <= LOSS_THRESHOLD:
             steps_to_threshold = t
-        g = full_gradient(model, x, y, cache)[0]
-        del y_hat, cache  # with `del g` below, no k x m array of a pass outlives it
         if t % eval_every == 0 or t == steps:
             werr = frobenius(merged_weight(layer) - task.teacher_weight) / teacher_norm
             rows.append((t, loss, werr, frobenius(g.g), state.entry_count(), t * flops_per_step))
@@ -320,7 +323,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
         except SingularGram as exc:
             rec = RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)
             raise DivergenceDetected(f"singular Gram in the update at step {t}: {exc}", rec) from exc
-        del g
+        del g  # no k x m array of a pass outlives it
     return RunRecord(rows, steps_to_threshold, final_loss=loss)
 
 

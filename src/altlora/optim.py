@@ -162,7 +162,8 @@ class AltLoraState:
 
 def scaled_grad_a(grad_a: np.ndarray, b: np.ndarray, s: float, lam: float) -> np.ndarray:
     """Preconditioned A-gradient: (1/s^2) (B^T B + lam I)^-1 grad_a."""
-    return damped_gram_inverse(b, "left", lam) @ grad_a / (s * s)
+    tilde = damped_gram_inverse(b, "left", lam) @ grad_a
+    return tilde / (s * s) if s != 1.0 else tilde  # over 1.0 is the identity on every float
 
 
 def scaled_grad_b(grad_b: np.ndarray, a: np.ndarray, s: float, lam: float) -> np.ndarray:

@@ -248,6 +248,8 @@ def trajectory_invariance_check(
     run1 = model.copy()
     run2 = model.copy()
     run2.layer = gauge_map_layer(model.layer, gauge)
+    for twin in (run1, run2):  # copy() drops the base product; both twins share w0
+        twin.cache_base(x)
     st1 = optim.make_state(optimizer, run1.layer)
     st2 = gauge_map_state(st1, gauge)
 

@@ -86,6 +86,29 @@ def test_full_gradient_linear_least_squares_form():
     np.testing.assert_allclose(g, -(2.0 / 2.0) * target, atol=0)
 
 
+@pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
+def test_training_pass_is_forward_loss_and_gradient_bit_for_bit(kind):
+    model, x, target = _random_model(kind, 12, 7, 3, 11, seed=26)
+    y, cache = ad.forward(model, x)
+    loss = ad.mse_loss(y, target)
+    g = ad.full_gradient(model, x, target, cache)[0]
+    got_loss, got = ad.training_pass(model, x, target)
+    assert got_loss == loss
+    np.testing.assert_array_equal(got.u, g.u)
+    np.testing.assert_array_equal(got.ax[2], g.ax[2])
+    assert got.v is x and got.ax[0] is model.layer.a and got.ax[1] is x
+
+
+def test_training_pass_rejects_a_target_it_would_broadcast():
+    model, x, target = _random_model(ad.LINEAR_REGRESSION, 6, 5, 2, 8, seed=27)
+    _, cache = ad.forward(model, x)
+    for bad in (target[:1], target[:, :1]):
+        with pytest.raises(ad.ShapeMismatch):
+            ad.training_pass(model, x, bad)
+        with pytest.raises(ad.ShapeMismatch):
+            ad.full_gradient(model, x, bad, cache)
+
+
 def test_linreg_gradient_matches_golden_file():
     stream = RandomStream(9)
     layer = ad.LoraLayer(stream.normal(3, 4), stream.normal(2, 4), stream.normal(3, 2), 3.0)

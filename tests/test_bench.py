@@ -1,11 +1,13 @@
 """Experiment-harness tests: task generation, the runner, probes, accounting."""
 
+import itertools
 import json
 from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
+import pass_reference as pass_ref
 from altlora import bench, cli, optim
 from altlora.adapter import merged_weight
 from altlora.matcore import RandomStream, jacobi_svd, rel_error
@@ -167,6 +169,32 @@ def test_runner_dispatches_every_optimizer(optimizer):
     )
     assert len(rec.rows) == 3
     assert np.isfinite(rec.final_loss)
+
+
+def _outcome(run, spec) -> str:
+    """The CSV text of a run, or of its partial record with the divergence message."""
+    try:
+        return run(spec).to_csv()
+    except bench.DivergenceDetected as exc:
+        return f"diverged: {exc}\n{exc.record.to_csv()}"
+
+
+@pytest.mark.parametrize("task", bench.TASKS)
+@pytest.mark.parametrize("optimizer", list(optim.OPTIMIZERS))
+def test_runner_matches_the_earlier_pass_byte_for_byte(task, optimizer, monkeypatch):
+    shape = dict(k=16, d=12) if task == "lowrank" else dict(d=8, width=32)
+    eta = {"lora_plus": 0.02}.get(optimizer, 0.1)
+    for beta1, alpha in itertools.product((0.0, 0.9), (None, 2.5)):  # s = 1 and s != 1
+        spec = _spec(
+            task=task, **shape, r=4, teacher_rank=3, kappa=10.0, optimizer=optimizer, alpha=alpha,
+            seed=7, eval_every=5, train=optim.TrainConfig(eta=eta, beta1=beta1, lam=1e-6, steps=30),
+        )
+        got = _outcome(bench.run_experiment, spec)
+        with monkeypatch.context() as earlier:
+            earlier.setattr(optim, "lora_grads", pass_ref.lora_grads)
+            earlier.setattr(optim, "scaled_grad_a", pass_ref.scaled_grad_a)
+            want = _outcome(pass_ref.run_experiment, spec)
+        assert got == want, (beta1, alpha)
 
 
 def test_cosine_schedule_runs_and_decays():

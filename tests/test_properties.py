@@ -14,6 +14,12 @@ that the form solves: a right-hand side Y^T T formed in floating point
 carries rounding of size eps ||Y|| ||T||, which only rho relates to the
 answer Z. It matters for the momentum forms, whose target is not in the
 new factor's span (draws measured up to 700 kappa eps without it).
+
+The unit-scale shortcut: forward, the factored lora_grads and
+scaled_grad_a skip the scale s = alpha / r when it is 1.0. Over inputs
+holding -0.0, +-inf and NaN, each must give the bits of the earlier
+formulas in pass_reference, which always apply s, both at alpha = r and
+at other alphas.
 """
 
 import numpy as np
@@ -24,6 +30,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import pass_reference as pass_ref  # noqa: E402
+from altlora import adapter as ad  # noqa: E402
 from altlora import optim  # noqa: E402
 from altlora.matcore import PIVOT_RTOL, RandomStream, frobenius, rel_error  # noqa: E402
 from altlora.oracle import (  # noqa: E402
@@ -155,3 +163,81 @@ def test_closed_form_solves_the_damped_normal_equations(form, problem, lam):
     assume(kappa <= KAPPA_MAX)
     want = solve(damped)
     assert rel_error(got(lam), want) <= _tolerance(kappa, y, t, want)
+
+
+# ---------------------------------------------------------------------------
+# The unit-scale shortcut keeps every bit
+
+SPECIAL = (-0.0, 0.0, np.inf, -np.inf, np.nan)
+CELLS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(SPECIAL))
+UNIT = pytest.mark.parametrize("unit", [True, False], ids=["s=1", "s!=1"])
+QUIET = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and the like, by design
+
+
+def _matrix(data, rows, cols):
+    flat = data.draw(st.lists(CELLS, min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.float64).reshape(rows, cols)
+
+
+def _alpha(data, r, unit):
+    if unit:
+        return float(r)  # s = alpha / r is exactly 1.0
+    alpha = data.draw(st.floats(1e-2, 1e2))
+    assume(alpha != r)
+    return alpha
+
+
+def _layer(data, unit):
+    k, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(1, min(k, d)))
+    return ad.LoraLayer(_matrix(data, k, d), _matrix(data, r, d), _matrix(data, k, r), _alpha(data, r, unit))
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@UNIT
+@QUIET
+@PROPERTY
+@given(data=st.data())
+def test_forward_keeps_the_scaled_bits(unit, data):
+    layer = _layer(data, unit)
+    relu = data.draw(st.booleans())
+    w2 = _matrix(data, data.draw(st.integers(1, 6)), layer.k) if relu else None
+    model = ad.ToyModel(ad.TWO_LAYER_RELU if relu else ad.LINEAR_REGRESSION, layer, w2=w2)
+    x = _matrix(data, layer.d, data.draw(st.integers(1, 6)))
+    y, cache = ad.forward(model, x)
+    want_y, want = pass_ref.forward(model, x)
+    assert _same_bits(y, want_y) and _same_bits(cache["z"], want["z"])
+    assert _same_bits(cache["ax"][2], want["ax"][2])
+
+
+@UNIT
+@QUIET
+@PROPERTY
+@given(data=st.data())
+def test_factored_lora_grads_keep_the_scaled_bits(unit, data):
+    layer = _layer(data, unit)
+    m = data.draw(st.integers(1, 6))
+    u, v = _matrix(data, layer.k, m), _matrix(data, layer.d, m)
+    held = (layer.a, v, _matrix(data, layer.r, m)) if data.draw(st.booleans()) else None
+    before = None if held is None else held[2].copy()
+    g = ad.FullGradient(u, v, held)
+    for got, want in zip(ad.lora_grads(g, layer), pass_ref.lora_grads(g, layer)):
+        assert _same_bits(got, want)
+    if held is not None:  # the carried A X is read, never scaled in place
+        assert _same_bits(held[2], before)
+
+
+@UNIT
+@QUIET
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**31 - 1))
+def test_scaled_grad_a_keeps_the_scaled_bits(unit, data, seed):
+    r = data.draw(st.integers(1, 6))
+    b = RandomStream(seed).normal(data.draw(st.integers(r, 8)), r)  # finite: a Gram that factors
+    grad_a = _matrix(data, r, data.draw(st.integers(1, 6)))
+    s = _alpha(data, r, unit) / r
+    got = optim.scaled_grad_a(grad_a, b, s, optim.DEFAULT_DAMPING)
+    assert _same_bits(got, pass_ref.scaled_grad_a(grad_a, b, s, optim.DEFAULT_DAMPING))
