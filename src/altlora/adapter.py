@@ -80,7 +80,7 @@ class FullGradient:
     u (k x m) is the gradient w.r.t. the layer's outputs Z and v (d x m) its
     inputs. The dense k x d ``g`` is built on first access and then kept;
     only oracles and eval rows read it. ``ax`` is forward's (A, X, A X):
-    lora_grads reuses A X while the layer's A is that array and v is X.
+    lora_grad_b reuses A X while the layer's A is that array and v is X.
     """
 
     u: np.ndarray
@@ -221,29 +221,57 @@ def training_pass(model: ToyModel, x: np.ndarray, target: np.ndarray) -> tuple[f
     return _mean_square(res), _backward(model, x, res, cache)
 
 
-def lora_grads(g, layer: LoraLayer):
-    """Factor gradients induced by the chain rule through W = W0 + s B A.
+def _factors(g: FullGradient, layer: LoraLayer):
+    """(u, v) of a FullGradient whose shapes fit the layer."""
+    u, v = g.u, g.v
+    if u.shape[0] != layer.k or v.shape[0] != layer.d or u.shape[1] != v.shape[1]:
+        raise ShapeMismatch(f"gradient factors {u.shape} x {v.shape} vs layer {(layer.k, layer.d)}")
+    return u, v
 
-    grad_a = s B^T G,  grad_b = s G A^T. For G = u v^T (a FullGradient)
-    they are s (B^T u) v^T and u (s A v)^T, with no k x d product; A v is
-    forward's A X when the gradient carries it for this very A and v.
-    """
-    s, a, b = layer.s, layer.a, layer.b
-    if isinstance(g, FullGradient):
-        u, v, held = g.u, g.v, g.ax
-        if u.shape[0] != layer.k or v.shape[0] != layer.d or u.shape[1] != v.shape[1]:
-            raise ShapeMismatch(f"gradient factors {u.shape} x {v.shape} vs layer {(layer.k, layer.d)}")
-        reuse = held is not None and held[0] is a and held[1] is v
-        av = held[2] if reuse else np.dot(a, v)  # np.dot: bitwise @ without matmul's dispatch
-        btu = np.dot(b.T, u)  # np.dot: as above
-        if s != 1.0:  # as in forward; av may be forward's, so it is scaled into a new array
-            btu *= s
-            av = s * av
-        return np.dot(btu, v.T), np.dot(u, av.T)  # np.dot: as above
+
+def _dense(g, layer: LoraLayer) -> np.ndarray:
     gm = gradient_array(g)
     if gm.shape != (layer.k, layer.d):
         raise ShapeMismatch(f"gradient {gm.shape} vs layer {(layer.k, layer.d)}")
-    return s * (b.T @ gm), s * (gm @ a.T)
+    return gm
+
+
+def lora_grad_a(g, layer: LoraLayer) -> np.ndarray:
+    """grad_a = s B^T G; for G = u v^T (a FullGradient), s (B^T u) v^T."""
+    s, b = layer.s, layer.b
+    if not isinstance(g, FullGradient):
+        return s * (b.T @ _dense(g, layer))
+    u, v = _factors(g, layer)
+    btu = np.dot(b.T, u)  # np.dot: bitwise @ without matmul's dispatch
+    if s != 1.0:  # as in forward
+        btu *= s
+    return np.dot(btu, v.T)  # np.dot: as above
+
+
+def lora_grad_b(g, layer: LoraLayer) -> np.ndarray:
+    """grad_b = s G A^T; for G = u v^T (a FullGradient), u (s A v)^T.
+
+    A v is forward's A X when the gradient carries it for this very A and v.
+    """
+    s, a = layer.s, layer.a
+    if not isinstance(g, FullGradient):
+        return s * (_dense(g, layer) @ a.T)
+    u, v = _factors(g, layer)
+    held = g.ax
+    av = held[2] if held is not None and held[0] is a and held[1] is v else np.dot(a, v)  # np.dot: as above
+    if s != 1.0:  # av may be forward's, so it is scaled into a new array
+        av = s * av
+    return np.dot(u, av.T)  # np.dot: as above
+
+
+def lora_grads(g, layer: LoraLayer):
+    """Factor gradients induced by the chain rule through W = W0 + s B A.
+
+    (lora_grad_a, lora_grad_b): grad_a = s B^T G, grad_b = s G A^T, with no
+    k x d product when G is a FullGradient. An alternating phase calls only
+    the one for the factor it moves.
+    """
+    return lora_grad_a(g, layer), lora_grad_b(g, layer)
 
 
 # ---------------------------------------------------------------------------

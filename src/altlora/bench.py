@@ -254,6 +254,13 @@ def _task_flops(spec: ExperimentSpec) -> int:
 
 
 def _optimizer_flops(spec: ExperimentSpec) -> int:
+    """FLOPs per step of the optimizer, the analytic convention of the CSV ``flops`` column.
+
+    It counts both factor gradients and, for the alternating steppers, two
+    Gram factorizations per step, although a phase forms only the moving
+    factor's gradient and, with momentum, reuses the realignment's inverse.
+    Keeping that convention keeps the run CSVs byte-identical.
+    """
     k, d, r, m = spec.layer_k, spec.d, spec.r, spec.batch_size
     factor_grads = 4 * r * m * (k + d)  # lora_grads: both factors from G = u v^T
     gram = 2 * r * r * max(k, d) + r**3  # form Gram + factorize

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter import LoraLayer, gradient_array, lora_grads
+from .adapter import LoraLayer, gradient_array, lora_grad_a, lora_grad_b, lora_grads
 from .matcore import damped_gram_inverse
 
 A_FIRST = "a_first"
@@ -108,11 +108,20 @@ def effective_eta(cfg: TrainConfig, t: int) -> float:
 
 @dataclass
 class AltLoraState:
-    """Per-layer optimizer state; every buffer is factor-shaped.
+    """Per-layer optimizer state; every buffer is factor-shaped or r x r.
 
     ma (r x d) and mb (k x r) are first moments, each kept in the
     coordinates of the current opposite factor. va / vb are elementwise
     second moments (AltLoRA+ and Adam baselines only). t counts steps.
+
+    gram_inv is the carry (factor, lam, inverse): the r x r damped Gram
+    inverse that an alternating step's realignment (beta1 != 0) formed for
+    the factor it moved. factor is the very array bound to layer.a or
+    layer.b, so the next phase takes the inverse only while that factor is
+    still bound and lam is unchanged; any rebinding or a new lam refactors.
+    Like FullGradient.ax, the rule cannot see an in-place write, so code
+    that writes a factor in place must not step on with a carried state.
+    It is a cache, not a moment: entry_count leaves it out.
     """
 
     ma: np.ndarray
@@ -120,6 +129,7 @@ class AltLoraState:
     va: np.ndarray | None = None
     vb: np.ndarray | None = None
     t: int = 0
+    gram_inv: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def init(cls, layer: LoraLayer, second_moment: bool = False) -> "AltLoraState":
@@ -132,6 +142,7 @@ class AltLoraState:
         )
 
     def copy(self) -> "AltLoraState":
+        """A deep copy of the moments and t; the carried Gram inverse is dropped."""
         return AltLoraState(
             ma=self.ma.copy(),
             mb=self.mb.copy(),
@@ -144,26 +155,35 @@ class AltLoraState:
         return sum([buf.size for buf in (self.ma, self.mb, self.va, self.vb) if buf is not None])
 
     def check_budget(self, layer: LoraLayer) -> None:
-        """Assert every buffer is factor-shaped, r x d or k x r.
+        """Assert every buffer has its slot's exact shape.
 
-        Trips if any code path ever materializes a k x d optimizer buffer.
-        The shape check is the whole budget: four factor-shaped buffers hold
-        at most 4 max(kr, rd) < 4(kr + rd) entries.
+        ma and va are r x d, mb and vb are k x r, and the carried inverse is
+        r x r. Trips if any code path ever materializes a k x d optimizer
+        buffer or puts a buffer in the wrong slot. The shape check is the
+        whole budget: 2(kr + rd) + r^2 <= 3(kr + rd) entries.
         """
-        allowed = ((layer.r, layer.d), (layer.k, layer.r))
-        for buf in (self.ma, self.mb, self.va, self.vb):
-            if buf is not None and buf.shape not in allowed:
-                raise AssertionError(f"optimizer buffer has non-factor shape {buf.shape}")
+        r, d, k = layer.r, layer.d, layer.k
+        carry = None if self.gram_inv is None else self.gram_inv[2]
+        slots = (("ma", self.ma, (r, d)), ("va", self.va, (r, d)), ("mb", self.mb, (k, r)),
+                 ("vb", self.vb, (k, r)), ("gram_inv", carry, (r, r)))
+        for name, buf, shape in slots:
+            if buf is not None and buf.shape != shape:
+                raise AssertionError(f"optimizer buffer {name} has non-factor shape {buf.shape}, not {shape}")
 
 
 # ---------------------------------------------------------------------------
 # Scaled gradients and momentum alignment (the closed forms under test)
 
 
+def precondition_a(gram_inv: np.ndarray, grad_a: np.ndarray, s: float) -> np.ndarray:
+    """scaled_grad_a given its inverse: (1/s^2) gram_inv grad_a."""
+    tilde = gram_inv @ grad_a
+    return tilde / (s * s) if s != 1.0 else tilde  # over 1.0 is the identity on every float
+
+
 def scaled_grad_a(grad_a: np.ndarray, b: np.ndarray, s: float, lam: float) -> np.ndarray:
     """Preconditioned A-gradient: (1/s^2) (B^T B + lam I)^-1 grad_a."""
-    tilde = damped_gram_inverse(b, "left", lam) @ grad_a
-    return tilde / (s * s) if s != 1.0 else tilde  # over 1.0 is the identity on every float
+    return precondition_a(damped_gram_inverse(b, "left", lam), grad_a, s)
 
 
 def scaled_grad_b(grad_b: np.ndarray, a: np.ndarray, s: float, lam: float) -> np.ndarray:
@@ -186,9 +206,14 @@ def align_momentum_b(mb: np.ndarray, a_old: np.ndarray, a_new: np.ndarray, lam: 
     return align_momentum_a(mb.T, a_old.T, a_new.T, lam).T
 
 
+def realign_a(gram_inv: np.ndarray, ma: np.ndarray, b_old: np.ndarray, b_new: np.ndarray) -> np.ndarray:
+    """align_momentum_a given its inverse: gram_inv Bn^T Bo ma."""
+    return gram_inv @ b_new.T @ b_old @ ma
+
+
 def align_momentum_a(ma: np.ndarray, b_old: np.ndarray, b_new: np.ndarray, lam: float) -> np.ndarray:
     """Mirror of align_momentum_b: (Bn^T Bn + lam I)^-1 Bn^T Bo ma."""
-    return damped_gram_inverse(b_new, "left", lam) @ b_new.T @ b_old @ ma
+    return realign_a(damped_gram_inverse(b_new, "left", lam), ma, b_old, b_new)
 
 
 def update_phase(t: int, order: str) -> str:
@@ -212,14 +237,25 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
     problem (A <-> B^T, G <-> G^T): it runs on transposed views of the
     factors and moments, and stores the transposes back. m_y is the opposite
     factor's moment with r rows (mb^T or ma), as align_momentum_a takes it.
+
+    Only the moving factor's gradient is formed. The Gram inverse of the
+    fixed factor y is the carried one when the last realignment formed it
+    for this very array and lam (see AltLoraState), else a fresh one; with
+    beta1 != 0 the realignment's inverse for the moved factor is carried on.
     """
-    grad_a, grad_b = lora_grads(g, layer)
     a_phase = update_phase(state.t, cfg.order) == "a"
     if a_phase:
-        x, y, grad, m, m_y = layer.a, layer.b, grad_a, state.ma, state.mb.T
+        x, y, y_bound, m, m_y = layer.a, layer.b, layer.b, state.ma, state.mb.T
+        grad = lora_grad_a(g, layer)
     else:
-        x, y, grad, m, m_y = layer.b.T, layer.a.T, grad_b.T, state.mb.T, state.ma
-    tilde = scaled_grad_a(grad, y, layer.s, cfg.lam)
+        x, y, y_bound, m, m_y = layer.b.T, layer.a.T, layer.a, state.mb.T, state.ma
+        grad = lora_grad_b(g, layer).T
+    carry = state.gram_inv
+    if carry is not None and carry[0] is y_bound and carry[1] == cfg.lam:
+        y_inv = carry[2]
+    else:
+        y_inv = damped_gram_inverse(y, "left", cfg.lam)
+    tilde = precondition_a(y_inv, grad, layer.s)
     m = cfg.beta1 * m + (1.0 - cfg.beta1) * tilde if cfg.beta1 != 0.0 else tilde
     direction = m
     if adaptive:
@@ -229,12 +265,16 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
         c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
         direction = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
     x_new = _descend(x, cfg.eta, direction, cfg.gamma)
+    x_bound = x_new if a_phase else x_new.T  # the array layer.a or layer.b is bound to
+    state.gram_inv = None
     if cfg.beta1 != 0.0:  # x moved: align_momentum_b, in this phase's orientation
-        m_y = align_momentum_a(m_y, x.T, x_new.T, cfg.lam)
+        x_inv = damped_gram_inverse(x_new.T, "left", cfg.lam)
+        m_y = realign_a(x_inv, m_y, x.T, x_new.T)
+        state.gram_inv = (x_bound, cfg.lam, x_inv)
     if a_phase:
-        layer.a, state.ma, state.mb = x_new, m, m_y.T
+        layer.a, state.ma, state.mb = x_bound, m, m_y.T
     else:
-        layer.b, state.mb, state.ma = x_new.T, m.T, m_y
+        layer.b, state.mb, state.ma = x_bound, m.T, m_y
     state.t += 1
     state.check_budget(layer)
     return layer, state

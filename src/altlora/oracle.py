@@ -219,7 +219,8 @@ def gauge_map_state(state: optim.AltLoraState, gauge: np.ndarray) -> optim.AltLo
     A-shaped buffers pick up R^-1 on the left, B-shaped buffers R on the
     right; this is the unique mapping under which momentum realignment
     commutes with the gauge. Second moments have no consistent mapping
-    (they are elementwise) and are copied unchanged.
+    (they are elementwise) and are copied unchanged. The carried Gram
+    inverse is dropped with the copy, so the mapped twin factors afresh.
     """
     mapped = state.copy()
     mapped.ma = np.linalg.solve(gauge, state.ma)
@@ -337,9 +338,9 @@ def _projector_idempotence(stream: RandomStream, *_) -> float:
     k, d, r, _ = _random_instance(stream)
     b = stream.normal(k, r)
     a = stream.normal(r, d)
-    devs = [rel_error(projector(b, "column", 0.0) @ b, b)]
-    for m, space in ((b, "column"), (a, "row")):
-        p = projector(m, space, 0.0)
+    column, row = projector(b, "column", 0.0), projector(a, "row", 0.0)
+    devs = [rel_error(column @ b, b)]
+    for p in (column, row):
         devs += [rel_error(p @ p, p), float(np.max(np.abs(p - p.T))) / max(frobenius(p), 1e-300)]
     return _worst(devs)
 

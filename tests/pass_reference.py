@@ -3,9 +3,13 @@
 `bench.run_experiment` now runs one `adapter.training_pass` per step, which
 forms the residual Y - T once for both the loss and dY; and `forward`, the
 factored `lora_grads` and `scaled_grad_a` skip the scale s = alpha / r
-when it is 1.0. The functions here are the formulations they replaced:
-forward, then mse_loss, then full_gradient, with s always applied. The
-tests check that every output bit stayed the same.
+when it is 1.0. An alternating phase now forms only the moving factor's
+gradient and takes the fixed factor's Gram inverse from the previous
+realignment. The functions here are the formulations they replaced:
+forward, then mse_loss, then full_gradient, with s always applied, and a
+phase that forms both factor gradients and a fresh Gram inverse in every
+scaled gradient and realignment. The tests check that every output bit
+stayed the same.
 """
 
 import math
@@ -56,12 +60,45 @@ def scaled_grad_a(grad_a, b, s, lam):
     return damped_gram_inverse(b, "left", lam) @ grad_a / (s * s)
 
 
+def align_momentum_a(ma, b_old, b_new, lam):
+    return damped_gram_inverse(b_new, "left", lam) @ b_new.T @ b_old @ ma
+
+
+def alternating_step(layer, state, g, cfg, adaptive):
+    """The earlier phase body: both factor gradients, a fresh inverse per use."""
+    grad_a, grad_b = lora_grads(g, layer)
+    a_phase = optim.update_phase(state.t, cfg.order) == "a"
+    if a_phase:
+        x, y, grad, m, m_y = layer.a, layer.b, grad_a, state.ma, state.mb.T
+    else:
+        x, y, grad, m, m_y = layer.b.T, layer.a.T, grad_b.T, state.mb.T, state.ma
+    tilde = scaled_grad_a(grad, y, layer.s, cfg.lam)
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * tilde if cfg.beta1 != 0.0 else tilde
+    direction = m
+    if adaptive:
+        tau = state.t // 2 + 1
+        v = cfg.beta2 * (state.va if a_phase else state.vb.T) + (1.0 - cfg.beta2) * (tilde * tilde)
+        state.va, state.vb = (v, state.vb) if a_phase else (state.va, v.T)
+        c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
+        direction = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+    x_new = x - cfg.eta * (direction + cfg.gamma * x) if cfg.gamma else x - cfg.eta * direction
+    if cfg.beta1 != 0.0:
+        m_y = align_momentum_a(m_y, x.T, x_new.T, cfg.lam)
+    if a_phase:
+        layer.a, state.ma, state.mb = x_new, m, m_y.T
+    else:
+        layer.b, state.mb, state.ma = x_new.T, m.T, m_y
+    state.t += 1
+    state.check_budget(layer)
+    return layer, state
+
+
 def run_experiment(spec):
     """The runner loop: forward, mse_loss and full_gradient on every pass.
 
-    The steppers are the library's; run it with `optim.lora_grads` and
-    `optim.scaled_grad_a` replaced by the ones above for the whole
-    reference.
+    The steppers are the library's; run it with `optim.lora_grads`,
+    `optim.scaled_grad_a` and `optim._alternating_step` replaced by the
+    ones above for the whole reference.
     """
     task = bench.generate_task(spec)
     model, x, y = task.model, task.x, task.y

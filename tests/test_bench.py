@@ -193,6 +193,7 @@ def test_runner_matches_the_earlier_pass_byte_for_byte(task, optimizer, monkeypa
         with monkeypatch.context() as earlier:
             earlier.setattr(optim, "lora_grads", pass_ref.lora_grads)
             earlier.setattr(optim, "scaled_grad_a", pass_ref.scaled_grad_a)
+            earlier.setattr(optim, "_alternating_step", pass_ref.alternating_step)
             want = _outcome(pass_ref.run_experiment, spec)
         assert got == want, (beta1, alpha)
 

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pass_reference as pass_ref
 import snapshot_reference as ref
 from altlora import optim
-from altlora.adapter import LoraLayer, lora_grads, merged_weight
+from altlora.adapter import FullGradient, LoraLayer, lora_grads, merged_weight
 from altlora.matcore import RandomStream, damped_gram_inverse, frobenius, gauge_sample, rel_error
 from altlora.oracle import (
     MOMENTUM_A,
@@ -16,6 +17,7 @@ from altlora.oracle import (
     LEFT_FACTOR,
     RIGHT_FACTOR,
     equivalent_update,
+    gauge_map_state,
     lstsq_oracle,
 )
 
@@ -416,6 +418,122 @@ def test_step_matches_the_snapshot_stepper(kind, order, beta1, lam):
 
 
 # ---------------------------------------------------------------------------
+# One factor gradient and one Gram factorization per phase
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each optim.<name> so that every call appends its name to the returned list."""
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(optim, name, counted(name, getattr(optim, name)))
+    return calls
+
+
+def _run_steps(kind, layer, state, cfg, steps, stream):
+    step = optim.make_stepper(kind)
+    target = stream.normal(layer.k, layer.d) / np.sqrt(layer.d)
+    for _ in range(steps):
+        step(layer, state, merged_weight(layer) - target, cfg)
+
+
+@pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
+@pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
+@pytest.mark.parametrize("beta1, extra", [(0.9, 1), (0.0, 0)])
+def test_gram_inverses_per_alternating_run(kind, order, beta1, extra, monkeypatch):
+    # T steps make T + 1 inverses with momentum: one fresh in the first
+    # phase, then one per realignment, each reused by the next phase.
+    # Without momentum nothing is realigned: one fresh inverse per phase.
+    calls = _count_calls(monkeypatch, "damped_gram_inverse")
+    stream = RandomStream(141)
+    layer = _random_layer(stream, k=12, d=20, r=3)
+    cfg = optim.TrainConfig(eta=0.05, beta1=beta1, lam=1e-6, order=order)
+    state = optim.make_state(kind, layer)
+    _run_steps(kind, layer, state, cfg, 7, stream)
+    assert len(calls) == 7 + extra
+    assert (state.gram_inv is None) == (beta1 == 0.0)  # only a realignment sets the carry
+
+
+@pytest.mark.parametrize(
+    "kind, per_step",
+    [(optim.LORA_SGD, 0), (optim.LORA_ADAM, 0), (optim.LORA_PLUS, 0), (optim.SCALEDGD_JOINT, 2)],
+)
+def test_gram_inverses_per_baseline_run(kind, per_step, monkeypatch):
+    calls = _count_calls(monkeypatch, "damped_gram_inverse")
+    stream = RandomStream(142)
+    layer = _random_layer(stream, k=12, d=20, r=3)
+    _run_steps(kind, layer, optim.make_state(kind, layer), optim.TrainConfig(eta=0.01, lam=1e-6), 7, stream)
+    assert len(calls) == 7 * per_step
+
+
+@pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
+@pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
+def test_each_phase_forms_only_its_factor_gradient(kind, order, monkeypatch):
+    calls = _count_calls(monkeypatch, "lora_grad_a", "lora_grad_b", "lora_grads")
+    stream = RandomStream(143)
+    layer = _random_layer(stream, k=12, d=20, r=3)
+    state = optim.make_state(kind, layer)
+    step = optim.make_stepper(kind)
+    target = stream.normal(12, 20)
+    for t in range(6):
+        calls.clear()
+        step(layer, state, merged_weight(layer) - target, optim.TrainConfig(eta=0.05, lam=1e-6, order=order))
+        assert calls == ["lora_grad_" + optim.update_phase(t, order)]
+
+
+@pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
+@pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
+@pytest.mark.parametrize("change", ["rebind", "perturb", "lam"])
+def test_a_carry_whose_key_does_not_match_is_not_used(kind, order, change):
+    # The earlier phase body factors every Gram afresh. After the fixed
+    # factor is rebound (same bits, new array), replaced by a perturbed
+    # array, or lam changes, the step must match it bit for bit; a step
+    # that used the stale inverse would not after "perturb" or "lam".
+    stream = RandomStream(145)
+    layer = _random_layer(stream, k=12, d=20, r=3)
+    target = stream.normal(12, 20)
+    cfg = optim.TrainConfig(eta=0.05, beta1=0.9, lam=1e-6, order=order)
+    state = optim.make_state(kind, layer)
+    step = optim.make_stepper(kind)
+    for t in range(5):
+        step(layer, state, merged_weight(layer) - target, cfg)
+        owner = "b" if optim.update_phase(state.t, order) == "a" else "a"
+        if change == "lam":
+            cfg = replace(cfg, lam=2e-6 if cfg.lam == 1e-6 else 1e-6)
+        else:
+            fixed = getattr(layer, owner)
+            moved = fixed.copy() if change == "rebind" else fixed + 1e-3 * stream.normal(*fixed.shape)
+            setattr(layer, owner, moved)
+        assert state.gram_inv is not None
+        earlier_layer, earlier_state = layer.copy(), state.copy()
+        g = FullGradient(stream.normal(12, 8), stream.normal(20, 8) / np.sqrt(20))
+        step(layer, state, g, cfg)
+        pass_ref.alternating_step(earlier_layer, earlier_state, g, cfg, kind == optim.ALTLORA_PLUS)
+        pairs = [(layer.a, earlier_layer.a), (layer.b, earlier_layer.b), (state.ma, earlier_state.ma),
+                 (state.mb, earlier_state.mb), (state.va, earlier_state.va), (state.vb, earlier_state.vb)]
+        for got, want in pairs:
+            assert (got is None and want is None) or np.array_equal(got, want), t
+
+
+def test_copy_and_gauge_map_state_drop_the_carry():
+    stream = RandomStream(146)
+    layer = _random_layer(stream, k=12, d=20, r=3)
+    state = optim.make_state(optim.ALTLORA, layer)
+    optim.altlora_step(layer, state, stream.normal(12, 20), optim.TrainConfig(eta=0.05, beta1=0.9, lam=1e-6))
+    assert state.gram_inv is not None
+    assert state.copy().gram_inv is None
+    assert gauge_map_state(state, gauge_sample(3, 4.0, 7)).gram_inv is None
+    assert state.gram_inv is not None  # the source keeps its own
+
+
+# ---------------------------------------------------------------------------
 # Baselines
 
 
@@ -546,6 +664,29 @@ def test_check_budget_trips_on_a_k_by_d_buffer_in_every_slot(slot):
     state = optim.make_state(optim.ALTLORA_PLUS, layer)
     setattr(state, slot, np.zeros((layer.k, layer.d)))
     with pytest.raises(AssertionError, match=r"non-factor shape \(32, 48\)"):
+        state.check_budget(layer)
+
+
+@pytest.mark.parametrize("slot, shape", [("ma", (32, 4)), ("va", (32, 4)), ("mb", (4, 48)), ("vb", (4, 48))])
+def test_check_budget_trips_on_the_other_factor_shape(slot, shape):
+    # k != d, so an r x d buffer in a k x r slot (or the reverse) is caught.
+    stream = RandomStream(109)
+    layer = _random_layer(stream, k=32, d=48, r=4)
+    state = optim.make_state(optim.ALTLORA_PLUS, layer)
+    setattr(state, slot, np.zeros(shape))
+    with pytest.raises(AssertionError, match=rf"{slot} has non-factor shape"):
+        state.check_budget(layer)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (5, 5), (4,), (32, 4)])
+def test_check_budget_admits_only_an_r_by_r_carry(shape):
+    stream = RandomStream(110)
+    layer = _random_layer(stream, k=32, d=48, r=4)
+    state = optim.make_state(optim.ALTLORA, layer)
+    state.gram_inv = (layer.a, 1e-6, np.eye(4))
+    state.check_budget(layer)
+    state.gram_inv = (layer.a, 1e-6, np.zeros(shape))
+    with pytest.raises(AssertionError, match="gram_inv has non-factor shape"):
         state.check_budget(layer)
 
 

@@ -20,6 +20,11 @@ scaled_grad_a skip the scale s = alpha / r when it is 1.0. Over inputs
 holding -0.0, +-inf and NaN, each must give the bits of the earlier
 formulas in pass_reference, which always apply s, both at alpha = r and
 at other alphas.
+
+The carried Gram inverse: with momentum, every alternating phase after
+the first takes the fixed factor's inverse from the previous realignment.
+Over drawn shapes, scales, damping and orders it must hold the bits of a
+fresh damped_gram_inverse of that factor.
 """
 
 import numpy as np
@@ -33,7 +38,14 @@ from hypothesis import strategies as st  # noqa: E402
 import pass_reference as pass_ref  # noqa: E402
 from altlora import adapter as ad  # noqa: E402
 from altlora import optim  # noqa: E402
-from altlora.matcore import PIVOT_RTOL, RandomStream, frobenius, rel_error  # noqa: E402
+from altlora.matcore import (  # noqa: E402
+    PIVOT_RTOL,
+    RandomStream,
+    SingularGram,
+    damped_gram_inverse,
+    frobenius,
+    rel_error,
+)
 from altlora.oracle import (  # noqa: E402
     LEFT_FACTOR,
     MOMENTUM_A,
@@ -241,3 +253,29 @@ def test_scaled_grad_a_keeps_the_scaled_bits(unit, data, seed):
     s = _alpha(data, r, unit) / r
     got = optim.scaled_grad_a(grad_a, b, s, optim.DEFAULT_DAMPING)
     assert _same_bits(got, pass_ref.scaled_grad_a(grad_a, b, s, optim.DEFAULT_DAMPING))
+
+
+@PROPERTY
+@given(
+    problem=problems(),
+    lam=st.one_of(st.just(0.0), st.floats(1e-8, 1.0)),
+    kind=st.sampled_from([optim.ALTLORA, optim.ALTLORA_PLUS]),
+    order=st.sampled_from([optim.A_FIRST, optim.B_FIRST]),
+)
+def test_carried_inverse_is_a_fresh_gram_inverse_in_every_phase(problem, lam, kind, order):
+    stream, k, d, r, s, _ = problem
+    layer = ad.LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), s * r)
+    state = optim.make_state(kind, layer)
+    step = optim.make_stepper(kind)
+    cfg = optim.TrainConfig(eta=0.01, beta1=0.9, lam=lam, order=order)
+    for t in range(6):
+        a_phase = optim.update_phase(t, order) == "a"
+        if t > 0:
+            factor, carried_lam, inv = state.gram_inv
+            assert factor is (layer.b if a_phase else layer.a) and carried_lam == lam
+            assert _same_bits(inv, damped_gram_inverse(layer.b if a_phase else layer.a.T, "left", lam))
+        g = ad.FullGradient(stream.normal(k, 3), stream.normal(d, 3))
+        try:
+            step(layer, state, g, cfg)
+        except SingularGram:
+            reject()
