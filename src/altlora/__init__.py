@@ -15,7 +15,6 @@ from .adapter import (
     LoraLayer,
     ToyModel,
     forward,
-    full_gradient,
     init_layer,
     lora_grads,
     merged_weight,

@@ -50,8 +50,8 @@ class LoraLayer:
             )
         if r > min(k, d):
             raise ShapeMismatch(f"rank {r} exceeds min(k, d) = {min(k, d)}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def k(self) -> int:
@@ -155,7 +155,7 @@ def forward(model: ToyModel, x: np.ndarray):
     """Evaluate the model on a batch (one column per sample).
 
     The adapted layer computes Z = W0 X + s B (A X); the merged weight is
-    never formed. Returns (y, cache); cache holds Z, y, (A, X, A X) for backward.
+    never formed. Returns (y, cache); cache holds Z and (A, X, A X) for backward.
     """
     x = _f64(x)
     layer = model.layer
@@ -168,7 +168,7 @@ def forward(model: ToyModel, x: np.ndarray):
         z *= s
     z += model._base_product(x)
     y = z if model.kind == LINEAR_REGRESSION else np.dot(model.w2, np.maximum(z, 0.0))  # np.dot: as above
-    return y, {"z": z, "y": y, "ax": (layer.a, x, ax)}
+    return y, {"z": z, "ax": (layer.a, x, ax)}
 
 
 def _residual(y: np.ndarray, target, out=None) -> np.ndarray:
@@ -200,20 +200,14 @@ def mse_loss(y: np.ndarray, target: np.ndarray) -> float:
     return _mean_square(diff, out=diff)
 
 
-def full_gradient(model: ToyModel, x: np.ndarray, target: np.ndarray, cache) -> list[FullGradient]:
-    """Gradient of the MSE loss w.r.t. each adapted layer's merged weight.
-
-    Read from forward's cache as the factors of G = dZ X^T, with its A X.
-    """
-    return [_backward(model, _f64(x), _residual(cache["y"], target), cache)]
-
-
 def training_pass(model: ToyModel, x: np.ndarray, target: np.ndarray) -> tuple[float, FullGradient]:
     """One forward and backward pass: the MSE loss and its FullGradient.
 
-    Bit for bit forward, mse_loss and full_gradient in turn, with the
-    residual Y - T formed once, in place on forward's fresh output, and
-    then scaled in place into dY.
+    The library's one pass: the runner, the width probe and the checks of
+    gradients and gauge invariance all call it. The residual Y - T is formed
+    once, in place on forward's fresh output, reduced into the loss by
+    mse_loss's arithmetic and then scaled in place into dY; the gradient is
+    kept as the factors of G = dZ X^T, with forward's A X.
     """
     x = _f64(x)
     y, cache = forward(model, x)

@@ -27,7 +27,6 @@ from .adapter import (
     INIT_POLICIES,
     ToyModel,
     forward,
-    full_gradient,
     init_layer,
     merged_weight,
     training_pass,
@@ -90,8 +89,8 @@ class ExperimentSpec:
             raise InvalidSpec(f"unknown optimizer {self.optimizer!r}")
         if self.init_a not in INIT_POLICIES or self.init_b not in INIT_POLICIES:
             raise InvalidSpec(f"init policies must be among {INIT_POLICIES}")
-        if self.kappa < 1.0:
-            raise InvalidSpec(f"kappa must be >= 1, got {self.kappa}")
+        if not 1.0 <= self.kappa < math.inf:
+            raise InvalidSpec(f"kappa must be finite and >= 1, got {self.kappa}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.eval_every < 1:
@@ -107,8 +106,8 @@ class ExperimentSpec:
             )
         if self.task == "two_layer_relu" and self.width < 4 * self.d:
             raise InvalidSpec(f"relu task needs width >= 4 d, got {self.width} < {4 * self.d}")
-        if self.alpha is not None and self.alpha <= 0.0:
-            raise InvalidSpec(f"alpha must be positive, got {self.alpha}")
+        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
+            raise InvalidSpec(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def layer_k(self) -> int:
@@ -372,11 +371,9 @@ def _probe_once(
     model.cache_base(x)
     step_cfg = replace(cfg, order=optim.B_FIRST, steps=2)
     for _ in range(2):
-        _, cache = forward(model, x)
-        g = full_gradient(model, x, y, cache)[0]
-        stepper(layer, state, g, step_cfg)
+        stepper(layer, state, training_pass(model, x, y)[1], step_cfg)
     probe = stream.normal(n, 1)
-    return float(np.max(np.abs(layer.s * (layer.b @ (layer.a @ probe)))))
+    return float(np.max(np.abs(forward(model, probe)[0])))  # W0 = 0: s B (A probe), bit for bit
 
 
 def width_scaling_probe(

@@ -24,6 +24,8 @@ adds an elementwise second-moment transform.
 
 Baselines (plain SGD on raw factor gradients, elementwise AdamW, a two-rate
 variant, and a joint scaled-gradient stepper) share the same state record.
+One moment rule, _moments, serves every stepper: the beta1 EMA and, for
+AltLoRA+ and AdamW, the bias-corrected elementwise second-moment direction.
 No stepper in this module allocates a k x d buffer.
 """
 
@@ -72,6 +74,9 @@ class TrainConfig:
     warmup_ratio: float = 0.0
 
     def __post_init__(self):
+        for name in ("eta", "gamma", "lam", "eps", "lora_plus_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta < 0.0:
             raise ValueError(f"learning rate must be nonnegative, got {self.eta}")
         for name in ("beta1", "beta2"):
@@ -226,6 +231,22 @@ def _descend(x: np.ndarray, eta: float, direction: np.ndarray, gamma: float) -> 
     return x - eta * (direction + gamma * x) if gamma else x - eta * direction
 
 
+def _moments(m: np.ndarray, grad: np.ndarray, cfg: TrainConfig, v: np.ndarray | None = None, tau: int = 1):
+    """(m, v, direction) after one gradient: the moment rule of every stepper.
+
+    m is the beta1 EMA of grad (grad itself at beta1 = 0). The direction is
+    m, or, given a second moment v (the beta2 EMA of grad^2), the AdamW
+    m_hat / (sqrt(v_hat) + eps), bias corrected for update count tau when
+    cfg.bias_correction is on.
+    """
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad if cfg.beta1 != 0.0 else grad
+    if v is None:
+        return m, None, m
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * (grad * grad)
+    c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
+    return m, v, (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+
+
 # ---------------------------------------------------------------------------
 # Alternating steppers
 
@@ -256,14 +277,10 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
     else:
         y_inv = damped_gram_inverse(y, "left", cfg.lam)
     tilde = precondition_a(y_inv, grad, layer.s)
-    m = cfg.beta1 * m + (1.0 - cfg.beta1) * tilde if cfg.beta1 != 0.0 else tilde
-    direction = m
+    v = (state.va if a_phase else state.vb.T) if adaptive else None
+    m, v, direction = _moments(m, tilde, cfg, v, state.t // 2 + 1)  # tau: this factor's update count
     if adaptive:
-        tau = state.t // 2 + 1  # this factor's update count: phases alternate from t = 0
-        v = cfg.beta2 * (state.va if a_phase else state.vb.T) + (1.0 - cfg.beta2) * (tilde * tilde)
         state.va, state.vb = (v, state.vb) if a_phase else (state.va, v.T)
-        c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
-        direction = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
     x_new = _descend(x, cfg.eta, direction, cfg.gamma)
     x_bound = x_new if a_phase else x_new.T  # the array layer.a or layer.b is bound to
     state.gram_inv = None
@@ -312,23 +329,16 @@ def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
 def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig):
     """One joint step of a baseline optimizer (both factors move at once)."""
     grad_a, grad_b = lora_grads(g, layer)
+    eta_b = cfg.eta
     if kind in (LORA_SGD, LORA_PLUS):
-        eta_b = cfg.lora_plus_ratio * cfg.eta if kind == LORA_PLUS else cfg.eta
-        layer.a = _descend(layer.a, cfg.eta, grad_a, cfg.gamma)
-        layer.b = _descend(layer.b, eta_b, grad_b, cfg.gamma)
+        dir_a, dir_b = grad_a, grad_b
+        if kind == LORA_PLUS:
+            eta_b = cfg.lora_plus_ratio * cfg.eta
     elif kind == LORA_ADAM:
         if state.va is None or state.vb is None:
             raise ValueError("lora_adam needs a state built with second_moment=True")
-        tau = state.t + 1
-        state.ma = cfg.beta1 * state.ma + (1.0 - cfg.beta1) * grad_a
-        state.va = cfg.beta2 * state.va + (1.0 - cfg.beta2) * (grad_a * grad_a)
-        state.mb = cfg.beta1 * state.mb + (1.0 - cfg.beta1) * grad_b
-        state.vb = cfg.beta2 * state.vb + (1.0 - cfg.beta2) * (grad_b * grad_b)
-        c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
-        dir_a = (state.ma / c1) / (np.sqrt(state.va / c2) + cfg.eps)
-        dir_b = (state.mb / c1) / (np.sqrt(state.vb / c2) + cfg.eps)
-        layer.a = _descend(layer.a, cfg.eta, dir_a, cfg.gamma)
-        layer.b = _descend(layer.b, cfg.eta, dir_b, cfg.gamma)
+        state.ma, state.va, dir_a = _moments(state.ma, grad_a, cfg, state.va, state.t + 1)
+        state.mb, state.vb, dir_b = _moments(state.mb, grad_b, cfg, state.vb, state.t + 1)
     elif kind == SCALEDGD_JOINT:
         # Both scaled gradients from the same G at the same point; this is
         # the stepper whose merged-weight update carries the eta^2 cross
@@ -336,15 +346,12 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g, cfg: Trai
         # is a plain EMA on the scaled gradients (no realignment).
         tilde_a = scaled_grad_a(grad_a, layer.b, layer.s, cfg.lam)
         tilde_b = scaled_grad_b(grad_b, layer.a, layer.s, cfg.lam)
-        if cfg.beta1 != 0.0:
-            state.ma = cfg.beta1 * state.ma + (1.0 - cfg.beta1) * tilde_a
-            state.mb = cfg.beta1 * state.mb + (1.0 - cfg.beta1) * tilde_b
-        else:
-            state.ma, state.mb = tilde_a, tilde_b
-        layer.a = _descend(layer.a, cfg.eta, state.ma, cfg.gamma)
-        layer.b = _descend(layer.b, cfg.eta, state.mb, cfg.gamma)
+        state.ma, _, dir_a = _moments(state.ma, tilde_a, cfg)
+        state.mb, _, dir_b = _moments(state.mb, tilde_b, cfg)
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
+    layer.a = _descend(layer.a, cfg.eta, dir_a, cfg.gamma)
+    layer.b = _descend(layer.b, eta_b, dir_b, cfg.gamma)
     state.t += 1
     state.check_budget(layer)
     return layer, state

@@ -26,13 +26,12 @@ from .adapter import (
     TWO_LAYER_RELU,
     LoraLayer,
     ToyModel,
-    forward,
-    full_gradient,
     gradient_array,
     init_layer,
     lora_grads,
     merged_weight,
     mse_loss,
+    training_pass,
 )
 from .matcore import (
     RandomStream,
@@ -240,8 +239,9 @@ def trajectory_invariance_check(
 
     Runs the optimizer from (A, B) and from (R^-1 A, B R) with state mapped
     accordingly, on the same task (model, x, y) and step schedule, and reports
-    ||W1_t - W2_t||_F / ||W1_t||_F after every step. Returns
-    (passed, deviations); passed means every step stayed within tol.
+    ||W1_t - W2_t||_F / ||W1_t||_F after every step. Each twin takes every
+    gradient from adapter.training_pass, the pass the runner trains with.
+    Returns (passed, deviations); passed means every step stayed within tol.
     """
     model, x, y = task
     stepper = optim.make_stepper(optimizer)
@@ -257,9 +257,7 @@ def trajectory_invariance_check(
     devs = np.empty(steps)
     for t in range(steps):
         for mdl, st in ((run1, st1), (run2, st2)):
-            _, cache = forward(mdl, x)
-            g = full_gradient(mdl, x, y, cache)[0]
-            stepper(mdl.layer, st, g, cfg)
+            stepper(mdl.layer, st, training_pass(mdl, x, y)[1], cfg)
         w1 = merged_weight(run1.layer)
         w2 = merged_weight(run2.layer)
         devs[t] = rel_error(w2, w1)
@@ -588,8 +586,7 @@ def _fd_models(seed: int):
 def _gradient_finite_difference(seed: int):
     devs = []
     for model, x, y in _fd_models(seed):
-        _, cache = forward(model, x)
-        got = full_gradient(model, x, y, cache)[0].g
+        got = training_pass(model, x, y)[1].g
         devs.append(fd_entrywise_deviation(got, fd_merged_gradient(model, x, y)))
     worst = _worst(devs)
     return len(devs), worst, worst < 1e-6

@@ -5,11 +5,12 @@ forms the residual Y - T once for both the loss and dY; and `forward`, the
 factored `lora_grads` and `scaled_grad_a` skip the scale s = alpha / r
 when it is 1.0. An alternating phase now forms only the moving factor's
 gradient and takes the fixed factor's Gram inverse from the previous
-realignment. The functions here are the formulations they replaced:
-forward, then mse_loss, then full_gradient, with s always applied, and a
-phase that forms both factor gradients and a fresh Gram inverse in every
-scaled gradient and realignment. The tests check that every output bit
-stayed the same.
+realignment; and every stepper takes its moments from one shared rule.
+The functions here are the formulations they replaced: forward, then
+mse_loss, then full_gradient, with s always applied; a phase that forms
+both factor gradients and a fresh Gram inverse in every scaled gradient
+and realignment; and baseline steps that write each moment formula out in
+their own branch. The tests check that every output bit stayed the same.
 """
 
 import math
@@ -93,12 +94,50 @@ def alternating_step(layer, state, g, cfg, adaptive):
     return layer, state
 
 
+def baseline_step(kind, layer, state, g, cfg):
+    """The earlier baseline body: each branch writes out its own moments and steps."""
+    grad_a, grad_b = lora_grads(g, layer)
+
+    def descend(x, eta, direction):
+        return x - eta * (direction + cfg.gamma * x) if cfg.gamma else x - eta * direction
+
+    if kind in (optim.LORA_SGD, optim.LORA_PLUS):
+        eta_b = cfg.lora_plus_ratio * cfg.eta if kind == optim.LORA_PLUS else cfg.eta
+        layer.a = descend(layer.a, cfg.eta, grad_a)
+        layer.b = descend(layer.b, eta_b, grad_b)
+    elif kind == optim.LORA_ADAM:
+        tau = state.t + 1
+        state.ma = cfg.beta1 * state.ma + (1.0 - cfg.beta1) * grad_a
+        state.va = cfg.beta2 * state.va + (1.0 - cfg.beta2) * (grad_a * grad_a)
+        state.mb = cfg.beta1 * state.mb + (1.0 - cfg.beta1) * grad_b
+        state.vb = cfg.beta2 * state.vb + (1.0 - cfg.beta2) * (grad_b * grad_b)
+        c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
+        dir_a = (state.ma / c1) / (np.sqrt(state.va / c2) + cfg.eps)
+        dir_b = (state.mb / c1) / (np.sqrt(state.vb / c2) + cfg.eps)
+        layer.a = descend(layer.a, cfg.eta, dir_a)
+        layer.b = descend(layer.b, cfg.eta, dir_b)
+    elif kind == optim.SCALEDGD_JOINT:
+        tilde_a = scaled_grad_a(grad_a, layer.b, layer.s, cfg.lam)
+        tilde_b = scaled_grad_a(grad_b.T, layer.a.T, layer.s, cfg.lam).T
+        if cfg.beta1 != 0.0:
+            state.ma = cfg.beta1 * state.ma + (1.0 - cfg.beta1) * tilde_a
+            state.mb = cfg.beta1 * state.mb + (1.0 - cfg.beta1) * tilde_b
+        else:
+            state.ma, state.mb = tilde_a, tilde_b
+        layer.a = descend(layer.a, cfg.eta, state.ma)
+        layer.b = descend(layer.b, cfg.eta, state.mb)
+    else:
+        raise ValueError(f"unknown baseline kind {kind!r}")
+    state.t += 1
+    state.check_budget(layer)
+    return layer, state
+
+
 def run_experiment(spec):
     """The runner loop: forward, mse_loss and full_gradient on every pass.
 
-    The steppers are the library's; run it with `optim.lora_grads`,
-    `optim.scaled_grad_a` and `optim._alternating_step` replaced by the
-    ones above for the whole reference.
+    Run it with `optim._alternating_step` and `optim.baseline_step`
+    replaced by the ones above, which the library's steppers then call.
     """
     task = bench.generate_task(spec)
     model, x, y = task.model, task.x, task.y

@@ -16,11 +16,11 @@ from altlora.adapter import (
     LoraLayer,
     ToyModel,
     forward,
-    full_gradient,
     init_layer,
     lora_grads,
     merged_weight,
     mse_loss,
+    training_pass,
 )
 from altlora.matcore import RandomStream, frobenius, gauge_sample, rel_error
 
@@ -189,8 +189,7 @@ def test_c10_gradient_correctness():
         x_relu, y_relu = stream.normal(3, 5), stream.normal(3, 5)
         h = 1e-5
         for model, x, y in ((lin, x_lin, y_lin), (relu, x_relu, y_relu)):
-            _, cache = forward(model, x)
-            g = full_gradient(model, x, y, cache)[0]
+            _, g = training_pass(model, x, y)
             fd = oracle.fd_merged_gradient(model, x, y, step=h)
             assert oracle.fd_entrywise_deviation(g.g, fd) < 1e-6
             # factor gradients against direct finite differences in A and B

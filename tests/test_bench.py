@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -96,6 +97,13 @@ def test_invalid_specs_are_rejected():
         _spec(optimizer="sgd_but_better")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["kappa", "alpha"])
+def test_a_non_finite_spec_value_is_rejected(name, value):
+    with pytest.raises(bench.InvalidSpec, match=f"^{name} must be (positive and )?finite"):
+        _spec(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # Runner
 
@@ -184,18 +192,21 @@ def _outcome(run, spec) -> str:
 def test_runner_matches_the_earlier_pass_byte_for_byte(task, optimizer, monkeypatch):
     shape = dict(k=16, d=12) if task == "lowrank" else dict(d=8, width=32)
     eta = {"lora_plus": 0.02}.get(optimizer, 0.1)
-    for beta1, alpha in itertools.product((0.0, 0.9), (None, 2.5)):  # s = 1 and s != 1
+    grid = itertools.product((0.0, 0.9), (None, 2.5), (0.0, 0.01), (True, False))
+    for beta1, alpha, gamma, unbiased in grid:  # s = 1 and s != 1, with decay and bias correction or not
+        train = optim.TrainConfig(
+            eta=eta, beta1=beta1, gamma=gamma, lam=1e-6, steps=30, bias_correction=unbiased
+        )
         spec = _spec(
             task=task, **shape, r=4, teacher_rank=3, kappa=10.0, optimizer=optimizer, alpha=alpha,
-            seed=7, eval_every=5, train=optim.TrainConfig(eta=eta, beta1=beta1, lam=1e-6, steps=30),
+            seed=7, eval_every=5, train=train,
         )
         got = _outcome(bench.run_experiment, spec)
         with monkeypatch.context() as earlier:
-            earlier.setattr(optim, "lora_grads", pass_ref.lora_grads)
-            earlier.setattr(optim, "scaled_grad_a", pass_ref.scaled_grad_a)
             earlier.setattr(optim, "_alternating_step", pass_ref.alternating_step)
+            earlier.setattr(optim, "baseline_step", pass_ref.baseline_step)
             want = _outcome(pass_ref.run_experiment, spec)
-        assert got == want, (beta1, alpha)
+        assert got == want, (beta1, alpha, gamma, unbiased)
 
 
 def test_cosine_schedule_runs_and_decays():
@@ -211,10 +222,9 @@ def test_update_order_property_a_first_stalls_under_standard_init():
     layer = task.model.layer
     a_before = layer.a.copy()
     state = optim.make_state(optim.ALTLORA, layer)
-    from altlora.adapter import forward, full_gradient
+    from altlora.adapter import training_pass
 
-    _, cache = forward(task.model, task.x)
-    g = full_gradient(task.model, task.x, task.y, cache)[0]
+    _, g = training_pass(task.model, task.x, task.y)
     optim.altlora_step(layer, state, g, spec.train)
     assert np.array_equal(layer.a, a_before)  # bit-exact stall at gamma = 0
 
@@ -223,8 +233,7 @@ def test_update_order_property_a_first_stalls_under_standard_init():
     layer2 = task2.model.layer
     a_before2 = layer2.a.copy()
     state2 = optim.make_state(optim.ALTLORA, layer2)
-    _, cache2 = forward(task2.model, task2.x)
-    g2 = full_gradient(task2.model, task2.x, task2.y, cache2)[0]
+    _, g2 = training_pass(task2.model, task2.x, task2.y)
     optim.altlora_step(layer2, state2, g2, spec2.train)
     np.testing.assert_allclose(layer2.a, (1 - 0.3 * 0.01) * a_before2, rtol=1e-14)
     delta = np.abs(layer2.a - a_before2)

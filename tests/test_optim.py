@@ -1,5 +1,6 @@
 """Optimizer tests: scaled gradients, momentum alignment, steppers, baselines."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -283,7 +284,7 @@ def test_altlora_plus_trust_region_bound():
     x = stream.normal(14, 40)
     cfg = optim.TrainConfig(eta=0.01, lam=1e-6, order=optim.B_FIRST)
     state = optim.make_state(optim.ALTLORA_PLUS, layer)
-    from altlora.adapter import LINEAR_REGRESSION, ToyModel, forward, full_gradient
+    from altlora.adapter import LINEAR_REGRESSION, ToyModel, training_pass
 
     model = ToyModel(LINEAR_REGRESSION, layer)
     y = teacher @ x
@@ -291,8 +292,7 @@ def test_altlora_plus_trust_region_bound():
     worst = 0.0
     for _ in range(10):
         a_before, b_before = layer.a.copy(), layer.b.copy()
-        _, cache = forward(model, x)
-        g = full_gradient(model, x, y, cache)[0]
+        _, g = training_pass(model, x, y)
         optim.altlora_plus_step(layer, state, g, cfg)
         step_inf = max(np.max(np.abs(layer.a - a_before)), np.max(np.abs(layer.b - b_before)))
         assert step_inf <= provable
@@ -688,6 +688,13 @@ def test_check_budget_admits_only_an_r_by_r_carry(shape):
     state.gram_inv = (layer.a, 1e-6, np.zeros(shape))
     with pytest.raises(AssertionError, match="gram_inv has non-factor shape"):
         state.check_budget(layer)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["eta", "gamma", "lam", "eps", "lora_plus_ratio"])
+def test_train_config_rejects_a_non_finite_hyperparameter(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        optim.TrainConfig(**{"eta": 0.1, name: value})
 
 
 def test_train_config_validation():

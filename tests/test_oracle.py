@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from altlora import optim, oracle
+from altlora import adapter, bench, optim, oracle
 from altlora.adapter import LoraLayer
 from altlora.matcore import RandomStream, frobenius, gauge_sample, rel_error
 
@@ -189,13 +189,12 @@ def test_fd_merged_gradient_on_quadratic():
     # linear model: loss is quadratic in W, central differences are exact
     stream = RandomStream(53)
     layer = LoraLayer(stream.normal(3, 4), stream.normal(2, 4), stream.normal(3, 2), 2.0)
-    from altlora.adapter import LINEAR_REGRESSION, ToyModel, forward, full_gradient
+    from altlora.adapter import LINEAR_REGRESSION, ToyModel, training_pass
 
     model = ToyModel(LINEAR_REGRESSION, layer)
     x = stream.normal(4, 7)
     y = stream.normal(3, 7)
-    _, cache = forward(model, x)
-    got = full_gradient(model, x, y, cache)[0].g
+    got = training_pass(model, x, y)[1].g
     want = oracle.fd_merged_gradient(model, x, y)
     assert oracle.fd_entrywise_deviation(got, want) < 1e-9
 
@@ -300,3 +299,24 @@ def test_checks_fail_on_nan_from_the_library(monkeypatch, injection):
     assert [c["name"] for c in report["checks"]] == [name]
     assert report["checks"][0]["max_deviation"] == np.inf
     assert report["passed"] is False
+
+
+def test_the_checks_and_the_width_probe_run_the_training_pass(monkeypatch):
+    # C05's gauge twins, C10's gradient and C08's probe certify the pass the
+    # runner trains with, so each must take its gradients from training_pass.
+    calls = []
+
+    def counted(model, x, target):
+        calls.append(model)
+        return adapter.training_pass(model, x, target)
+
+    for module in (oracle, bench):
+        monkeypatch.setattr(module, "training_pass", counted)
+    assert oracle.CHECKS["trajectory_invariance_altlora"](oracle.DEFAULT_CHECK_SEED).passed
+    assert len(calls) == (20 * 2 + 1) * 50 * 2  # 20 gauges x beta1 in {0, 0.9}, plus the decay pair
+    calls.clear()
+    assert oracle.CHECKS["gradient_finite_difference"](oracle.DEFAULT_CHECK_SEED).passed
+    assert len(calls) == 2  # the linear and the ReLU model
+    calls.clear()
+    bench._probe_once(16, 2, 7, optim.ALTLORA, optim.TrainConfig(eta=0.1))
+    assert len(calls) == 2  # one B-phase and one A-phase
