@@ -6,6 +6,11 @@ The toy models (a linear regression head and a two-layer ReLU network with
 an adapted first layer) come with manual forward/backward for MSE, which
 supplies the loss gradient with respect to the merged weight as the factors
 of G = dZ X^T, so no training pass forms a k x d array.
+
+Leading axis: every array of a layer, a model, a batch and a gradient may
+carry a leading run axis (S, ...), and the pass then runs S independent runs
+at once, each slice bit for bit what it would be alone. The scale alpha is
+one float for the whole stack.
 """
 
 from __future__ import annotations
@@ -23,6 +28,12 @@ TWO_LAYER_RELU = "two_layer_relu"
 INIT_POLICIES = ("gaussian", "kaiming", "spectral", "zero")
 _F64 = np.dtype(np.float64)
 
+# The pass multiplies matrices with np.dot, the BLAS call @ makes without
+# matmul's dispatch. np.dot has no stacked form, so a stack takes np.matmul.
+# The two agree bit for bit on finite operands (tests/test_adapter.py); they
+# differ only on inf or signed-zero entries at an inner dimension of 1 with a
+# vector result, where the pass keeps np.dot's bits.
+
 
 @dataclass
 class LoraLayer:
@@ -31,6 +42,7 @@ class LoraLayer:
     w0: k x d, never mutated by optimizer steps.
     a:  r x d trainable; b: k x r trainable.
     alpha: scaling numerator; the applied factor is s = alpha / r.
+    A stack of S runs gives each array a leading axis (S, ...).
     """
 
     w0: np.ndarray
@@ -42,9 +54,9 @@ class LoraLayer:
         self.w0 = np.asarray(self.w0, dtype=np.float64)
         self.a = np.asarray(self.a, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
-        k, d = self.w0.shape
-        r = self.a.shape[0]
-        if self.a.shape[1] != d or self.b.shape != (k, r):
+        k, d = self.w0.shape[-2:]
+        r = self.a.shape[-2]
+        if self.a.shape[-1] != d or self.b.shape[-2:] != (k, r) or self.a.shape[:-2] != self.b.shape[:-2]:
             raise ShapeMismatch(
                 f"factor shapes {self.b.shape} x {self.a.shape} do not match base {self.w0.shape}"
             )
@@ -55,19 +67,19 @@ class LoraLayer:
 
     @property
     def k(self) -> int:
-        return self.w0.shape[0]
+        return self.w0.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.w0.shape[1]
+        return self.w0.shape[-1]
 
     @property
     def r(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-2]
 
     @property
     def s(self) -> float:
-        return self.alpha / self.a.shape[0]
+        return self.alpha / self.a.shape[-2]
 
     def copy(self) -> "LoraLayer":
         return LoraLayer(self.w0, self.a.copy(), self.b.copy(), self.alpha)
@@ -89,7 +101,7 @@ class FullGradient:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return self.u @ self.v.T
+        return self.u @ self.v.mT
 
 
 def _f64(x) -> np.ndarray:
@@ -123,13 +135,10 @@ class ToyModel:
             if self.w2 is None:
                 raise ShapeMismatch("two_layer_relu requires a frozen second layer")
             self.w2 = np.asarray(self.w2, dtype=np.float64)
-            if self.w2.shape[1] != self.layer.k:
+            if self.w2.shape[-1] != self.layer.k:
                 raise ShapeMismatch(
                     f"second layer {self.w2.shape} does not compose with width {self.layer.k}"
                 )
-
-    def copy(self) -> "ToyModel":
-        return ToyModel(self.kind, self.layer.copy(), self.w2)
 
     def cache_base(self, x) -> None:
         """Compute the frozen base product W0 X once for a batch used again.
@@ -159,15 +168,16 @@ def forward(model: ToyModel, x: np.ndarray):
     """
     x = _f64(x)
     layer = model.layer
-    if x.ndim != 2 or x.shape[0] != layer.d:
+    if x.ndim < 2 or x.shape[-2] != layer.d:
         raise ShapeMismatch(f"batch shape {x.shape} does not match input dim {layer.d}")
-    ax = np.dot(layer.a, x)  # np.dot: the BLAS call @ makes, bit for bit, without matmul's dispatch
-    z = np.dot(layer.b, ax)  # np.dot: as above
+    dot = np.dot if layer.a.ndim == x.ndim == 2 else np.matmul
+    ax = dot(layer.a, x)
+    z = dot(layer.b, ax)
     s = layer.s
     if s != 1.0:  # times 1.0 is the identity on every float, so the default alpha = r skips it
         z *= s
     z += model._base_product(x)
-    y = z if model.kind == LINEAR_REGRESSION else np.dot(model.w2, np.maximum(z, 0.0))  # np.dot: as above
+    y = z if model.kind == LINEAR_REGRESSION else dot(model.w2, np.maximum(z, 0.0))
     return y, {"z": z, "ax": (layer.a, x, ax)}
 
 
@@ -179,29 +189,37 @@ def _residual(y: np.ndarray, target, out=None) -> np.ndarray:
     return np.subtract(y, target, out=out)
 
 
-def _mean_square(res: np.ndarray, out=None) -> float:
-    """sum(res^2) / m by np.sum's reduction, minus its wrapper; out=res squares in place."""
-    return float(np.add.reduce(np.square(res, out=out), axis=None) / res.shape[1])
+def _mean_square(res: np.ndarray, out=None):
+    """sum(res^2) / m by np.sum's reduction, minus its wrapper; out=res squares in place.
+
+    A float for one run; for a stack, the (S,) array of each slice's value.
+    """
+    sq = np.square(res, out=out)
+    if res.ndim == 2:  # axis=None: the same bits as (-2, -1), and cheaper
+        return float(np.add.reduce(sq, axis=None) / res.shape[1])
+    return np.add.reduce(sq, axis=(-2, -1)) / res.shape[-1]
 
 
 def _backward(model: ToyModel, x: np.ndarray, dy: np.ndarray, cache) -> FullGradient:
     """The factors of G = dZ X^T; dy holds Y - T and is scaled in place into dY = (2/m) (Y - T)."""
-    dy *= 2.0 / x.shape[1]
+    dy *= 2.0 / x.shape[-1]
     if model.kind == LINEAR_REGRESSION:
         return FullGradient(dy, x, cache.get("ax"))
-    dz = model.w2.T @ dy
+    dz = model.w2.mT @ dy
     dz *= cache["z"] > 0.0  # ReLU derivative at exactly 0 is taken as 0; in place, no k x m temporary
     return FullGradient(dz, x, cache.get("ax"))
 
 
-def mse_loss(y: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error with 1/m batch normalization (m = columns)."""
+def mse_loss(y: np.ndarray, target: np.ndarray):
+    """Mean squared error with 1/m batch normalization (m = columns), per slice of a stack."""
     diff = _residual(_f64(y), target)
     return _mean_square(diff, out=diff)
 
 
 def training_pass(model: ToyModel, x: np.ndarray, target: np.ndarray) -> tuple[float, FullGradient]:
     """One forward and backward pass: the MSE loss and its FullGradient.
+
+    On a stack of S runs the loss is the (S,) array of the runs' losses.
 
     The library's one pass: the runner, the width probe and the checks of
     gradients and gauge invariance all call it. The residual Y - T is formed
@@ -218,14 +236,14 @@ def training_pass(model: ToyModel, x: np.ndarray, target: np.ndarray) -> tuple[f
 def _factors(g: FullGradient, layer: LoraLayer):
     """(u, v) of a FullGradient whose shapes fit the layer."""
     u, v = g.u, g.v
-    if u.shape[0] != layer.k or v.shape[0] != layer.d or u.shape[1] != v.shape[1]:
+    if u.shape[-2] != layer.k or v.shape[-2] != layer.d or u.shape[-1] != v.shape[-1]:
         raise ShapeMismatch(f"gradient factors {u.shape} x {v.shape} vs layer {(layer.k, layer.d)}")
     return u, v
 
 
 def _dense(g, layer: LoraLayer) -> np.ndarray:
     gm = gradient_array(g)
-    if gm.shape != (layer.k, layer.d):
+    if gm.shape[-2:] != (layer.k, layer.d):
         raise ShapeMismatch(f"gradient {gm.shape} vs layer {(layer.k, layer.d)}")
     return gm
 
@@ -234,12 +252,13 @@ def lora_grad_a(g, layer: LoraLayer) -> np.ndarray:
     """grad_a = s B^T G; for G = u v^T (a FullGradient), s (B^T u) v^T."""
     s, b = layer.s, layer.b
     if not isinstance(g, FullGradient):
-        return s * (b.T @ _dense(g, layer))
+        return s * (b.mT @ _dense(g, layer))
     u, v = _factors(g, layer)
-    btu = np.dot(b.T, u)  # np.dot: bitwise @ without matmul's dispatch
+    dot = np.dot if b.ndim == u.ndim == 2 else np.matmul
+    btu = dot(b.mT, u)
     if s != 1.0:  # as in forward
         btu *= s
-    return np.dot(btu, v.T)  # np.dot: as above
+    return dot(btu, v.mT)
 
 
 def lora_grad_b(g, layer: LoraLayer) -> np.ndarray:
@@ -249,13 +268,14 @@ def lora_grad_b(g, layer: LoraLayer) -> np.ndarray:
     """
     s, a = layer.s, layer.a
     if not isinstance(g, FullGradient):
-        return s * (_dense(g, layer) @ a.T)
+        return s * (_dense(g, layer) @ a.mT)
     u, v = _factors(g, layer)
+    dot = np.dot if a.ndim == u.ndim == 2 else np.matmul
     held = g.ax
-    av = held[2] if held is not None and held[0] is a and held[1] is v else np.dot(a, v)  # np.dot: as above
+    av = held[2] if held is not None and held[0] is a and held[1] is v else dot(a, v)
     if s != 1.0:  # av may be forward's, so it is scaled into a new array
         av = s * av
-    return np.dot(u, av.T)  # np.dot: as above
+    return dot(u, av.mT)
 
 
 def lora_grads(g, layer: LoraLayer):

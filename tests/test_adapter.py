@@ -303,19 +303,31 @@ _DOT_OPERANDS = [
 ]
 
 
-def _operand(spec, stream):
+def _operand(spec, stream, stack=()):
+    """A stored array of the spec's shape, behind leading axes ``stack``; ".T" gives its transposed view."""
     rows, cols = (int(n) for n in spec.removesuffix(".T").split("x"))
-    m = stream.normal(rows, cols)
-    return m.T if spec.endswith(".T") else m
+    m = stream.normal(*stack, rows, cols)
+    return m.mT if spec.endswith(".T") else m
+
+
+# Runs per stack in the stacked platform facts: 2 keeps the 1024 x 4096 operands small.
+_RUNS = 2
 
 
 @pytest.mark.parametrize("left, right", _DOT_OPERANDS, ids=[f"{a}@{b}" for a, b in _DOT_OPERANDS])
 def test_np_dot_is_bitwise_matmul_at_the_pass_shapes(left, right):
     # A platform fact the training pass relies on: np.dot makes the same BLAS
-    # call as @, so swapping one for the other changes no output bit.
+    # call as @, so swapping one for the other changes no output bit; and @ on
+    # a stack of such operands gives each slice's 2-D product, so a stack of
+    # runs steps as each run would alone.
     stream = RandomStream(27)
     a, b = _operand(left, stream), _operand(right, stream)
     assert np.array_equal(np.dot(a, b), a @ b), f"np.dot differs from @ at {left} @ {right}"
+    sa, sb = _operand(left, stream, (_RUNS,)), _operand(right, stream, (_RUNS,))
+    stacked = sa @ sb
+    for i in range(_RUNS):
+        want = np.dot(sa[i], sb[i])
+        assert stacked[i].tobytes() == want.tobytes(), f"stacked @ differs at {left} @ {right}"
 
 
 # m of every Gram product in damped_gram_inverse at the benchmark's shapes:
@@ -332,6 +344,49 @@ def test_np_dot_is_bitwise_matmul_at_the_gram_shapes(spec):
     for got, want in ((np.dot(m.T, m), m.T @ m), (np.dot(m, m.T), m @ m.T)):
         assert np.array_equal(got, want), f"np.dot differs from @ for the Gram of {spec}"
         assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("spec", _GRAM_OPERANDS)
+def test_stacked_syrk_gram_is_bitwise_each_slice_np_dot_gram(spec):
+    # damped_gram_inverse forms m.mT @ m (or m @ m.mT) and linv.mT @ linv with
+    # @ on one run or a stack: each slice must be np.dot's syrk Gram, symmetric.
+    stack = _operand(spec, RandomStream(29), (_RUNS,))
+    pairs = ((stack.mT @ stack, lambda m: np.dot(m.T, m)), (stack @ stack.mT, lambda m: np.dot(m, m.T)))
+    for got, one in pairs:
+        for i in range(_RUNS):
+            assert got[i].tobytes() == one(stack[i]).tobytes(), f"stacked Gram differs at {spec}"
+            assert np.array_equal(got[i], got[i].T)
+
+
+@pytest.mark.parametrize("r", [4, 6, 16])
+def test_batched_cholesky_and_inverse_are_bitwise_per_slice(r):
+    # The r x r Grams of the desk, the test and the wide layers, factored and
+    # inverted as a stack and slice by slice.
+    m = RandomStream(30).normal(3, 4 * r, r)
+    gram = m.mT @ m
+    lo = np.linalg.cholesky(gram)
+    linv = np.linalg.inv(lo)
+    for i in range(3):
+        want = np.linalg.cholesky(gram[i])
+        assert lo[i].tobytes() == want.tobytes(), f"batched cholesky differs at r = {r}"
+        assert linv[i].tobytes() == np.linalg.inv(lo[i]).tobytes(), f"batched inv differs at r = {r}"
+        assert gram.trace(0, -2, -1)[i] == np.trace(gram[i])
+
+
+# (runs, rows, cols) of the per-slice reductions: the losses of the checks'
+# and the desk runs' residuals, and the checks' merged weights, whose twins
+# are read as every other slice of a stack.
+_REDUCED = ["10x16x128", "10x32x128", "3x128x128", "10x16x32", "20x16x32::2"]
+
+
+@pytest.mark.parametrize("spec", _REDUCED)
+def test_per_slice_reduction_is_bitwise_the_2d_reduction(spec):
+    shape, _, step = spec.partition("::")
+    stack = RandomStream(31).normal(*(int(n) for n in shape.split("x")))[:: int(step or 1)]
+    got = np.add.reduce(np.square(stack), axis=(-2, -1))
+    for i, m in enumerate(stack):
+        assert got[i] == np.add.reduce(np.square(m), axis=None), f"per-slice sum of squares differs at {spec}"
+        assert got[i] == np.add.reduce(np.square(m), axis=(-2, -1))
 
 
 @pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])

@@ -244,7 +244,11 @@ def _nan_from_call(first, fn):
 
 
 def _nan_steps(monkeypatch, poisoned):
-    """Steppers that write NaN into B after each step where poisoned(kind, call number) holds."""
+    """Steppers that write NaN into B after each step, into the runs poisoned(kind, call number) indexes.
+
+    poisoned returns None to leave a step alone, ... for every run of the
+    stack, or the index of one run.
+    """
     make_stepper, calls = optim.make_stepper, itertools.count(1)
 
     def patched(kind):
@@ -252,8 +256,9 @@ def _nan_steps(monkeypatch, poisoned):
 
         def step(layer, state, g, cfg):
             stepper(layer, state, g, cfg)
-            if poisoned(kind, next(calls)):
-                layer.b[...] = np.nan
+            runs = poisoned(kind, next(calls))
+            if runs is not None:
+                layer.b[runs] = np.nan
 
         return step
 
@@ -277,14 +282,15 @@ NAN_INJECTIONS = {
         "lstsq_scaled_grad_a",
         lambda mp: mp.setattr(optim, "scaled_grad_a", _nan_from_call(200, optim.scaled_grad_a)),
     ),
-    # call 100 is the second twin's 50th and final step of the first gauge
+    # call 50 is the 50th and final step of the first stack; run (0, 1) of it
+    # is the second twin of the first gauge
     "final_step_of_one_gauge_twin": (
         "trajectory_invariance_altlora",
-        lambda mp: _nan_steps(mp, lambda kind, call: call == 100),
+        lambda mp: _nan_steps(mp, lambda kind, call: (0, 1) if call == 50 else None),
     ),
     "lora_adam_runs": (
         "trajectory_invariance_negative_control",
-        lambda mp: _nan_steps(mp, lambda kind, call: kind == optim.LORA_ADAM),
+        lambda mp: _nan_steps(mp, lambda kind, call: ... if kind == optim.LORA_ADAM else None),
     ),
     "row_space_deviation": ("projector_gauge_invariance", _nan_row_projector),
 }
@@ -304,19 +310,23 @@ def test_checks_fail_on_nan_from_the_library(monkeypatch, injection):
 def test_the_checks_and_the_width_probe_run_the_training_pass(monkeypatch):
     # C05's gauge twins, C10's gradient and C08's probe certify the pass the
     # runner trains with, so each must take its gradients from training_pass.
+    # A stacked pass counts once per run it steps.
     calls = []
 
     def counted(model, x, target):
         calls.append(model)
         return adapter.training_pass(model, x, target)
 
+    def run_steps():
+        return sum(model.layer.a[..., 0, 0].size for model in calls)
+
     for module in (oracle, bench):
         monkeypatch.setattr(module, "training_pass", counted)
     assert oracle.CHECKS["trajectory_invariance_altlora"](oracle.DEFAULT_CHECK_SEED).passed
-    assert len(calls) == (20 * 2 + 1) * 50 * 2  # 20 gauges x beta1 in {0, 0.9}, plus the decay pair
+    assert run_steps() == (20 * 2 + 1) * 2 * 50  # 20 gauges x beta1 in {0, 0.9}, plus the decay pair
     calls.clear()
     assert oracle.CHECKS["gradient_finite_difference"](oracle.DEFAULT_CHECK_SEED).passed
-    assert len(calls) == 2  # the linear and the ReLU model
+    assert run_steps() == 2  # the linear and the ReLU model
     calls.clear()
     bench._probe_once(16, 2, 7, optim.ALTLORA, optim.TrainConfig(eta=0.1))
-    assert len(calls) == 2  # one B-phase and one A-phase
+    assert run_steps() == 2  # one B-phase and one A-phase

@@ -1,0 +1,143 @@
+"""The leading run axis: a stack of S runs steps as each run would alone, bit for bit."""
+
+import numpy as np
+import pytest
+
+from altlora import adapter, optim, oracle
+from altlora.adapter import LINEAR_REGRESSION, TWO_LAYER_RELU, LoraLayer, ToyModel
+from altlora.matcore import RandomStream, SingularGram, cholesky_factor, damped_gram_inverse, gauge_sample
+
+S, STEPS = 3, 6
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _task(stream, head, s, k=16, d=12, r=3, m=20, out=5):
+    """One run: (model, x, target) at scale s, for the linear or the ReLU head."""
+    layer = LoraLayer(stream.normal(k, d) / np.sqrt(d), stream.normal(r, d) / np.sqrt(d),
+                      stream.normal(k, r) / np.sqrt(r), s * r)
+    w2 = stream.normal(out, k) / np.sqrt(k) if head == TWO_LAYER_RELU else None
+    x = stream.normal(d, m)
+    return ToyModel(head, layer, w2), x, stream.normal(k if w2 is None else out, m)
+
+
+def _stack(tasks):
+    """One task whose every array stacks the given runs' on a leading axis."""
+    layers = [model.layer for model, _, _ in tasks]
+    stacked = (np.stack([getattr(one, f) for one in layers]) for f in ("w0", "a", "b"))
+    layer = LoraLayer(*stacked, layers[0].alpha)
+    model = tasks[0][0]
+    w2 = None if model.w2 is None else np.stack([t[0].w2 for t in tasks])
+    return ToyModel(model.kind, layer, w2), np.stack([t[1] for t in tasks]), np.stack([t[2] for t in tasks])
+
+
+def _buffers(layer, state):
+    return {"a": layer.a, "b": layer.b, "ma": state.ma, "mb": state.mb, "va": state.va, "vb": state.vb}
+
+
+@pytest.mark.parametrize("kind", optim.OPTIMIZERS)
+@pytest.mark.parametrize("head", [LINEAR_REGRESSION, TWO_LAYER_RELU])
+@pytest.mark.parametrize("beta1", [0.0, 0.9])
+@pytest.mark.parametrize("s", [1.0, 2.5])
+def test_a_stack_steps_each_run_as_it_steps_alone(kind, head, beta1, s):
+    stream = RandomStream(61)
+    runs = [_task(stream, head, s) for _ in range(S)]
+    stacked = _stack(runs)
+    cfg = optim.TrainConfig(eta=0.01, beta1=beta1, gamma=0.01)
+    stepper = optim.make_stepper(kind)
+    states = [optim.make_state(kind, model.layer) for model, _, _ in runs]
+    state = optim.make_state(kind, stacked[0].layer)
+    for model, x, _ in (*runs, stacked):
+        model.cache_base(x)
+    for _ in range(STEPS):
+        losses = []
+        for (model, x, y), one in zip(runs, states):
+            loss, g = adapter.training_pass(model, x, y)
+            stepper(model.layer, one, g, cfg)
+            losses.append(loss)
+        loss, g = adapter.training_pass(*stacked)
+        stepper(stacked[0].layer, state, g, cfg)
+        assert _same_bits(loss, np.array(losses))
+    assert np.isfinite(loss).all() and state.t == STEPS
+    for i, ((model, _, _), one) in enumerate(zip(runs, states)):
+        for name, buf in _buffers(stacked[0].layer, state).items():
+            alone = _buffers(model.layer, one)[name]
+            assert (buf is None) == (alone is None), name
+            assert buf is None or _same_bits(buf[i], alone), f"{name} of run {i}"
+        assert (state.gram_inv is None) == (one.gram_inv is None)
+        if one.gram_inv is not None:
+            assert _same_bits(state.gram_inv[2][i], one.gram_inv[2])
+    if state.gram_inv is not None:  # the carry keys on the whole bound stack
+        assert state.gram_inv[0] is stacked[0].layer.a or state.gram_inv[0] is stacked[0].layer.b
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_damped_gram_inverse_of_a_stack_is_each_slice_inverse(side, lam):
+    stack = RandomStream(62).normal(4, 32, 4)
+    if side == "right":
+        stack = stack.mT
+    got = damped_gram_inverse(stack, side, lam)
+    assert got.shape == (4, 4, 4)
+    for i, m in enumerate(stack):
+        assert _same_bits(got[i], damped_gram_inverse(m, side, lam))
+
+
+def _grams_with_one_bad_slice(bad, singular):
+    """Four 4 x 4 Grams; slice ``bad`` is numerically singular (singular=True) or negative definite."""
+    stream = RandomStream(63)
+    grams = [m.T @ m for m in (stream.normal(16, 4) for _ in range(4))]
+    if singular:
+        # LAPACK factors it; its last pivot is below 1e-12 * trace
+        grams[bad] = np.diag([1.0, 1.0, 1.0, 1e-14])
+    else:
+        grams[bad] = -np.eye(4)  # LAPACK rejects it
+    return np.stack(grams)
+
+
+@pytest.mark.parametrize("singular", [True, False], ids=["pivot", "lapack"])
+@pytest.mark.parametrize("bad", [0, 2])
+def test_one_singular_slice_fails_the_stack_and_is_named(bad, singular):
+    grams = _grams_with_one_bad_slice(bad, singular)
+    with pytest.raises(SingularGram) as alone:
+        cholesky_factor(grams[bad])
+    with pytest.raises(SingularGram) as stacked:
+        cholesky_factor(grams)
+    assert str(stacked.value) == f"slice {bad}: {alone.value}"
+    for i in set(range(4)) - {bad}:
+        cholesky_factor(grams[i])
+
+
+def test_damped_gram_inverse_names_the_singular_slice():
+    m = RandomStream(65).normal(4, 16, 4)
+    m[2, :, 3] = 0.0  # a zero column: slice 2's Gram is singular at lam = 0
+    with pytest.raises(SingularGram, match="^slice 2: "):
+        damped_gram_inverse(m, "left", 0.0)
+    damped_gram_inverse(m, "left", 1e-6)  # damping makes every slice invertible
+
+
+def test_each_slice_is_judged_by_its_own_trace():
+    # 1e-6 I is well conditioned: beside 1e6 I, a threshold shared across the
+    # stack (1e-12 * 4e6) would call it singular.
+    grams = np.stack([1e-6 * np.eye(4), 1e6 * np.eye(4)])
+    lo = cholesky_factor(grams)
+    assert _same_bits(lo[0], cholesky_factor(grams[0])) and _same_bits(lo[1], cholesky_factor(grams[1]))
+
+
+def test_the_stacked_trajectory_check_is_each_gauge_checked_alone():
+    stream = RandomStream(64)
+    tasks = [oracle._invariance_task(stream) for _ in range(3)]
+    gauges = [gauge_sample(4, 10.0, 640 + i) for i in range(3)]
+    task, gauge = _stack(tasks), np.stack(gauges)
+    for kind, beta1 in ((optim.ALTLORA, 0.0), (optim.ALTLORA, 0.9), (optim.LORA_ADAM, 0.9)):
+        cfg = optim.TrainConfig(eta=0.02, beta1=beta1, lam=0.0)
+        passed, devs = oracle.trajectory_invariance_check(task, cfg, gauge, 8, optimizer=kind)
+        assert devs.shape == (3, 8)
+        check = oracle.trajectory_invariance_check
+        rows = [check(t, cfg, g, 8, optimizer=kind) for t, g in zip(tasks, gauges)]
+        assert passed == all(ok for ok, _ in rows)
+        for i, (_, row) in enumerate(rows):
+            assert _same_bits(devs[i], row), f"{kind} beta1={beta1} gauge {i}"
