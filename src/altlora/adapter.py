@@ -20,7 +20,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .matcore import RandomStream, ShapeMismatch, as_matrix, jacobi_svd
+from .matcore import RandomStream, ShapeMismatch, as_matrix, jacobi_svd, sum_of_squares
 
 LINEAR_REGRESSION = "linear_regression"
 TWO_LAYER_RELU = "two_layer_relu"
@@ -90,8 +90,9 @@ class FullGradient:
     """Loss gradient w.r.t. the merged weight of one adapted layer, G = u v^T.
 
     u (k x m) is the gradient w.r.t. the layer's outputs Z and v (d x m) its
-    inputs. The dense k x d ``g`` is built on first access and then kept;
-    only oracles and eval rows read it. ``ax`` is forward's (A, X, A X):
+    inputs. The dense k x d ``g`` is the oracle form, built on first access
+    and then kept; the oracles read it, and of the runner's eval rows only
+    row 0 and the ReLU head's rows. ``ax`` is forward's (A, X, A X):
     lora_grad_b reuses A X while the layer's A is that array and v is X.
     """
 
@@ -190,14 +191,14 @@ def _residual(y: np.ndarray, target, out=None) -> np.ndarray:
 
 
 def _mean_square(res: np.ndarray, out=None):
-    """sum(res^2) / m by np.sum's reduction, minus its wrapper; out=res squares in place.
+    """sum(res^2) / m by np.sum's reduction, minus its wrapper.
 
-    A float for one run; for a stack, the (S,) array of each slice's value.
+    A float for one run, by sum_of_squares: no res-sized temporary. For a
+    stack, the (S,) array of each slice's value; out=res squares it in place.
     """
-    sq = np.square(res, out=out)
-    if res.ndim == 2:  # axis=None: the same bits as (-2, -1), and cheaper
-        return float(np.add.reduce(sq, axis=None) / res.shape[1])
-    return np.add.reduce(sq, axis=(-2, -1)) / res.shape[-1]
+    if res.ndim == 2:  # sum_of_squares reduces with axis=None: the same bits as (-2, -1)
+        return float(sum_of_squares(res) / res.shape[1])
+    return np.add.reduce(np.square(res, out=out), axis=(-2, -1)) / res.shape[-1]
 
 
 def _backward(model: ToyModel, x: np.ndarray, dy: np.ndarray, cache) -> FullGradient:

@@ -284,6 +284,39 @@ def _optimizer_flops(spec: ExperimentSpec) -> int:
 # Runner
 
 
+def _grad_norm(model: ToyModel, x: np.ndarray):
+    """The eval rows' grad_norm: g -> ||G||_F for the passes of one run on the batch x.
+
+    The first call, and every call for the ReLU head (whose dZ is masked),
+    builds the dense G = dZ X^T. For the linear head the batch is fixed, so
+    G_t = G_0 + c (B_t (A_t X) X^T - B_0 (A_0 X) X^T) with c = 2 s / m: the
+    first call turns G_0 in place into the anchor D = G_0 - c B_0 (A_0 X) X^T,
+    the run's one k x d array, and later calls take ||c B_t (A_t X) X^T + D||_F
+    from forward's A X in 2 r d m + 2 k r d FLOPs, not the 2 k d m of G. The
+    two differ by rounding only, within 64 eps ||G_0||_F (tests/test_bench.py).
+    """
+    if model.kind != LINEAR_REGRESSION:
+        return lambda g: frobenius(g.g)
+    c = 2.0 * model.layer.s / x.shape[1]
+    anchor = None
+
+    def lifted(g) -> np.ndarray:  # c B (A X) X^T, a fresh k x d array
+        return np.dot(model.layer.b, c * np.dot(g.ax[2], x.T))
+
+    def grad_norm(g) -> float:
+        nonlocal anchor
+        if anchor is not None:
+            dense = lifted(g)
+            dense += anchor
+            return frobenius(dense)
+        anchor = g.g  # the pass's step reads only G's factors, so G_0 may be overwritten
+        norm = frobenius(anchor)
+        anchor -= lifted(g)
+        return norm
+
+    return grad_norm
+
+
 def run_experiment(spec: ExperimentSpec) -> RunRecord:
     """Full-batch training loop; gradient recomputed before every phase.
 
@@ -291,8 +324,9 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     once and serves both the loss and dY. W0 X is computed once, and A X
     once per pass (forward's product serves the factor gradients, bit for
     bit); a pass runs in O(r (k + d) m) and forms no k x d array. Records
-    an eval row (which builds the merged weight and the dense gradient) at
-    step 0, every eval_every steps, and at the final step. Deterministic
+    an eval row (which builds the merged weight) at step 0, every eval_every
+    steps, and at the final step; only row 0 and the ReLU head's rows build
+    the dense gradient for grad_norm (_grad_norm). Deterministic
     per spec. Raises DivergenceDetected (carrying the partial record) when
     the loss exceeds 1e6 or stops being finite, or when a step meets a
     singular Gram.
@@ -305,6 +339,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     model.cache_base(x)
     flops_per_step = _task_flops(spec) + _optimizer_flops(spec)
     teacher_norm = max(frobenius(task.teacher_weight), 1e-300)
+    grad_norm = _grad_norm(model, x)
 
     layer, steps, eval_every = model.layer, cfg.steps, spec.eval_every
     rows: list = []
@@ -319,7 +354,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
             steps_to_threshold = t
         if t % eval_every == 0 or t == steps:
             werr = frobenius(merged_weight(layer) - task.teacher_weight) / teacher_norm
-            rows.append((t, loss, werr, frobenius(g.g), state.entry_count(), t * flops_per_step))
+            rows.append((t, loss, werr, grad_norm(g), state.entry_count(), t * flops_per_step))
         if t == steps:
             break
         eta_t = optim.effective_eta(cfg, t)

@@ -30,6 +30,7 @@ __all__ = [
     "jacobi_svd",
     "frobenius",
     "rel_error",
+    "sum_of_squares",
 ]
 
 # Cholesky pivots below PIVOT_RTOL * trace(gram) are treated as singular.
@@ -54,8 +55,39 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return m
 
 
+# Entries sum_of_squares squares at once: 512 KiB of float64.
+SQUARE_CHUNK = 1 << 16
+
+
+def sum_of_squares(m) -> np.float64:
+    """The sum of the squared entries of m, bit for bit np.sum(np.square(m)).
+
+    An array of at most SQUARE_CHUNK entries, or one that is not a
+    C-contiguous float64 ndarray, is squared whole and reduced by numpy's
+    pairwise sum. A larger one is squared a chunk at a time into one reused
+    buffer, and the chunk sums are combined in numpy's own pairwise order
+    (halves, each rounded down to a multiple of 8), so no m-sized temporary
+    is made and the sum keeps numpy's bits.
+    """
+    if type(m) is np.ndarray and m.size > SQUARE_CHUNK and m.dtype == np.float64 and m.flags.c_contiguous:
+        flat = m.reshape(-1)
+        return _pairwise_square_sum(flat, 0, flat.size, np.empty(SQUARE_CHUNK))
+    return np.add.reduce(np.square(m, dtype=np.float64), axis=None)
+
+
+def _pairwise_square_sum(flat: np.ndarray, lo: int, hi: int, buf: np.ndarray) -> np.float64:
+    """sum(flat[lo:hi]^2) by numpy's pairwise recursion, with leaves of at most one chunk."""
+    n = hi - lo
+    if n <= SQUARE_CHUNK:
+        part = np.square(flat[lo:hi], out=buf[:n])
+        return np.add.reduce(part)
+    half = n // 2
+    half -= half % 8  # numpy's split keeps the first half a multiple of its 8-way unroll
+    return _pairwise_square_sum(flat, lo, lo + half, buf) + _pairwise_square_sum(flat, lo + half, hi, buf)
+
+
 def frobenius(m: np.ndarray) -> float:
-    return math.sqrt(np.add.reduce(np.square(m, dtype=np.float64), axis=None))  # np.sum's pairwise sum
+    return math.sqrt(sum_of_squares(m))
 
 
 def rel_error(got: np.ndarray, want: np.ndarray) -> float:

@@ -11,7 +11,7 @@ import pass_reference as pass_ref
 import scalar_reference as ref
 from altlora import adapter as ad
 from altlora import optim
-from altlora.matcore import RandomStream, rel_error
+from altlora.matcore import SQUARE_CHUNK, RandomStream, rel_error
 from altlora.oracle import fd_entrywise_deviation, fd_merged_gradient
 from matrix_text import load_matrix
 
@@ -408,6 +408,25 @@ def test_training_pass_never_forms_a_k_by_d_array(kind):
     finally:
         tracemalloc.stop()
     assert peak < k * d * 8  # one k x d float64 array
+
+
+def test_linear_pass_holds_no_k_by_m_temporary_beyond_z():
+    # The loss reduces the residual Z - T (forward's Z, in place) through one
+    # chunk of squares, not a k x m array of them.
+    k = d = 256
+    r, m = 8, 4 * d
+    stream = RandomStream(26)
+    layer = ad.init_layer(stream.normal(k, d), r, init_b="gaussian", stream=stream)
+    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    x, target = stream.normal(d, m), stream.normal(k, m)
+    model.cache_base(x)
+    tracemalloc.start()
+    try:
+        ad.training_pass(model, x, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (k * m + SQUARE_CHUNK + 2 * r * m) * 8  # Z, one chunk, A X and slack
 
 
 def test_relu_backward_forms_one_k_by_m_float_array():

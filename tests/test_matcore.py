@@ -1,5 +1,7 @@
 """Kernel tests: damped inverses, projectors, gauge sampling, SVD, text IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,7 @@ def test_frobenius_is_bitwise_the_reference_formula():
         stream.normal(33, 7).T,
         stream.normal(33, 7),  # here and at 1024 x 16 a BLAS dot product sums in another order
         stream.normal(1024, 16),
+        stream.normal(300, 700),  # past one chunk of sum_of_squares
         stream.normal(1000),
         stream.normal(3, 4, 5),
         np.arange(12).reshape(3, 4),
@@ -228,6 +231,48 @@ def test_frobenius_is_bitwise_the_reference_formula():
         want = ref.frobenius(m)
         assert type(got) is float
         assert got == want or (np.isnan(got) and np.isnan(want)), m
+
+
+CHUNK = mc.SQUARE_CHUNK
+# Shapes at which sum_of_squares must keep np.add.reduce(np.square(a))'s bits:
+# the pass's residuals at desk and wide scale, sizes one short of, at and
+# past a chunk, primes, and sizes that are not a multiple of 8.
+_SQUARED = [
+    (32, 128), (1024, 4096), (1000, 4000), (1023, 4093), (128, 128), (16, 48), (7, 13),
+    (CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (2 * CHUNK + 3,), (1, 999_983), (263, 257),
+]
+
+
+def _squared_cases(shape):
+    """Gaussian entries at three magnitudes, then with -0.0, inf and NaN spread over every chunk."""
+    base = mc.RandomStream(33).normal(*shape)
+    for scale in (1e-5, 1.0, 1e4):
+        yield base * scale
+    for special in ([-0.0], [np.inf], [np.nan], [np.inf, np.nan, -0.0]):
+        case = base.copy()
+        for i, value in enumerate(special):
+            case.reshape(-1)[(2 * i + 1) * base.size // 7 :: 997] = value
+        yield case
+    yield -np.zeros(shape)
+
+
+@pytest.mark.parametrize("shape", _SQUARED, ids=lambda shape: "x".join(map(str, shape)))
+def test_sum_of_squares_is_bitwise_numpys_pairwise_sum(shape):
+    for case in _squared_cases(shape):
+        want = np.add.reduce(np.square(case), axis=None)
+        got = mc.sum_of_squares(case)
+        assert type(got) is np.float64 and got.tobytes() == want.tobytes(), (shape, want, got)
+
+
+def test_sum_of_squares_makes_no_array_of_the_inputs_size():
+    a = mc.RandomStream(34).normal(512, 1024)
+    tracemalloc.start()
+    try:
+        mc.sum_of_squares(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHUNK * 8 + 4096  # the chunk buffer and scalars; np.square(a) would take a.nbytes
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1789])

@@ -21,6 +21,11 @@ holding -0.0, +-inf and NaN, each must give the bits of the earlier
 formulas in pass_reference, which always apply s, both at alpha = r and
 at other alphas.
 
+The loss past one chunk: sum_of_squares squares a residual larger than
+SQUARE_CHUNK entries a chunk at a time. Over drawn shapes of up to three
+chunks, magnitudes and specials, the loss must keep the bits of squaring
+the whole residual and summing it with numpy.
+
 The carried Gram inverse: with momentum, every alternating phase after
 the first takes the fixed factor's inverse from the previous realignment.
 Over drawn shapes, scales, damping and orders it must hold the bits of a
@@ -40,6 +45,7 @@ from altlora import adapter as ad  # noqa: E402
 from altlora import optim  # noqa: E402
 from altlora.matcore import (  # noqa: E402
     PIVOT_RTOL,
+    SQUARE_CHUNK,
     RandomStream,
     SingularGram,
     damped_gram_inverse,
@@ -253,6 +259,24 @@ def test_scaled_grad_a_keeps_the_scaled_bits(unit, data, seed):
     s = _alpha(data, r, unit) / r
     got = optim.scaled_grad_a(grad_a, b, s, optim.DEFAULT_DAMPING)
     assert _same_bits(got, pass_ref.scaled_grad_a(grad_a, b, s, optim.DEFAULT_DAMPING))
+
+
+@QUIET
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**31 - 1))
+def test_loss_keeps_numpys_bits_past_the_square_chunk(data, seed):
+    # Residuals of up to three chunks of sum_of_squares, with drawn specials
+    rows = data.draw(st.integers(1, 64))
+    cols = data.draw(st.integers(max(1, (SQUARE_CHUNK - 64) // rows), 3 * SQUARE_CHUNK // rows))
+    stream = RandomStream(seed)
+    y = stream.normal(rows, cols) * data.draw(st.sampled_from([1e-5, 1.0, 1e4]))
+    target = stream.normal(rows, cols)
+    for _ in range(data.draw(st.integers(0, 4))):
+        y.flat[data.draw(st.integers(0, y.size - 1))] = data.draw(st.sampled_from(SPECIAL))
+    res = y - target
+    want = np.add.reduce(np.square(res), axis=None) / cols
+    assert _same_bits(np.float64(ad._mean_square(res)), want)
+    assert _same_bits(np.float64(ad.mse_loss(y, target)), np.float64(pass_ref.mse_loss(y, target)))
 
 
 @PROPERTY
