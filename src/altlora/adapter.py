@@ -5,7 +5,8 @@ B (k x r) with scaling s = alpha / r; the effective weight is W0 + s B A.
 The toy models (a linear regression head and a two-layer ReLU network with
 an adapted first layer) come with manual forward/backward for MSE, which
 supplies the loss gradient with respect to the merged weight as the factors
-of G = dZ X^T, so no training pass forms a k x d array.
+of G = dZ X^T, so no training pass forms a k x d array. A linear head may
+train toward a FactoredTarget, whose pass does not form W0 X either.
 
 Leading axis: every array of a layer, a model, a batch and a gradient may
 carry a leading run axis (S, ...), and the pass then runs S independent runs
@@ -91,9 +92,9 @@ class FullGradient:
 
     u (k x m) is the gradient w.r.t. the layer's outputs Z and v (d x m) its
     inputs. The dense k x d ``g`` is the oracle form, built on first access
-    and then kept; the oracles read it, and of the runner's eval rows only
-    row 0 and the ReLU head's rows. ``ax`` is forward's (A, X, A X):
-    lora_grad_b reuses A X while the layer's A is that array and v is X.
+    and then kept; the oracles and the ReLU head's eval rows read it. ``ax``
+    is the pass's (A, X, A X): lora_grad_b reuses A X while the layer's A is
+    that array and v is X.
     """
 
     u: np.ndarray
@@ -113,6 +114,26 @@ def _f64(x) -> np.ndarray:
 def gradient_array(g) -> np.ndarray:
     """The dense gradient matrix of a FullGradient or of any array-like."""
     return g.g if isinstance(g, FullGradient) else np.asarray(g, dtype=np.float64)
+
+
+@dataclass
+class FactoredTarget:
+    """The target W0 X + us vx of a linear head: for a teacher W0 + U Sigma V^T,
+    us = U Sigma (k x r*) and vx = V^T X (r* x m). W0, the layer's own base,
+    cancels from the residual. A stack's target has the runs' axes (a
+    np.broadcast_to view will do)."""
+
+    us: np.ndarray
+    vx: np.ndarray
+
+    def __post_init__(self):
+        us, vx = self.us, self.vx = _f64(self.us), _f64(self.vx)
+        if min(us.ndim, vx.ndim) < 2 or us.shape[-1] != vx.shape[-2]:
+            raise ShapeMismatch(f"factored target {us.shape} x {vx.shape}: the rank counts disagree")
+
+    @cached_property
+    def _neg_us(self) -> np.ndarray:  # -us, P's block: negated once, then copied by every pass
+        return -self.us
 
 
 @dataclass
@@ -146,6 +167,7 @@ class ToyModel:
 
         forward on this same array, with the same w0, reuses it instead of
         redoing the k x d x m product; any other batch is multiplied afresh.
+        Only a dense target's pass reads it (the runner's ReLU head).
         """
         x = np.asarray(x, dtype=np.float64)
         self._base = (self.layer.w0, x, self.layer.w0 @ x)
@@ -217,20 +239,47 @@ def mse_loss(y: np.ndarray, target: np.ndarray):
     return _mean_square(diff, out=diff)
 
 
-def training_pass(model: ToyModel, x: np.ndarray, target: np.ndarray) -> tuple[float, FullGradient]:
+def _residual_factors(layer: LoraLayer, ax: np.ndarray, target: FactoredTarget):
+    """P = [s B, -us] (k x r') and QX = [A X; vx] (r' x m), r' = r + r*: Y - T = P QX."""
+    p = np.concatenate((layer.b, target._neg_us), axis=-1)
+    if layer.s != 1.0:  # as in forward
+        p[..., :layer.r] *= layer.s
+    return p, np.concatenate((ax, target.vx), axis=-2)
+
+
+def _factored_residual(model: ToyModel, x: np.ndarray, target: FactoredTarget):
+    """Y - T = s B (A X) - us vx as one product P QX: no W0 X. Returns it and the pass's cache."""
+    layer = model.layer
+    if model.kind != LINEAR_REGRESSION:
+        raise ValueError(f"a factored target needs the {LINEAR_REGRESSION} head, not {model.kind}")
+    dot = np.dot if layer.a.ndim == x.ndim == 2 else np.matmul
+    try:  # the concatenations check that k, m and the run axes fit
+        ax = dot(layer.a, x)
+        p, qx = _residual_factors(layer, ax, target)
+    except ValueError:
+        raise ShapeMismatch(f"factored target {target.us.shape} x {target.vx.shape} does not fit the layer "
+                            f"{layer.b.shape[:-1]} and batch {x.shape}") from None
+    return dot(p, qx), {"ax": (layer.a, x, ax)}  # P, QX freed before the loss squares; eval rows rebuild them
+
+
+def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGradient]:
     """One forward and backward pass: the MSE loss and its FullGradient.
 
     On a stack of S runs the loss is the (S,) array of the runs' losses.
 
     The library's one pass: the runner, the width probe and the checks of
-    gradients and gauge invariance all call it. The residual Y - T is formed
-    once, in place on forward's fresh output, reduced into the loss by
+    gradients and gauge invariance all call it. The target's type picks the
+    residual Y - T: P QX for a FactoredTarget, else subtracted in place from
+    forward's fresh output. It is formed once, reduced into the loss by
     mse_loss's arithmetic and then scaled in place into dY; the gradient is
-    kept as the factors of G = dZ X^T, with forward's A X.
+    kept as the factors of G = dZ X^T, with the pass's A X.
     """
     x = _f64(x)
-    y, cache = forward(model, x)
-    res = _residual(y, target, out=y)
+    if isinstance(target, FactoredTarget):
+        res, cache = _factored_residual(model, x, target)
+    else:
+        y, cache = forward(model, x)
+        res = _residual(y, target, out=y)
     return _mean_square(res), _backward(model, x, res, cache)
 
 

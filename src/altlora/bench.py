@@ -25,7 +25,9 @@ from .adapter import (
     LINEAR_REGRESSION,
     TWO_LAYER_RELU,
     INIT_POLICIES,
+    FactoredTarget,
     ToyModel,
+    _residual_factors,
     forward,
     init_layer,
     merged_weight,
@@ -37,6 +39,7 @@ from .matcore import (
     cholesky_factor,
     frobenius,
     orthonormal_columns,
+    sum_of_squares,
 )
 
 TASKS = ("lowrank", "two_layer_relu")
@@ -138,12 +141,19 @@ def _json_dict(config) -> dict:
 
 @dataclass
 class Task:
-    """Generated instance: the student model, data, and the teacher weight."""
+    """Generated instance: the student model, the batch, its target and the
+    teacher W* = W0 + us vt (us = U Sigma, vt = V^T). The lowrank target is
+    FactoredTarget(us, vt X); the ReLU task's is the dense w2 relu(W* X)."""
 
     model: ToyModel
     x: np.ndarray
-    y: np.ndarray
-    teacher_weight: np.ndarray
+    target: np.ndarray | FactoredTarget
+    us: np.ndarray
+    vt: np.ndarray
+
+    @property
+    def teacher_weight(self) -> np.ndarray:  # dense k x d: the ReLU eval rows and the oracles
+        return self.model.layer.w0 + self.us @ self.vt
 
 
 @dataclass
@@ -205,9 +215,10 @@ def generate_task(spec: ExperimentSpec) -> Task:
     """Teacher W* = W0 + Delta*, Delta* rank r* with a log-spaced spectrum.
 
     The adapted layer is spec.layer_k x d. Data is standard Gaussian d x 4d
-    (or conditioned when the kappa knob is on the inputs); targets are W* X.
-    The ReLU task also draws the frozen second layer w2, shared by teacher and
-    student, after the teacher and targets w2 relu(W* X). Deterministic per seed.
+    (or conditioned when the kappa knob is on the inputs); targets are W* X
+    as a FactoredTarget. The ReLU task also draws the frozen second layer w2,
+    shared by teacher and student, after the teacher and targets
+    w2 relu(W* X). Deterministic per seed.
     """
     stream = RandomStream(spec.seed)
     k, d, rstar = spec.layer_k, spec.d, spec.teacher_rank
@@ -215,16 +226,16 @@ def generate_task(spec: ExperimentSpec) -> Task:
     u = orthonormal_columns(k, rstar, stream)
     v = orthonormal_columns(d, rstar, stream)
     teacher_kappa = spec.kappa if spec.kappa_knob == "teacher" else 1.0
-    w_star = w0 + (u * _log_spaced_spectrum(rstar, teacher_kappa)) @ v.T
+    us, vt = u * _log_spaced_spectrum(rstar, teacher_kappa), v.T
     relu = spec.task == "two_layer_relu"
     w2 = stream.normal(d, k) / math.sqrt(k) if relu else None
     m = spec.batch_size
     x = _conditioned_inputs(d, m, spec.kappa, stream) if spec.kappa_knob == "input" else stream.normal(d, m)
-    y = w2 @ np.maximum(w_star @ x, 0.0) if relu else w_star @ x
+    target = w2 @ np.maximum((w0 + us @ vt) @ x, 0.0) if relu else FactoredTarget(us, vt @ x)
     layer = init_layer(
         w0, spec.r, alpha=spec.effective_alpha, init_a=spec.init_a, init_b=spec.init_b, stream=stream
     )
-    return Task(ToyModel(TWO_LAYER_RELU if relu else LINEAR_REGRESSION, layer, w2=w2), x, y, w_star)
+    return Task(ToyModel(TWO_LAYER_RELU if relu else LINEAR_REGRESSION, layer, w2=w2), x, target, us, vt)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +248,10 @@ def _task_flops(spec: ExperimentSpec) -> int:
     The base product W0 X is computed once per run and the gradient is kept
     as the factors of dZ X^T, so neither counts here; nor do eval rows.
     This is the documented analytic convention behind the CSV flops column:
-    it counts the scale by s and the loss's subtraction as before, also
-    where s = 1 skips the scale and the pass shares one residual between
-    loss and dY, so the CSVs stay byte-identical.
+    it counts the scale by s, the add of W0 X and the loss's subtraction as
+    before, also where s = 1 skips the scale, the pass shares one residual
+    between loss and dY, and a lowrank pass forms P QX without W0 X, so the
+    column stays byte-identical.
     """
     k, d, r, m = spec.layer_k, spec.d, spec.r, spec.batch_size
     fwd = 2 * r * d * m + 2 * k * r * m + 2 * k * m  # A X, B (A X), scale and add W0 X
@@ -284,77 +296,69 @@ def _optimizer_flops(spec: ExperimentSpec) -> int:
 # Runner
 
 
-def _grad_norm(model: ToyModel, x: np.ndarray):
-    """The eval rows' grad_norm: g -> ||G||_F for the passes of one run on the batch x.
+def _evaluator(task: Task):
+    """g -> (weight_err, grad_norm) of the eval row of the pass g.
 
-    The first call, and every call for the ReLU head (whose dZ is masked),
-    builds the dense G = dZ X^T. For the linear head the batch is fixed, so
-    G_t = G_0 + c (B_t (A_t X) X^T - B_0 (A_0 X) X^T) with c = 2 s / m: the
-    first call turns G_0 in place into the anchor D = G_0 - c B_0 (A_0 X) X^T,
-    the run's one k x d array, and later calls take ||c B_t (A_t X) X^T + D||_F
-    from forward's A X in 2 r d m + 2 k r d FLOPs, not the 2 k d m of G. The
-    two differ by rounding only, within 64 eps ||G_0||_F (tests/test_bench.py).
+    The ReLU head builds the merged weight and the dense G = dZ X^T. A
+    factored pass's residual is P QX, and ||P M||_F = ||R_P M||_F for
+    R_P = qr(P): sBA - U Sigma V^T = P [A; V^T] and G = (2/m) P (QX X^T), so
+    neither norm forms a k x d or k x m array. ||W*||_F^2 is ||W0||^2 +
+    2 <U Sigma, W0 V> + ||U Sigma V^T||^2.
     """
-    if model.kind != LINEAR_REGRESSION:
-        return lambda g: frobenius(g.g)
-    c = 2.0 * model.layer.s / x.shape[1]
-    anchor = None
+    layer, x = task.model.layer, task.x
+    if not isinstance(task.target, FactoredTarget):
+        teacher = task.teacher_weight
+        teacher_norm = max(frobenius(teacher), 1e-300)
+        return lambda g: (frobenius(merged_weight(layer) - teacher) / teacher_norm, frobenius(g.g))
+    us, vt, w0 = task.us, task.vt, layer.w0
+    square = sum_of_squares(w0) + 2.0 * np.vdot(us, np.dot(w0, vt.T)) + np.vdot(us.T @ us, vt @ vt.T)
+    teacher_norm = max(math.sqrt(square), 1e-300)
 
-    def lifted(g) -> np.ndarray:  # c B (A X) X^T, a fresh k x d array
-        return np.dot(model.layer.b, c * np.dot(g.ax[2], x.T))
+    def evaluate(g) -> tuple[float, float]:
+        p, qx = _residual_factors(layer, g.ax[2], task.target)
+        rp = np.linalg.qr(p, mode="r")
+        werr = frobenius(np.dot(rp, np.concatenate((layer.a, vt)))) / teacher_norm
+        return werr, 2.0 / x.shape[1] * frobenius(np.dot(rp, np.dot(qx, x.T)))
 
-    def grad_norm(g) -> float:
-        nonlocal anchor
-        if anchor is not None:
-            dense = lifted(g)
-            dense += anchor
-            return frobenius(dense)
-        anchor = g.g  # the pass's step reads only G's factors, so G_0 may be overwritten
-        norm = frobenius(anchor)
-        anchor -= lifted(g)
-        return norm
-
-    return grad_norm
+    return evaluate
 
 
 def run_experiment(spec: ExperimentSpec) -> RunRecord:
     """Full-batch training loop; gradient recomputed before every phase.
 
     Each pass is one adapter.training_pass: the residual Y - T is formed
-    once and serves both the loss and dY. W0 X is computed once, and A X
-    once per pass (forward's product serves the factor gradients, bit for
-    bit); a pass runs in O(r (k + d) m) and forms no k x d array. Records
-    an eval row (which builds the merged weight) at step 0, every eval_every
-    steps, and at the final step; only row 0 and the ReLU head's rows build
-    the dense gradient for grad_norm (_grad_norm). Deterministic
-    per spec. Raises DivergenceDetected (carrying the partial record) when
-    the loss exceeds 1e6 or stops being finite, or when a step meets a
-    singular Gram.
+    once and serves both the loss and dY. The lowrank target is factored,
+    so no pass forms W0 X (the ReLU head computes it once); A X is formed
+    once per pass and serves the factor gradients. A pass runs in
+    O((r + r*) (k + d) m) and forms no k x d array. Records an eval row
+    (_evaluator) at step 0, every eval_every steps, and at the final step.
+    Deterministic per spec. Raises DivergenceDetected (carrying the partial
+    record) when the loss exceeds 1e6 or stops being finite, or when a step
+    meets a singular Gram.
     """
     task = generate_task(spec)
-    model, x, y = task.model, task.x, task.y
+    model, x, target = task.model, task.x, task.target
     cfg = spec.train
     stepper = optim.make_stepper(spec.optimizer)
     state = optim.make_state(spec.optimizer, model.layer)
-    model.cache_base(x)
+    if model.kind == TWO_LAYER_RELU:
+        model.cache_base(x)
     flops_per_step = _task_flops(spec) + _optimizer_flops(spec)
-    teacher_norm = max(frobenius(task.teacher_weight), 1e-300)
-    grad_norm = _grad_norm(model, x)
+    evaluate = _evaluator(task)
 
     layer, steps, eval_every = model.layer, cfg.steps, spec.eval_every
     rows: list = []
     steps_to_threshold = -1
     loss = math.nan
     for t in range(steps + 1):
-        loss, g = training_pass(model, x, y)
+        loss, g = training_pass(model, x, target)
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             rec = RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)
             raise DivergenceDetected(f"loss {loss} at step {t}", rec)
         if steps_to_threshold < 0 and loss <= LOSS_THRESHOLD:
             steps_to_threshold = t
         if t % eval_every == 0 or t == steps:
-            werr = frobenius(merged_weight(layer) - task.teacher_weight) / teacher_norm
-            rows.append((t, loss, werr, grad_norm(g), state.entry_count(), t * flops_per_step))
+            rows.append((t, loss, *evaluate(g), state.entry_count(), t * flops_per_step))
         if t == steps:
             break
         eta_t = optim.effective_eta(cfg, t)
@@ -398,15 +402,14 @@ def _probe_once(
     v = orthonormal_columns(n, rank, stream)
     m = 2 * n
     x = stream.normal(n, m)
-    y = (u * (teacher_scale * math.sqrt(n))) @ (v.T @ x)
+    target = FactoredTarget(u * (teacher_scale * math.sqrt(n)), v.T @ x)
     layer = init_layer(np.zeros((n, n)), rank, init_a="kaiming", init_b="zero", stream=stream)
     model = ToyModel(LINEAR_REGRESSION, layer)
     stepper = optim.make_stepper(optimizer_kind)
     state = optim.make_state(optimizer_kind, layer)
-    model.cache_base(x)
     step_cfg = replace(cfg, order=optim.B_FIRST, steps=2)
     for _ in range(2):
-        stepper(layer, state, training_pass(model, x, y)[1], step_cfg)
+        stepper(layer, state, training_pass(model, x, target)[1], step_cfg)
     probe = stream.normal(n, 1)
     return float(np.max(np.abs(forward(model, probe)[0])))  # W0 = 0: s B (A probe), bit for bit
 

@@ -24,6 +24,7 @@ from . import optim
 from .adapter import (
     LINEAR_REGRESSION,
     TWO_LAYER_RELU,
+    FactoredTarget,
     LoraLayer,
     ToyModel,
     gradient_array,
@@ -258,36 +259,36 @@ def trajectory_invariance_check(
     """Per-step relative merged-weight deviation between gauge twins.
 
     Runs the optimizer from (A, B) and from (R^-1 A, B R) with state mapped
-    accordingly, on the same task (model, x, y) and step schedule, and reports
-    ||W1_t - W2_t||_F / ||W1_t||_F after every step.
+    accordingly, on the same linear task (model, x, FactoredTarget) and step
+    schedule, and reports ||W1_t - W2_t||_F / ||W1_t||_F after every step.
 
     task and gauge are one instance with an r x r gauge, or G instances
-    stacked on a leading axis: every array of the model and the batch (G, ...)
-    and the gauge (G, r, r). All 2G twins run as one stack, with a twin axis
-    of length 2 before the matrix axes (the twins share W0, W2, x and y), in
-    lockstep with one shared t: each step is one adapter.training_pass, the
-    pass the runner trains with, and one call of optim.make_stepper(optimizer).
+    stacked on a leading axis: every array of the model, the batch and the
+    target (G, ...) and the gauge (G, r, r). All 2G twins run as one stack,
+    with a twin axis of length 2 before the matrix axes (the twins share W0,
+    x and the target), in lockstep with one shared t: each step is one
+    adapter.training_pass, the pass the runner trains with, and one call of
+    optim.make_stepper(optimizer).
     Returns (passed, deviations): deviations is (steps,) for one gauge and
     (G, steps) for G; passed means every step stayed within tol.
     """
-    model, x, y = task
+    model, x, target = task
     layer, twin = model.layer, gauge_map_layer(model.layer, gauge)
     pair = functools.partial(np.stack, axis=-3)
     factors = (pair((layer.a, twin.a)), pair((layer.b, twin.b)))
-    runs = ToyModel(model.kind, LoraLayer(_shared(layer.w0), *factors, layer.alpha),
-                    None if model.w2 is None else _shared(model.w2))
+    runs = ToyModel(model.kind, LoraLayer(_shared(layer.w0), *factors, layer.alpha))
     st1 = optim.make_state(optimizer, layer)
     st2 = gauge_map_state(st1, gauge)
     state = optim.make_state(optimizer, runs.layer)  # zero second moments, as both twins start
     state.ma, state.mb = pair((st1.ma, st2.ma)), pair((st1.mb, st2.mb))
-    x = _shared(x)
-    y = np.broadcast_to(_shared(y), factors[1].shape[:-2] + y.shape[-2:])  # the prediction's shape
-    runs.cache_base(x)
+    x, lead = _shared(x), factors[1].shape[:-2]
+    us, vx = (np.broadcast_to(_shared(f), lead + f.shape[-2:]) for f in (target.us, target.vx))
+    target = FactoredTarget(us, vx)  # broadcast views with the runs' axes, as the pass wants
     stepper = optim.make_stepper(optimizer)
 
     devs = np.empty(factors[0].shape[:-3] + (steps,))
     for t in range(steps):
-        stepper(runs.layer, state, training_pass(runs, x, y)[1], cfg)
+        stepper(runs.layer, state, training_pass(runs, x, target)[1], cfg)
         devs[..., t] = _twin_deviations(merged_weight(runs.layer))
     return _worst(devs) <= tol, devs
 
@@ -510,13 +511,13 @@ def _projector_gauge_invariance(stream: RandomStream, instance_seed: int) -> flo
 
 
 def _invariance_task(stream: RandomStream, k: int = 16, d: int = 32, r: int = 4):
-    """Linear-regression task with full-rank factors (safe at lam = 0)."""
+    """Linear-regression task with full-rank factors (safe at lam = 0); its
+    teacher's Delta is full rank and k < d, so the target is (I, Delta X)."""
     w0 = stream.normal(k, d) / np.sqrt(d)
     layer = LoraLayer(w0, stream.normal(r, d) / np.sqrt(d), stream.normal(k, r) / np.sqrt(r), float(r))
-    teacher = w0 + stream.normal(k, d) / np.sqrt(d)
+    delta = stream.normal(k, d) / np.sqrt(d)
     x = stream.normal(d, 4 * d)
-    y = teacher @ x
-    return ToyModel(LINEAR_REGRESSION, layer), x, y
+    return ToyModel(LINEAR_REGRESSION, layer), x, FactoredTarget(np.eye(k), delta @ x)
 
 
 def _gauge_stacks(stream: RandomStream, gauges: int, gauge_seed: int):
@@ -528,11 +529,11 @@ def _gauge_stacks(stream: RandomStream, gauges: int, gauge_seed: int):
     for i in range(0, gauges, TWIN_STACK_GAUGES):
         tasks = [_invariance_task(stream) for _ in range(min(TWIN_STACK_GAUGES, gauges - i))]
         alpha, count = tasks[0][0].layer.alpha, len(tasks)
-        arrays = zip(*((m.layer.w0, m.layer.a, m.layer.b, x, y) for m, x, y in tasks))
-        w0, a, b, x, y = (np.stack(one) for one in arrays)
+        arrays = zip(*((m.layer.w0, m.layer.a, m.layer.b, x, t.us, t.vx) for m, x, t in tasks))
+        w0, a, b, x, us, vx = (np.stack(one) for one in arrays)
         del tasks, arrays  # only the stacked arrays stay alive while the stack runs
         gauge = np.stack([gauge_sample(a.shape[-2], 10.0, gauge_seed + i + j) for j in range(count)])
-        yield (ToyModel(LINEAR_REGRESSION, LoraLayer(w0, a, b, alpha)), x, y), gauge
+        yield (ToyModel(LINEAR_REGRESSION, LoraLayer(w0, a, b, alpha)), x, FactoredTarget(us, vx)), gauge
 
 
 @_check
@@ -619,14 +620,15 @@ def _fd_models(seed: int):
     relu = ToyModel(TWO_LAYER_RELU, relu_layer, w2=stream.normal(3, 8))
     x_relu = stream.normal(3, 5)
     y_relu = stream.normal(3, 5)
-    return (lin, x_lin, y_lin), (relu, x_relu, y_relu)
+    lin_target = FactoredTarget(np.eye(3), y_lin - lin_layer.w0 @ x_lin)  # Y as W0 X + I (Y - W0 X)
+    return (lin, x_lin, y_lin, lin_target), (relu, x_relu, y_relu, y_relu)
 
 
 @_check
 def _gradient_finite_difference(seed: int):
     devs = []
-    for model, x, y in _fd_models(seed):
-        got = training_pass(model, x, y)[1].g
+    for model, x, y, target in _fd_models(seed):
+        got = training_pass(model, x, target)[1].g
         devs.append(fd_entrywise_deviation(got, fd_merged_gradient(model, x, y)))
     worst = _worst(devs)
     return len(devs), worst, worst < 1e-6

@@ -11,9 +11,11 @@ mse_loss, then full_gradient, with s always applied; a phase that forms
 both factor gradients and a fresh Gram inverse in every scaled gradient
 and realignment; and baseline steps that write each moment formula out in
 their own branch. The tests check that every output bit stayed the same.
-Its run_experiment also takes every eval row's grad_norm from the dense
-gradient, which the runner now builds only for row 0 and the ReLU head
-(bench._grad_norm), so that column is compared within a rounding bound.
+Its run_experiment is also the dense oracle of the lowrank task: it trains
+toward Y = W* X from the cached W0 X and takes weight_err and grad_norm from
+the merged weight and the dense gradient, where the runner forms the residual
+from the factored target and both norms from one QR (bench._evaluator); the
+lowrank head is compared within a rounding bound, the ReLU head byte for byte.
 """
 
 import math
@@ -143,13 +145,14 @@ def run_experiment(spec):
     replaced by the ones above, which the library's steppers then call.
     """
     task = bench.generate_task(spec)
-    model, x, y = task.model, task.x, task.y
+    model, x, teacher = task.model, task.x, task.teacher_weight
+    y = teacher @ x if model.kind == LINEAR_REGRESSION else task.target
     cfg = spec.train
     stepper = optim.make_stepper(spec.optimizer)
     state = optim.make_state(spec.optimizer, model.layer)
     model.cache_base(x)
     flops_per_step = bench._task_flops(spec) + bench._optimizer_flops(spec)
-    teacher_norm = max(frobenius(task.teacher_weight), 1e-300)
+    teacher_norm = max(frobenius(teacher), 1e-300)
 
     layer, steps, eval_every = model.layer, cfg.steps, spec.eval_every
     rows = []
@@ -165,7 +168,7 @@ def run_experiment(spec):
             steps_to_threshold = t
         g = full_gradient(model, x, y, cache)[0]
         if t % eval_every == 0 or t == steps:
-            werr = frobenius(merged_weight(layer) - task.teacher_weight) / teacher_norm
+            werr = frobenius(merged_weight(layer) - teacher) / teacher_norm
             rows.append((t, loss, werr, frobenius(g.g), state.entry_count(), t * flops_per_step))
         if t == steps:
             break

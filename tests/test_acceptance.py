@@ -13,6 +13,7 @@ from altlora import bench, optim, oracle
 from altlora.adapter import (
     LINEAR_REGRESSION,
     TWO_LAYER_RELU,
+    FactoredTarget,
     LoraLayer,
     ToyModel,
     forward,
@@ -188,8 +189,10 @@ def test_c10_gradient_correctness():
         )
         x_relu, y_relu = stream.normal(3, 5), stream.normal(3, 5)
         h = 1e-5
-        for model, x, y in ((lin, x_lin, y_lin), (relu, x_relu, y_relu)):
-            _, g = training_pass(model, x, y)
+        # the linear head trains toward its target in factored form, W0 X + I (Y - W0 X)
+        lin_target = FactoredTarget(np.eye(3), y_lin - lin.layer.w0 @ x_lin)
+        for model, x, y, target in ((lin, x_lin, y_lin, lin_target), (relu, x_relu, y_relu, y_relu)):
+            _, g = training_pass(model, x, target)
             fd = oracle.fd_merged_gradient(model, x, y, step=h)
             assert oracle.fd_entrywise_deviation(g.g, fd) < 1e-6
             # factor gradients against direct finite differences in A and B

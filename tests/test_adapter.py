@@ -113,6 +113,39 @@ def test_training_pass_rejects_a_target_it_would_broadcast():
             ad.training_pass(model, x, bad)
 
 
+def test_training_pass_rejects_a_factored_target_that_does_not_fit():
+    model, x, _ = _random_model(ad.LINEAR_REGRESSION, 6, 5, 2, 8, seed=27)
+    stream = RandomStream(28)
+    us, vx = stream.normal(6, 3), stream.normal(3, 8)
+    ad.training_pass(model, x, ad.FactoredTarget(us, vx))
+    # U Sigma rows != k, V^T X columns != m, a run axis the layer does not have
+    for bad in ((us[:5], vx), (us, vx[:, :7]), (us[None].repeat(2, 0), vx)):
+        with pytest.raises(ad.ShapeMismatch, match=r"^factored target .* does not fit the layer \(6,\)"):
+            ad.training_pass(model, x, ad.FactoredTarget(*bad))
+    with pytest.raises(ad.ShapeMismatch, match=r"^factored target \(6, 3\) x \(2, 8\): the rank counts"):
+        ad.FactoredTarget(us, vx[:2])
+    relu, x_relu, _ = _random_model(ad.TWO_LAYER_RELU, 6, 5, 2, 8, seed=29)
+    with pytest.raises(ValueError, match="needs the linear_regression head"):
+        ad.training_pass(relu, x_relu, ad.FactoredTarget(us, vx))
+
+
+def test_factored_pass_is_the_dense_pass_of_its_target():
+    # T = W0 X + us vx: the same loss and dY as the dense pass toward it, to
+    # rounding, and forward's A X bit for bit; G's factors v and A are X and A.
+    model, x, _ = _random_model(ad.LINEAR_REGRESSION, 12, 7, 3, 11, seed=30)
+    stream = RandomStream(31)
+    target = ad.FactoredTarget(stream.normal(12, 2), stream.normal(2, 11))
+    dense = model.layer.w0 @ x + target.us @ target.vx
+    loss, g = ad.training_pass(model, x, target)
+    want_loss, want = ad.training_pass(model, x, dense)
+    assert rel_error(loss, want_loss) < 1e-14 and rel_error(g.u, want.u) < 1e-14
+    np.testing.assert_array_equal(g.ax[2], want.ax[2])
+    assert g.v is x and g.ax[0] is model.layer.a and g.ax[1] is x
+    p, qx = ad._residual_factors(model.layer, g.ax[2], target)
+    np.testing.assert_array_equal(p, np.hstack((model.layer.s * model.layer.b, -target.us)))
+    np.testing.assert_array_equal(qx, np.vstack((want.ax[2], target.vx)))
+
+
 def test_linreg_gradient_matches_golden_file():
     stream = RandomStream(9)
     layer = ad.LoraLayer(stream.normal(3, 4), stream.normal(2, 4), stream.normal(3, 2), 3.0)

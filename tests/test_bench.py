@@ -11,7 +11,15 @@ import pytest
 
 import pass_reference as pass_ref
 from altlora import bench, cli, optim
-from altlora.adapter import merged_weight
+from altlora.adapter import (
+    LINEAR_REGRESSION,
+    FactoredTarget,
+    FullGradient,
+    LoraLayer,
+    ToyModel,
+    merged_weight,
+    training_pass,
+)
 from altlora.matcore import SQUARE_CHUNK, RandomStream, frobenius, jacobi_svd, rel_error
 
 
@@ -48,7 +56,7 @@ def test_lowrank_task_deterministic():
     a = bench.generate_task(_spec(seed=5))
     b = bench.generate_task(_spec(seed=5))
     assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(a.target.us, b.target.us) and np.array_equal(a.target.vx, b.target.vx)
     assert np.array_equal(a.teacher_weight, b.teacher_weight)
     assert np.array_equal(a.model.layer.a, b.model.layer.a)
 
@@ -76,7 +84,7 @@ def test_relu_task_mirrors_lowrank_contracts():
     spec = _spec(task="two_layer_relu", d=8, width=32, r=3, teacher_rank=2, kappa=25.0)
     a = bench.generate_task(spec)
     b = bench.generate_task(spec)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.target, b.target)
     delta = a.teacher_weight - a.model.layer.w0
     sing = jacobi_svd(delta)[1]
     assert np.all(sing[2:] < 1e-12)  # rank r* perturbation
@@ -181,51 +189,110 @@ def test_runner_dispatches_every_optimizer(optimizer):
 
 
 EPS = np.finfo(np.float64).eps
-# After row 0, a lowrank run's grad_norm comes from the anchor of
-# bench._grad_norm, not from the dense gradient; the two differ by rounding
-# only. The bound is in units of eps ||G_0||_F (27 is the worst seen).
-GRAD_NORM_ULPS = 64
+# The lowrank pass forms its residual from the factored target; the dense
+# pass of tests/pass_reference.py, on the same layer, is its oracle. Each gap
+# is within FLOOR_ULPS of the dense path's own rounding floor: eps (||W0 X||_F
+# + ||s B A X||_F) for the residual Z - W* X, eps (||W0||_F + ||s B A||_F) for
+# the weight error. 1.7 floors is the worst seen.
+FLOOR_ULPS = 8
 
 
 def _outcome(run, spec):
-    """The divergence message (None when the run finishes) and the record's CSV lines."""
+    """The divergence message (None when the run finishes), steps_to_threshold and the CSV lines."""
     try:
         message, record = None, run(spec)
     except bench.DivergenceDetected as exc:
         message, record = str(exc), exc.record
-    return message, record.to_csv().splitlines()
+    return message, record.steps_to_threshold, record.to_csv().splitlines()
 
 
-def _assert_same_rows(got, want, case):
-    """Every CSV column byte for byte, but grad_norm after row 0 within GRAD_NORM_ULPS."""
-    assert got[0] == want[0] and len(got[1]) == len(want[1]), case
-    g0 = float(want[1][1].split(",")[3]) if len(want[1]) > 1 else 0.0
-    for i, (line, ref) in enumerate(zip(got[1], want[1])):
-        cols, ref_cols = line.split(","), ref.split(",")
-        norm, ref_norm = cols.pop(3), ref_cols.pop(3)
-        assert cols == ref_cols, (case, i)
-        if i <= 1:  # the header and row 0
-            assert norm == ref_norm, (case, i)
-        else:
-            assert abs(float(norm) - float(ref_norm)) <= GRAD_NORM_ULPS * EPS * g0, (case, i)
+def _earlier_outcome(spec, monkeypatch):
+    """_outcome of the run of tests/pass_reference.py, with its steppers."""
+    with monkeypatch.context() as earlier:
+        earlier.setattr(optim, "_alternating_step", pass_ref.alternating_step)
+        earlier.setattr(optim, "baseline_step", pass_ref.baseline_step)
+        return _outcome(pass_ref.run_experiment, spec)
+
+
+def _dense_pass(model, x, y):
+    """The dense pass's loss and gradient on the layer as it is, and its residual's floor."""
+    layer = model.layer
+    y_hat, cache = pass_ref.forward(model, x)
+    floor = EPS * (frobenius(layer.w0 @ x) + frobenius(layer.s * (layer.b @ cache["ax"][2])))
+    return pass_ref.mse_loss(y_hat, y), pass_ref.full_gradient(model, x, y, cache)[0], floor
+
+
+def _assert_meets_dense(loss, g, dense, m):
+    """A factored pass's loss and dY within FLOOR_ULPS of the dense floor; its A X bit for bit."""
+    want_loss, want, floor = dense
+    gap = FLOOR_ULPS * floor  # bounds ||res - res_dense||_F
+    assert abs(loss - want_loss) <= (2.0 * math.sqrt(m * want_loss) * gap + gap * gap) / m
+    assert frobenius(g.u - want.u) <= 2.0 / m * gap
+    assert np.array_equal(g.ax[2], want.ax[2])
+
+
+def _assert_eval_meets_dense(evaluate, g, dense, layer, teacher, x):
+    """weight_err and grad_norm of a factored pass against the merged weight and the dense G."""
+    werr, norm = evaluate(g)
+    _, want, floor = dense
+    teacher_norm = frobenius(teacher)
+    weight_floor = EPS * (frobenius(layer.w0) + frobenius(layer.s * (layer.b @ layer.a)))
+    dense_err = frobenius(merged_weight(layer) - teacher) / teacher_norm
+    assert abs(werr - dense_err) <= FLOOR_ULPS * weight_floor / teacher_norm
+    assert abs(norm - frobenius(want.g)) <= 2.0 / x.shape[1] * FLOOR_ULPS * floor * frobenius(x)
+    return werr, norm
+
+
+def _divergence_step(message):
+    return None if message is None else message.split(" at step ")[1].split(":")[0]
+
+
+def _meets_the_dense_pass(spec, monkeypatch):
+    """A lowrank run with each pass and eval row beside the dense pass on the same layer.
+
+    The run then ends as the dense reference run does: the same divergence
+    step and steps_to_threshold, and the same step, state_entries and flops
+    columns. Returns its _outcome.
+    """
+    task = bench.generate_task(spec)
+    teacher, m = task.teacher_weight, task.x.shape[1]
+    y = teacher @ task.x
+    real_pass, real_evaluator, dense = bench.training_pass, bench._evaluator, []
+
+    def beside_dense(model, x, target):
+        loss, g = real_pass(model, x, target)
+        dense.append(_dense_pass(model, x, y))
+        _assert_meets_dense(loss, g, dense[-1], m)
+        return loss, g
+
+    def evaluator(task):
+        evaluate, layer = real_evaluator(task), task.model.layer
+        return lambda g: _assert_eval_meets_dense(evaluate, g, dense[-1], layer, teacher, task.x)
+
+    with monkeypatch.context() as hooked:
+        hooked.setattr(bench, "training_pass", beside_dense)
+        hooked.setattr(bench, "_evaluator", evaluator)
+        got = _outcome(bench.run_experiment, spec)
+    want = _earlier_outcome(spec, monkeypatch)
+    assert _divergence_step(got[0]) == _divergence_step(want[0]) and got[1] == want[1], spec
+    def integers(lines):  # step, state_entries, flops
+        return [(row[0], *row[4:]) for row in (line.split(",") for line in lines)]
+
+    assert integers(got[2]) == integers(want[2]), spec
+    return got
 
 
 @pytest.mark.parametrize("task", bench.TASKS)
 @pytest.mark.parametrize("optimizer", list(optim.OPTIMIZERS))
 def test_runner_matches_the_earlier_pass_byte_for_byte(task, optimizer, monkeypatch):
-    """The ReLU head byte for byte; the lowrank head too, but grad_norm after row 0."""
+    """The ReLU head byte for byte; the lowrank head within the dense pass's floor."""
     shape = dict(k=16, d=12) if task == "lowrank" else dict(d=8, width=32)
     for spec in _byte_grid(task, optimizer, shape):
-        case = (spec.train.beta1, spec.alpha, spec.train.gamma, spec.train.bias_correction)
-        got = _outcome(bench.run_experiment, spec)
-        with monkeypatch.context() as earlier:
-            earlier.setattr(optim, "_alternating_step", pass_ref.alternating_step)
-            earlier.setattr(optim, "baseline_step", pass_ref.baseline_step)
-            want = _outcome(pass_ref.run_experiment, spec)
         if task == "lowrank":
-            _assert_same_rows(got, want, case)
+            _meets_the_dense_pass(spec, monkeypatch)
         else:
-            assert got == want, case
+            case = (spec.train.beta1, spec.alpha, spec.train.gamma, spec.train.bias_correction)
+            assert _outcome(bench.run_experiment, spec) == _earlier_outcome(spec, monkeypatch), case
 
 
 def _byte_grid(task, optimizer, shape):
@@ -254,44 +321,40 @@ def _desk_specs():
     yield desk(100.0, optim.LORA_SGD, 0.2, 0.0, 10000)
 
 
-def test_anchored_grad_norm_meets_the_dense_norm(monkeypatch):
-    """Each eval row's grad_norm against ||G||_F of the same pass's dense G = dZ X^T."""
-    runs = []
-    anchored = bench._grad_norm
+def test_the_factored_pass_meets_the_dense_pass(monkeypatch):
+    """The desk sweep's lowrank cells, B_0 != 0 and the golden run, beside the dense pass.
 
-    def beside_dense(model, x):
-        norm, rows = anchored(model, x), []
-        runs.append(rows)
-
-        def both(g):
-            dense = frobenius(g.g)  # before norm, which may overwrite g.g in place
-            rows.append((dense, norm(g)))
-            return rows[-1][1]
-
-        return both
-
-    monkeypatch.setattr(bench, "_grad_norm", beside_dense)
-    grid = [spec for opt in optim.OPTIMIZERS for spec in _byte_grid("lowrank", opt, dict(k=16, d=12))]
+    test_runner_matches_the_earlier_pass_byte_for_byte checks the byte
+    grid's lowrank specs the same way.
+    """
     slow = optim.TrainConfig(eta=0.02, lam=1e-6, steps=200)
-    nonzero_b = [  # B_0 != 0, so the anchor is not G_0 itself
+    nonzero_b = [  # B_0 != 0, so s B A is in the residual from the first pass
         _spec(init_b="gaussian", alpha=alpha, optimizer=opt, train=slow)
         for opt in optim.OPTIMIZERS
         for alpha in (None, 2.5)
     ]
-    for spec in grid + nonzero_b + list(_desk_specs()):
-        try:
-            bench.run_experiment(spec)
-        except bench.DivergenceDetected:
-            pass
-        (dense0, norm0), *later = runs.pop()
-        assert norm0 == dense0, spec
-        for dense, norm in later:
-            assert abs(norm - dense) <= GRAD_NORM_ULPS * EPS * dense0, spec
+    for spec in [*_desk_specs(), *nonzero_b]:
+        _meets_the_dense_pass(spec, monkeypatch)
+    assert _meets_the_dense_pass(_spec(), monkeypatch)[1] == 20  # the golden run
 
 
-def test_run_holds_one_anchor_and_no_k_by_m_temporary_beyond_z(monkeypatch):
-    k = d = 256
-    r, m = 8, 4 * d
+def test_a_stacked_factored_pass_meets_the_dense_pass():
+    tasks = [bench.generate_task(_spec(k=16, d=12, init_b="gaussian", alpha=2.5, seed=i)) for i in range(3)]
+    layer = LoraLayer(*(np.stack([getattr(t.model.layer, f) for t in tasks]) for f in ("w0", "a", "b")), 2.5)
+    x = np.stack([t.x for t in tasks])
+    target = FactoredTarget(np.stack([t.target.us for t in tasks]), np.stack([t.target.vx for t in tasks]))
+    loss, g = training_pass(ToyModel(LINEAR_REGRESSION, layer), x, target)
+    for i, task in enumerate(tasks):
+        model, teacher = task.model, task.teacher_weight
+        dense = _dense_pass(model, task.x, teacher @ task.x)
+        one = FullGradient(g.u[i], task.x, (model.layer.a, task.x, g.ax[2][i]))
+        _assert_meets_dense(loss[i], one, dense, task.x.shape[1])
+        _assert_eval_meets_dense(bench._evaluator(task), one, dense, model.layer, teacher, task.x)
+
+
+def test_run_holds_one_k_by_m_residual_and_no_k_by_d_array(monkeypatch):
+    k = d = 512
+    r, m = 4, 4 * d
     spec = _spec(
         k=k, d=d, r=r, kappa=10.0, eval_every=2,
         train=optim.TrainConfig(eta=0.3, beta1=0.9, lam=1e-6, order=optim.B_FIRST, steps=6),
@@ -310,11 +373,11 @@ def test_run_holds_one_anchor_and_no_k_by_m_temporary_beyond_z(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    km, kd = k * m * 8, k * d * 8
-    # W0 X and Z; the anchor and one eval row's k x d array (the merged
-    # weight's error, or c B (A X) X^T); one chunk of squares; and the
-    # factor-sized arrays of a step. A k x m square of the residual exceeds it.
-    bound = 2 * km + 2 * kd + SQUARE_CHUNK * 8 + 2 * r * (k + d + m) * 8
+    # The residual; one chunk of squares; and arrays r' = r + r* rows or
+    # columns long: P, QX, an eval row's and a step's. W0 X, a second k x m
+    # array or one k x d array (a quarter of k x m here) exceeds it.
+    rr = r + spec.teacher_rank
+    bound = k * m * 8 + SQUARE_CHUNK * 8 + 4 * rr * (k + d + m) * 8
     assert peak - held[0] <= bound
 
 
@@ -331,9 +394,7 @@ def test_update_order_property_a_first_stalls_under_standard_init():
     layer = task.model.layer
     a_before = layer.a.copy()
     state = optim.make_state(optim.ALTLORA, layer)
-    from altlora.adapter import training_pass
-
-    _, g = training_pass(task.model, task.x, task.y)
+    _, g = training_pass(task.model, task.x, task.target)
     optim.altlora_step(layer, state, g, spec.train)
     assert np.array_equal(layer.a, a_before)  # bit-exact stall at gamma = 0
 
@@ -342,7 +403,7 @@ def test_update_order_property_a_first_stalls_under_standard_init():
     layer2 = task2.model.layer
     a_before2 = layer2.a.copy()
     state2 = optim.make_state(optim.ALTLORA, layer2)
-    _, g2 = training_pass(task2.model, task2.x, task2.y)
+    _, g2 = training_pass(task2.model, task2.x, task2.target)
     optim.altlora_step(layer2, state2, g2, spec2.train)
     np.testing.assert_allclose(layer2.a, (1 - 0.3 * 0.01) * a_before2, rtol=1e-14)
     delta = np.abs(layer2.a - a_before2)
@@ -411,8 +472,6 @@ def test_state_accounting_degenerate_full_rank():
 
 def test_state_accounting_matches_real_state_within_bound():
     stream = RandomStream(3)
-    from altlora.adapter import LoraLayer
-
     k, d, r = 24, 40, 4
     layer = LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), float(r))
     for kind in (optim.ALTLORA, optim.ALTLORA_PLUS):

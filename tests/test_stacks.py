@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from altlora import adapter, optim, oracle
-from altlora.adapter import LINEAR_REGRESSION, TWO_LAYER_RELU, LoraLayer, ToyModel
+from altlora.adapter import LINEAR_REGRESSION, TWO_LAYER_RELU, FactoredTarget, LoraLayer, ToyModel
 from altlora.matcore import RandomStream, SingularGram, cholesky_factor, damped_gram_inverse, gauge_sample
 
 S, STEPS = 3, 6
@@ -29,29 +29,25 @@ def _stack(tasks):
     layers = [model.layer for model, _, _ in tasks]
     stacked = (np.stack([getattr(one, f) for one in layers]) for f in ("w0", "a", "b"))
     layer = LoraLayer(*stacked, layers[0].alpha)
-    model = tasks[0][0]
+    model, targets = tasks[0][0], [t[2] for t in tasks]
     w2 = None if model.w2 is None else np.stack([t[0].w2 for t in tasks])
-    return ToyModel(model.kind, layer, w2), np.stack([t[1] for t in tasks]), np.stack([t[2] for t in tasks])
+    if isinstance(targets[0], FactoredTarget):
+        target = FactoredTarget(np.stack([t.us for t in targets]), np.stack([t.vx for t in targets]))
+    else:
+        target = np.stack(targets)
+    return ToyModel(model.kind, layer, w2), np.stack([t[1] for t in tasks]), target
 
 
 def _buffers(layer, state):
     return {"a": layer.a, "b": layer.b, "ma": state.ma, "mb": state.mb, "va": state.va, "vb": state.vb}
 
 
-@pytest.mark.parametrize("kind", optim.OPTIMIZERS)
-@pytest.mark.parametrize("head", [LINEAR_REGRESSION, TWO_LAYER_RELU])
-@pytest.mark.parametrize("beta1", [0.0, 0.9])
-@pytest.mark.parametrize("s", [1.0, 2.5])
-def test_a_stack_steps_each_run_as_it_steps_alone(kind, head, beta1, s):
-    stream = RandomStream(61)
-    runs = [_task(stream, head, s) for _ in range(S)]
-    stacked = _stack(runs)
+def _assert_stack_steps_as_alone(runs, stacked, kind, beta1):
+    """STEPS passes and steps of each run alone and of the stack: the same bits in every slice."""
     cfg = optim.TrainConfig(eta=0.01, beta1=beta1, gamma=0.01)
     stepper = optim.make_stepper(kind)
     states = [optim.make_state(kind, model.layer) for model, _, _ in runs]
     state = optim.make_state(kind, stacked[0].layer)
-    for model, x, _ in (*runs, stacked):
-        model.cache_base(x)
     for _ in range(STEPS):
         losses = []
         for (model, x, y), one in zip(runs, states):
@@ -72,6 +68,34 @@ def test_a_stack_steps_each_run_as_it_steps_alone(kind, head, beta1, s):
             assert _same_bits(state.gram_inv[2][i], one.gram_inv[2])
     if state.gram_inv is not None:  # the carry keys on the whole bound stack
         assert state.gram_inv[0] is stacked[0].layer.a or state.gram_inv[0] is stacked[0].layer.b
+
+
+@pytest.mark.parametrize("kind", optim.OPTIMIZERS)
+@pytest.mark.parametrize("head", [LINEAR_REGRESSION, TWO_LAYER_RELU])
+@pytest.mark.parametrize("beta1", [0.0, 0.9])
+@pytest.mark.parametrize("s", [1.0, 2.5])
+def test_a_stack_steps_each_run_as_it_steps_alone(kind, head, beta1, s):
+    stream = RandomStream(61)
+    runs = [_task(stream, head, s) for _ in range(S)]
+    stacked = _stack(runs)
+    for model, x, _ in (*runs, stacked):
+        model.cache_base(x)
+    _assert_stack_steps_as_alone(runs, stacked, kind, beta1)
+
+
+@pytest.mark.parametrize("kind", optim.OPTIMIZERS)
+@pytest.mark.parametrize("beta1", [0.0, 0.9])
+@pytest.mark.parametrize("s", [1.0, 2.5])
+def test_a_stack_shares_one_factored_target_as_each_run_alone(kind, beta1, s):
+    # Every run trains toward one batch and one factored target, which the
+    # stack holds once: a batch axis of length 1, broadcast views of the target.
+    stream = RandomStream(66)
+    runs = [_task(stream, LINEAR_REGRESSION, s) for _ in range(S)]
+    x = runs[0][1]
+    target = FactoredTarget(stream.normal(16, 2), stream.normal(2, x.shape[1]))
+    runs = [(model, x, target) for model, _, _ in runs]
+    shared = FactoredTarget(*(np.broadcast_to(f, (S,) + f.shape) for f in (target.us, target.vx)))
+    _assert_stack_steps_as_alone(runs, (_stack(runs)[0], x[None], shared), kind, beta1)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
