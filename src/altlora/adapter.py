@@ -91,10 +91,11 @@ class FullGradient:
     """Loss gradient w.r.t. the merged weight of one adapted layer, G = u v^T.
 
     u (k x m) is the gradient w.r.t. the layer's outputs Z and v (d x m) its
-    inputs. The dense k x d ``g`` is the oracle form, built on first access
-    and then kept; the oracles and the ReLU head's eval rows read it. ``ax``
-    is the pass's (A, X, A X): lora_grad_b reuses A X while the layer's A is
-    that array and v is X.
+    inputs; a dense G is FullGradient(G, np.eye(d)), whose g is a finite G bit
+    for bit but for the sign of a zero. The dense k x d ``g`` is the oracle
+    form, built on first access and then kept; the oracles and the ReLU head's
+    eval rows read it. ``ax`` is the pass's (A, X, A X): lora_grad_b reuses
+    A X while the layer's A is that array and v is X.
     """
 
     u: np.ndarray
@@ -109,11 +110,6 @@ class FullGradient:
 def _f64(x) -> np.ndarray:
     """x as a float64 ndarray, skipping np.asarray's cost when x already is one."""
     return x if type(x) is np.ndarray and x.dtype is _F64 else np.asarray(x, dtype=np.float64)
-
-
-def gradient_array(g) -> np.ndarray:
-    """The dense gradient matrix of a FullGradient or of any array-like."""
-    return g.g if isinstance(g, FullGradient) else np.asarray(g, dtype=np.float64)
 
 
 @dataclass
@@ -140,7 +136,7 @@ class FactoredTarget:
 class ToyModel:
     """A toy network with exactly one adapted layer.
 
-    kind="linear_regression": y = (w0 + s b a) x.
+    kind="linear_regression": y = (w0 + s b a) x, with no w2.
     kind="two_layer_relu":    y = w2 @ relu((w0 + s b a) x) with frozen w2.
     """
 
@@ -161,6 +157,8 @@ class ToyModel:
                 raise ShapeMismatch(
                     f"second layer {self.w2.shape} does not compose with width {self.layer.k}"
                 )
+        elif self.w2 is not None:  # forward would ignore it
+            raise ValueError(f"{LINEAR_REGRESSION} has no second layer; got w2 of shape {np.shape(self.w2)}")
 
     def cache_base(self, x) -> None:
         """Compute the frozen base product W0 X once for a batch used again.
@@ -285,24 +283,18 @@ def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGr
 
 def _factors(g: FullGradient, layer: LoraLayer):
     """(u, v) of a FullGradient whose shapes fit the layer."""
+    if not isinstance(g, FullGradient):
+        raise TypeError(f"a gradient is a FullGradient, not {type(g).__name__}; "
+                        f"pass a dense k x d G as FullGradient(G, np.eye(d))")
     u, v = g.u, g.v
     if u.shape[-2] != layer.k or v.shape[-2] != layer.d or u.shape[-1] != v.shape[-1]:
         raise ShapeMismatch(f"gradient factors {u.shape} x {v.shape} vs layer {(layer.k, layer.d)}")
     return u, v
 
 
-def _dense(g, layer: LoraLayer) -> np.ndarray:
-    gm = gradient_array(g)
-    if gm.shape[-2:] != (layer.k, layer.d):
-        raise ShapeMismatch(f"gradient {gm.shape} vs layer {(layer.k, layer.d)}")
-    return gm
-
-
-def lora_grad_a(g, layer: LoraLayer) -> np.ndarray:
-    """grad_a = s B^T G; for G = u v^T (a FullGradient), s (B^T u) v^T."""
+def lora_grad_a(g: FullGradient, layer: LoraLayer) -> np.ndarray:
+    """grad_a = s B^T G for the FullGradient G = u v^T, as s (B^T u) v^T."""
     s, b = layer.s, layer.b
-    if not isinstance(g, FullGradient):
-        return s * (b.mT @ _dense(g, layer))
     u, v = _factors(g, layer)
     dot = np.dot if b.ndim == u.ndim == 2 else np.matmul
     btu = dot(b.mT, u)
@@ -311,14 +303,12 @@ def lora_grad_a(g, layer: LoraLayer) -> np.ndarray:
     return dot(btu, v.mT)
 
 
-def lora_grad_b(g, layer: LoraLayer) -> np.ndarray:
-    """grad_b = s G A^T; for G = u v^T (a FullGradient), u (s A v)^T.
+def lora_grad_b(g: FullGradient, layer: LoraLayer) -> np.ndarray:
+    """grad_b = s G A^T for the FullGradient G = u v^T, as u (s A v)^T.
 
     A v is forward's A X when the gradient carries it for this very A and v.
     """
     s, a = layer.s, layer.a
-    if not isinstance(g, FullGradient):
-        return s * (_dense(g, layer) @ a.mT)
     u, v = _factors(g, layer)
     dot = np.dot if a.ndim == u.ndim == 2 else np.matmul
     held = g.ax
@@ -328,12 +318,12 @@ def lora_grad_b(g, layer: LoraLayer) -> np.ndarray:
     return dot(u, av.mT)
 
 
-def lora_grads(g, layer: LoraLayer):
+def lora_grads(g: FullGradient, layer: LoraLayer):
     """Factor gradients induced by the chain rule through W = W0 + s B A.
 
     (lora_grad_a, lora_grad_b): grad_a = s B^T G, grad_b = s G A^T, with no
-    k x d product when G is a FullGradient. An alternating phase calls only
-    the one for the factor it moves.
+    k x d product; g is a FullGradient (a dense G is FullGradient(G, I)). An
+    alternating phase calls only the one for the factor it moves.
     """
     return lora_grad_a(g, layer), lora_grad_b(g, layer)
 

@@ -154,7 +154,8 @@ def damped_gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
     side="right" -> (m @ m.T + lam I)^-1, with r = rows(m).
 
     Computed as L^-T L^-1 from the Cholesky factor L in one symmetric
-    product (BLAS syrk), so the result is exactly symmetric. With lam = 0 a
+    product (BLAS syrk), so the result is exactly symmetric. lam must be
+    finite and nonnegative (a NaN or inf lam raises ValueError). With lam = 0 a
     rank-deficient Gram raises SingularGram, and so does a Gram with NaN
     entries at any lam. A stack (S, rows, cols) gives the (S, r, r) stack of
     the slices' inverses, bit for bit, and fails as cholesky_factor does.
@@ -169,8 +170,8 @@ def _gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
     damped_gram_inverse reads a 2-D shape.
     """
     m = np.asarray(m, dtype=np.float64)
-    if lam < 0.0:
-        raise ValueError(f"damping must be nonnegative, got {lam}")
+    if not 0.0 <= lam < math.inf:  # NaN fails too
+        raise ValueError(f"damping must be nonnegative and finite, got {lam}")
     # One matrix takes np.dot (the syrk call @ makes, without matmul's dispatch)
     # and a 1-D diagonal view: the stacked forms cost a microsecond more.
     stacked = m.ndim > 2
@@ -259,7 +260,7 @@ def orthonormal_columns(rows: int, cols: int, stream: RandomStream) -> np.ndarra
 
 
 def gauge_sample(r: int, cond_max: float, seed: int) -> np.ndarray:
-    """Invertible r x r matrix with condition number <= cond_max.
+    """Invertible r x r matrix with condition number <= cond_max (finite, >= 1).
 
     Built as Q diag(d) Q'^T with independent seeded orthogonal Q, Q' and
     singular values log-uniform in [1/sqrt(cond_max), sqrt(cond_max)].
@@ -267,8 +268,8 @@ def gauge_sample(r: int, cond_max: float, seed: int) -> np.ndarray:
     """
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    if cond_max < 1.0:
-        raise ValueError(f"cond_max must be >= 1, got {cond_max}")
+    if not 1.0 <= cond_max < math.inf:  # NaN fails too
+        raise ValueError(f"cond_max must be finite and >= 1, got {cond_max}")
     stream = RandomStream(seed)
     q1 = orthonormal_columns(r, r, stream)
     q2 = orthonormal_columns(r, r, stream)

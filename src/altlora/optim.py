@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter import LoraLayer, gradient_array, lora_grad_a, lora_grad_b, lora_grads
+from .adapter import FullGradient, LoraLayer, lora_grad_a, lora_grad_b, lora_grads
 from .matcore import _gram_inverse, damped_gram_inverse
 
 A_FIRST = "a_first"
@@ -261,7 +261,7 @@ def _moments(m: np.ndarray, grad: np.ndarray, cfg: TrainConfig, v: np.ndarray | 
 # Alternating steppers
 
 
-def _alternating_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig, adaptive: bool):
+def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig, adaptive: bool):
     """One phase of altlora_step, or of altlora_plus_step when ``adaptive``.
 
     Written for the A-phase. The B-phase is the A-phase of the transposed
@@ -309,8 +309,8 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
     return layer, state
 
 
-def altlora_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig):
-    """One alternating step with first-moment momentum.
+def altlora_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig):
+    """One alternating step with first-moment momentum, for the FullGradient g.
 
     Updates exactly one factor (phase set by t and cfg.order): the raw
     factor gradient is Gram-preconditioned, mixed with beta1 into the
@@ -320,8 +320,8 @@ def altlora_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig):
     return _alternating_step(layer, state, g, cfg, adaptive=False)
 
 
-def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig):
-    """Alternating step with AdamW-style elementwise second moments.
+def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig):
+    """Alternating step with AdamW-style elementwise second moments, for the FullGradient g.
 
     First moments are realigned exactly as in altlora_step; second moments
     are plain elementwise EMAs of the squared scaled gradient and are NOT
@@ -338,8 +338,8 @@ def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig
 # Baselines
 
 
-def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g, cfg: TrainConfig):
-    """One joint step of a baseline optimizer (both factors move at once)."""
+def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig):
+    """One joint step of a baseline optimizer (both factors move at once) for the FullGradient g."""
     grad_a, grad_b = lora_grads(g, layer)
     eta_b = cfg.eta
     if kind in (LORA_SGD, LORA_PLUS):
@@ -390,7 +390,7 @@ def make_stepper(kind: str):
 # Reference: the joint-update equivalent gradient with an ancillary matrix
 
 
-def lorapro_equiv_grad(g, layer: LoraLayer, x_aux: np.ndarray, lam: float):
+def lorapro_equiv_grad(g: FullGradient, layer: LoraLayer, x_aux: np.ndarray, lam: float):
     """Joint-update gradient pair parameterized by an ancillary r x r matrix.
 
         g_a = (1/s) (B^T B + lam I)^-1 B^T G + X A
@@ -398,8 +398,9 @@ def lorapro_equiv_grad(g, layer: LoraLayer, x_aux: np.ndarray, lam: float):
 
     The induced merged-weight change s B g_a + s g_b A is independent of X:
     the ancillary matrix only redistributes the update between the factors.
+    G is the dense form g.g of the FullGradient g.
     """
-    gm = gradient_array(g)
+    gm = g.g
     a, b, s = layer.a, layer.b, layer.s
     binv = damped_gram_inverse(b, "left", lam)
     ainv = damped_gram_inverse(a, "right", lam)

@@ -25,9 +25,9 @@ from .adapter import (
     LINEAR_REGRESSION,
     TWO_LAYER_RELU,
     FactoredTarget,
+    FullGradient,
     LoraLayer,
     ToyModel,
-    gradient_array,
     init_layer,
     lora_grads,
     merged_weight,
@@ -145,34 +145,37 @@ class DecompositionReport:
     residual_norm: float
 
 
-def joint_cross_term(layer: LoraLayer, g, cfg: optim.TrainConfig) -> np.ndarray:
+def joint_cross_term(layer: LoraLayer, g: FullGradient, cfg: optim.TrainConfig) -> np.ndarray:
     """Explicit second-order term of one joint scaled step.
 
-    (eta^2 / s) G A^T (A A^T + lam I)^-1 (B^T B + lam I)^-1 B^T G.
+    (eta^2 / s) G A^T (A A^T + lam I)^-1 (B^T B + lam I)^-1 B^T G, G = g.g.
     """
-    gm = gradient_array(g)
+    gm = g.g
     right = damped_gram_inverse(layer.a, "right", cfg.lam)
     left = damped_gram_inverse(layer.b, "left", cfg.lam)
     return (cfg.eta**2 / layer.s) * (gm @ layer.a.T @ right @ left @ layer.b.T @ gm)
 
 
-def decompose_pair_step(layer: LoraLayer, g_t, g_half, cfg: optim.TrainConfig) -> DecompositionReport:
+def decompose_pair_step(
+    layer: LoraLayer, g_t: FullGradient, g_half: FullGradient, cfg: optim.TrainConfig
+) -> DecompositionReport:
     """Split one A-phase + one B-phase against one joint step, densely.
 
     Runs both on copies with pure projected gradients (requires beta1 = 0
-    and gamma = 0). The alternating update must equal the sum of the two
+    and gamma = 0): the steppers take the FullGradients, the projector terms
+    their dense forms. The alternating update must equal the sum of the two
     projector terms exactly; the joint step differs by the cross term.
     """
     if cfg.beta1 != 0.0 or cfg.gamma != 0.0:
         raise ValueError("decomposition requires beta1 = 0 and gamma = 0")
-    gt, gh = gradient_array(g_t), gradient_array(g_half)
+    gt, gh = g_t.g, g_half.g
 
     cfg_alt = replace(cfg, order=optim.A_FIRST)
     alt = layer.copy()
     st = optim.AltLoraState.init(alt)
-    optim.altlora_step(alt, st, gt, cfg_alt)
+    optim.altlora_step(alt, st, g_t, cfg_alt)
     a_plus = alt.a.copy()
-    optim.altlora_step(alt, st, gh, cfg_alt)
+    optim.altlora_step(alt, st, g_half, cfg_alt)
     dw_alt = equivalent_update(layer, alt)
 
     col_term = cfg.eta * (projector(layer.b, "column", cfg.lam) @ gt)
@@ -181,7 +184,7 @@ def decompose_pair_step(layer: LoraLayer, g_t, g_half, cfg: optim.TrainConfig) -
 
     joint = layer.copy()
     stj = optim.AltLoraState.init(joint)
-    optim.baseline_step(optim.SCALEDGD_JOINT, joint, stj, gt, cfg)
+    optim.baseline_step(optim.SCALEDGD_JOINT, joint, stj, g_t, cfg)
     dw_joint = equivalent_update(layer, joint)
     cross = dw_joint + col_term + cfg.eta * (gt @ projector(layer.a, "row", cfg.lam))
 
@@ -446,7 +449,7 @@ def _pair_instance(stream: RandomStream, k: int = 16, d: int = 32, r: int = 4):
     )
     g_t = stream.normal(k, d)
     g_half = stream.normal(k, d)
-    return layer, g_t, g_half
+    return layer, FullGradient(g_t, np.eye(d)), FullGradient(g_half, np.eye(d))
 
 
 @_per_instance(100, 1e-10)
@@ -465,7 +468,7 @@ def _joint_cross_term(seed: int, instances: int = 100):
         layer, g_t, _ = _pair_instance(stream)
         rep = decompose_pair_step(layer, g_t, g_t, cfg)
         devs.append(rel_error(rep.cross_term, joint_cross_term(layer, g_t, cfg)))
-        bound = 1e-8 * cfg.eta**2 * frobenius(g_t) ** 2
+        bound = 1e-8 * cfg.eta**2 * frobenius(g_t.g) ** 2
         nonzero = nonzero and frobenius(rep.cross_term) > bound
     worst = _worst(devs)
     return instances, worst, worst <= 1e-10 and nonzero, {"nonzero": nonzero}
@@ -483,8 +486,8 @@ def _eta_order_slopes(seed: int):
         stream.normal(k, r) / np.sqrt(r),
         alpha=float(r),
     )
-    g_t = stream.normal(k, d) / np.sqrt(d)
-    g_half = stream.normal(k, d) / np.sqrt(d)
+    g_t = FullGradient(stream.normal(k, d) / np.sqrt(d), np.eye(d))
+    g_half = FullGradient(stream.normal(k, d) / np.sqrt(d), np.eye(d))
     etas = [1e-2, 1e-3, 1e-4]
     proj_norms, cross_norms = [], []
     for eta in etas:
@@ -573,7 +576,7 @@ def _trajectory_invariance_negative_control(seed: int, gauges: int = 20, steps: 
 def _lorapro_x_independence(stream: RandomStream, *_) -> float:
     k, d, r, s = _random_instance(stream, r_max=6, dim_max=32)
     layer = LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), s * r)
-    g = stream.normal(k, d)
+    g = FullGradient(stream.normal(k, d), np.eye(d))
     x1, x2 = stream.normal(r, r), stream.normal(r, r)
     ga1, gb1 = optim.lorapro_equiv_grad(g, layer, x1, 1e-8)
     ga2, gb2 = optim.lorapro_equiv_grad(g, layer, x2, 1e-8)
@@ -638,7 +641,7 @@ def _gradient_finite_difference(seed: int):
 def _bzero_stall(seed: int):
     stream = RandomStream(seed)
     layer = init_layer(stream.normal(8, 12), r=2, init_a="kaiming", init_b="zero", seed=seed)
-    g = stream.normal(8, 12)
+    g = FullGradient(stream.normal(8, 12), np.eye(12))
     grad_a, _ = lora_grads(g, layer)
     scaled = optim.scaled_grad_a(grad_a, layer.b, layer.s, optim.DEFAULT_DAMPING)
     exact = bool(np.all(grad_a == 0.0) and np.all(scaled == 0.0))

@@ -24,6 +24,7 @@ from altlora.adapter import (
     training_pass,
 )
 from altlora.matcore import RandomStream, frobenius, gauge_sample, rel_error
+from dense_gradient import as_gradient
 
 SEED = 1789
 
@@ -231,7 +232,7 @@ def test_c11_standard_init_stalls_first_a_phase():
     with _Budget("criterion 11: B = 0 stalls the A update, bit-exactly", 5.0):
         stream = RandomStream(SEED)
         layer = init_layer(stream.normal(16, 24), r=4, init_a="kaiming", init_b="zero", seed=SEED)
-        g = stream.normal(16, 24)
+        g = as_gradient(stream.normal(16, 24))
         grad_a, _ = lora_grads(g, layer)
         assert np.all(grad_a == 0.0)
         scaled = optim.scaled_grad_a(grad_a, layer.b, layer.s, optim.DEFAULT_DAMPING)

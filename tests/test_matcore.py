@@ -1,5 +1,6 @@
 """Kernel tests: damped inverses, projectors, gauge sampling, SVD, text IO."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,17 @@ def test_damped_inverse_right_side_matches_direct_2x2_inversion():
     want = np.array([[gram[1, 1], -gram[0, 1]], [-gram[1, 0], gram[0, 0]]]) / det
     got = mc.damped_gram_inverse(m, "right", 0.1)
     np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("lam", [-1e-6, -math.inf, math.nan, math.inf])
+def test_damped_inverse_rejects_a_damping_that_is_not_finite_and_nonnegative(lam):
+    # NaN would factor the undamped Gram (no comparison holds for it) and inf
+    # would give an all-zero "inverse"; a stack goes through the same check.
+    m = mc.RandomStream(2).normal(6, 2)
+    for got in (m, np.stack([m, m])):
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match="^damping must be nonnegative and finite"):
+                mc.damped_gram_inverse(got, side, lam)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -127,6 +139,13 @@ def test_gauge_sample_always_invertible():
         cond = 1.0 + float(stream.uniform()) * 99.0
         sing = mc.jacobi_svd(mc.gauge_sample(r, cond, 1000 + i))[1]
         assert sing[-1] > 0.0
+
+
+@pytest.mark.parametrize("cond_max", [0.5, -math.inf, math.nan, math.inf])
+def test_gauge_sample_rejects_a_bound_that_is_not_finite_and_at_least_one(cond_max):
+    # NaN would slip past a plain cond_max < 1 test and return a NaN matrix
+    with pytest.raises(ValueError, match="^cond_max must be finite and >= 1"):
+        mc.gauge_sample(3, cond_max, 7)
 
 
 def test_jacobi_svd_against_lapack():

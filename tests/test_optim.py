@@ -21,6 +21,7 @@ from altlora.oracle import (
     gauge_map_state,
     lstsq_oracle,
 )
+from dense_gradient import as_gradient
 
 
 def _random_layer(stream, k=16, d=32, r=4, alpha=None):
@@ -158,7 +159,7 @@ def test_first_b_phase_from_standard_init():
     cfg = optim.TrainConfig(eta=0.1, beta1=0.9, gamma=0.0, lam=1e-6, order=optim.B_FIRST)
     state = optim.AltLoraState.init(layer)
     a_before = layer.a.copy()
-    optim.altlora_step(layer, state, g, cfg)
+    optim.altlora_step(layer, state, as_gradient(g), cfg)
     # B_1 = -eta (1 - beta1) (1/s) G A^T (A A^T + lam I)^-1, A untouched
     tilde = g @ a.T @ damped_gram_inverse(a, "right", cfg.lam) / layer.s
     np.testing.assert_allclose(layer.b, -cfg.eta * (1 - cfg.beta1) * tilde, rtol=1e-12)
@@ -175,9 +176,9 @@ def test_pure_weight_decay_shrinks_factor():
     state = optim.AltLoraState.init(layer)
     b_before = layer.b.copy()
     a_before = layer.a.copy()
-    optim.altlora_step(layer, state, np.zeros((6, 8)), cfg)
+    optim.altlora_step(layer, state, as_gradient(np.zeros((6, 8))), cfg)
     np.testing.assert_allclose(layer.b, (1 - cfg.eta * cfg.gamma) * b_before, rtol=1e-14)
-    optim.altlora_step(layer, state, np.zeros((6, 8)), cfg)
+    optim.altlora_step(layer, state, as_gradient(np.zeros((6, 8))), cfg)
     np.testing.assert_allclose(layer.a, (1 - cfg.eta * cfg.gamma) * a_before, rtol=1e-14)
 
 
@@ -192,9 +193,9 @@ def test_pair_of_steps_decomposes_into_projected_terms(order):
     cfg = optim.TrainConfig(eta=0.05, beta1=0.0, lam=0.0, order=order)
     work = layer.copy()
     state = optim.AltLoraState.init(work)
-    optim.altlora_step(work, state, g_t, cfg)
+    optim.altlora_step(work, state, as_gradient(g_t), cfg)
     first_updated = work.a.copy() if order == optim.A_FIRST else work.b.copy()
-    optim.altlora_step(work, state, g_half, cfg)
+    optim.altlora_step(work, state, as_gradient(g_half), cfg)
     dw = equivalent_update(layer, work)
     if order == optim.A_FIRST:
         want = -cfg.eta * (projector(layer.b, "column", 0.0) @ g_t)
@@ -218,7 +219,7 @@ def test_step_under_gauge_change_commutes():
     layer = _random_layer(stream, k=8, r=3, d=12)
     gauge = gauge_sample(3, 5.0, 7)
     twin = LoraLayer(layer.w0, np.linalg.solve(gauge, layer.a), layer.b @ gauge, layer.alpha)
-    g = stream.normal(8, 12)
+    g = as_gradient(stream.normal(8, 12))
     cfg = optim.TrainConfig(eta=0.1, beta1=0.0, lam=0.0, order=optim.B_FIRST)
     for lay in (layer, twin):
         optim.altlora_step(lay, optim.AltLoraState.init(lay), g, cfg)
@@ -234,7 +235,7 @@ def test_step_under_gauge_change_commutes():
 def test_altlora_plus_large_eps_reduces_to_first_moment():
     stream = RandomStream(59)
     layer = _random_layer(stream, k=6, d=9, r=2)
-    g = stream.normal(6, 9)
+    g = as_gradient(stream.normal(6, 9))
     cfg = optim.TrainConfig(eta=0.1, beta1=0.0, beta2=0.9, eps=1e6, lam=1e-6, order=optim.B_FIRST)
     state = optim.make_state(optim.ALTLORA_PLUS, layer)
     b_before = layer.b.copy()
@@ -252,7 +253,7 @@ def test_altlora_plus_sign_sgd_limit():
     cfg = optim.TrainConfig(eta=0.01, beta1=0.0, beta2=0.0, eps=1e-8, lam=1e-6, order=optim.B_FIRST)
     state = optim.make_state(optim.ALTLORA_PLUS, layer)
     for _ in range(4):
-        g = stream.normal(6, 9)
+        g = as_gradient(stream.normal(6, 9))
         phase = optim.update_phase(state.t, cfg.order)
         grad_a, grad_b = lora_grads(g, layer)
         if phase == "b":
@@ -303,7 +304,7 @@ def test_altlora_plus_trust_region_bound():
 def test_altlora_plus_bias_correction_flag():
     stream = RandomStream(62)
     layer = _random_layer(stream, k=6, d=9, r=2)
-    g = stream.normal(6, 9)
+    g = as_gradient(stream.normal(6, 9))
     grad_b = lora_grads(g, layer)[1]
     on, off = layer.copy(), layer.copy()
     cfg_on = optim.TrainConfig(eta=0.1, lam=1e-6, order=optim.B_FIRST)
@@ -329,7 +330,7 @@ def test_altlora_plus_bias_correction_counts_per_factor_updates(order):
     cfg = optim.TrainConfig(eta=0.05, lam=1e-6, order=order)
     state = optim.make_state(optim.ALTLORA_PLUS, layer)
     for t in range(6):
-        g = merged_weight(layer) - target
+        g = as_gradient(merged_weight(layer) - target)
         grad_a, grad_b = lora_grads(g, layer)
         phase = optim.update_phase(t, order)
         if phase == "a":
@@ -351,7 +352,7 @@ def test_altlora_plus_requires_second_moment_state():
     layer = _random_layer(stream, k=4, d=6, r=2)
     state = optim.AltLoraState.init(layer)  # no second moments
     with pytest.raises(ValueError):
-        optim.altlora_plus_step(layer, state, np.zeros((4, 6)), optim.TrainConfig(eta=0.1))
+        optim.altlora_plus_step(layer, state, as_gradient(np.zeros((4, 6))), optim.TrainConfig(eta=0.1))
 
 
 @pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
@@ -368,8 +369,8 @@ def test_b_phase_is_the_a_phase_of_the_transposed_problem(kind, order):
     state, state_twin = optim.make_state(kind, layer), optim.make_state(kind, twin)
     step = optim.make_stepper(kind)
     for _ in range(8):
-        step(layer, state, merged_weight(layer) - target, cfg)
-        step(twin, state_twin, merged_weight(twin) - target.T, cfg_twin)
+        step(layer, state, as_gradient(merged_weight(layer) - target), cfg)
+        step(twin, state_twin, as_gradient(merged_weight(twin) - target.T), cfg_twin)
         pairs = [(layer.a, twin.b), (layer.b, twin.a), (state.ma, state_twin.mb), (state.mb, state_twin.ma)]
         if kind == optim.ALTLORA_PLUS:
             pairs += [(state.va, state_twin.vb), (state.vb, state_twin.va)]
@@ -398,8 +399,8 @@ def test_step_matches_the_snapshot_stepper(kind, order, beta1, lam):
     old = ref.SnapshotState.init(old_layer, second_moment=adaptive)
     step = optim.make_stepper(kind)
     for t in range(24):
-        step(layer, state, merged_weight(layer) - target, cfg)
-        ref.alternating_step(old_layer, old, merged_weight(old_layer) - target, cfg, adaptive)
+        step(layer, state, as_gradient(merged_weight(layer) - target), cfg)
+        ref.alternating_step(old_layer, old, as_gradient(merged_weight(old_layer) - target), cfg, adaptive)
         ma, mb = old.ma, old.mb
         if beta1 != 0.0:  # carry the snapshot stepper's stale moment to the current factor
             if optim.update_phase(t, order) == "a":
@@ -441,7 +442,7 @@ def _run_steps(kind, layer, state, cfg, steps, stream):
     step = optim.make_stepper(kind)
     target = stream.normal(layer.k, layer.d) / np.sqrt(layer.d)
     for _ in range(steps):
-        step(layer, state, merged_weight(layer) - target, cfg)
+        step(layer, state, as_gradient(merged_weight(layer) - target), cfg)
 
 
 @pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
@@ -482,9 +483,10 @@ def test_each_phase_forms_only_its_factor_gradient(kind, order, monkeypatch):
     state = optim.make_state(kind, layer)
     step = optim.make_stepper(kind)
     target = stream.normal(12, 20)
+    cfg = optim.TrainConfig(eta=0.05, lam=1e-6, order=order)
     for t in range(6):
         calls.clear()
-        step(layer, state, merged_weight(layer) - target, optim.TrainConfig(eta=0.05, lam=1e-6, order=order))
+        step(layer, state, as_gradient(merged_weight(layer) - target), cfg)
         assert calls == ["lora_grad_" + optim.update_phase(t, order)]
 
 
@@ -503,7 +505,7 @@ def test_a_carry_whose_key_does_not_match_is_not_used(kind, order, change):
     state = optim.make_state(kind, layer)
     step = optim.make_stepper(kind)
     for t in range(5):
-        step(layer, state, merged_weight(layer) - target, cfg)
+        step(layer, state, as_gradient(merged_weight(layer) - target), cfg)
         owner = "b" if optim.update_phase(state.t, order) == "a" else "a"
         if change == "lam":
             cfg = replace(cfg, lam=2e-6 if cfg.lam == 1e-6 else 1e-6)
@@ -526,11 +528,30 @@ def test_copy_and_gauge_map_state_drop_the_carry():
     stream = RandomStream(146)
     layer = _random_layer(stream, k=12, d=20, r=3)
     state = optim.make_state(optim.ALTLORA, layer)
-    optim.altlora_step(layer, state, stream.normal(12, 20), optim.TrainConfig(eta=0.05, beta1=0.9, lam=1e-6))
+    g = as_gradient(stream.normal(12, 20))
+    optim.altlora_step(layer, state, g, optim.TrainConfig(eta=0.05, beta1=0.9, lam=1e-6))
     assert state.gram_inv is not None
     assert state.copy().gram_inv is None
     assert gauge_map_state(state, gauge_sample(3, 4.0, 7)).gram_inv is None
     assert state.gram_inv is not None  # the source keeps its own
+
+
+@pytest.mark.parametrize("kind", [None, *optim.OPTIMIZERS])
+def test_a_plain_array_gradient_is_a_type_error_that_names_the_wrapper(kind):
+    # Gradients have one form: a dense G is wrapped, and nothing moves before the error.
+    stream = RandomStream(147)
+    layer = _random_layer(stream, k=6, d=8, r=2)
+    a, b = layer.a, layer.b
+    g = stream.normal(6, 8)
+    message = r"not ndarray; pass a dense k x d G as FullGradient\(G, np\.eye\(d\)\)$"
+    for order in (optim.A_FIRST, optim.B_FIRST):  # an alternating step's A- and B-phase
+        with pytest.raises(TypeError, match=message):
+            if kind is None:
+                lora_grads(g, layer)
+            else:
+                cfg = optim.TrainConfig(eta=0.1, order=order)
+                optim.make_stepper(kind)(layer, optim.make_state(kind, layer), g, cfg)
+    assert layer.a is a and layer.b is b
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +563,8 @@ def test_lora_sgd_zero_b_keeps_a_fixed():
     layer = LoraLayer(stream.normal(5, 7), stream.normal(2, 7), np.zeros((5, 2)), 2.0)
     state = optim.make_state(optim.LORA_SGD, layer)
     a_before = layer.a.copy()
-    optim.baseline_step(optim.LORA_SGD, layer, state, stream.normal(5, 7), optim.TrainConfig(eta=0.1))
+    g = as_gradient(stream.normal(5, 7))
+    optim.baseline_step(optim.LORA_SGD, layer, state, g, optim.TrainConfig(eta=0.1))
     assert np.array_equal(layer.a, a_before)
     assert np.any(layer.b != 0.0)
 
@@ -555,7 +577,8 @@ def test_scaledgd_joint_update_term_by_term():
     g = stream.normal(16, 32)
     cfg = optim.TrainConfig(eta=0.05, beta1=0.0, lam=1e-4)
     work = layer.copy()
-    optim.baseline_step(optim.SCALEDGD_JOINT, work, optim.make_state(optim.SCALEDGD_JOINT, work), g, cfg)
+    state = optim.make_state(optim.SCALEDGD_JOINT, work)
+    optim.baseline_step(optim.SCALEDGD_JOINT, work, state, as_gradient(g), cfg)
     dw = equivalent_update(layer, work)
     right = damped_gram_inverse(layer.a, "right", cfg.lam)
     left = damped_gram_inverse(layer.b, "left", cfg.lam)
@@ -568,7 +591,7 @@ def test_scaledgd_joint_update_term_by_term():
 def test_lora_plus_ratio_one_reproduces_sgd():
     stream = RandomStream(83)
     layer = _random_layer(stream, k=6, d=8, r=2)
-    g = stream.normal(6, 8)
+    g = as_gradient(stream.normal(6, 8))
     sgd = layer.copy()
     plus = layer.copy()
     cfg = optim.TrainConfig(eta=0.1, lora_plus_ratio=1.0)
@@ -581,7 +604,7 @@ def test_lora_plus_ratio_one_reproduces_sgd():
 def test_lora_plus_scales_b_rate():
     stream = RandomStream(89)
     layer = _random_layer(stream, k=6, d=8, r=2)
-    g = stream.normal(6, 8)
+    g = as_gradient(stream.normal(6, 8))
     one = layer.copy()
     sixteen = layer.copy()
     optim.baseline_step(
@@ -610,7 +633,7 @@ def test_lorapro_orthonormal_factors_hand_form():
     a = orthonormal_columns(8, 2, stream).T
     layer = LoraLayer(np.zeros((6, 8)), a, b, alpha=2.0)  # s = 1
     g = stream.normal(6, 8)
-    g_a, g_b = optim.lorapro_equiv_grad(g, layer, np.zeros((2, 2)), 0.0)
+    g_a, g_b = optim.lorapro_equiv_grad(as_gradient(g), layer, np.zeros((2, 2)), 0.0)
     np.testing.assert_allclose(g_a, b.T @ g, atol=1e-12)
     np.testing.assert_allclose(g_b, (np.eye(6) - b @ b.T) @ g @ a.T, atol=1e-12)
 
@@ -618,7 +641,7 @@ def test_lorapro_orthonormal_factors_hand_form():
 def test_lorapro_equivalent_gradient_independent_of_x():
     stream = RandomStream(101)
     layer = _random_layer(stream, k=10, d=12, r=3)
-    g = stream.normal(10, 12)
+    g = as_gradient(stream.normal(10, 12))
     x1, x2 = stream.normal(3, 3), stream.normal(3, 3)
     pair1 = optim.lorapro_equiv_grad(g, layer, x1, 1e-8)
     pair2 = optim.lorapro_equiv_grad(g, layer, x2, 1e-8)
@@ -633,7 +656,7 @@ def test_lorapro_zero_b_with_damping():
     a = stream.normal(2, 8)
     layer = LoraLayer(stream.normal(5, 8), a, np.zeros((5, 2)), alpha=4.0)  # s = 2
     g = stream.normal(5, 8)
-    g_a, g_b = optim.lorapro_equiv_grad(g, layer, np.zeros((2, 2)), 1e-3)
+    g_a, g_b = optim.lorapro_equiv_grad(as_gradient(g), layer, np.zeros((2, 2)), 1e-3)
     np.testing.assert_array_equal(g_a, np.zeros((2, 8)))
     want = g @ a.T @ damped_gram_inverse(a, "right", 1e-3) / layer.s
     np.testing.assert_allclose(g_b, want, rtol=1e-12)

@@ -8,6 +8,7 @@ import pytest
 from altlora import adapter, bench, optim, oracle
 from altlora.adapter import LoraLayer
 from altlora.matcore import RandomStream, frobenius, gauge_sample, rel_error
+from dense_gradient import as_gradient
 
 
 def test_lstsq_oracle_hand_instance():
@@ -70,7 +71,8 @@ def test_decompose_pair_step_zero_gradient():
     stream = RandomStream(13)
     layer = LoraLayer(stream.normal(6, 9), stream.normal(2, 9), stream.normal(6, 2), 2.0)
     cfg = optim.TrainConfig(eta=0.1, beta1=0.0, lam=0.0)
-    rep = oracle.decompose_pair_step(layer, np.zeros((6, 9)), np.zeros((6, 9)), cfg)
+    zero = as_gradient(np.zeros((6, 9)))
+    rep = oracle.decompose_pair_step(layer, zero, zero, cfg)
     assert frobenius(rep.projected_col_term) == 0.0
     assert frobenius(rep.projected_row_term) == 0.0
     assert frobenius(rep.cross_term) == 0.0
@@ -82,8 +84,8 @@ def test_decompose_pair_step_random_instance():
     layer = LoraLayer(
         stream.normal(16, 32) / np.sqrt(32), stream.normal(4, 32), stream.normal(16, 4), 4.0
     )
-    g_t = stream.normal(16, 32)
-    g_half = stream.normal(16, 32)
+    g_t = as_gradient(stream.normal(16, 32))
+    g_half = as_gradient(stream.normal(16, 32))
     cfg = optim.TrainConfig(eta=0.05, beta1=0.0, lam=0.0)
     rep = oracle.decompose_pair_step(layer, g_t, g_half, cfg)
     alt_norm = frobenius(rep.projected_col_term + rep.projected_row_term)
@@ -96,10 +98,9 @@ def test_decompose_pair_step_random_instance():
 def test_decompose_pair_step_requires_pure_gradient_config():
     stream = RandomStream(19)
     layer = LoraLayer(stream.normal(4, 6), stream.normal(2, 6), stream.normal(4, 2), 2.0)
+    zero = as_gradient(np.zeros((4, 6)))
     with pytest.raises(ValueError):
-        oracle.decompose_pair_step(
-            layer, np.zeros((4, 6)), np.zeros((4, 6)), optim.TrainConfig(eta=0.1, beta1=0.9)
-        )
+        oracle.decompose_pair_step(layer, zero, zero, optim.TrainConfig(eta=0.1, beta1=0.9))
 
 
 def test_eta_order_probe():
@@ -110,8 +111,8 @@ def test_eta_order_probe():
         stream.normal(16, 4) / np.sqrt(4),
         4.0,
     )
-    g_t = stream.normal(16, 32) / np.sqrt(32)
-    g_half = stream.normal(16, 32) / np.sqrt(32)
+    g_t = as_gradient(stream.normal(16, 32) / np.sqrt(32))
+    g_half = as_gradient(stream.normal(16, 32) / np.sqrt(32))
     proj_norms, cross_norms = [], []
     etas = [1e-2, 1e-3, 1e-4]
     for eta in etas:
