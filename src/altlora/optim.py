@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter import FullGradient, LoraLayer, lora_grad_a, lora_grad_b, lora_grads
+from .adapter import FullGradient, LoraLayer, _factors, lora_grad_a, lora_grad_b, lora_grads
 from .matcore import _gram_inverse, damped_gram_inverse
 
 A_FIRST = "a_first"
@@ -371,8 +371,9 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g: FullGradi
 
 def make_state(kind: str, layer: LoraLayer) -> AltLoraState:
     """State record sized for the given optimizer kind."""
-    needs_second = kind in (ALTLORA_PLUS, LORA_ADAM)
-    return AltLoraState.init(layer, second_moment=needs_second)
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer kind {kind!r}")
+    return AltLoraState.init(layer, second_moment=kind in (ALTLORA_PLUS, LORA_ADAM))
 
 
 def make_stepper(kind: str):
@@ -400,6 +401,7 @@ def lorapro_equiv_grad(g: FullGradient, layer: LoraLayer, x_aux: np.ndarray, lam
     the ancillary matrix only redistributes the update between the factors.
     G is the dense form g.g of the FullGradient g.
     """
+    _factors(g, layer)  # the kernels' check: a FullGradient whose shapes fit the layer
     gm = g.g
     a, b, s = layer.a, layer.b, layer.s
     binv = damped_gram_inverse(b, "left", lam)

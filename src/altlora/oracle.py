@@ -28,6 +28,7 @@ from .adapter import (
     FullGradient,
     LoraLayer,
     ToyModel,
+    _factors,
     init_layer,
     lora_grads,
     merged_weight,
@@ -150,6 +151,7 @@ def joint_cross_term(layer: LoraLayer, g: FullGradient, cfg: optim.TrainConfig) 
 
     (eta^2 / s) G A^T (A A^T + lam I)^-1 (B^T B + lam I)^-1 B^T G, G = g.g.
     """
+    _factors(g, layer)  # the kernels' check: a FullGradient whose shapes fit the layer
     gm = g.g
     right = damped_gram_inverse(layer.a, "right", cfg.lam)
     left = damped_gram_inverse(layer.b, "left", cfg.lam)
@@ -168,6 +170,8 @@ def decompose_pair_step(
     """
     if cfg.beta1 != 0.0 or cfg.gamma != 0.0:
         raise ValueError("decomposition requires beta1 = 0 and gamma = 0")
+    for g in (g_t, g_half):
+        _factors(g, layer)  # the kernels' check: a FullGradient whose shapes fit the layer
     gt, gh = g_t.g, g_half.g
 
     cfg_alt = replace(cfg, order=optim.A_FIRST)
@@ -216,21 +220,6 @@ def gauge_map_layer(layer: LoraLayer, gauge: np.ndarray) -> LoraLayer:
     return LoraLayer(layer.w0, np.linalg.solve(gauge, layer.a), layer.b @ gauge, layer.alpha)
 
 
-def gauge_map_state(state: optim.AltLoraState, gauge: np.ndarray) -> optim.AltLoraState:
-    """Map optimizer state the way the factors map.
-
-    A-shaped buffers pick up R^-1 on the left, B-shaped buffers R on the
-    right; this is the unique mapping under which momentum realignment
-    commutes with the gauge. Second moments have no consistent mapping
-    (they are elementwise) and are copied unchanged. The carried Gram
-    inverse is dropped with the copy, so the mapped twin factors afresh.
-    """
-    mapped = state.copy()
-    mapped.ma = np.linalg.solve(gauge, state.ma)
-    mapped.mb = state.mb @ gauge
-    return mapped
-
-
 # Gauges per stack in the trajectory checks, so 2 x 5 = 10 runs step at once.
 # At 1 / 5 / 10 / 20 gauges per stack, trajectory_invariance_altlora at seed
 # 1789 took 237 / 146 / 123 / 134 ms (one BLAS thread, 2-vCPU VM), and the
@@ -239,15 +228,9 @@ def gauge_map_state(state: optim.AltLoraState, gauge: np.ndarray) -> optim.AltLo
 TWIN_STACK_GAUGES = 5
 
 
-def _shared(m: np.ndarray) -> np.ndarray:
-    """A view of one array that both twins of a gauge read: a twin axis of length 1."""
-    return m[..., None, :, :]
-
-
 def _twin_deviations(w: np.ndarray) -> np.ndarray:
     """rel_error(W2, W1) of each gauge's twin pair of merged weights, by frobenius's arithmetic."""
-    w1, w2 = w[..., 0, :, :], w[..., 1, :, :]
-    num, den = (np.sqrt(np.add.reduce(np.square(m), axis=(-2, -1))) for m in (w2 - w1, w1))
+    num, den = (np.sqrt(np.add.reduce(np.square(m), axis=(-2, -1))) for m in (w[1] - w[0], w[0]))
     return np.divide(num, den, out=np.where(num == 0.0, 0.0, np.inf), where=den != 0.0)
 
 
@@ -261,35 +244,32 @@ def trajectory_invariance_check(
 ):
     """Per-step relative merged-weight deviation between gauge twins.
 
-    Runs the optimizer from (A, B) and from (R^-1 A, B R) with state mapped
-    accordingly, on the same linear task (model, x, FactoredTarget) and step
+    Runs the optimizer from (A, B) and from (R^-1 A, B R), both from fresh
+    state, on the same linear task (model, x, FactoredTarget) and step
     schedule, and reports ||W1_t - W2_t||_F / ||W1_t||_F after every step.
+    Fresh moments are zero, and every gauge maps zero to itself.
 
     task and gauge are one instance with an r x r gauge, or G instances
     stacked on a leading axis: every array of the model, the batch and the
-    target (G, ...) and the gauge (G, r, r). All 2G twins run as one stack,
-    with a twin axis of length 2 before the matrix axes (the twins share W0,
-    x and the target), in lockstep with one shared t: each step is one
-    adapter.training_pass, the pass the runner trains with, and one call of
-    optim.make_stepper(optimizer).
+    target (G, ...) and the gauge (G, r, r). All 2G twins run as one stack
+    with the twin axis first, (2, ...): the factors are stack((A, R^-1 A))
+    and stack((B, B R)), W0 and x are shared by broadcasting, and the target
+    is a broadcast view with the runs' axes. The twins step in lockstep with
+    one shared t: each step is one adapter.training_pass, the pass the runner
+    trains with, and one call of optim.make_stepper(optimizer).
     Returns (passed, deviations): deviations is (steps,) for one gauge and
     (G, steps) for G; passed means every step stayed within tol.
     """
     model, x, target = task
     layer, twin = model.layer, gauge_map_layer(model.layer, gauge)
-    pair = functools.partial(np.stack, axis=-3)
-    factors = (pair((layer.a, twin.a)), pair((layer.b, twin.b)))
-    runs = ToyModel(model.kind, LoraLayer(_shared(layer.w0), *factors, layer.alpha))
-    st1 = optim.make_state(optimizer, layer)
-    st2 = gauge_map_state(st1, gauge)
-    state = optim.make_state(optimizer, runs.layer)  # zero second moments, as both twins start
-    state.ma, state.mb = pair((st1.ma, st2.ma)), pair((st1.mb, st2.mb))
-    x, lead = _shared(x), factors[1].shape[:-2]
-    us, vx = (np.broadcast_to(_shared(f), lead + f.shape[-2:]) for f in (target.us, target.vx))
-    target = FactoredTarget(us, vx)  # broadcast views with the runs' axes, as the pass wants
+    a, b = np.stack((layer.a, twin.a)), np.stack((layer.b, twin.b))
+    runs = ToyModel(model.kind, LoraLayer(layer.w0, a, b, layer.alpha))
+    state = optim.make_state(optimizer, runs.layer)
+    lead = b.shape[:-2]  # the runs' axes, (2, ...)
+    target = FactoredTarget(*(np.broadcast_to(f, lead + f.shape[-2:]) for f in (target.us, target.vx)))
     stepper = optim.make_stepper(optimizer)
 
-    devs = np.empty(factors[0].shape[:-3] + (steps,))
+    devs = np.empty(lead[1:] + (steps,))
     for t in range(steps):
         stepper(runs.layer, state, training_pass(runs, x, target)[1], cfg)
         devs[..., t] = _twin_deviations(merged_weight(runs.layer))
@@ -684,8 +664,14 @@ def select_checks(pattern: str | None = None) -> list[str]:
 
 
 def run_checks(pattern: str | None = None, seed: int = DEFAULT_CHECK_SEED) -> dict:
-    """Run the (optionally filtered) check suite; returns the JSON report."""
-    results = [CHECKS[name](seed) for name in select_checks(pattern)]
+    """Run the (optionally filtered) check suite; returns the JSON report.
+
+    A pattern that selects no check raises ValueError.
+    """
+    names = select_checks(pattern)
+    if not names:
+        raise ValueError(f"no checks selected by pattern {pattern!r}")
+    results = [CHECKS[name](seed) for name in names]
     return {
         "schema": REPORT_SCHEMA,
         "seed": seed,

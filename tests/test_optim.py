@@ -18,7 +18,6 @@ from altlora.oracle import (
     LEFT_FACTOR,
     RIGHT_FACTOR,
     equivalent_update,
-    gauge_map_state,
     lstsq_oracle,
 )
 from dense_gradient import as_gradient
@@ -524,7 +523,7 @@ def test_a_carry_whose_key_does_not_match_is_not_used(kind, order, change):
             assert (got is None and want is None) or np.array_equal(got, want), t
 
 
-def test_copy_and_gauge_map_state_drop_the_carry():
+def test_copy_drops_the_carry():
     stream = RandomStream(146)
     layer = _random_layer(stream, k=12, d=20, r=3)
     state = optim.make_state(optim.ALTLORA, layer)
@@ -532,8 +531,15 @@ def test_copy_and_gauge_map_state_drop_the_carry():
     optim.altlora_step(layer, state, g, optim.TrainConfig(eta=0.05, beta1=0.9, lam=1e-6))
     assert state.gram_inv is not None
     assert state.copy().gram_inv is None
-    assert gauge_map_state(state, gauge_sample(3, 4.0, 7)).gram_inv is None
     assert state.gram_inv is not None  # the source keeps its own
+
+
+def test_an_unknown_optimizer_kind_has_no_state_and_no_stepper():
+    layer = _random_layer(RandomStream(148), k=6, d=8, r=2)
+    with pytest.raises(ValueError, match=r"^unknown optimizer kind 'bogus'$"):
+        optim.make_state("bogus", layer)
+    with pytest.raises(ValueError, match=r"^unknown optimizer kind 'bogus'$"):
+        optim.make_stepper("bogus")
 
 
 @pytest.mark.parametrize("kind", [None, *optim.OPTIMIZERS])

@@ -103,6 +103,24 @@ def test_decompose_pair_step_requires_pure_gradient_config():
         oracle.decompose_pair_step(layer, zero, zero, optim.TrainConfig(eta=0.1, beta1=0.9))
 
 
+def test_oracle_side_functions_reject_a_plain_array_gradient():
+    # The same TypeError the kernels raise, before any arithmetic reads the gradient.
+    stream = RandomStream(20)
+    layer = LoraLayer(stream.normal(4, 6), stream.normal(2, 6), stream.normal(4, 2), 2.0)
+    plain, wrapped = np.zeros((4, 6)), as_gradient(np.zeros((4, 6)))
+    cfg = optim.TrainConfig(eta=0.1, beta1=0.0, lam=0.0)
+    calls = [
+        lambda: optim.lorapro_equiv_grad(plain, layer, np.eye(2), 1e-8),
+        lambda: oracle.joint_cross_term(layer, plain, cfg),
+        lambda: oracle.decompose_pair_step(layer, plain, wrapped, cfg),
+        lambda: oracle.decompose_pair_step(layer, wrapped, plain, cfg),
+    ]
+    message = r"not ndarray; pass a dense k x d G as FullGradient\(G, np\.eye\(d\)\)$"
+    for call in calls:
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
 def test_eta_order_probe():
     stream = RandomStream(23)
     layer = LoraLayer(
@@ -225,6 +243,11 @@ def test_filtered_run_checks():
     report = oracle.run_checks("lstsq_scaled*")
     assert [c["name"] for c in report["checks"]] == ["lstsq_scaled_grad_a", "lstsq_scaled_grad_b"]
     assert report["passed"]
+
+
+def test_run_checks_rejects_a_pattern_that_selects_nothing():
+    with pytest.raises(ValueError, match="'no_such_check'"):
+        oracle.run_checks("no_such_check")
 
 
 def test_checks_catch_broken_preconditioner(monkeypatch):

@@ -165,3 +165,23 @@ def test_the_stacked_trajectory_check_is_each_gauge_checked_alone():
         assert passed == all(ok for ok, _ in rows)
         for i, (_, row) in enumerate(rows):
             assert _same_bits(devs[i], row), f"{kind} beta1={beta1} gauge {i}"
+
+
+@pytest.mark.parametrize("kind", [optim.ALTLORA, optim.LORA_ADAM])
+@pytest.mark.parametrize("count", [1, 3])
+def test_the_trajectory_check_leaves_its_inputs_alone(kind, count):
+    stream = RandomStream(65)
+    tasks = [oracle._invariance_task(stream) for _ in range(count)]
+    gauges = [gauge_sample(4, 10.0, 650 + i) for i in range(count)]
+    task, gauge = (tasks[0], gauges[0]) if count == 1 else (_stack(tasks), np.stack(gauges))
+    model, x, target = task
+
+    def inputs():
+        return model.layer.w0, model.layer.a, model.layer.b, x, target.us, target.vx, gauge
+
+    held = inputs()
+    before = [m.copy() for m in held]
+    cfg = optim.TrainConfig(eta=0.02, beta1=0.9, lam=0.0)
+    oracle.trajectory_invariance_check(task, cfg, gauge, 4, optimizer=kind)
+    assert all(now is m for now, m in zip(inputs(), held))
+    assert all(_same_bits(m, want) for m, want in zip(held, before))
