@@ -6,7 +6,8 @@ The toy models (a linear regression head and a two-layer ReLU network with
 an adapted first layer) come with manual forward/backward for MSE, which
 supplies the loss gradient with respect to the merged weight as the factors
 of G = dZ X^T, so no training pass forms a k x d array. A linear head may
-train toward a FactoredTarget, whose pass does not form W0 X either.
+train toward a FactoredTarget, whose pass does not form W0 X either, and
+past SQUARE_CHUNK residual entries per run no k x m array at all.
 
 Leading axis: every array of a layer, a model, a batch and a gradient may
 carry a leading run axis (S, ...), and the pass then runs S independent runs
@@ -21,7 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .matcore import RandomStream, ShapeMismatch, as_matrix, jacobi_svd, sum_of_squares
+from .matcore import SQUARE_CHUNK, RandomStream, ShapeMismatch, as_matrix, jacobi_svd, sum_of_squares
 
 LINEAR_REGRESSION = "linear_regression"
 TWO_LAYER_RELU = "two_layer_relu"
@@ -90,9 +91,11 @@ class LoraLayer:
 class FullGradient:
     """Loss gradient w.r.t. the merged weight of one adapted layer, G = u v^T.
 
-    u (k x m) is the gradient w.r.t. the layer's outputs Z and v (d x m) its
-    inputs; a dense G is FullGradient(G, np.eye(d)), whose g is a finite G bit
-    for bit but for the sign of a zero. The dense k x d ``g`` is the oracle
+    The inner dimension is m or r'. Mostly u (k x m) is the gradient w.r.t.
+    the layer's outputs Z and v (d x m) its inputs; a compressed factored
+    pass gives the rank-r' pair u = (2/m) P (k x r'), v = X QX^T (d x r')
+    instead. A dense G is FullGradient(G, np.eye(d)), whose g is a finite G
+    bit for bit but for the sign of a zero. The dense k x d ``g`` is the oracle
     form, built on first access and then kept; the oracles and the ReLU head's
     eval rows read it. ``ax`` is the pass's (A, X, A X): lora_grad_b reuses
     A X while the layer's A is that array and v is X.
@@ -237,16 +240,32 @@ def mse_loss(y: np.ndarray, target: np.ndarray):
     return _mean_square(diff, out=diff)
 
 
-def _residual_factors(layer: LoraLayer, ax: np.ndarray, target: FactoredTarget):
-    """P = [s B, -us] (k x r') and QX = [A X; vx] (r' x m), r' = r + r*: Y - T = P QX."""
+def _residual_p(layer: LoraLayer, target: FactoredTarget) -> np.ndarray:
+    """P = [s B, -us] (k x r'), r' = r + r*."""
     p = np.concatenate((layer.b, target._neg_us), axis=-1)
     if layer.s != 1.0:  # as in forward
         p[..., :layer.r] *= layer.s
-    return p, np.concatenate((ax, target.vx), axis=-2)
+    return p
 
 
-def _factored_residual(model: ToyModel, x: np.ndarray, target: FactoredTarget):
-    """Y - T = s B (A X) - us vx as one product P QX: no W0 X. Returns it and the pass's cache."""
+def _residual_factors(layer: LoraLayer, ax: np.ndarray, target: FactoredTarget):
+    """P and QX = [A X; vx] (r' x m): Y - T = P QX."""
+    return _residual_p(layer, target), np.concatenate((ax, target.vx), axis=-2)
+
+
+def _compressed(k: int, m: int) -> bool:
+    """Whether a factored pass with k outputs and m columns is compressed: once
+    one run's residual would exceed SQUARE_CHUNK entries, the size from which
+    sum_of_squares stops squaring whole. Below it one GEMM P QX is cheaper."""
+    return k * m > SQUARE_CHUNK
+
+
+def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tuple[float, FullGradient]:
+    """training_pass toward a FactoredTarget: Y - T = s B (A X) - us vx = P QX, with no W0 X.
+
+    A compressed pass forms no k x m array: its loss is ||R_P QX||_F^2 / m
+    for R_P = qr(P), as accurate as P QX since Householder QR is backward
+    stable, and its gradient the rank-r' factors ((2/m) P, X QX^T)."""
     layer = model.layer
     if model.kind != LINEAR_REGRESSION:
         raise ValueError(f"a factored target needs the {LINEAR_REGRESSION} head, not {model.kind}")
@@ -257,7 +276,14 @@ def _factored_residual(model: ToyModel, x: np.ndarray, target: FactoredTarget):
     except ValueError:
         raise ShapeMismatch(f"factored target {target.us.shape} x {target.vx.shape} does not fit the layer "
                             f"{layer.b.shape[:-1]} and batch {x.shape}") from None
-    return dot(p, qx), {"ax": (layer.a, x, ax)}  # P, QX freed before the loss squares; eval rows rebuild them
+    m = x.shape[-1]
+    if _compressed(layer.k, m):
+        rq = dot(np.linalg.qr(p, mode="r"), qx)
+        p *= 2.0 / m
+        return _mean_square(rq, out=rq), FullGradient(p, dot(x, qx.mT))
+    res = dot(p, qx)
+    del p, qx  # freed before the loss squares the residual; eval rows rebuild them
+    return _mean_square(res), _backward(model, x, res, {"ax": (layer.a, x, ax)})
 
 
 def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGradient]:
@@ -267,17 +293,17 @@ def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGr
 
     The library's one pass: the runner, the width probe and the checks of
     gradients and gauge invariance all call it. The target's type picks the
-    residual Y - T: P QX for a FactoredTarget, else subtracted in place from
-    forward's fresh output. It is formed once, reduced into the loss by
-    mse_loss's arithmetic and then scaled in place into dY; the gradient is
-    kept as the factors of G = dZ X^T, with the pass's A X.
+    residual Y - T: P QX for a FactoredTarget (unless _compressed), else
+    subtracted in place from forward's fresh output. It is formed once,
+    reduced into the loss by mse_loss's arithmetic and then scaled in place
+    into dY; the gradient is kept as the factors of G = dZ X^T, with the
+    pass's A X.
     """
     x = _f64(x)
     if isinstance(target, FactoredTarget):
-        res, cache = _factored_residual(model, x, target)
-    else:
-        y, cache = forward(model, x)
-        res = _residual(y, target, out=y)
+        return _factored_pass(model, x, target)
+    y, cache = forward(model, x)
+    res = _residual(y, target, out=y)
     return _mean_square(res), _backward(model, x, res, cache)
 
 

@@ -27,7 +27,8 @@ from .adapter import (
     INIT_POLICIES,
     FactoredTarget,
     ToyModel,
-    _residual_factors,
+    _compressed,
+    _residual_p,
     forward,
     init_layer,
     merged_weight,
@@ -250,8 +251,9 @@ def _task_flops(spec: ExperimentSpec) -> int:
     This is the documented analytic convention behind the CSV flops column:
     it counts the scale by s, the add of W0 X and the loss's subtraction as
     before, also where s = 1 skips the scale, the pass shares one residual
-    between loss and dY, and a lowrank pass forms P QX without W0 X, so the
-    column stays byte-identical.
+    between loss and dY, and a lowrank pass forms P QX without W0 X or, past
+    one square chunk, the compressed form's R_P QX and X QX^T in place of
+    any k x m array, so the column stays byte-identical.
     """
     k, d, r, m = spec.layer_k, spec.d, spec.r, spec.batch_size
     fwd = 2 * r * d * m + 2 * k * r * m + 2 * k * m  # A X, B (A X), scale and add W0 X
@@ -302,8 +304,9 @@ def _evaluator(task: Task):
     The ReLU head builds the merged weight and the dense G = dZ X^T. A
     factored pass's residual is P QX, and ||P M||_F = ||R_P M||_F for
     R_P = qr(P): sBA - U Sigma V^T = P [A; V^T] and G = (2/m) P (QX X^T), so
-    neither norm forms a k x d or k x m array. ||W*||_F^2 is ||W0||^2 +
-    2 <U Sigma, W0 V> + ||U Sigma V^T||^2.
+    neither norm forms a k x d or k x m array. A compressed pass's gradient
+    already holds X QX^T, so its rows make no product of inner dimension m.
+    ||W*||_F^2 is ||W0||^2 + 2 <U Sigma, W0 V> + ||U Sigma V^T||^2.
     """
     layer, x = task.model.layer, task.x
     if not isinstance(task.target, FactoredTarget):
@@ -313,12 +316,14 @@ def _evaluator(task: Task):
     us, vt, w0 = task.us, task.vt, layer.w0
     square = sum_of_squares(w0) + 2.0 * np.vdot(us, np.dot(w0, vt.T)) + np.vdot(us.T @ us, vt @ vt.T)
     teacher_norm = max(math.sqrt(square), 1e-300)
+    compressed = _compressed(layer.k, x.shape[1])
 
     def evaluate(g) -> tuple[float, float]:
-        p, qx = _residual_factors(layer, g.ax[2], task.target)
-        rp = np.linalg.qr(p, mode="r")
+        rp = np.linalg.qr(_residual_p(layer, task.target), mode="r")
         werr = frobenius(np.dot(rp, np.concatenate((layer.a, vt)))) / teacher_norm
-        return werr, 2.0 / x.shape[1] * frobenius(np.dot(rp, np.dot(qx, x.T)))
+        # a compressed g is ((2/m) P, X QX^T); else QX = [A X; V^T X] from the pass's A X
+        qx_xt = g.v.T if compressed else np.dot(np.concatenate((g.ax[2], task.target.vx)), x.T)
+        return werr, 2.0 / x.shape[1] * frobenius(np.dot(rp, qx_xt))
 
     return evaluate
 

@@ -236,8 +236,11 @@ class RandomStream:
         np.sqrt(radius, radius)
         angle *= 2.0 * np.pi
         z = np.empty(2 * half)
-        np.multiply(radius, np.cos(angle), z[:half])
-        np.multiply(radius, np.sin(angle), z[half:])
+        cos, sin = z[:half], z[half:]  # filled, then scaled, in place: no angle-sized temporary
+        np.cos(angle, cos)
+        cos *= radius
+        np.sin(angle, sin)
+        sin *= radius
         return z[:count].reshape(shape) if shape else float(z[0])
 
 

@@ -11,7 +11,7 @@ import pass_reference as pass_ref
 import scalar_reference as ref
 from altlora import adapter as ad
 from altlora import optim
-from altlora.matcore import SQUARE_CHUNK, RandomStream, rel_error
+from altlora.matcore import SQUARE_CHUNK, RandomStream, frobenius, rel_error, sum_of_squares
 from altlora.oracle import fd_entrywise_deviation, fd_merged_gradient
 from dense_gradient import as_gradient
 from matrix_text import load_matrix
@@ -145,6 +145,42 @@ def test_factored_pass_is_the_dense_pass_of_its_target():
     p, qx = ad._residual_factors(model.layer, g.ax[2], target)
     np.testing.assert_array_equal(p, np.hstack((model.layer.s * model.layer.b, -target.us)))
     np.testing.assert_array_equal(qx, np.vstack((want.ax[2], target.vx)))
+
+
+def _factored_task(m, seed):
+    model, x, _ = _random_model(ad.LINEAR_REGRESSION, 64, 12, 3, m, seed=seed)
+    stream = RandomStream(seed + 1)
+    return model, x, ad.FactoredTarget(stream.normal(64, 2), stream.normal(2, m))
+
+
+def test_a_factored_pass_is_compressed_past_one_square_chunk():
+    # k m = SQUARE_CHUNK keeps the residual P QX; one column more does not.
+    m = SQUARE_CHUNK // 64
+    _, at = ad.training_pass(*_factored_task(m, seed=32))
+    assert at.u.shape == (64, m) and at.ax is not None
+    _, past = ad.training_pass(*_factored_task(m + 1, seed=32))
+    assert past.u.shape == (64, 5) and past.v.shape == (12, 5) and past.ax is None
+
+
+def test_compressed_pass_is_the_qr_form_of_the_residual_pass(monkeypatch):
+    # A near fit, so P QX cancels to a small residual and the two forms round
+    # apart: the loss is ||R_P QX||_F^2 / m and G the factors ((2/m) P, X QX^T)
+    # bit for bit, and they meet the residual form within its rounding floor.
+    m = SQUARE_CHUNK // 64 + 1
+    model, x, _ = _random_model(ad.LINEAR_REGRESSION, 64, 12, 3, m, seed=33)
+    layer = model.layer
+    target = ad.FactoredTarget(layer.s * layer.b, layer.a @ x + 1e-6 * RandomStream(34).normal(3, m))
+    loss, g = ad.training_pass(model, x, target)
+    p, qx = ad._residual_factors(layer, layer.a @ x, target)
+    assert loss == float(sum_of_squares(np.linalg.qr(p, mode="r") @ qx) / m)
+    np.testing.assert_array_equal(g.u, 2.0 / m * p)
+    np.testing.assert_array_equal(g.v, x @ qx.T)
+    monkeypatch.setattr(ad, "SQUARE_CHUNK", 64 * m)
+    want_loss, want = ad.training_pass(model, x, target)
+    assert want.u.shape == (64, m) and loss != want_loss
+    gap = 8 * np.finfo(np.float64).eps * frobenius(p) * frobenius(qx)  # bounds ||R_P QX - P QX||_F
+    assert abs(math.sqrt(m * loss) - math.sqrt(m * want_loss)) <= gap
+    assert frobenius(g.g - want.g) <= 2.0 / m * gap * frobenius(x)
 
 
 def test_linreg_gradient_matches_golden_file():

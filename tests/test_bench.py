@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pass_reference as pass_ref
-from altlora import bench, cli, optim
+from altlora import adapter, bench, cli, optim
 from altlora.adapter import (
     LINEAR_REGRESSION,
     FactoredTarget,
@@ -222,13 +222,28 @@ def _dense_pass(model, x, y):
     return pass_ref.mse_loss(y_hat, y), pass_ref.full_gradient(model, x, y, cache)[0], floor
 
 
+@pytest.fixture
+def compressed(monkeypatch):
+    """Every factored pass takes the compressed form: the size rule's threshold, lowered in adapter only."""
+    monkeypatch.setattr(adapter, "SQUARE_CHUNK", 0)
+
+
 def _assert_meets_dense(loss, g, dense, m):
-    """A factored pass's loss and dY within FLOOR_ULPS of the dense floor; its A X bit for bit."""
+    """A factored pass's loss and gradient within FLOOR_ULPS of the dense floor.
+
+    A residual-form pass's dY is compared and its A X bit for bit; a
+    compressed pass's gradient G = (2/m) P (X QX^T)^T as a whole, within the
+    bound that dY's gap puts on dY X^T.
+    """
     want_loss, want, floor = dense
     gap = FLOOR_ULPS * floor  # bounds ||res - res_dense||_F
     assert abs(loss - want_loss) <= (2.0 * math.sqrt(m * want_loss) * gap + gap * gap) / m
-    assert frobenius(g.u - want.u) <= 2.0 / m * gap
-    assert np.array_equal(g.ax[2], want.ax[2])
+    if adapter._compressed(g.u.shape[0], m):
+        assert g.ax is None
+        assert frobenius(g.g - want.g) <= 2.0 / m * gap * frobenius(want.v)
+    else:
+        assert frobenius(g.u - want.u) <= 2.0 / m * gap
+        assert np.array_equal(g.ax[2], want.ax[2])
 
 
 def _assert_eval_meets_dense(evaluate, g, dense, layer, teacher, x):
@@ -295,6 +310,13 @@ def test_runner_matches_the_earlier_pass_byte_for_byte(task, optimizer, monkeypa
             assert _outcome(bench.run_experiment, spec) == _earlier_outcome(spec, monkeypatch), case
 
 
+@pytest.mark.parametrize("optimizer", list(optim.OPTIMIZERS))
+def test_the_compressed_runner_meets_the_dense_pass(optimizer, compressed, monkeypatch):
+    """The lowrank byte grid of the test above, every pass compressed."""
+    for spec in _byte_grid("lowrank", optimizer, dict(k=16, d=12)):
+        _meets_the_dense_pass(spec, monkeypatch)
+
+
 def _byte_grid(task, optimizer, shape):
     """s = 1 and s != 1, momentum or not, with decay and bias correction or not."""
     eta = {"lora_plus": 0.02}.get(optimizer, 0.1)
@@ -321,12 +343,7 @@ def _desk_specs():
     yield desk(100.0, optim.LORA_SGD, 0.2, 0.0, 10000)
 
 
-def test_the_factored_pass_meets_the_dense_pass(monkeypatch):
-    """The desk sweep's lowrank cells, B_0 != 0 and the golden run, beside the dense pass.
-
-    test_runner_matches_the_earlier_pass_byte_for_byte checks the byte
-    grid's lowrank specs the same way.
-    """
+def _desk_cells_meet_the_dense_pass(monkeypatch):
     slow = optim.TrainConfig(eta=0.02, lam=1e-6, steps=200)
     nonzero_b = [  # B_0 != 0, so s B A is in the residual from the first pass
         _spec(init_b="gaussian", alpha=alpha, optimizer=opt, train=slow)
@@ -338,7 +355,21 @@ def test_the_factored_pass_meets_the_dense_pass(monkeypatch):
     assert _meets_the_dense_pass(_spec(), monkeypatch)[1] == 20  # the golden run
 
 
-def test_a_stacked_factored_pass_meets_the_dense_pass():
+def test_the_factored_pass_meets_the_dense_pass(monkeypatch):
+    """The desk sweep's lowrank cells, B_0 != 0 and the golden run, beside the dense pass.
+
+    test_runner_matches_the_earlier_pass_byte_for_byte checks the byte
+    grid's lowrank specs the same way.
+    """
+    _desk_cells_meet_the_dense_pass(monkeypatch)
+
+
+def test_the_compressed_pass_meets_the_dense_pass(compressed, monkeypatch):
+    """The cells of the test above, every pass compressed: the same floor and steps_to_threshold."""
+    _desk_cells_meet_the_dense_pass(monkeypatch)
+
+
+def _stacked_pass_meets_the_dense_pass():
     tasks = [bench.generate_task(_spec(k=16, d=12, init_b="gaussian", alpha=2.5, seed=i)) for i in range(3)]
     layer = LoraLayer(*(np.stack([getattr(t.model.layer, f) for t in tasks]) for f in ("w0", "a", "b")), 2.5)
     x = np.stack([t.x for t in tasks])
@@ -347,12 +378,21 @@ def test_a_stacked_factored_pass_meets_the_dense_pass():
     for i, task in enumerate(tasks):
         model, teacher = task.model, task.teacher_weight
         dense = _dense_pass(model, task.x, teacher @ task.x)
-        one = FullGradient(g.u[i], task.x, (model.layer.a, task.x, g.ax[2][i]))
+        ax = None if g.ax is None else (model.layer.a, g.v[i], g.ax[2][i])
+        one = FullGradient(g.u[i], g.v[i], ax)
         _assert_meets_dense(loss[i], one, dense, task.x.shape[1])
         _assert_eval_meets_dense(bench._evaluator(task), one, dense, model.layer, teacher, task.x)
 
 
-def test_run_holds_one_k_by_m_residual_and_no_k_by_d_array(monkeypatch):
+def test_a_stacked_factored_pass_meets_the_dense_pass():
+    _stacked_pass_meets_the_dense_pass()
+
+
+def test_a_stacked_compressed_pass_meets_the_dense_pass(compressed):
+    _stacked_pass_meets_the_dense_pass()
+
+
+def test_run_holds_no_k_by_m_or_k_by_d_array(monkeypatch):
     k = d = 512
     r, m = 4, 4 * d
     spec = _spec(
@@ -373,11 +413,12 @@ def test_run_holds_one_k_by_m_residual_and_no_k_by_d_array(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The residual; one chunk of squares; and arrays r' = r + r* rows or
-    # columns long: P, QX, an eval row's and a step's. W0 X, a second k x m
-    # array or one k x d array (a quarter of k x m here) exceeds it.
+    # k m is past one square chunk, so every pass is compressed. One chunk
+    # of squares, and arrays r' = r + r* rows or columns long: P, QX, R_P QX,
+    # X QX^T, an eval row's and a step's. The residual P QX, W0 X or one
+    # k x d array (a quarter of k x m here) exceeds it.
     rr = r + spec.teacher_rank
-    bound = k * m * 8 + SQUARE_CHUNK * 8 + 4 * rr * (k + d + m) * 8
+    bound = SQUARE_CHUNK * 8 + 4 * rr * (k + d + m) * 8
     assert peak - held[0] <= bound
 
 

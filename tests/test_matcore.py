@@ -308,6 +308,22 @@ def test_random_stream_is_bitwise_the_two_draw_reference(seed):
     assert type(mc.RandomStream(seed).normal()) is float
 
 
+def test_normal_holds_only_its_draw_and_its_output():
+    # Box-Muller writes cos and sin into the output and scales them there; a
+    # product with np.cos(angle) would add a temporary of half the output.
+    count = 1024 * 1024
+    stream = mc.RandomStream(36)
+    tracemalloc.start()
+    try:
+        stream.normal(1024, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (count + count) * 8 + 4096  # the uniform draw and z
+    got, want = mc.RandomStream(37).normal(1023, 5), ref.RandomStream(37).normal(1023, 5)
+    assert got.tobytes() == want.tobytes()  # an odd count: z's last entry is dropped
+
+
 def test_matrix_text_round_trip_is_exact():
     stream = mc.RandomStream(21)
     for _ in range(5):

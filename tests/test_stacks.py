@@ -87,6 +87,18 @@ def test_a_stack_steps_each_run_as_it_steps_alone(kind, head, beta1, s):
 @pytest.mark.parametrize("beta1", [0.0, 0.9])
 @pytest.mark.parametrize("s", [1.0, 2.5])
 def test_a_stack_shares_one_factored_target_as_each_run_alone(kind, beta1, s):
+    _assert_shared_factored_target_steps_as_alone(kind, beta1, s)
+
+
+@pytest.mark.parametrize("kind", optim.OPTIMIZERS)
+@pytest.mark.parametrize("beta1", [0.0, 0.9])
+@pytest.mark.parametrize("s", [1.0, 2.5])
+def test_a_compressed_stack_shares_one_factored_target_as_each_run_alone(kind, beta1, s, monkeypatch):
+    monkeypatch.setattr(adapter, "SQUARE_CHUNK", 0)  # every factored pass compressed
+    _assert_shared_factored_target_steps_as_alone(kind, beta1, s)
+
+
+def _assert_shared_factored_target_steps_as_alone(kind, beta1, s):
     # Every run trains toward one batch and one factored target, which the
     # stack holds once: a batch axis of length 1, broadcast views of the target.
     stream = RandomStream(66)
