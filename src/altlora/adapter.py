@@ -94,8 +94,9 @@ class FullGradient:
     The inner dimension is m or r'. Mostly u (k x m) is the gradient w.r.t.
     the layer's outputs Z and v (d x m) its inputs; a compressed factored
     pass gives the rank-r' pair u = (2/m) P (k x r'), v = X QX^T (d x r')
-    instead. A dense G is FullGradient(G, np.eye(d)), whose g is a finite G
-    bit for bit but for the sign of a zero. The dense k x d ``g`` is the oracle
+    instead, v shared by the passes on one A, so never written in place. A
+    dense G is FullGradient(G, np.eye(d)), whose g is a finite G bit for bit
+    but for the sign of a zero. The dense k x d ``g`` is the oracle
     form, built on first access and then kept; the oracles and the ReLU head's
     eval rows read it. ``ax`` is the pass's (A, X, A X): lora_grad_b reuses
     A X while the layer's A is that array and v is X.
@@ -115,18 +116,21 @@ def _f64(x) -> np.ndarray:
     return x if type(x) is np.ndarray and x.dtype is _F64 else np.asarray(x, dtype=np.float64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactoredTarget:
     """The target W0 X + us vx of a linear head: for a teacher W0 + U Sigma V^T,
     us = U Sigma (k x r*) and vx = V^T X (r* x m). W0, the layer's own base,
     cancels from the residual. A stack's target has the runs' axes (a
-    np.broadcast_to view will do)."""
+    np.broadcast_to view will do). Frozen: -us and a pass's X QX^T are kept
+    per target object, so its factors are never rebound."""
 
     us: np.ndarray
     vx: np.ndarray
 
     def __post_init__(self):
-        us, vx = self.us, self.vx = _f64(self.us), _f64(self.vx)
+        us, vx = _f64(self.us), _f64(self.vx)
+        object.__setattr__(self, "us", us)
+        object.__setattr__(self, "vx", vx)
         if min(us.ndim, vx.ndim) < 2 or us.shape[-1] != vx.shape[-2]:
             raise ShapeMismatch(f"factored target {us.shape} x {vx.shape}: the rank counts disagree")
 
@@ -141,6 +145,12 @@ class ToyModel:
 
     kind="linear_regression": y = (w0 + s b a) x, with no w2.
     kind="two_layer_relu":    y = w2 @ relu((w0 + s b a) x) with frozen w2.
+
+    Two private caches key on object identity, which is sound because the
+    steppers rebind layer.a and layer.b and never write them in place:
+    _base holds W0 X for cache_base, and _pass the A-side products
+    (A, X, target, A X, X QX^T) of the last compressed factored pass, which
+    the next one on the same A, X and target reuses.
     """
 
     kind: str
@@ -148,6 +158,8 @@ class ToyModel:
     w2: np.ndarray | None = None
     # (w0, x, w0 @ x) of the batch given to cache_base
     _base: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (a, x, target, a @ x, x @ qx.T) of the last compressed factored pass
+    _pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (LINEAR_REGRESSION, TWO_LAYER_RELU):
@@ -265,22 +277,32 @@ def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tu
 
     A compressed pass forms no k x m array: its loss is ||R_P QX||_F^2 / m
     for R_P = qr(P), as accurate as P QX since Householder QR is backward
-    stable, and its gradient the rank-r' factors ((2/m) P, X QX^T)."""
+    stable, and its gradient the rank-r' factors ((2/m) P, X QX^T). A X and
+    X QX^T, its two products of inner dimension m, depend on A, X and the
+    target only: model._pass keeps them, and a compressed pass whose layer.a,
+    x and target are the very objects held reuses them (a B-phase leaves A
+    bound). P, QX and R_P are formed every pass. A residual-form pass neither
+    reads nor writes the cache."""
     layer = model.layer
     if model.kind != LINEAR_REGRESSION:
         raise ValueError(f"a factored target needs the {LINEAR_REGRESSION} head, not {model.kind}")
     dot = np.dot if layer.a.ndim == x.ndim == 2 else np.matmul
+    m = x.shape[-1]
+    compressed = _compressed(layer.k, m)
+    held = model._pass if compressed else None
+    reuse = held is not None and held[0] is layer.a and held[1] is x and held[2] is target
     try:  # the concatenations check that k, m and the run axes fit
-        ax = dot(layer.a, x)
+        ax = held[3] if reuse else dot(layer.a, x)
         p, qx = _residual_factors(layer, ax, target)
     except ValueError:
         raise ShapeMismatch(f"factored target {target.us.shape} x {target.vx.shape} does not fit the layer "
                             f"{layer.b.shape[:-1]} and batch {x.shape}") from None
-    m = x.shape[-1]
-    if _compressed(layer.k, m):
+    if compressed:
+        if not reuse:
+            model._pass = (layer.a, x, target, ax, dot(x, qx.mT))
         rq = dot(np.linalg.qr(p, mode="r"), qx)
         p *= 2.0 / m
-        return _mean_square(rq, out=rq), FullGradient(p, dot(x, qx.mT))
+        return _mean_square(rq, out=rq), FullGradient(p, model._pass[4])
     res = dot(p, qx)
     del p, qx  # freed before the loss squares the residual; eval rows rebuild them
     return _mean_square(res), _backward(model, x, res, {"ax": (layer.a, x, ax)})

@@ -334,7 +334,10 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     Each pass is one adapter.training_pass: the residual Y - T is formed
     once and serves both the loss and dY. The lowrank target is factored,
     so no pass forms W0 X (the ReLU head computes it once); A X is formed
-    once per pass and serves the factor gradients. A pass runs in
+    once per pass and serves the factor gradients, and a compressed pass
+    forms A X and X QX^T once per A: model, x and target stay the same
+    objects across the loop and a B-phase leaves layer.a bound, so the pass
+    after it reuses them (adapter._factored_pass). A pass runs in
     O((r + r*) (k + d) m) and forms no k x d array. Records an eval row
     (_evaluator) at step 0, every eval_every steps, and at the final step.
     Deterministic per spec. Raises DivergenceDetected (carrying the partial

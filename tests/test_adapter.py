@@ -1,5 +1,6 @@
 """Layer and toy-model tests: forward, manual backward, factor gradients."""
 
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -181,6 +182,36 @@ def test_compressed_pass_is_the_qr_form_of_the_residual_pass(monkeypatch):
     gap = 8 * np.finfo(np.float64).eps * frobenius(p) * frobenius(qx)  # bounds ||R_P QX - P QX||_F
     assert abs(math.sqrt(m * loss) - math.sqrt(m * want_loss)) <= gap
     assert frobenius(g.g - want.g) <= 2.0 / m * gap * frobenius(x)
+
+
+def test_the_pass_cache_serves_only_its_a_batch_and_target(monkeypatch):
+    # A compressed pass right after one that differs in A, X or the target
+    # alone (each swapped for an equal-shaped one), or in none: the bits of
+    # a model with no cache.
+    monkeypatch.setattr(ad, "SQUARE_CHUNK", 0)
+    model, x, target = _factored_task(20, seed=35)
+    stream = RandomStream(36)
+    other_x = stream.normal(*x.shape)
+    other_target = ad.FactoredTarget(stream.normal(*target.us.shape), stream.normal(*target.vx.shape))
+    other_a = stream.normal(*model.layer.a.shape)
+    for case in ("x", "target", "a", "none"):
+        ad.training_pass(model, x, target)
+        if case == "a":
+            model.layer.a = other_a
+        batch, toward = other_x if case == "x" else x, other_target if case == "target" else target
+        loss, g = ad.training_pass(model, batch, toward)
+        want_loss, want = ad.training_pass(ad.ToyModel(model.kind, model.layer), batch, toward)
+        assert loss == want_loss, case
+        np.testing.assert_array_equal(g.u, want.u)
+        np.testing.assert_array_equal(g.v, want.v)
+
+
+def test_a_factored_target_is_frozen():
+    target = ad.FactoredTarget(np.ones((4, 2)), np.ones((2, 3)))
+    for name in ("us", "vx"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, np.zeros_like(getattr(target, name)))
+    np.testing.assert_array_equal(target._neg_us, -np.ones((4, 2)))
 
 
 def test_linreg_gradient_matches_golden_file():

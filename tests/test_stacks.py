@@ -110,6 +110,32 @@ def _assert_shared_factored_target_steps_as_alone(kind, beta1, s):
     _assert_stack_steps_as_alone(runs, (_stack(runs)[0], x[None], shared), kind, beta1)
 
 
+@pytest.mark.parametrize("kind", optim.OPTIMIZERS)
+@pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
+@pytest.mark.parametrize("beta1", [0.0, 0.9])
+def test_the_pass_cache_leaves_a_compressed_stack_as_it_was(kind, order, beta1, monkeypatch):
+    # The stack beside its twin whose pass cache is cleared before every pass.
+    monkeypatch.setattr(adapter, "SQUARE_CHUNK", 0)
+    stream = RandomStream(67)
+    runs = [(model, x, FactoredTarget(stream.normal(16, 2), stream.normal(2, x.shape[1])))
+            for model, x, _ in (_task(stream, LINEAR_REGRESSION, 2.5) for _ in range(S))]
+    model, x, target = _stack(runs)
+    twin = ToyModel(model.kind, model.layer.copy())
+    cfg = optim.TrainConfig(eta=0.01, beta1=beta1, gamma=0.01, order=order)
+    stepper = optim.make_stepper(kind)
+    states = [optim.make_state(kind, model.layer), optim.make_state(kind, twin.layer)]
+    for _ in range(STEPS):
+        twin._pass = None
+        passes = [adapter.training_pass(one, x, target) for one in (model, twin)]
+        for one, state, (_, g) in zip((model, twin), states, passes):
+            stepper(one.layer, state, g, cfg)
+        (loss, g), (twin_loss, twin_g) = passes
+        assert _same_bits(loss, twin_loss) and _same_bits(g.u, twin_g.u) and _same_bits(g.v, twin_g.v)
+    for name, buf in _buffers(model.layer, states[0]).items():
+        want = _buffers(twin.layer, states[1])[name]
+        assert buf is None and want is None or _same_bits(buf, want), name
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("lam", [0.0, 1e-3])
 def test_damped_gram_inverse_of_a_stack_is_each_slice_inverse(side, lam):
