@@ -45,6 +45,7 @@ class LoraLayer:
     a:  r x d trainable; b: k x r trainable.
     alpha: scaling numerator; the applied factor is s = alpha / r.
     A stack of S runs gives each array a leading axis (S, ...).
+    w0, a and b are bound read-only: a step rebinds a factor, never writes it.
     """
 
     w0: np.ndarray
@@ -52,18 +53,17 @@ class LoraLayer:
     b: np.ndarray
     alpha: float
 
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value if name == "alpha" else _frozen(value))
+
     def __post_init__(self):
-        self.w0 = np.asarray(self.w0, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        k, d = self.w0.shape[-2:]
-        r = self.a.shape[-2]
-        if self.a.shape[-1] != d or self.b.shape[-2:] != (k, r) or self.a.shape[:-2] != self.b.shape[:-2]:
-            raise ShapeMismatch(
-                f"factor shapes {self.b.shape} x {self.a.shape} do not match base {self.w0.shape}"
-            )
-        if r > min(k, d):
-            raise ShapeMismatch(f"rank {r} exceeds min(k, d) = {min(k, d)}")
+        w0, a, b = self.w0, self.a, self.b
+        if (min(w0.ndim, a.ndim, b.ndim) < 2 or a.shape[-1] != w0.shape[-1]
+                or b.shape[-2:] != (w0.shape[-2], a.shape[-2]) or a.shape[:-2] != b.shape[:-2]):
+            raise ShapeMismatch(f"factor shapes {b.shape} x {a.shape} do not match base {w0.shape}")
+        r, low = a.shape[-2], min(w0.shape[-2:])
+        if not 0 < r <= low:
+            raise ShapeMismatch(f"rank {r} of factors {b.shape} x {a.shape} is not in 1..min(k, d) = {low}")
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
@@ -94,12 +94,11 @@ class FullGradient:
     The inner dimension is m or r'. Mostly u (k x m) is the gradient w.r.t.
     the layer's outputs Z and v (d x m) its inputs; a compressed factored
     pass gives the rank-r' pair u = (2/m) P (k x r'), v = X QX^T (d x r')
-    instead, v shared by the passes on one A, so never written in place. A
-    dense G is FullGradient(G, np.eye(d)), whose g is a finite G bit for bit
-    but for the sign of a zero. The dense k x d ``g`` is the oracle
-    form, built on first access and then kept; the oracles and the ReLU head's
-    eval rows read it. ``ax`` is the pass's (A, X, A X): lora_grad_b reuses
-    A X while the layer's A is that array and v is X.
+    instead, the model's memo entry. A dense G is FullGradient(G, np.eye(d)),
+    whose g is a finite G bit for bit but for the sign of a zero. The dense
+    k x d ``g`` is the oracle form, built on first access and then kept; the
+    oracles and the ReLU head's eval rows read it. ``ax`` is the pass's memo
+    entry (A, X, A X), which lora_grad_b reads as A v.
     """
 
     u: np.ndarray
@@ -116,19 +115,33 @@ def _f64(x) -> np.ndarray:
     return x if type(x) is np.ndarray and x.dtype is _F64 else np.asarray(x, dtype=np.float64)
 
 
+def _frozen(x) -> np.ndarray:
+    """x as a float64 ndarray, made read-only in place, not copied."""
+    x = _f64(x)
+    x.setflags(False)
+    return x
+
+
+def _held(entry, first, second):
+    """The product of a memo entry (first, second, product) computed from these
+    very objects, else None (README, "Read-only inputs and the pass memo")."""
+    if entry is not None and entry[0] is first and entry[1] is second:
+        return entry[2]
+    return None
+
+
 @dataclass(frozen=True)
 class FactoredTarget:
     """The target W0 X + us vx of a linear head: for a teacher W0 + U Sigma V^T,
     us = U Sigma (k x r*) and vx = V^T X (r* x m). W0, the layer's own base,
     cancels from the residual. A stack's target has the runs' axes (a
-    np.broadcast_to view will do). Frozen: -us and a pass's X QX^T are kept
-    per target object, so its factors are never rebound."""
+    np.broadcast_to view will do). Frozen, and us and vx are read-only."""
 
     us: np.ndarray
     vx: np.ndarray
 
     def __post_init__(self):
-        us, vx = _f64(self.us), _f64(self.vx)
+        us, vx = _frozen(self.us), _frozen(self.vx)
         object.__setattr__(self, "us", us)
         object.__setattr__(self, "vx", vx)
         if min(us.ndim, vx.ndim) < 2 or us.shape[-1] != vx.shape[-2]:
@@ -146,20 +159,13 @@ class ToyModel:
     kind="linear_regression": y = (w0 + s b a) x, with no w2.
     kind="two_layer_relu":    y = w2 @ relu((w0 + s b a) x) with frozen w2.
 
-    Two private caches key on object identity, which is sound because the
-    steppers rebind layer.a and layer.b and never write them in place:
-    _base holds W0 X for cache_base, and _pass the A-side products
-    (A, X, target, A X, X QX^T) of the last compressed factored pass, which
-    the next one on the same A, X and target reuses.
+    _memo holds the pass's products W0 X, A X and X QX^T as _held's entries.
     """
 
     kind: str
     layer: LoraLayer
     w2: np.ndarray | None = None
-    # (w0, x, w0 @ x) of the batch given to cache_base
-    _base: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (a, x, target, a @ x, x @ qx.T) of the last compressed factored pass
-    _pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (LINEAR_REGRESSION, TWO_LAYER_RELU):
@@ -175,21 +181,15 @@ class ToyModel:
         elif self.w2 is not None:  # forward would ignore it
             raise ValueError(f"{LINEAR_REGRESSION} has no second layer; got w2 of shape {np.shape(self.w2)}")
 
-    def cache_base(self, x) -> None:
-        """Compute the frozen base product W0 X once for a batch used again.
-
-        forward on this same array, with the same w0, reuses it instead of
-        redoing the k x d x m product; any other batch is multiplied afresh.
-        Only a dense target's pass reads it (the runner's ReLU head).
-        """
-        x = np.asarray(x, dtype=np.float64)
-        self._base = (self.layer.w0, x, self.layer.w0 @ x)
-
-    def _base_product(self, x: np.ndarray) -> np.ndarray:
-        w0 = self.layer.w0
-        if self._base is not None and self._base[0] is w0 and self._base[1] is x:
-            return self._base[2]
-        return w0 @ x
+    def _product(self, name: str, first, second, dot, *operands) -> tuple:
+        """The memo entry (first, second, dot(*operands)), the operands by
+        default (first, second); multiplied only when _held misses."""
+        entry = self._memo.get(name)
+        if _held(entry, first, second) is None:
+            product = dot(*(operands or (first, second)))
+            product.setflags(False)
+            entry = self._memo[name] = (first, second, product)
+        return entry
 
 
 def merged_weight(layer: LoraLayer) -> np.ndarray:
@@ -199,22 +199,23 @@ def merged_weight(layer: LoraLayer) -> np.ndarray:
 def forward(model: ToyModel, x: np.ndarray):
     """Evaluate the model on a batch (one column per sample).
 
-    The adapted layer computes Z = W0 X + s B (A X); the merged weight is
-    never formed. Returns (y, cache); cache holds Z and (A, X, A X) for backward.
+    The adapted layer computes Z = W0 X + s B (A X), with W0 X and A X from
+    the model's memo; the merged weight is never formed. x is made read-only.
+    Returns (y, cache); cache holds Z and the memo entry (A, X, A X) for backward.
     """
-    x = _f64(x)
+    x = _frozen(x)
     layer = model.layer
     if x.ndim < 2 or x.shape[-2] != layer.d:
         raise ShapeMismatch(f"batch shape {x.shape} does not match input dim {layer.d}")
     dot = np.dot if layer.a.ndim == x.ndim == 2 else np.matmul
-    ax = dot(layer.a, x)
-    z = dot(layer.b, ax)
+    held = model._product("ax", layer.a, x, dot)
+    z = dot(layer.b, held[2])
     s = layer.s
     if s != 1.0:  # times 1.0 is the identity on every float, so the default alpha = r skips it
         z *= s
-    z += model._base_product(x)
+    z += model._product("w0x", layer.w0, x, np.matmul)[2]
     y = z if model.kind == LINEAR_REGRESSION else dot(model.w2, np.maximum(z, 0.0))
-    return y, {"z": z, "ax": (layer.a, x, ax)}
+    return y, {"z": z, "ax": held}
 
 
 def _residual(y: np.ndarray, target, out=None) -> np.ndarray:
@@ -278,34 +279,27 @@ def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tu
     A compressed pass forms no k x m array: its loss is ||R_P QX||_F^2 / m
     for R_P = qr(P), as accurate as P QX since Householder QR is backward
     stable, and its gradient the rank-r' factors ((2/m) P, X QX^T). A X and
-    X QX^T, its two products of inner dimension m, depend on A, X and the
-    target only: model._pass keeps them, and a compressed pass whose layer.a,
-    x and target are the very objects held reuses them (a B-phase leaves A
-    bound). P, QX and R_P are formed every pass. A residual-form pass neither
-    reads nor writes the cache."""
+    X QX^T, the products of inner dimension m, come from the model's memo,
+    so the pass after a B-phase reuses them; P, QX and R_P are formed anew."""
     layer = model.layer
     if model.kind != LINEAR_REGRESSION:
         raise ValueError(f"a factored target needs the {LINEAR_REGRESSION} head, not {model.kind}")
     dot = np.dot if layer.a.ndim == x.ndim == 2 else np.matmul
     m = x.shape[-1]
-    compressed = _compressed(layer.k, m)
-    held = model._pass if compressed else None
-    reuse = held is not None and held[0] is layer.a and held[1] is x and held[2] is target
-    try:  # the concatenations check that k, m and the run axes fit
-        ax = held[3] if reuse else dot(layer.a, x)
-        p, qx = _residual_factors(layer, ax, target)
+    try:  # the product and the concatenations check that k, m and the run axes fit
+        held = model._product("ax", layer.a, x, dot)
+        p, qx = _residual_factors(layer, held[2], target)
     except ValueError:
         raise ShapeMismatch(f"factored target {target.us.shape} x {target.vx.shape} does not fit the layer "
                             f"{layer.b.shape[:-1]} and batch {x.shape}") from None
-    if compressed:
-        if not reuse:
-            model._pass = (layer.a, x, target, ax, dot(x, qx.mT))
+    if _compressed(layer.k, m):
+        v = model._product("v", held[2], target, dot, x, qx.mT)[2]
         rq = dot(np.linalg.qr(p, mode="r"), qx)
         p *= 2.0 / m
-        return _mean_square(rq, out=rq), FullGradient(p, model._pass[4])
+        return _mean_square(rq, out=rq), FullGradient(p, v)
     res = dot(p, qx)
     del p, qx  # freed before the loss squares the residual; eval rows rebuild them
-    return _mean_square(res), _backward(model, x, res, {"ax": (layer.a, x, ax)})
+    return _mean_square(res), _backward(model, x, res, {"ax": held})
 
 
 def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGradient]:
@@ -319,9 +313,9 @@ def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGr
     subtracted in place from forward's fresh output. It is formed once,
     reduced into the loss by mse_loss's arithmetic and then scaled in place
     into dY; the gradient is kept as the factors of G = dZ X^T, with the
-    pass's A X.
+    pass's A X. x is made read-only.
     """
-    x = _f64(x)
+    x = _frozen(x)
     if isinstance(target, FactoredTarget):
         return _factored_pass(model, x, target)
     y, cache = forward(model, x)
@@ -354,14 +348,15 @@ def lora_grad_a(g: FullGradient, layer: LoraLayer) -> np.ndarray:
 def lora_grad_b(g: FullGradient, layer: LoraLayer) -> np.ndarray:
     """grad_b = s G A^T for the FullGradient G = u v^T, as u (s A v)^T.
 
-    A v is forward's A X when the gradient carries it for this very A and v.
+    A v is the pass's A X when the gradient's memo entry holds it for this very A and v.
     """
     s, a = layer.s, layer.a
     u, v = _factors(g, layer)
     dot = np.dot if a.ndim == u.ndim == 2 else np.matmul
-    held = g.ax
-    av = held[2] if held is not None and held[0] is a and held[1] is v else dot(a, v)
-    if s != 1.0:  # av may be forward's, so it is scaled into a new array
+    av = _held(g.ax, a, v)
+    if av is None:
+        av = dot(a, v)
+    if s != 1.0:  # av may be the memo's, so it is scaled into a new array
         av = s * av
     return dot(u, av.mT)
 

@@ -333,11 +333,10 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
 
     Each pass is one adapter.training_pass: the residual Y - T is formed
     once and serves both the loss and dY. The lowrank target is factored,
-    so no pass forms W0 X (the ReLU head computes it once); A X is formed
-    once per pass and serves the factor gradients, and a compressed pass
-    forms A X and X QX^T once per A: model, x and target stay the same
-    objects across the loop and a B-phase leaves layer.a bound, so the pass
-    after it reuses them (adapter._factored_pass). A pass runs in
+    so no pass forms W0 X (the ReLU head computes it once). model, x and
+    target stay the same objects across the loop, so the model's memo forms
+    A X (and a compressed pass's X QX^T) once per A: a B-phase leaves
+    layer.a bound, and the pass after it reuses them. A pass runs in
     O((r + r*) (k + d) m) and forms no k x d array. Records an eval row
     (_evaluator) at step 0, every eval_every steps, and at the final step.
     Deterministic per spec. Raises DivergenceDetected (carrying the partial
@@ -349,8 +348,6 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     cfg = spec.train
     stepper = optim.make_stepper(spec.optimizer)
     state = optim.make_state(spec.optimizer, model.layer)
-    if model.kind == TWO_LAYER_RELU:
-        model.cache_base(x)
     flops_per_step = _task_flops(spec) + _optimizer_flops(spec)
     evaluate = _evaluator(task)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapter import FullGradient, LoraLayer, _factors, lora_grad_a, lora_grad_b, lora_grads
+from .adapter import FullGradient, LoraLayer, _factors, _held, lora_grad_a, lora_grad_b, lora_grads
 from .matcore import _gram_inverse, damped_gram_inverse
 
 A_FIRST = "a_first"
@@ -125,14 +125,12 @@ class AltLoraState:
     coordinates of the current opposite factor. va / vb are elementwise
     second moments (AltLoRA+ and Adam baselines only). t counts steps.
 
-    gram_inv is the carry (factor, lam, inverse): the r x r damped Gram
-    inverse that an alternating step's realignment (beta1 != 0) formed for
-    the factor it moved. factor is the very array bound to layer.a or
-    layer.b, so the next phase takes the inverse only while that factor is
-    still bound and lam is unchanged; any rebinding or a new lam refactors.
-    Like FullGradient.ax, the rule cannot see an in-place write, so code
-    that writes a factor in place must not step on with a carried state.
-    It is a cache, not a moment: entry_count leaves it out.
+    gram_inv is the carry (factor, lam, inverse): the read-only r x r
+    damped Gram inverse that an alternating step's realignment (beta1 != 0)
+    formed for the factor it moved, bound to layer.a or layer.b. The next
+    phase takes it while that factor is still bound (adapter._held) and lam
+    is unchanged by value; else it refactors. It is a cache, not a moment:
+    entry_count leaves it out.
     For a stack of runs every buffer carries the layer's leading axis.
     """
 
@@ -270,9 +268,9 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
     factor's moment with r rows (mb^T or ma), as align_momentum_a takes it.
 
     Only the moving factor's gradient is formed. The Gram inverse of the
-    fixed factor y is the carried one when the last realignment formed it
-    for this very array and lam (see AltLoraState), else a fresh one; with
-    beta1 != 0 the realignment's inverse for the moved factor is carried on.
+    fixed factor y is the carried one (see AltLoraState), else a fresh one;
+    with beta1 != 0 the realignment's inverse for the moved factor is
+    carried on.
     """
     a_phase = update_phase(state.t, cfg.order) == "a"
     if a_phase:
@@ -283,10 +281,9 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
         grad = lora_grad_b(g, layer).mT
     # a stack skips the public name, whose perfbench FLOP hook reads a 2-D shape
     inverse = damped_gram_inverse if x.ndim == 2 else _gram_inverse
-    carry = state.gram_inv
-    if carry is not None and carry[0] is y_bound and carry[1] == cfg.lam:
-        y_inv = carry[2]
-    else:
+    carry = state.gram_inv  # keyed on the bound factor, and on lam by value
+    y_inv = _held(carry, y_bound, carry[1]) if carry is not None and carry[1] == cfg.lam else None
+    if y_inv is None:
         y_inv = inverse(y, "left", cfg.lam)
     tilde = precondition_a(y_inv, grad, layer.s)
     v = (state.va if a_phase else state.vb.mT) if adaptive else None
@@ -298,6 +295,7 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
     state.gram_inv = None
     if cfg.beta1 != 0.0:  # x moved: align_momentum_b, in this phase's orientation
         x_inv = inverse(x_new.mT, "left", cfg.lam)
+        x_inv.setflags(False)
         m_y = realign_a(x_inv, m_y, x.mT, x_new.mT)
         state.gram_inv = (x_bound, cfg.lam, x_inv)
     if a_phase:

@@ -12,7 +12,7 @@ both factor gradients and a fresh Gram inverse in every scaled gradient
 and realignment; and baseline steps that write each moment formula out in
 their own branch. The tests check that every output bit stayed the same.
 Its run_experiment is also the dense oracle of the lowrank task: it trains
-toward Y = W* X from the cached W0 X and takes weight_err and grad_norm from
+toward Y = W* X from W0 X formed once per run and takes weight_err and grad_norm from
 the merged weight and the dense gradient, where the runner forms the residual
 from the factored target and both norms from one QR (bench._evaluator); the
 lowrank head is compared within a rounding bound, the ReLU head byte for byte.
@@ -28,12 +28,13 @@ from altlora.adapter import LINEAR_REGRESSION, FullGradient, merged_weight
 from altlora.matcore import SingularGram, damped_gram_inverse, frobenius
 
 
-def forward(model, x):
+def forward(model, x, base=None):
+    """Z = W0 X + s B (A X), with W0 X given as base or multiplied here."""
     layer = model.layer
     ax = np.dot(layer.a, x)
     z = np.dot(layer.b, ax)
     z *= layer.s
-    z += model._base_product(x)
+    z += layer.w0 @ x if base is None else base
     y = z if model.kind == LINEAR_REGRESSION else np.dot(model.w2, np.maximum(z, 0.0))
     return y, {"z": z, "y": y, "ax": (layer.a, x, ax)}
 
@@ -150,7 +151,7 @@ def run_experiment(spec):
     cfg = spec.train
     stepper = optim.make_stepper(spec.optimizer)
     state = optim.make_state(spec.optimizer, model.layer)
-    model.cache_base(x)
+    base = model.layer.w0 @ x
     flops_per_step = bench._task_flops(spec) + bench._optimizer_flops(spec)
     teacher_norm = max(frobenius(teacher), 1e-300)
 
@@ -159,7 +160,7 @@ def run_experiment(spec):
     steps_to_threshold = -1
     loss = math.nan
     for t in range(steps + 1):
-        y_hat, cache = forward(model, x)
+        y_hat, cache = forward(model, x, base)
         loss = mse_loss(y_hat, y)
         if not math.isfinite(loss) or loss > bench.DIVERGENCE_LIMIT:
             rec = bench.RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)

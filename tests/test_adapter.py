@@ -316,7 +316,7 @@ def test_lora_grads_outer_product_matches_dense(kind, k, d, r):
 @pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
 def test_outer_product_grad_a_exactly_zero_when_b_is_zero(kind):
     model, x, target = _random_model(kind, 6, 5, 2, 8, seed=21)
-    model.layer.b[:] = 0.0
+    model.layer.b = np.zeros_like(model.layer.b)
     grad_a, grad_b = ad.lora_grads(ad.training_pass(model, x, target)[1], model.layer)
     assert np.all(grad_a == 0.0)
     assert np.any(grad_b != 0.0)
@@ -331,12 +331,15 @@ def test_lora_grads_rejects_mismatched_factors():
         ad.lora_grads(ad.FullGradient(g.v, g.u), model.layer)
 
 
-def test_cached_base_product_serves_only_its_batch_and_base():
+def test_the_memo_serves_w0_x_only_for_its_batch_and_base():
     model, x, _ = _random_model(ad.TWO_LAYER_RELU, 12, 7, 3, 9, seed=23)
     fresh, _ = ad.forward(model, x)
-    model.cache_base(x)
+    held = model._memo["w0x"]
+    assert held[0] is model.layer.w0 and held[1] is x
     cached, _ = ad.forward(model, x)
+    assert model._memo["w0x"] is held
     np.testing.assert_array_equal(cached, fresh)
+    np.testing.assert_array_equal(cached, pass_ref.forward(model, x)[0])
     other = x + 1.0
     got, cache = ad.forward(model, other)
     assert rel_error(cache["z"], ad.merged_weight(model.layer) @ other) < 1e-12
@@ -344,6 +347,46 @@ def test_cached_base_product_serves_only_its_batch_and_base():
     model.layer = ad.LoraLayer(2.0 * layer.w0, layer.a, layer.b, layer.alpha)
     _, cache = ad.forward(model, x)
     assert rel_error(cache["z"], ad.merged_weight(model.layer) @ x) < 1e-12
+
+
+def _read_only_arrays() -> dict:
+    """Every array a layer, a target, a pass and a carried state bind or hold, by name."""
+    stream = RandomStream(29)
+    layer = ad.init_layer(stream.normal(16, 12), 4, init_b="gaussian", stream=stream)
+    x = stream.normal(12, 8)
+    target = ad.FactoredTarget(stream.normal(16, 2), stream.normal(2, 8))
+    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    _, g = ad.training_pass(model, x, target)  # residual form
+    relu = ad.ToyModel(ad.TWO_LAYER_RELU, layer.copy(), w2=stream.normal(3, 16))
+    ad.training_pass(relu, x, stream.normal(3, 8))
+    wide = ad.ToyModel(ad.LINEAR_REGRESSION, ad.init_layer(stream.normal(256, 4), 2, stream=stream))
+    wide_x = stream.normal(4, 257)
+    assert ad._compressed(256, 257)
+    _, compressed = ad.training_pass(wide, wide_x, ad.FactoredTarget(stream.normal(256, 1), stream.normal(1, 257)))
+    state = optim.make_state(optim.ALTLORA, layer)
+    optim.altlora_step(layer, state, g, optim.TrainConfig(eta=0.1, beta1=0.9))
+    return {
+        "layer.w0": layer.w0, "layer.a": layer.a, "layer.b": layer.b,
+        "target.us": target.us, "target.vx": target.vx, "batch": x,
+        "memo w0x": relu._memo["w0x"][2], "memo ax": model._memo["ax"][2], "memo v": wide._memo["v"][2],
+        "g.ax": g.ax[2], "compressed g.v": compressed.v, "gram_inv": state.gram_inv[2],
+    }
+
+
+@pytest.mark.parametrize("name", ["layer.w0", "layer.a", "layer.b", "target.us", "target.vx", "batch", "memo w0x",
+                                  "memo ax", "memo v", "g.ax", "compressed g.v", "gram_inv"])
+def test_an_in_place_write_to_a_bound_or_held_array_raises(name):
+    array = _read_only_arrays()[name]
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] = 0.0
+
+
+def test_a_caller_array_becomes_read_only_once_handed_in():
+    a = np.ones((2, 4))
+    layer = _layer(np.zeros((3, 4)), a, np.zeros((3, 2)), 1.0)
+    assert layer.a is a and not a.flags.writeable
+    layer.b = np.zeros_like(layer.b)  # rebinding is how a factor changes
+    assert not layer.b.flags.writeable
 
 
 @pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
@@ -518,7 +561,7 @@ def test_training_pass_never_forms_a_k_by_d_array(kind):
     model = ad.ToyModel(kind, layer, w2=w2)
     x = stream.normal(d, m)
     target = stream.normal(k if w2 is None else 8, m)
-    model.cache_base(x)
+    ad.training_pass(model, x, target)  # warms the memo, as the run's first pass does
     tracemalloc.start()
     try:
         _, g = ad.training_pass(model, x, target)
@@ -538,7 +581,7 @@ def test_linear_pass_holds_no_k_by_m_temporary_beyond_z():
     layer = ad.init_layer(stream.normal(k, d), r, init_b="gaussian", stream=stream)
     model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
     x, target = stream.normal(d, m), stream.normal(k, m)
-    model.cache_base(x)
+    ad.training_pass(model, x, target)  # warms the memo, as the run's first pass does
     tracemalloc.start()
     try:
         ad.training_pass(model, x, target)
@@ -560,7 +603,6 @@ def test_relu_backward_forms_one_k_by_m_float_array():
     model = ad.ToyModel(ad.TWO_LAYER_RELU, layer, w2=stream.normal(out, k))
     x = stream.normal(d, m)
     target = stream.normal(out, m)
-    model.cache_base(x)
     y, cache = ad.forward(model, x)
     tracemalloc.start()
     try:
@@ -616,6 +658,16 @@ def test_shape_validation():
         ad.forward(model, np.zeros((5, 2)))
     with pytest.raises(ad.ShapeMismatch):
         ad.lora_grads(as_gradient(np.zeros((4, 4))), layer)
+
+
+@pytest.mark.parametrize("w0, a, b, match", [
+    ((4,), (2, 4), (3, 2), r"^factor shapes \(3, 2\) x \(2, 4\) do not match base \(4,\)"),
+    ((3, 4), (4,), (3, 2), r"^factor shapes \(3, 2\) x \(4,\) do not match base \(3, 4\)"),
+    ((3, 4), (0, 4), (3, 0), r"^rank 0 of factors \(3, 0\) x \(0, 4\) is not in 1..min\(k, d\) = 3"),
+])
+def test_layer_rejects_a_malformed_base_or_factor(w0, a, b, match):
+    with pytest.raises(ad.ShapeMismatch, match=match):
+        ad.LoraLayer(np.zeros(w0), np.zeros(a), np.zeros(b), 1.0)
 
 
 def test_linear_head_rejects_a_second_layer():

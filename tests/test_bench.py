@@ -395,17 +395,21 @@ def test_a_stacked_compressed_pass_meets_the_dense_pass(compressed):
 @pytest.mark.parametrize("optimizer", list(optim.OPTIMIZERS))
 @pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
 @pytest.mark.parametrize("beta1", [0.0, 0.9])
-def test_the_pass_cache_leaves_every_compressed_run_as_it_was(optimizer, order, beta1, compressed, monkeypatch):
-    """The runner's record, bit for bit, is that of a run whose pass cache is cleared before every pass."""
+@pytest.mark.parametrize("form", ["residual", "compressed", "relu"])
+def test_the_pass_memo_leaves_every_run_as_it_was(optimizer, order, beta1, form, monkeypatch):
+    """The runner's record, bit for bit, is that of a run whose memo is cleared before every pass."""
     eta = {"lora_plus": 0.02}.get(optimizer, 0.1)
     train = optim.TrainConfig(eta=eta, beta1=beta1, gamma=0.01, lam=1e-6, order=order, steps=30)
-    spec = _spec(k=16, d=12, r=4, teacher_rank=3, kappa=10.0, optimizer=optimizer, alpha=2.5,
+    shape = dict(task="two_layer_relu", width=48) if form == "relu" else dict(k=16)
+    spec = _spec(**shape, d=12, r=4, teacher_rank=3, kappa=10.0, optimizer=optimizer, alpha=2.5,
                  init_b="gaussian", seed=7, eval_every=5, train=train)
+    if form == "compressed":
+        monkeypatch.setattr(adapter, "SQUARE_CHUNK", 0)
     cached = _outcome(bench.run_experiment, spec)
     real_pass = bench.training_pass
 
     def uncached(model, x, target):
-        model._pass = None
+        model._memo.clear()
         return real_pass(model, x, target)
 
     monkeypatch.setattr(bench, "training_pass", uncached)
@@ -413,28 +417,33 @@ def test_the_pass_cache_leaves_every_compressed_run_as_it_was(optimizer, order, 
 
 
 @pytest.mark.parametrize("optimizer", list(optim.OPTIMIZERS))
-def test_a_compressed_pass_reuses_the_a_side_products_only_after_a_b_phase(optimizer, compressed):
-    """The pass after a B-phase hands on the held X QX^T; after an A-phase or a joint step, a fresh one."""
+@pytest.mark.parametrize("form", ["residual", "compressed"])
+def test_a_pass_reuses_the_a_side_products_only_after_a_b_phase(optimizer, form, monkeypatch):
+    """The pass after a B-phase takes A X, and a compressed pass X QX^T, from the memo;
+    after an A-phase or a joint step, fresh ones."""
+    if form == "compressed":
+        monkeypatch.setattr(adapter, "SQUARE_CHUNK", 0)
     eta = {"lora_plus": 0.02}.get(optimizer, 0.1)
     train = optim.TrainConfig(eta=eta, beta1=0.9, lam=1e-6, order=optim.B_FIRST, steps=6)
     task = bench.generate_task(_spec(k=16, d=12, optimizer=optimizer, init_b="gaussian", train=train))
     model, x, target = task.model, task.x, task.target
     stepper, state = optim.make_stepper(optimizer), optim.make_state(optimizer, model.layer)
-    held = None
+    held = (None, None)
     for t in range(train.steps + 1):
         g = training_pass(model, x, target)[1]
-        assert g.v is model._pass[4] and all(h is o for h, o in zip(model._pass, (model.layer.a, x, target)))
+        ax = model._memo["ax"]
+        assert ax[0] is model.layer.a and ax[1] is x
+        if form == "compressed":
+            v = model._memo["v"]
+            assert v[0] is ax[2] and v[1] is target and v[2] is g.v
+            products = (ax[2], g.v)
+        else:
+            assert g.ax is ax and "v" not in model._memo
+            products = (ax[2],)
         b_phase = optimizer not in optim.BASELINES and t > 0 and optim.update_phase(t - 1, train.order) == "b"
-        assert (g.v is held) == b_phase, t
-        held = g.v
+        assert [now is then for now, then in zip(products, held)] == [b_phase] * len(products), t
+        held = products
         stepper(model.layer, state, g, train)
-
-
-def test_a_residual_form_pass_leaves_the_pass_cache_empty():
-    task = bench.generate_task(_spec())  # k m = 32 x 128, within one square chunk
-    for _ in range(2):
-        g = training_pass(task.model, task.x, task.target)[1]
-        assert g.ax is not None and task.model._pass is None
 
 
 def test_run_holds_no_k_by_m_or_k_by_d_array(monkeypatch):

@@ -268,7 +268,7 @@ def _nan_from_call(first, fn):
 
 
 def _nan_steps(monkeypatch, poisoned):
-    """Steppers that write NaN into B after each step, into the runs poisoned(kind, call number) indexes.
+    """Steppers that rebind B with NaN after each step, in the runs poisoned(kind, call number) indexes.
 
     poisoned returns None to leave a step alone, ... for every run of the
     stack, or the index of one run.
@@ -281,8 +281,10 @@ def _nan_steps(monkeypatch, poisoned):
         def step(layer, state, g, cfg):
             stepper(layer, state, g, cfg)
             runs = poisoned(kind, next(calls))
-            if runs is not None:
-                layer.b[runs] = np.nan
+            if runs is not None:  # a copy, poisoned and rebound: a bound factor is read-only
+                b = layer.b.copy()
+                b[runs] = np.nan
+                layer.b = b
 
         return step
 

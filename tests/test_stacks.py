@@ -77,10 +77,7 @@ def _assert_stack_steps_as_alone(runs, stacked, kind, beta1):
 def test_a_stack_steps_each_run_as_it_steps_alone(kind, head, beta1, s):
     stream = RandomStream(61)
     runs = [_task(stream, head, s) for _ in range(S)]
-    stacked = _stack(runs)
-    for model, x, _ in (*runs, stacked):
-        model.cache_base(x)
-    _assert_stack_steps_as_alone(runs, stacked, kind, beta1)
+    _assert_stack_steps_as_alone(runs, _stack(runs), kind, beta1)
 
 
 @pytest.mark.parametrize("kind", optim.OPTIMIZERS)
@@ -114,7 +111,7 @@ def _assert_shared_factored_target_steps_as_alone(kind, beta1, s):
 @pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
 @pytest.mark.parametrize("beta1", [0.0, 0.9])
 def test_the_pass_cache_leaves_a_compressed_stack_as_it_was(kind, order, beta1, monkeypatch):
-    # The stack beside its twin whose pass cache is cleared before every pass.
+    # The stack beside its twin whose memo is cleared before every pass.
     monkeypatch.setattr(adapter, "SQUARE_CHUNK", 0)
     stream = RandomStream(67)
     runs = [(model, x, FactoredTarget(stream.normal(16, 2), stream.normal(2, x.shape[1])))
@@ -125,7 +122,7 @@ def test_the_pass_cache_leaves_a_compressed_stack_as_it_was(kind, order, beta1, 
     stepper = optim.make_stepper(kind)
     states = [optim.make_state(kind, model.layer), optim.make_state(kind, twin.layer)]
     for _ in range(STEPS):
-        twin._pass = None
+        twin._memo.clear()
         passes = [adapter.training_pass(one, x, target) for one in (model, twin)]
         for one, state, (_, g) in zip((model, twin), states, passes):
             stepper(one.layer, state, g, cfg)
