@@ -46,15 +46,20 @@ class LoraLayer:
     alpha: scaling numerator; the applied factor is s = alpha / r.
     A stack of S runs gives each array a leading axis (S, ...).
     w0, a and b are bound read-only: a step rebinds a factor, never writes it.
+
+    _memo, the library's one memo, holds the products keyed on those arrays
+    as _held's entries: W0 X, A X and X QX^T of the pass (_product), and the
+    Gram carry (factor, lam, inverse) of an alternating step.
     """
 
     w0: np.ndarray
     a: np.ndarray
     b: np.ndarray
     alpha: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
-        object.__setattr__(self, name, value if name == "alpha" else _frozen(value))
+        object.__setattr__(self, name, _frozen(value) if name in ("w0", "a", "b") else value)
 
     def __post_init__(self):
         w0, a, b = self.w0, self.a, self.b
@@ -84,7 +89,18 @@ class LoraLayer:
         return self.alpha / self.a.shape[-2]
 
     def copy(self) -> "LoraLayer":
-        return LoraLayer(self.w0, self.a.copy(), self.b.copy(), self.alpha)
+        """A layer over the same read-only w0, a and b, with an empty memo."""
+        return LoraLayer(self.w0, self.a, self.b, self.alpha)
+
+    def _product(self, name: str, first, second, dot, *operands) -> np.ndarray:
+        """The product of the memo entry (first, second, dot(*operands)), the
+        operands by default (first, second); multiplied only when _held misses."""
+        product = _held(self._memo.get(name), first, second)
+        if product is None:
+            product = dot(*(operands or (first, second)))
+            product.setflags(False)
+            self._memo[name] = (first, second, product)
+        return product
 
 
 @dataclass
@@ -94,16 +110,14 @@ class FullGradient:
     The inner dimension is m or r'. Mostly u (k x m) is the gradient w.r.t.
     the layer's outputs Z and v (d x m) its inputs; a compressed factored
     pass gives the rank-r' pair u = (2/m) P (k x r'), v = X QX^T (d x r')
-    instead, the model's memo entry. A dense G is FullGradient(G, np.eye(d)),
+    instead, the layer's memo entry. A dense G is FullGradient(G, np.eye(d)),
     whose g is a finite G bit for bit but for the sign of a zero. The dense
     k x d ``g`` is the oracle form, built on first access and then kept; the
-    oracles and the ReLU head's eval rows read it. ``ax`` is the pass's memo
-    entry (A, X, A X), which lora_grad_b reads as A v.
+    oracles and the ReLU head's eval rows read it.
     """
 
     u: np.ndarray
     v: np.ndarray
-    ax: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -116,9 +130,13 @@ def _f64(x) -> np.ndarray:
 
 
 def _frozen(x) -> np.ndarray:
-    """x as a float64 ndarray, made read-only in place, not copied."""
+    """x as a float64 ndarray, made read-only in place, not copied. A view's
+    base, which numpy collapses to the array that owns a slice's memory, is
+    made read-only too, so no write through it can reach a memo entry."""
     x = _f64(x)
     x.setflags(False)
+    if isinstance(x.base, np.ndarray):
+        x.base.setflags(False)
     return x
 
 
@@ -158,14 +176,11 @@ class ToyModel:
 
     kind="linear_regression": y = (w0 + s b a) x, with no w2.
     kind="two_layer_relu":    y = w2 @ relu((w0 + s b a) x) with frozen w2.
-
-    _memo holds the pass's products W0 X, A X and X QX^T as _held's entries.
     """
 
     kind: str
     layer: LoraLayer
     w2: np.ndarray | None = None
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (LINEAR_REGRESSION, TWO_LAYER_RELU):
@@ -181,16 +196,6 @@ class ToyModel:
         elif self.w2 is not None:  # forward would ignore it
             raise ValueError(f"{LINEAR_REGRESSION} has no second layer; got w2 of shape {np.shape(self.w2)}")
 
-    def _product(self, name: str, first, second, dot, *operands) -> tuple:
-        """The memo entry (first, second, dot(*operands)), the operands by
-        default (first, second); multiplied only when _held misses."""
-        entry = self._memo.get(name)
-        if _held(entry, first, second) is None:
-            product = dot(*(operands or (first, second)))
-            product.setflags(False)
-            entry = self._memo[name] = (first, second, product)
-        return entry
-
 
 def merged_weight(layer: LoraLayer) -> np.ndarray:
     return layer.w0 + layer.s * (layer.b @ layer.a)
@@ -200,22 +205,21 @@ def forward(model: ToyModel, x: np.ndarray):
     """Evaluate the model on a batch (one column per sample).
 
     The adapted layer computes Z = W0 X + s B (A X), with W0 X and A X from
-    the model's memo; the merged weight is never formed. x is made read-only.
-    Returns (y, cache); cache holds Z and the memo entry (A, X, A X) for backward.
+    the layer's memo; the merged weight is never formed. x is made read-only.
+    Returns (y, cache); cache holds Z for backward.
     """
     x = _frozen(x)
     layer = model.layer
     if x.ndim < 2 or x.shape[-2] != layer.d:
         raise ShapeMismatch(f"batch shape {x.shape} does not match input dim {layer.d}")
     dot = np.dot if layer.a.ndim == x.ndim == 2 else np.matmul
-    held = model._product("ax", layer.a, x, dot)
-    z = dot(layer.b, held[2])
+    z = dot(layer.b, layer._product("ax", layer.a, x, dot))
     s = layer.s
     if s != 1.0:  # times 1.0 is the identity on every float, so the default alpha = r skips it
         z *= s
-    z += model._product("w0x", layer.w0, x, np.matmul)[2]
+    z += layer._product("w0x", layer.w0, x, np.matmul)
     y = z if model.kind == LINEAR_REGRESSION else dot(model.w2, np.maximum(z, 0.0))
-    return y, {"z": z, "ax": held}
+    return y, {"z": z}
 
 
 def _residual(y: np.ndarray, target, out=None) -> np.ndarray:
@@ -241,10 +245,10 @@ def _backward(model: ToyModel, x: np.ndarray, dy: np.ndarray, cache) -> FullGrad
     """The factors of G = dZ X^T; dy holds Y - T and is scaled in place into dY = (2/m) (Y - T)."""
     dy *= 2.0 / x.shape[-1]
     if model.kind == LINEAR_REGRESSION:
-        return FullGradient(dy, x, cache.get("ax"))
+        return FullGradient(dy, x)
     dz = model.w2.mT @ dy
     dz *= cache["z"] > 0.0  # ReLU derivative at exactly 0 is taken as 0; in place, no k x m temporary
-    return FullGradient(dz, x, cache.get("ax"))
+    return FullGradient(dz, x)
 
 
 def mse_loss(y: np.ndarray, target: np.ndarray):
@@ -279,7 +283,7 @@ def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tu
     A compressed pass forms no k x m array: its loss is ||R_P QX||_F^2 / m
     for R_P = qr(P), as accurate as P QX since Householder QR is backward
     stable, and its gradient the rank-r' factors ((2/m) P, X QX^T). A X and
-    X QX^T, the products of inner dimension m, come from the model's memo,
+    X QX^T, the products of inner dimension m, come from the layer's memo,
     so the pass after a B-phase reuses them; P, QX and R_P are formed anew."""
     layer = model.layer
     if model.kind != LINEAR_REGRESSION:
@@ -287,19 +291,19 @@ def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tu
     dot = np.dot if layer.a.ndim == x.ndim == 2 else np.matmul
     m = x.shape[-1]
     try:  # the product and the concatenations check that k, m and the run axes fit
-        held = model._product("ax", layer.a, x, dot)
-        p, qx = _residual_factors(layer, held[2], target)
+        ax = layer._product("ax", layer.a, x, dot)
+        p, qx = _residual_factors(layer, ax, target)
     except ValueError:
         raise ShapeMismatch(f"factored target {target.us.shape} x {target.vx.shape} does not fit the layer "
                             f"{layer.b.shape[:-1]} and batch {x.shape}") from None
     if _compressed(layer.k, m):
-        v = model._product("v", held[2], target, dot, x, qx.mT)[2]
+        v = layer._product("v", ax, target, dot, x, qx.mT)
         rq = dot(np.linalg.qr(p, mode="r"), qx)
         p *= 2.0 / m
         return _mean_square(rq, out=rq), FullGradient(p, v)
     res = dot(p, qx)
     del p, qx  # freed before the loss squares the residual; eval rows rebuild them
-    return _mean_square(res), _backward(model, x, res, {"ax": held})
+    return _mean_square(res), _backward(model, x, res, None)
 
 
 def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGradient]:
@@ -312,8 +316,8 @@ def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGr
     residual Y - T: P QX for a FactoredTarget (unless _compressed), else
     subtracted in place from forward's fresh output. It is formed once,
     reduced into the loss by mse_loss's arithmetic and then scaled in place
-    into dY; the gradient is kept as the factors of G = dZ X^T, with the
-    pass's A X. x is made read-only.
+    into dY; the gradient is kept as the factors of G = dZ X^T. x is made
+    read-only.
     """
     x = _frozen(x)
     if isinstance(target, FactoredTarget):
@@ -348,12 +352,12 @@ def lora_grad_a(g: FullGradient, layer: LoraLayer) -> np.ndarray:
 def lora_grad_b(g: FullGradient, layer: LoraLayer) -> np.ndarray:
     """grad_b = s G A^T for the FullGradient G = u v^T, as u (s A v)^T.
 
-    A v is the pass's A X when the gradient's memo entry holds it for this very A and v.
+    A v is the pass's A X when the layer's memo holds it for this very A and v.
     """
     s, a = layer.s, layer.a
     u, v = _factors(g, layer)
     dot = np.dot if a.ndim == u.ndim == 2 else np.matmul
-    av = _held(g.ax, a, v)
+    av = _held(layer._memo.get("ax"), a, v)
     if av is None:
         av = dot(a, v)
     if s != 1.0:  # av may be the memo's, so it is scaled into a new array

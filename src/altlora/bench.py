@@ -321,8 +321,10 @@ def _evaluator(task: Task):
     def evaluate(g) -> tuple[float, float]:
         rp = np.linalg.qr(_residual_p(layer, task.target), mode="r")
         werr = frobenius(np.dot(rp, np.concatenate((layer.a, vt)))) / teacher_norm
-        # a compressed g is ((2/m) P, X QX^T); else QX = [A X; V^T X] from the pass's A X
-        qx_xt = g.v.T if compressed else np.dot(np.concatenate((g.ax[2], task.target.vx)), x.T)
+        if compressed:  # g is ((2/m) P, X QX^T)
+            qx_xt = g.v.T
+        else:  # QX = [A X; V^T X], with the pass's A X from the layer's memo
+            qx_xt = np.dot(np.concatenate((layer._product("ax", layer.a, x, np.dot), task.target.vx)), x.T)
         return werr, 2.0 / x.shape[1] * frobenius(np.dot(rp, qx_xt))
 
     return evaluate
@@ -334,7 +336,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     Each pass is one adapter.training_pass: the residual Y - T is formed
     once and serves both the loss and dY. The lowrank target is factored,
     so no pass forms W0 X (the ReLU head computes it once). model, x and
-    target stay the same objects across the loop, so the model's memo forms
+    target stay the same objects across the loop, so the layer's memo forms
     A X (and a compressed pass's X QX^T) once per A: a B-phase leaves
     layer.a bound, and the pass after it reuses them. A pass runs in
     O((r + r*) (k + d) m) and forms no k x d array. Records an eval row

@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import FullGradient, LoraLayer, _factors, _held, lora_grad_a, lora_grad_b, lora_grads
+from .adapter import FullGradient, LoraLayer, _factors, lora_grad_a, lora_grad_b, lora_grads
 from .matcore import _gram_inverse, damped_gram_inverse
 
 A_FIRST = "a_first"
@@ -119,18 +119,11 @@ def effective_eta(cfg: TrainConfig, t: int) -> float:
 
 @dataclass
 class AltLoraState:
-    """Per-layer optimizer state; every buffer is factor-shaped or r x r.
+    """Per-layer optimizer state: the factor-shaped moments and t.
 
     ma (r x d) and mb (k x r) are first moments, each kept in the
     coordinates of the current opposite factor. va / vb are elementwise
     second moments (AltLoRA+ and Adam baselines only). t counts steps.
-
-    gram_inv is the carry (factor, lam, inverse): the read-only r x r
-    damped Gram inverse that an alternating step's realignment (beta1 != 0)
-    formed for the factor it moved, bound to layer.a or layer.b. The next
-    phase takes it while that factor is still bound (adapter._held) and lam
-    is unchanged by value; else it refactors. It is a cache, not a moment:
-    entry_count leaves it out.
     For a stack of runs every buffer carries the layer's leading axis.
     """
 
@@ -139,7 +132,6 @@ class AltLoraState:
     va: np.ndarray | None = None
     vb: np.ndarray | None = None
     t: int = 0
-    gram_inv: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def init(cls, layer: LoraLayer, second_moment: bool = False) -> "AltLoraState":
@@ -153,7 +145,7 @@ class AltLoraState:
         )
 
     def copy(self) -> "AltLoraState":
-        """A deep copy of the moments and t; the carried Gram inverse is dropped."""
+        """A deep copy of the moments and t."""
         return AltLoraState(
             ma=self.ma.copy(),
             mb=self.mb.copy(),
@@ -168,17 +160,15 @@ class AltLoraState:
     def check_budget(self, layer: LoraLayer) -> None:
         """Assert every buffer has its slot's exact shape.
 
-        ma and va are r x d, mb and vb are k x r, and the carried inverse is
-        r x r, each behind the layer's leading axes. Trips if any code path
-        ever materializes a k x d optimizer buffer or puts a buffer in the
-        wrong slot. The shape check is the whole budget: 2(kr + rd) + r^2 <=
-        3(kr + rd) entries per run.
+        ma and va are r x d, mb and vb are k x r, each behind the layer's
+        leading axes. Trips if any code path ever materializes a k x d
+        optimizer buffer or puts a buffer in the wrong slot. The shape check
+        is the whole budget: 2(kr + rd) entries per run.
         """
         lead, r = layer.a.shape[:-2], layer.r
         a_shape, b_shape = lead + (r, layer.d), lead + (layer.k, r)
-        carry = None if self.gram_inv is None else self.gram_inv[2]
         slots = (("ma", self.ma, a_shape), ("va", self.va, a_shape), ("mb", self.mb, b_shape),
-                 ("vb", self.vb, b_shape), ("gram_inv", carry, lead + (r, r)))
+                 ("vb", self.vb, b_shape))
         for name, buf, shape in slots:
             if buf is not None and buf.shape != shape:
                 raise AssertionError(f"optimizer buffer {name} has non-factor shape {buf.shape}, not {shape}")
@@ -188,9 +178,9 @@ class AltLoraState:
 # Scaled gradients and momentum alignment (the closed forms under test)
 
 
-def precondition_a(gram_inv: np.ndarray, grad_a: np.ndarray, s: float) -> np.ndarray:
-    """scaled_grad_a given its inverse: (1/s^2) gram_inv grad_a."""
-    tilde = gram_inv @ grad_a
+def precondition_a(inv: np.ndarray, grad_a: np.ndarray, s: float) -> np.ndarray:
+    """scaled_grad_a given its Gram inverse: (1/s^2) inv grad_a."""
+    tilde = inv @ grad_a
     return tilde / (s * s) if s != 1.0 else tilde  # over 1.0 is the identity on every float
 
 
@@ -219,9 +209,9 @@ def align_momentum_b(mb: np.ndarray, a_old: np.ndarray, a_new: np.ndarray, lam: 
     return align_momentum_a(mb.mT, a_old.mT, a_new.mT, lam).mT
 
 
-def realign_a(gram_inv: np.ndarray, ma: np.ndarray, b_old: np.ndarray, b_new: np.ndarray) -> np.ndarray:
-    """align_momentum_a given its inverse: gram_inv Bn^T Bo ma."""
-    return gram_inv @ b_new.mT @ b_old @ ma
+def realign_a(inv: np.ndarray, ma: np.ndarray, b_old: np.ndarray, b_new: np.ndarray) -> np.ndarray:
+    """align_momentum_a given its Gram inverse: inv Bn^T Bo ma."""
+    return inv @ b_new.mT @ b_old @ ma
 
 
 def align_momentum_a(ma: np.ndarray, b_old: np.ndarray, b_new: np.ndarray, lam: float) -> np.ndarray:
@@ -268,9 +258,10 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
     factor's moment with r rows (mb^T or ma), as align_momentum_a takes it.
 
     Only the moving factor's gradient is formed. The Gram inverse of the
-    fixed factor y is the carried one (see AltLoraState), else a fresh one;
-    with beta1 != 0 the realignment's inverse for the moved factor is
-    carried on.
+    fixed factor y is the carried one, else a fresh one. With beta1 != 0 the
+    realignment's read-only inverse for the moved factor is carried on in
+    the layer's memo as (factor, lam, inverse), keyed on the array bound to
+    layer.a or layer.b and on lam by value.
     """
     a_phase = update_phase(state.t, cfg.order) == "a"
     if a_phase:
@@ -281,9 +272,10 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
         grad = lora_grad_b(g, layer).mT
     # a stack skips the public name, whose perfbench FLOP hook reads a 2-D shape
     inverse = damped_gram_inverse if x.ndim == 2 else _gram_inverse
-    carry = state.gram_inv  # keyed on the bound factor, and on lam by value
-    y_inv = _held(carry, y_bound, carry[1]) if carry is not None and carry[1] == cfg.lam else None
-    if y_inv is None:
+    carry = layer._memo.get("gram")
+    if carry is not None and carry[0] is y_bound and carry[1] == cfg.lam:
+        y_inv = carry[2]
+    else:
         y_inv = inverse(y, "left", cfg.lam)
     tilde = precondition_a(y_inv, grad, layer.s)
     v = (state.va if a_phase else state.vb.mT) if adaptive else None
@@ -292,12 +284,11 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
         state.va, state.vb = (v, state.vb) if a_phase else (state.va, v.mT)
     x_new = _descend(x, cfg.eta, direction, cfg.gamma)
     x_bound = x_new if a_phase else x_new.mT  # the array layer.a or layer.b is bound to
-    state.gram_inv = None
     if cfg.beta1 != 0.0:  # x moved: align_momentum_b, in this phase's orientation
         x_inv = inverse(x_new.mT, "left", cfg.lam)
         x_inv.setflags(False)
         m_y = realign_a(x_inv, m_y, x.mT, x_new.mT)
-        state.gram_inv = (x_bound, cfg.lam, x_inv)
+        layer._memo["gram"] = (x_bound, cfg.lam, x_inv)
     if a_phase:
         layer.a, state.ma, state.mb = x_bound, m, m_y.mT
     else:

@@ -178,7 +178,7 @@ def decompose_pair_step(
     alt = layer.copy()
     st = optim.AltLoraState.init(alt)
     optim.altlora_step(alt, st, g_t, cfg_alt)
-    a_plus = alt.a.copy()
+    a_plus = alt.a  # the next step rebinds alt.a; this array stays as it is
     optim.altlora_step(alt, st, g_half, cfg_alt)
     dw_alt = equivalent_update(layer, alt)
 

@@ -36,7 +36,7 @@ def forward(model, x, base=None):
     z *= layer.s
     z += layer.w0 @ x if base is None else base
     y = z if model.kind == LINEAR_REGRESSION else np.dot(model.w2, np.maximum(z, 0.0))
-    return y, {"z": z, "y": y, "ax": (layer.a, x, ax)}
+    return y, {"z": z, "y": y, "ax": ax}
 
 
 def mse_loss(y, target):
@@ -48,19 +48,16 @@ def full_gradient(model, x, target, cache):
     dy = cache["y"] - target
     dy *= 2.0 / x.shape[1]
     if model.kind == LINEAR_REGRESSION:
-        return [FullGradient(dy, x, cache.get("ax"))]
+        return [FullGradient(dy, x)]
     dz = model.w2.T @ dy
     dz *= cache["z"] > 0.0
-    return [FullGradient(dz, x, cache.get("ax"))]
+    return [FullGradient(dz, x)]
 
 
 def lora_grads(g, layer):
-    """The factored path only, as the runner calls it."""
-    s, a, b = layer.s, layer.a, layer.b
-    u, v, held = g.u, g.v, g.ax
-    reuse = held is not None and held[0] is a and held[1] is v
-    av = held[2] if reuse else np.dot(a, v)
-    return np.dot(s * np.dot(b.T, u), v.T), np.dot(u, (s * av).T)
+    """The factored path only, as the runner calls it, with A v formed here."""
+    s, a, b, u, v = layer.s, layer.a, layer.b, g.u, g.v
+    return np.dot(s * np.dot(b.T, u), v.T), np.dot(u, (s * np.dot(a, v)).T)
 
 
 def scaled_grad_a(grad_a, b, s, lam):

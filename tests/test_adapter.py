@@ -104,8 +104,9 @@ def test_training_pass_is_forward_loss_and_gradient_bit_for_bit(kind):
     got_loss, got = ad.training_pass(model, x, target)
     assert got_loss == loss
     np.testing.assert_array_equal(got.u, g.u)
-    np.testing.assert_array_equal(got.ax[2], g.ax[2])
-    assert got.v is x and got.ax[0] is model.layer.a and got.ax[1] is x
+    held = model.layer._memo["ax"]
+    np.testing.assert_array_equal(held[2], cache["ax"])
+    assert got.v is x and held[0] is model.layer.a and held[1] is x
 
 
 def test_training_pass_rejects_a_target_it_would_broadcast():
@@ -139,13 +140,15 @@ def test_factored_pass_is_the_dense_pass_of_its_target():
     target = ad.FactoredTarget(stream.normal(12, 2), stream.normal(2, 11))
     dense = model.layer.w0 @ x + target.us @ target.vx
     loss, g = ad.training_pass(model, x, target)
+    held = model.layer._memo["ax"]
     want_loss, want = ad.training_pass(model, x, dense)
     assert rel_error(loss, want_loss) < 1e-14 and rel_error(g.u, want.u) < 1e-14
-    np.testing.assert_array_equal(g.ax[2], want.ax[2])
-    assert g.v is x and g.ax[0] is model.layer.a and g.ax[1] is x
-    p, qx = ad._residual_factors(model.layer, g.ax[2], target)
+    want_ax = pass_ref.forward(model, x)[1]["ax"]
+    np.testing.assert_array_equal(held[2], want_ax)
+    assert g.v is x and held[0] is model.layer.a and held[1] is x
+    p, qx = ad._residual_factors(model.layer, held[2], target)
     np.testing.assert_array_equal(p, np.hstack((model.layer.s * model.layer.b, -target.us)))
-    np.testing.assert_array_equal(qx, np.vstack((want.ax[2], target.vx)))
+    np.testing.assert_array_equal(qx, np.vstack((want_ax, target.vx)))
 
 
 def _factored_task(m, seed):
@@ -157,10 +160,12 @@ def _factored_task(m, seed):
 def test_a_factored_pass_is_compressed_past_one_square_chunk():
     # k m = SQUARE_CHUNK keeps the residual P QX; one column more does not.
     m = SQUARE_CHUNK // 64
-    _, at = ad.training_pass(*_factored_task(m, seed=32))
-    assert at.u.shape == (64, m) and at.ax is not None
-    _, past = ad.training_pass(*_factored_task(m + 1, seed=32))
-    assert past.u.shape == (64, 5) and past.v.shape == (12, 5) and past.ax is None
+    model, x, target = _factored_task(m, seed=32)
+    _, at = ad.training_pass(model, x, target)
+    assert at.u.shape == (64, m) and at.v is x and "v" not in model.layer._memo
+    model, x, target = _factored_task(m + 1, seed=32)
+    _, past = ad.training_pass(model, x, target)
+    assert past.u.shape == (64, 5) and past.v.shape == (12, 5) and past.v is model.layer._memo["v"][2]
 
 
 def test_compressed_pass_is_the_qr_form_of_the_residual_pass(monkeypatch):
@@ -334,26 +339,26 @@ def test_lora_grads_rejects_mismatched_factors():
 def test_the_memo_serves_w0_x_only_for_its_batch_and_base():
     model, x, _ = _random_model(ad.TWO_LAYER_RELU, 12, 7, 3, 9, seed=23)
     fresh, _ = ad.forward(model, x)
-    held = model._memo["w0x"]
+    held = model.layer._memo["w0x"]
     assert held[0] is model.layer.w0 and held[1] is x
     cached, _ = ad.forward(model, x)
-    assert model._memo["w0x"] is held
+    assert model.layer._memo["w0x"] is held
     np.testing.assert_array_equal(cached, fresh)
     np.testing.assert_array_equal(cached, pass_ref.forward(model, x)[0])
     other = x + 1.0
     got, cache = ad.forward(model, other)
     assert rel_error(cache["z"], ad.merged_weight(model.layer) @ other) < 1e-12
-    layer = model.layer
-    model.layer = ad.LoraLayer(2.0 * layer.w0, layer.a, layer.b, layer.alpha)
+    model.layer.w0 = 2.0 * model.layer.w0  # rebound on the same layer, whose memo holds W0 X
     _, cache = ad.forward(model, x)
     assert rel_error(cache["z"], ad.merged_weight(model.layer) @ x) < 1e-12
 
 
 def _read_only_arrays() -> dict:
-    """Every array a layer, a target, a pass and a carried state bind or hold, by name."""
+    """Every array a layer, a target and a pass bind or hold, by name, and a batch view's base."""
     stream = RandomStream(29)
     layer = ad.init_layer(stream.normal(16, 12), 4, init_b="gaussian", stream=stream)
-    x = stream.normal(12, 8)
+    base = np.stack((stream.normal(12, 8), stream.normal(12, 8)))  # owns its memory
+    x = base[0]
     target = ad.FactoredTarget(stream.normal(16, 2), stream.normal(2, 8))
     model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
     _, g = ad.training_pass(model, x, target)  # residual form
@@ -367,18 +372,35 @@ def _read_only_arrays() -> dict:
     optim.altlora_step(layer, state, g, optim.TrainConfig(eta=0.1, beta1=0.9))
     return {
         "layer.w0": layer.w0, "layer.a": layer.a, "layer.b": layer.b,
-        "target.us": target.us, "target.vx": target.vx, "batch": x,
-        "memo w0x": relu._memo["w0x"][2], "memo ax": model._memo["ax"][2], "memo v": wide._memo["v"][2],
-        "g.ax": g.ax[2], "compressed g.v": compressed.v, "gram_inv": state.gram_inv[2],
+        "target.us": target.us, "target.vx": target.vx, "batch": x, "batch base": base,
+        "memo w0x": relu.layer._memo["w0x"][2], "memo ax": layer._memo["ax"][2], "memo v": wide.layer._memo["v"][2],
+        "compressed g.v": compressed.v, "memo gram": layer._memo["gram"][2],
     }
 
 
-@pytest.mark.parametrize("name", ["layer.w0", "layer.a", "layer.b", "target.us", "target.vx", "batch", "memo w0x",
-                                  "memo ax", "memo v", "g.ax", "compressed g.v", "gram_inv"])
+@pytest.mark.parametrize("name", ["layer.w0", "layer.a", "layer.b", "target.us", "target.vx", "batch", "batch base",
+                                  "memo w0x", "memo ax", "memo v", "compressed g.v", "memo gram"])
 def test_an_in_place_write_to_a_bound_or_held_array_raises(name):
     array = _read_only_arrays()[name]
     with pytest.raises(ValueError, match="read-only"):
         array[...] = 0.0
+
+
+@pytest.mark.parametrize("name", ["w0", "a", "x"])
+def test_a_write_through_the_base_of_a_view_handed_in_raises(name):
+    # One operand is a view into a writable stack. Were the stack left
+    # writable, a write through it would change the operand under the memo's
+    # W0 X or A X, and the next pass would return the loss of the old one.
+    stream = RandomStream(30)
+    arrays = {"w0": stream.normal(6, 5), "a": stream.normal(2, 5), "b": stream.normal(6, 2), "x": stream.normal(5, 7)}
+    base = np.stack((arrays[name], arrays[name]))  # owns its memory
+    arrays[name] = base[0]
+    model = ad.ToyModel(ad.LINEAR_REGRESSION, ad.LoraLayer(arrays["w0"], arrays["a"], arrays["b"], 2.0))
+    target = stream.normal(6, 7)
+    loss, _ = ad.training_pass(model, arrays["x"], target)
+    with pytest.raises(ValueError, match="read-only"):
+        base[0] += 1.0
+    assert ad.training_pass(model, arrays["x"], target)[0] == loss
 
 
 def test_a_caller_array_becomes_read_only_once_handed_in():
@@ -394,13 +416,15 @@ def test_lora_grads_reuses_forward_ax_bit_for_bit(kind):
     model, x, target = _random_model(kind, 12, 7, 3, 11, seed=25)
     layer = model.layer
     _, g = ad.training_pass(model, x, target)
-    assert g.ax[0] is layer.a and g.ax[1] is g.v
+    held = layer._memo["ax"]
+    assert held[0] is layer.a and held[1] is g.v
     cached = ad.lora_grads(g, layer)
-    fresh = ad.lora_grads(ad.FullGradient(g.u, g.v), layer)
+    fresh = ad.lora_grads(g, layer.copy())  # a copy's memo is empty
     for got, want in zip(cached, fresh):
         np.testing.assert_array_equal(got, want)
-    # the carried product is the one used: doubling it doubles grad_b exactly
-    doubled = ad.lora_grads(ad.FullGradient(g.u, g.v, (layer.a, g.v, 2.0 * g.ax[2])), layer)
+    # the held product is the one used: doubling it doubles grad_b exactly
+    layer._memo["ax"] = (layer.a, g.v, 2.0 * held[2])
+    doubled = ad.lora_grads(g, layer)
     np.testing.assert_array_equal(doubled[1], 2.0 * fresh[1])
 
 
@@ -408,16 +432,16 @@ def test_lora_grads_ignores_ax_of_another_a_or_batch():
     model, x, target = _random_model(ad.LINEAR_REGRESSION, 12, 7, 3, 11, seed=26)
     layer = model.layer
     _, g = ad.training_pass(model, x, target)
+    want = ad.lora_grads(g, layer.copy())[1]
     # a v that is not the X the (here deliberately wrong) product was taken with
-    other_v = ad.FullGradient(g.u, g.v.copy(), (layer.a, g.v, 2.0 * g.ax[2]))
-    want = ad.lora_grads(ad.FullGradient(g.u, g.v), layer)[1]
-    np.testing.assert_array_equal(ad.lora_grads(other_v, layer)[1], want)
+    held = layer._memo["ax"] = (layer.a, g.v, 2.0 * layer._memo["ax"][2])
+    np.testing.assert_array_equal(ad.lora_grads(ad.FullGradient(g.u, g.v.copy()), layer)[1], want)
     # a step rebinds layer.a, so the product taken at the old A is stale
     cfg = optim.TrainConfig(eta=0.1, order=optim.A_FIRST)
     optim.altlora_step(layer, optim.make_state(optim.ALTLORA, layer), g, cfg)
-    assert g.ax[0] is not layer.a
-    stale, fresh = ad.lora_grads(g, layer), ad.lora_grads(ad.FullGradient(g.u, g.v), layer)
-    assert not np.array_equal(g.ax[2], layer.a @ x)
+    assert layer._memo["ax"] is held and held[0] is not layer.a
+    stale, fresh = ad.lora_grads(g, layer), ad.lora_grads(g, layer.copy())
+    assert not np.array_equal(held[2], layer.a @ x)
     for got, want in zip(stale, fresh):
         np.testing.assert_array_equal(got, want)
 

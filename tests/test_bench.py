@@ -215,11 +215,11 @@ def _earlier_outcome(spec, monkeypatch):
 
 
 def _dense_pass(model, x, y):
-    """The dense pass's loss and gradient on the layer as it is, and its residual's floor."""
+    """The dense pass's loss and gradient on the layer as it is, its residual's floor, and its A X."""
     layer = model.layer
     y_hat, cache = pass_ref.forward(model, x)
-    floor = EPS * (frobenius(layer.w0 @ x) + frobenius(layer.s * (layer.b @ cache["ax"][2])))
-    return pass_ref.mse_loss(y_hat, y), pass_ref.full_gradient(model, x, y, cache)[0], floor
+    floor = EPS * (frobenius(layer.w0 @ x) + frobenius(layer.s * (layer.b @ cache["ax"])))
+    return pass_ref.mse_loss(y_hat, y), pass_ref.full_gradient(model, x, y, cache)[0], floor, cache["ax"]
 
 
 @pytest.fixture
@@ -228,28 +228,28 @@ def compressed(monkeypatch):
     monkeypatch.setattr(adapter, "SQUARE_CHUNK", 0)
 
 
-def _assert_meets_dense(loss, g, dense, m):
+def _assert_meets_dense(loss, g, dense, m, ax):
     """A factored pass's loss and gradient within FLOOR_ULPS of the dense floor.
 
-    A residual-form pass's dY is compared and its A X bit for bit; a
-    compressed pass's gradient G = (2/m) P (X QX^T)^T as a whole, within the
-    bound that dY's gap puts on dY X^T.
+    The A X the pass holds in the layer's memo is the dense pass's bit for
+    bit. A residual-form pass's dY is compared; a compressed pass's gradient
+    G = (2/m) P (X QX^T)^T as a whole, within the bound that dY's gap puts
+    on dY X^T.
     """
-    want_loss, want, floor = dense
+    want_loss, want, floor, want_ax = dense
     gap = FLOOR_ULPS * floor  # bounds ||res - res_dense||_F
     assert abs(loss - want_loss) <= (2.0 * math.sqrt(m * want_loss) * gap + gap * gap) / m
+    assert np.array_equal(ax, want_ax)
     if adapter._compressed(g.u.shape[0], m):
-        assert g.ax is None
         assert frobenius(g.g - want.g) <= 2.0 / m * gap * frobenius(want.v)
     else:
         assert frobenius(g.u - want.u) <= 2.0 / m * gap
-        assert np.array_equal(g.ax[2], want.ax[2])
 
 
 def _assert_eval_meets_dense(evaluate, g, dense, layer, teacher, x):
     """weight_err and grad_norm of a factored pass against the merged weight and the dense G."""
     werr, norm = evaluate(g)
-    _, want, floor = dense
+    _, want, floor, _ = dense
     teacher_norm = frobenius(teacher)
     weight_floor = EPS * (frobenius(layer.w0) + frobenius(layer.s * (layer.b @ layer.a)))
     dense_err = frobenius(merged_weight(layer) - teacher) / teacher_norm
@@ -277,7 +277,7 @@ def _meets_the_dense_pass(spec, monkeypatch):
     def beside_dense(model, x, target):
         loss, g = real_pass(model, x, target)
         dense.append(_dense_pass(model, x, y))
-        _assert_meets_dense(loss, g, dense[-1], m)
+        _assert_meets_dense(loss, g, dense[-1], m, model.layer._memo["ax"][2])
         return loss, g
 
     def evaluator(task):
@@ -378,9 +378,8 @@ def _stacked_pass_meets_the_dense_pass():
     for i, task in enumerate(tasks):
         model, teacher = task.model, task.teacher_weight
         dense = _dense_pass(model, task.x, teacher @ task.x)
-        ax = None if g.ax is None else (model.layer.a, g.v[i], g.ax[2][i])
-        one = FullGradient(g.u[i], g.v[i], ax)
-        _assert_meets_dense(loss[i], one, dense, task.x.shape[1])
+        one = FullGradient(g.u[i], g.v[i])
+        _assert_meets_dense(loss[i], one, dense, task.x.shape[1], layer._memo["ax"][2][i])
         _assert_eval_meets_dense(bench._evaluator(task), one, dense, model.layer, teacher, task.x)
 
 
@@ -397,7 +396,8 @@ def test_a_stacked_compressed_pass_meets_the_dense_pass(compressed):
 @pytest.mark.parametrize("beta1", [0.0, 0.9])
 @pytest.mark.parametrize("form", ["residual", "compressed", "relu"])
 def test_the_pass_memo_leaves_every_run_as_it_was(optimizer, order, beta1, form, monkeypatch):
-    """The runner's record, bit for bit, is that of a run whose memo is cleared before every pass."""
+    """The runner's record, bit for bit, is that of a run whose layer memo (the pass's
+    products and the Gram carry) is cleared before every pass."""
     eta = {"lora_plus": 0.02}.get(optimizer, 0.1)
     train = optim.TrainConfig(eta=eta, beta1=beta1, gamma=0.01, lam=1e-6, order=order, steps=30)
     shape = dict(task="two_layer_relu", width=48) if form == "relu" else dict(k=16)
@@ -409,7 +409,7 @@ def test_the_pass_memo_leaves_every_run_as_it_was(optimizer, order, beta1, form,
     real_pass = bench.training_pass
 
     def uncached(model, x, target):
-        model._memo.clear()
+        model.layer._memo.clear()
         return real_pass(model, x, target)
 
     monkeypatch.setattr(bench, "training_pass", uncached)
@@ -431,14 +431,14 @@ def test_a_pass_reuses_the_a_side_products_only_after_a_b_phase(optimizer, form,
     held = (None, None)
     for t in range(train.steps + 1):
         g = training_pass(model, x, target)[1]
-        ax = model._memo["ax"]
+        ax = model.layer._memo["ax"]
         assert ax[0] is model.layer.a and ax[1] is x
         if form == "compressed":
-            v = model._memo["v"]
+            v = model.layer._memo["v"]
             assert v[0] is ax[2] and v[1] is target and v[2] is g.v
             products = (ax[2], g.v)
         else:
-            assert g.ax is ax and "v" not in model._memo
+            assert g.v is x and "v" not in model.layer._memo
             products = (ax[2],)
         b_phase = optimizer not in optim.BASELINES and t > 0 and optim.update_phase(t - 1, train.order) == "b"
         assert [now is then for now, then in zip(products, held)] == [b_phase] * len(products), t

@@ -228,7 +228,7 @@ def test_forward_keeps_the_scaled_bits(unit, data):
     y, cache = ad.forward(model, x)
     want_y, want = pass_ref.forward(model, x)
     assert _same_bits(y, want_y) and _same_bits(cache["z"], want["z"])
-    assert _same_bits(cache["ax"][2], want["ax"][2])
+    assert _same_bits(layer._memo["ax"][2], want["ax"])
 
 
 @UNIT
@@ -239,12 +239,14 @@ def test_factored_lora_grads_keep_the_scaled_bits(unit, data):
     layer = _layer(data, unit)
     m = data.draw(st.integers(1, 6))
     u, v = _matrix(data, layer.k, m), _matrix(data, layer.d, m)
-    held = (layer.a, v, _matrix(data, layer.r, m)) if data.draw(st.booleans()) else None
-    before = None if held is None else held[2].copy()
-    g = ad.FullGradient(u, v, held)
+    held = (layer.a, v, np.dot(layer.a, v)) if data.draw(st.booleans()) else None
+    if held is not None:  # a writable A v in the layer's memo, as a pass would hold A X
+        layer._memo["ax"] = held
+        before = held[2].copy()
+    g = ad.FullGradient(u, v)
     for got, want in zip(ad.lora_grads(g, layer), pass_ref.lora_grads(g, layer)):
         assert _same_bits(got, want)
-    if held is not None:  # the carried A X is read, never scaled in place
+    if held is not None:  # the held A v is read, never scaled in place
         assert _same_bits(held[2], before)
 
 
@@ -295,7 +297,7 @@ def test_carried_inverse_is_a_fresh_gram_inverse_in_every_phase(problem, lam, ki
     for t in range(6):
         a_phase = optim.update_phase(t, order) == "a"
         if t > 0:
-            factor, carried_lam, inv = state.gram_inv
+            factor, carried_lam, inv = layer._memo["gram"]
             assert factor is (layer.b if a_phase else layer.a) and carried_lam == lam
             assert _same_bits(inv, damped_gram_inverse(layer.b if a_phase else layer.a.T, "left", lam))
         g = ad.FullGradient(stream.normal(k, 3), stream.normal(d, 3))

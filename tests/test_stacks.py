@@ -63,11 +63,13 @@ def _assert_stack_steps_as_alone(runs, stacked, kind, beta1):
             alone = _buffers(model.layer, one)[name]
             assert (buf is None) == (alone is None), name
             assert buf is None or _same_bits(buf[i], alone), f"{name} of run {i}"
-        assert (state.gram_inv is None) == (one.gram_inv is None)
-        if one.gram_inv is not None:
-            assert _same_bits(state.gram_inv[2][i], one.gram_inv[2])
-    if state.gram_inv is not None:  # the carry keys on the whole bound stack
-        assert state.gram_inv[0] is stacked[0].layer.a or state.gram_inv[0] is stacked[0].layer.b
+        carry, alone = stacked[0].layer._memo.get("gram"), model.layer._memo.get("gram")
+        assert (carry is None) == (alone is None)
+        if alone is not None:
+            assert _same_bits(carry[2][i], alone[2])
+    carry = stacked[0].layer._memo.get("gram")
+    if carry is not None:  # the carry keys on the whole bound stack
+        assert carry[0] is stacked[0].layer.a or carry[0] is stacked[0].layer.b
 
 
 @pytest.mark.parametrize("kind", optim.OPTIMIZERS)
@@ -122,7 +124,7 @@ def test_the_pass_cache_leaves_a_compressed_stack_as_it_was(kind, order, beta1, 
     stepper = optim.make_stepper(kind)
     states = [optim.make_state(kind, model.layer), optim.make_state(kind, twin.layer)]
     for _ in range(STEPS):
-        twin._memo.clear()
+        twin.layer._memo.clear()
         passes = [adapter.training_pass(one, x, target) for one in (model, twin)]
         for one, state, (_, g) in zip((model, twin), states, passes):
             stepper(one.layer, state, g, cfg)
