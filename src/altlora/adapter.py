@@ -409,6 +409,7 @@ def init_layer(
     Defaults follow the standard recipe: Kaiming for A, zero for B, so the
     initial update s B A vanishes. "spectral" takes the top-r singular
     vectors of w0 (one-sided Jacobi SVD). alpha defaults to r, i.e. s = 1.
+    A finite 2-D float64 ndarray w0 is bound as it is (read-only), not copied.
     """
     w0 = as_matrix(w0, name="w0")
     if stream is None:

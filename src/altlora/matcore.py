@@ -46,8 +46,8 @@ class ShapeMismatch(Exception):
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Validate external data as a finite 2-D float64 matrix (copies)."""
-    m = np.array(data, dtype=np.float64)
+    """Validate external data as a finite 2-D float64 matrix; a float64 ndarray is not copied."""
+    m = np.asarray(data, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatch(f"{name}: expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -210,6 +210,9 @@ def projector(m: np.ndarray, space: str, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Seeded randomness
 
+# Box-Muller pairs per chunk of RandomStream.normal: a 128 KiB cos buffer.
+NORMAL_CHUNK = 1 << 14
+
 
 class RandomStream:
     """Seeded random stream: PCG64 uniforms, gaussians via Box-Muller.
@@ -228,19 +231,20 @@ class RandomStream:
     def normal(self, *shape: int) -> np.ndarray:
         count = math.prod(shape)
         half = (count + 1) // 2
-        u = self._gen.random(2 * half)  # u1 then u2, one draw of 2 ceil(count/2)
-        radius, angle = u[:half], u[half:]
+        z = self._gen.random(2 * half)  # u1 then u2, one draw of 2 ceil(count/2), into the output
+        radius, angle = z[:half], z[half:]
         np.subtract(1.0, radius, radius)  # (0, 1]: log is finite
         np.log(radius, radius)
         radius *= -2.0
         np.sqrt(radius, radius)
         angle *= 2.0 * np.pi
-        z = np.empty(2 * half)
-        cos, sin = z[:half], z[half:]  # filled, then scaled, in place: no angle-sized temporary
-        np.cos(angle, cos)
-        cos *= radius
-        np.sin(angle, sin)
-        sin *= radius
+        cos = np.empty(min(half, NORMAL_CHUNK))  # the only temporary: cos of one chunk of angles
+        for lo in range(0, half, NORMAL_CHUNK):  # sin over the angles, then radius times each, in place
+            rho, theta = radius[lo:lo + NORMAL_CHUNK], angle[lo:lo + NORMAL_CHUNK]
+            np.cos(theta, cos[:theta.size])
+            np.sin(theta, theta)
+            theta *= rho
+            rho *= cos[:theta.size]
         return z[:count].reshape(shape) if shape else float(z[0])
 
 

@@ -671,6 +671,18 @@ def test_init_policies():
     assert gauss.a.std() < 1.0  # fan-in scaled
 
 
+def test_init_layer_binds_a_float64_w0_as_it_is():
+    w0 = RandomStream(8).normal(6, 5)
+    layer = ad.init_layer(w0, r=2, seed=8)
+    assert layer.w0 is w0 and not w0.flags.writeable  # frozen in place, not copied
+    listed = ad.init_layer([[1, 2, 3], [4, 5, 6]], r=1, seed=8)
+    assert listed.w0.dtype == np.float64 and np.array_equal(listed.w0, [[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ad.ShapeMismatch, match=r"w0: expected a 2-D matrix, got shape \(3,\)"):
+        ad.init_layer(np.ones(3), r=1)
+    with pytest.raises(ValueError, match=r"w0: entries must be finite"):
+        ad.init_layer(np.array([[1.0, np.nan], [0.0, 1.0]]), r=1)
+
+
 def test_shape_validation():
     with pytest.raises(ad.ShapeMismatch):
         ad.LoraLayer(np.zeros((3, 4)), np.zeros((2, 5)), np.zeros((3, 2)), 1.0)

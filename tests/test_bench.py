@@ -20,7 +20,7 @@ from altlora.adapter import (
     merged_weight,
     training_pass,
 )
-from altlora.matcore import SQUARE_CHUNK, RandomStream, frobenius, jacobi_svd, rel_error
+from altlora.matcore import NORMAL_CHUNK, SQUARE_CHUNK, RandomStream, frobenius, jacobi_svd, rel_error
 
 
 def _spec(**kw):
@@ -474,6 +474,26 @@ def test_run_holds_no_k_by_m_or_k_by_d_array(monkeypatch):
     rr = r + spec.teacher_rank
     bound = SQUARE_CHUNK * 8 + 4 * rr * (k + d + m) * 8
     assert peak - held[0] <= bound
+
+
+def test_generation_holds_no_transient_of_xs_size_and_no_second_w0():
+    k = d = 512
+    spec = _spec(k=k, d=d, r=4, kappa=10.0)
+    m, rstar = spec.batch_size, spec.teacher_rank
+    bench.generate_task(_spec())  # numpy.random's first import, outside the trace
+    tracemalloc.start()
+    try:
+        task = bench.generate_task(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert task.x.shape == (d, m) == (512, 2048)
+    # W0 and X, the r*- and r-wide factors (U S, V^T, V^T X, A, B and the
+    # samplers' own), one chunk of the Gaussian draw's cos buffer and slack.
+    # A uniform draw beside X, or a copy of W0 beside it, exceeds it.
+    factors = 2 * (rstar + spec.r) * (k + d + m) * 8
+    bound = (k * d + d * m + NORMAL_CHUNK) * 8 + factors + 65536
+    assert peak <= bound, (peak, bound)
 
 
 def test_cosine_schedule_runs_and_decays():

@@ -297,20 +297,26 @@ def test_sum_of_squares_makes_no_array_of_the_inputs_size():
 @pytest.mark.parametrize("seed", [0, 1, 1789])
 def test_random_stream_is_bitwise_the_two_draw_reference(seed):
     # u1 and u2 are the two halves of one draw of 2 ceil(n/2) doubles, the
-    # same stream order as two draws of ceil(n/2) each
+    # same stream order as two draws of ceil(n/2) each. The shapes past 2
+    # chunks of pairs end a chunk short of, on, and past a chunk boundary; a
+    # wrong uniform count shows in the next uniforms, an unfilled slot in the
+    # draw.
     got, want = mc.RandomStream(seed), ref.RandomStream(seed)
-    for shape in [(), (1,), (3,), (4, 32), (5, 7), (2, 3, 5), (0,), (), (128,), (17, 3)]:
+    pairs = mc.NORMAL_CHUNK
+    chunked = [(2 * pairs - 1,), (2 * pairs,), (2 * pairs + 1,), (4 * pairs + 3,), (97, 388), (1023, 4093)]
+    for shape in [(), (1,), (3,), (4, 32), (5, 7), (2, 3, 5), (0,), (), (128,), (17, 3), *chunked]:
         a, b = got.normal(*shape), want.normal(*shape)
         assert type(a) is type(b)
-        assert np.shape(a) == np.shape(b) and np.array_equal(a, b), shape
+        assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), shape
         assert got.uniform() == want.uniform()
         assert np.array_equal(got.uniform(3), want.uniform(3))
     assert type(mc.RandomStream(seed).normal()) is float
 
 
 def test_normal_holds_only_its_draw_and_its_output():
-    # Box-Muller writes cos and sin into the output and scales them there; a
-    # product with np.cos(angle) would add a temporary of half the output.
+    # The uniforms are drawn into the output, and Box-Muller turns them into
+    # cos and sin there, a chunk of pairs at a time; a separate uniform draw
+    # would add a temporary the size of the output.
     count = 1024 * 1024
     stream = mc.RandomStream(36)
     tracemalloc.start()
@@ -319,7 +325,7 @@ def test_normal_holds_only_its_draw_and_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (count + count) * 8 + 4096  # the uniform draw and z
+    assert peak <= (count + mc.NORMAL_CHUNK) * 8 + 4096  # z and the chunk's cos buffer
     got, want = mc.RandomStream(37).normal(1023, 5), ref.RandomStream(37).normal(1023, 5)
     assert got.tobytes() == want.tobytes()  # an odd count: z's last entry is dropped
 
