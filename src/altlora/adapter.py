@@ -22,10 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .matcore import SQUARE_CHUNK, RandomStream, ShapeMismatch, as_matrix, jacobi_svd, sum_of_squares
-
-LINEAR_REGRESSION = "linear_regression"
-TWO_LAYER_RELU = "two_layer_relu"
+from .matcore import SQUARE_CHUNK, RandomStream, ShapeMismatch, as_matrix, frobenius, jacobi_svd, sum_of_squares
 
 INIT_POLICIES = ("gaussian", "kaiming", "spectral", "zero")
 _F64 = np.dtype(np.float64)
@@ -172,29 +169,22 @@ class FactoredTarget:
 
 @dataclass
 class ToyModel:
-    """A toy network with exactly one adapted layer.
+    """A toy network with exactly one adapted layer; its head is whether it has a w2.
 
-    kind="linear_regression": y = (w0 + s b a) x, with no w2.
-    kind="two_layer_relu":    y = w2 @ relu((w0 + s b a) x) with frozen w2.
+    No w2, the linear head:  y = (w0 + s b a) x.
+    A frozen w2, the ReLU head: y = w2 @ relu((w0 + s b a) x).
     """
 
-    kind: str
     layer: LoraLayer
     w2: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (LINEAR_REGRESSION, TWO_LAYER_RELU):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == TWO_LAYER_RELU:
-            if self.w2 is None:
-                raise ShapeMismatch("two_layer_relu requires a frozen second layer")
+        if self.w2 is not None:
             self.w2 = np.asarray(self.w2, dtype=np.float64)
             if self.w2.shape[-1] != self.layer.k:
                 raise ShapeMismatch(
                     f"second layer {self.w2.shape} does not compose with width {self.layer.k}"
                 )
-        elif self.w2 is not None:  # forward would ignore it
-            raise ValueError(f"{LINEAR_REGRESSION} has no second layer; got w2 of shape {np.shape(self.w2)}")
 
 
 def merged_weight(layer: LoraLayer) -> np.ndarray:
@@ -218,7 +208,7 @@ def forward(model: ToyModel, x: np.ndarray):
     if s != 1.0:  # times 1.0 is the identity on every float, so the default alpha = r skips it
         z *= s
     z += layer._product("w0x", layer.w0, x, np.matmul)
-    y = z if model.kind == LINEAR_REGRESSION else dot(model.w2, np.maximum(z, 0.0))
+    y = z if model.w2 is None else dot(model.w2, np.maximum(z, 0.0))
     return y, {"z": z}
 
 
@@ -244,7 +234,7 @@ def _mean_square(res: np.ndarray, out=None):
 def _backward(model: ToyModel, x: np.ndarray, dy: np.ndarray, cache) -> FullGradient:
     """The factors of G = dZ X^T; dy holds Y - T and is scaled in place into dY = (2/m) (Y - T)."""
     dy *= 2.0 / x.shape[-1]
-    if model.kind == LINEAR_REGRESSION:
+    if model.w2 is None:
         return FullGradient(dy, x)
     dz = model.w2.mT @ dy
     dz *= cache["z"] > 0.0  # ReLU derivative at exactly 0 is taken as 0; in place, no k x m temporary
@@ -286,8 +276,8 @@ def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tu
     X QX^T, the products of inner dimension m, come from the layer's memo,
     so the pass after a B-phase reuses them; P, QX and R_P are formed anew."""
     layer = model.layer
-    if model.kind != LINEAR_REGRESSION:
-        raise ValueError(f"a factored target needs the {LINEAR_REGRESSION} head, not {model.kind}")
+    if model.w2 is not None:
+        raise ValueError("a factored target needs the linear head")
     dot = np.dot if layer.a.ndim == x.ndim == 2 else np.matmul
     m = x.shape[-1]
     try:  # the product and the concatenations check that k, m and the run axes fit
@@ -325,6 +315,22 @@ def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGr
     y, cache = forward(model, x)
     res = _residual(y, target, out=y)
     return _mean_square(res), _backward(model, x, res, cache)
+
+
+def factored_norms(layer: LoraLayer, x: np.ndarray, target: FactoredTarget, vt: np.ndarray, g: FullGradient):
+    """(||s B A - U Sigma V^T||_F, ||G||_F) of one run's pass g toward target = (U Sigma, V^T X).
+
+    ||P M||_F = ||R_P M||_F for R_P = qr(P), and s B A - U Sigma V^T = P [A; V^T],
+    G = (2/m) P (QX X^T): neither norm forms a k x d or k x m array. A compressed
+    g already holds X QX^T; else QX X^T takes the pass's A X from the layer's memo.
+    """
+    rp = np.linalg.qr(_residual_p(layer, target), mode="r")
+    err = frobenius(np.dot(rp, np.concatenate((layer.a, vt))))
+    if _compressed(layer.k, x.shape[1]):  # g is ((2/m) P, X QX^T)
+        qx_xt = g.v.T
+    else:
+        qx_xt = np.dot(np.concatenate((layer._product("ax", layer.a, x, np.dot), target.vx)), x.T)
+    return err, 2.0 / x.shape[1] * frobenius(np.dot(rp, qx_xt))
 
 
 def _factors(g: FullGradient, layer: LoraLayer):

@@ -22,13 +22,10 @@ import numpy as np
 
 from . import optim
 from .adapter import (
-    LINEAR_REGRESSION,
-    TWO_LAYER_RELU,
     INIT_POLICIES,
     FactoredTarget,
     ToyModel,
-    _compressed,
-    _residual_p,
+    factored_norms,
     forward,
     init_layer,
     merged_weight,
@@ -123,10 +120,6 @@ class ExperimentSpec:
         """Columns of the full training batch."""
         return 4 * self.d
 
-    @property
-    def effective_alpha(self) -> float:
-        return float(self.alpha) if self.alpha is not None else float(self.r)
-
     def to_dict(self) -> dict:
         """The spec as JSON: fields in declaration order, under their JSON names."""
         return _json_dict(self)
@@ -196,10 +189,10 @@ class RunRecord:
 # Task generation
 
 
-def _log_spaced_spectrum(count: int, kappa: float, top: float = 1.0) -> np.ndarray:
+def _log_spaced_spectrum(count: int, kappa: float) -> np.ndarray:
     if count == 1:
-        return np.array([top])
-    return top * np.exp(np.linspace(0.0, -math.log(kappa), count))
+        return np.array([1.0])
+    return np.exp(np.linspace(0.0, -math.log(kappa), count))
 
 
 def _conditioned_inputs(d: int, m: int, kappa: float, stream: RandomStream) -> np.ndarray:
@@ -207,9 +200,11 @@ def _conditioned_inputs(d: int, m: int, kappa: float, stream: RandomStream) -> n
     z = stream.normal(d, m)
     cov = z @ z.T / m
     white = np.linalg.solve(cholesky_factor(cov), z)
+    del z
     q = orthonormal_columns(d, d, stream)
     lam = _log_spaced_spectrum(d, kappa)
-    return (q * np.sqrt(lam)) @ (q.T @ white)
+    white = q.T @ white
+    return (q * np.sqrt(lam)) @ white
 
 
 def generate_task(spec: ExperimentSpec) -> Task:
@@ -233,10 +228,8 @@ def generate_task(spec: ExperimentSpec) -> Task:
     m = spec.batch_size
     x = _conditioned_inputs(d, m, spec.kappa, stream) if spec.kappa_knob == "input" else stream.normal(d, m)
     target = w2 @ np.maximum((w0 + us @ vt) @ x, 0.0) if relu else FactoredTarget(us, vt @ x)
-    layer = init_layer(
-        w0, spec.r, alpha=spec.effective_alpha, init_a=spec.init_a, init_b=spec.init_b, stream=stream
-    )
-    return Task(ToyModel(TWO_LAYER_RELU if relu else LINEAR_REGRESSION, layer, w2=w2), x, target, us, vt)
+    layer = init_layer(w0, spec.r, alpha=spec.alpha, init_a=spec.init_a, init_b=spec.init_b, stream=stream)
+    return Task(ToyModel(layer, w2), x, target, us, vt)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +294,9 @@ def _optimizer_flops(spec: ExperimentSpec) -> int:
 def _evaluator(task: Task):
     """g -> (weight_err, grad_norm) of the eval row of the pass g.
 
-    The ReLU head builds the merged weight and the dense G = dZ X^T. A
-    factored pass's residual is P QX, and ||P M||_F = ||R_P M||_F for
-    R_P = qr(P): sBA - U Sigma V^T = P [A; V^T] and G = (2/m) P (QX X^T), so
-    neither norm forms a k x d or k x m array. A compressed pass's gradient
-    already holds X QX^T, so its rows make no product of inner dimension m.
-    ||W*||_F^2 is ||W0||^2 + 2 <U Sigma, W0 V> + ||U Sigma V^T||^2.
+    The ReLU head builds the merged weight and the dense G = dZ X^T. A factored
+    pass's rows are adapter.factored_norms, the error over ||W*||_F, whose square
+    is ||W0||^2 + 2 <U Sigma, W0 V> + ||U Sigma V^T||^2.
     """
     layer, x = task.model.layer, task.x
     if not isinstance(task.target, FactoredTarget):
@@ -316,16 +306,10 @@ def _evaluator(task: Task):
     us, vt, w0 = task.us, task.vt, layer.w0
     square = sum_of_squares(w0) + 2.0 * np.vdot(us, np.dot(w0, vt.T)) + np.vdot(us.T @ us, vt @ vt.T)
     teacher_norm = max(math.sqrt(square), 1e-300)
-    compressed = _compressed(layer.k, x.shape[1])
 
     def evaluate(g) -> tuple[float, float]:
-        rp = np.linalg.qr(_residual_p(layer, task.target), mode="r")
-        werr = frobenius(np.dot(rp, np.concatenate((layer.a, vt)))) / teacher_norm
-        if compressed:  # g is ((2/m) P, X QX^T)
-            qx_xt = g.v.T
-        else:  # QX = [A X; V^T X], with the pass's A X from the layer's memo
-            qx_xt = np.dot(np.concatenate((layer._product("ax", layer.a, x, np.dot), task.target.vx)), x.T)
-        return werr, 2.0 / x.shape[1] * frobenius(np.dot(rp, qx_xt))
+        err, grad_norm = factored_norms(layer, x, task.target, vt, g)
+        return err / teacher_norm, grad_norm
 
     return evaluate
 
@@ -411,7 +395,7 @@ def _probe_once(
     x = stream.normal(n, m)
     target = FactoredTarget(u * (teacher_scale * math.sqrt(n)), v.T @ x)
     layer = init_layer(np.zeros((n, n)), rank, init_a="kaiming", init_b="zero", stream=stream)
-    model = ToyModel(LINEAR_REGRESSION, layer)
+    model = ToyModel(layer)
     stepper = optim.make_stepper(optimizer_kind)
     state = optim.make_state(optimizer_kind, layer)
     step_cfg = replace(cfg, order=optim.B_FIRST, steps=2)

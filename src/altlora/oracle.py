@@ -22,8 +22,6 @@ import numpy as np
 
 from . import optim
 from .adapter import (
-    LINEAR_REGRESSION,
-    TWO_LAYER_RELU,
     FactoredTarget,
     FullGradient,
     LoraLayer,
@@ -263,7 +261,7 @@ def trajectory_invariance_check(
     model, x, target = task
     layer, twin = model.layer, gauge_map_layer(model.layer, gauge)
     a, b = np.stack((layer.a, twin.a)), np.stack((layer.b, twin.b))
-    runs = ToyModel(model.kind, LoraLayer(layer.w0, a, b, layer.alpha))
+    runs = ToyModel(LoraLayer(layer.w0, a, b, layer.alpha), model.w2)
     state = optim.make_state(optimizer, runs.layer)
     lead = b.shape[:-2]  # the runs' axes, (2, ...)
     target = FactoredTarget(*(np.broadcast_to(f, lead + f.shape[-2:]) for f in (target.us, target.vx)))
@@ -500,7 +498,7 @@ def _invariance_task(stream: RandomStream, k: int = 16, d: int = 32, r: int = 4)
     layer = LoraLayer(w0, stream.normal(r, d) / np.sqrt(d), stream.normal(k, r) / np.sqrt(r), float(r))
     delta = stream.normal(k, d) / np.sqrt(d)
     x = stream.normal(d, 4 * d)
-    return ToyModel(LINEAR_REGRESSION, layer), x, FactoredTarget(np.eye(k), delta @ x)
+    return ToyModel(layer), x, FactoredTarget(np.eye(k), delta @ x)
 
 
 def _gauge_stacks(stream: RandomStream, gauges: int, gauge_seed: int):
@@ -516,7 +514,7 @@ def _gauge_stacks(stream: RandomStream, gauges: int, gauge_seed: int):
         w0, a, b, x, us, vx = (np.stack(one) for one in arrays)
         del tasks, arrays  # only the stacked arrays stay alive while the stack runs
         gauge = np.stack([gauge_sample(a.shape[-2], 10.0, gauge_seed + i + j) for j in range(count)])
-        yield (ToyModel(LINEAR_REGRESSION, LoraLayer(w0, a, b, alpha)), x, FactoredTarget(us, vx)), gauge
+        yield (ToyModel(LoraLayer(w0, a, b, alpha)), x, FactoredTarget(us, vx)), gauge
 
 
 @_check
@@ -571,7 +569,7 @@ def fd_merged_gradient(model: ToyModel, x: np.ndarray, y: np.ndarray, step: floa
     grad = np.zeros_like(base)
 
     def loss_at(w):
-        if model.kind == LINEAR_REGRESSION:
+        if model.w2 is None:
             return mse_loss(w @ x, y)
         return mse_loss(model.w2 @ np.maximum(w @ x, 0.0), y)
 
@@ -596,11 +594,11 @@ def fd_entrywise_deviation(got: np.ndarray, want: np.ndarray) -> float:
 def _fd_models(seed: int):
     stream = RandomStream(seed)
     lin_layer = LoraLayer(stream.normal(3, 4), stream.normal(2, 4), stream.normal(3, 2), 4.0)
-    lin = ToyModel(LINEAR_REGRESSION, lin_layer)
+    lin = ToyModel(lin_layer)
     x_lin = stream.normal(4, 6)
     y_lin = stream.normal(3, 6)
     relu_layer = LoraLayer(stream.normal(8, 3), stream.normal(2, 3), stream.normal(8, 2), 2.0)
-    relu = ToyModel(TWO_LAYER_RELU, relu_layer, w2=stream.normal(3, 8))
+    relu = ToyModel(relu_layer, stream.normal(3, 8))
     x_relu = stream.normal(3, 5)
     y_relu = stream.normal(3, 5)
     lin_target = FactoredTarget(np.eye(3), y_lin - lin_layer.w0 @ x_lin)  # Y as W0 X + I (Y - W0 X)

@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from altlora import bench, optim
-from altlora.adapter import LINEAR_REGRESSION, FullGradient, merged_weight
+from altlora.adapter import FullGradient, merged_weight
 from altlora.matcore import SingularGram, damped_gram_inverse, frobenius
 
 
@@ -35,7 +35,7 @@ def forward(model, x, base=None):
     z = np.dot(layer.b, ax)
     z *= layer.s
     z += layer.w0 @ x if base is None else base
-    y = z if model.kind == LINEAR_REGRESSION else np.dot(model.w2, np.maximum(z, 0.0))
+    y = z if model.w2 is None else np.dot(model.w2, np.maximum(z, 0.0))
     return y, {"z": z, "y": y, "ax": ax}
 
 
@@ -47,7 +47,7 @@ def mse_loss(y, target):
 def full_gradient(model, x, target, cache):
     dy = cache["y"] - target
     dy *= 2.0 / x.shape[1]
-    if model.kind == LINEAR_REGRESSION:
+    if model.w2 is None:
         return [FullGradient(dy, x)]
     dz = model.w2.T @ dy
     dz *= cache["z"] > 0.0
@@ -144,7 +144,7 @@ def run_experiment(spec):
     """
     task = bench.generate_task(spec)
     model, x, teacher = task.model, task.x, task.teacher_weight
-    y = teacher @ x if model.kind == LINEAR_REGRESSION else task.target
+    y = teacher @ x if model.w2 is None else task.target
     cfg = spec.train
     stepper = optim.make_stepper(spec.optimizer)
     state = optim.make_state(spec.optimizer, model.layer)

@@ -11,8 +11,6 @@ import numpy as np
 
 from altlora import bench, optim, oracle
 from altlora.adapter import (
-    LINEAR_REGRESSION,
-    TWO_LAYER_RELU,
     FactoredTarget,
     LoraLayer,
     ToyModel,
@@ -178,15 +176,11 @@ def test_c09_memory_complexity_separation():
 def test_c10_gradient_correctness():
     with _Budget("criterion 10: finite-difference gradient correctness", 30.0):
         stream = RandomStream(SEED)
-        lin = ToyModel(
-            LINEAR_REGRESSION,
-            LoraLayer(stream.normal(3, 4), stream.normal(2, 4), stream.normal(3, 2), 4.0),
-        )
+        lin = ToyModel(LoraLayer(stream.normal(3, 4), stream.normal(2, 4), stream.normal(3, 2), 4.0))
         x_lin, y_lin = stream.normal(4, 6), stream.normal(3, 6)
         relu = ToyModel(
-            TWO_LAYER_RELU,
             LoraLayer(stream.normal(8, 3), stream.normal(2, 3), stream.normal(8, 2), 2.0),
-            w2=stream.normal(3, 8),
+            stream.normal(3, 8),
         )
         x_relu, y_relu = stream.normal(3, 5), stream.normal(3, 5)
         h = 1e-5
@@ -207,7 +201,7 @@ def test_c10_gradient_correctness():
                     m.layer.b if b is None else b,
                     m.layer.alpha,
                 )
-                out, _ = forward(ToyModel(m.kind, probe, w2=m.w2), xx)
+                out, _ = forward(ToyModel(probe, m.w2), xx)
                 return mse_loss(out, yy)
 
             fd_a = np.zeros_like(layer.a)

@@ -18,6 +18,8 @@ from dense_gradient import as_gradient
 from matrix_text import load_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
+# The two heads as parametrize labels; a model has the ReLU head when it has a w2.
+LINEAR, RELU = "linear_regression", "two_layer_relu"
 
 
 def _layer(w0, a, b, alpha):
@@ -32,7 +34,7 @@ def test_layer_rejects_an_alpha_that_is_not_positive_and_finite(alpha):
 
 def test_forward_zero_b_passes_base_weight_through():
     layer = _layer(np.eye(2), [[0.3, -0.7]], np.zeros((2, 1)), 1.0)
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    model = ad.ToyModel(layer)
     y, _ = ad.forward(model, np.eye(2))
     np.testing.assert_array_equal(y, np.eye(2))
 
@@ -40,7 +42,7 @@ def test_forward_zero_b_passes_base_weight_through():
 def test_forward_scaled_product():
     # s = alpha / r = 2
     layer = _layer(np.zeros((2, 2)), [[1.0, 0.0]], [[1.0], [0.0]], 2.0)
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    model = ad.ToyModel(layer)
     y, _ = ad.forward(model, np.eye(2))
     np.testing.assert_allclose(y, [[2.0, 0.0], [0.0, 0.0]], atol=0)
 
@@ -53,7 +55,7 @@ def _relu_seed3_model():
     w2 = stream.normal(3, 6)
     x = stream.normal(4, 8)
     layer = ad.LoraLayer(w0, a, b, alpha=4.0)
-    return ad.ToyModel(ad.TWO_LAYER_RELU, layer, w2=w2), x
+    return ad.ToyModel(layer, w2), x
 
 
 def test_relu_forward_matches_scalar_loop_oracle():
@@ -78,7 +80,7 @@ def test_relu_forward_matches_golden_file():
 def test_full_gradient_zero_at_perfect_fit():
     stream = RandomStream(2)
     layer = ad.LoraLayer(stream.normal(3, 4), stream.normal(2, 4), stream.normal(3, 2), 2.0)
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    model = ad.ToyModel(layer)
     x = stream.normal(4, 5)
     y, _ = ad.forward(model, x)
     _, g = ad.training_pass(model, x, y)
@@ -88,14 +90,14 @@ def test_full_gradient_zero_at_perfect_fit():
 def test_full_gradient_linear_least_squares_form():
     # W = 0, X = I: G = -(2/m) T
     layer = _layer(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((2, 1)), 1.0)
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    model = ad.ToyModel(layer)
     x = np.eye(2)
     target = np.array([[1.0, -2.0], [0.5, 3.0]])
     g = ad.training_pass(model, x, target)[1].g
     np.testing.assert_allclose(g, -(2.0 / 2.0) * target, atol=0)
 
 
-@pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
+@pytest.mark.parametrize("kind", [LINEAR, RELU])
 def test_training_pass_is_forward_loss_and_gradient_bit_for_bit(kind):
     model, x, target = _random_model(kind, 12, 7, 3, 11, seed=26)
     y, cache = pass_ref.forward(model, x)
@@ -110,14 +112,14 @@ def test_training_pass_is_forward_loss_and_gradient_bit_for_bit(kind):
 
 
 def test_training_pass_rejects_a_target_it_would_broadcast():
-    model, x, target = _random_model(ad.LINEAR_REGRESSION, 6, 5, 2, 8, seed=27)
+    model, x, target = _random_model(LINEAR, 6, 5, 2, 8, seed=27)
     for bad in (target[:1], target[:, :1]):
         with pytest.raises(ad.ShapeMismatch):
             ad.training_pass(model, x, bad)
 
 
 def test_training_pass_rejects_a_factored_target_that_does_not_fit():
-    model, x, _ = _random_model(ad.LINEAR_REGRESSION, 6, 5, 2, 8, seed=27)
+    model, x, _ = _random_model(LINEAR, 6, 5, 2, 8, seed=27)
     stream = RandomStream(28)
     us, vx = stream.normal(6, 3), stream.normal(3, 8)
     ad.training_pass(model, x, ad.FactoredTarget(us, vx))
@@ -127,15 +129,15 @@ def test_training_pass_rejects_a_factored_target_that_does_not_fit():
             ad.training_pass(model, x, ad.FactoredTarget(*bad))
     with pytest.raises(ad.ShapeMismatch, match=r"^factored target \(6, 3\) x \(2, 8\): the rank counts"):
         ad.FactoredTarget(us, vx[:2])
-    relu, x_relu, _ = _random_model(ad.TWO_LAYER_RELU, 6, 5, 2, 8, seed=29)
-    with pytest.raises(ValueError, match="needs the linear_regression head"):
+    relu, x_relu, _ = _random_model(RELU, 6, 5, 2, 8, seed=29)
+    with pytest.raises(ValueError, match="^a factored target needs the linear head$"):
         ad.training_pass(relu, x_relu, ad.FactoredTarget(us, vx))
 
 
 def test_factored_pass_is_the_dense_pass_of_its_target():
     # T = W0 X + us vx: the same loss and dY as the dense pass toward it, to
     # rounding, and forward's A X bit for bit; G's factors v and A are X and A.
-    model, x, _ = _random_model(ad.LINEAR_REGRESSION, 12, 7, 3, 11, seed=30)
+    model, x, _ = _random_model(LINEAR, 12, 7, 3, 11, seed=30)
     stream = RandomStream(31)
     target = ad.FactoredTarget(stream.normal(12, 2), stream.normal(2, 11))
     dense = model.layer.w0 @ x + target.us @ target.vx
@@ -152,7 +154,7 @@ def test_factored_pass_is_the_dense_pass_of_its_target():
 
 
 def _factored_task(m, seed):
-    model, x, _ = _random_model(ad.LINEAR_REGRESSION, 64, 12, 3, m, seed=seed)
+    model, x, _ = _random_model(LINEAR, 64, 12, 3, m, seed=seed)
     stream = RandomStream(seed + 1)
     return model, x, ad.FactoredTarget(stream.normal(64, 2), stream.normal(2, m))
 
@@ -173,7 +175,7 @@ def test_compressed_pass_is_the_qr_form_of_the_residual_pass(monkeypatch):
     # apart: the loss is ||R_P QX||_F^2 / m and G the factors ((2/m) P, X QX^T)
     # bit for bit, and they meet the residual form within its rounding floor.
     m = SQUARE_CHUNK // 64 + 1
-    model, x, _ = _random_model(ad.LINEAR_REGRESSION, 64, 12, 3, m, seed=33)
+    model, x, _ = _random_model(LINEAR, 64, 12, 3, m, seed=33)
     layer = model.layer
     target = ad.FactoredTarget(layer.s * layer.b, layer.a @ x + 1e-6 * RandomStream(34).normal(3, m))
     loss, g = ad.training_pass(model, x, target)
@@ -205,7 +207,7 @@ def test_the_pass_cache_serves_only_its_a_batch_and_target(monkeypatch):
             model.layer.a = other_a
         batch, toward = other_x if case == "x" else x, other_target if case == "target" else target
         loss, g = ad.training_pass(model, batch, toward)
-        want_loss, want = ad.training_pass(ad.ToyModel(model.kind, model.layer), batch, toward)
+        want_loss, want = ad.training_pass(ad.ToyModel(model.layer), batch, toward)
         assert loss == want_loss, case
         np.testing.assert_array_equal(g.u, want.u)
         np.testing.assert_array_equal(g.v, want.v)
@@ -222,7 +224,7 @@ def test_a_factored_target_is_frozen():
 def test_linreg_gradient_matches_golden_file():
     stream = RandomStream(9)
     layer = ad.LoraLayer(stream.normal(3, 4), stream.normal(2, 4), stream.normal(3, 2), 3.0)
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    model = ad.ToyModel(layer)
     x = stream.normal(4, 6)
     target = stream.normal(3, 6)
     got = ad.training_pass(model, x, target)[1].g
@@ -233,7 +235,7 @@ def test_linreg_gradient_matches_golden_file():
 def test_relu_gradient_matches_finite_differences():
     stream = RandomStream(11)
     layer = ad.LoraLayer(stream.normal(8, 3), stream.normal(2, 3), stream.normal(8, 2), 2.0)
-    model = ad.ToyModel(ad.TWO_LAYER_RELU, layer, w2=stream.normal(3, 8))
+    model = ad.ToyModel(layer, stream.normal(3, 8))
     x = stream.normal(3, 5)
     target = stream.normal(3, 5)
     got = ad.training_pass(model, x, target)[1].g
@@ -263,7 +265,7 @@ def test_lora_grads_match_direct_finite_differences():
     """Chain rule check: factor gradients equal FD of the loss in A and B."""
     stream = RandomStream(13)
     layer = ad.LoraLayer(stream.normal(4, 5), stream.normal(2, 5), stream.normal(4, 2), 3.0)
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    model = ad.ToyModel(layer)
     x = stream.normal(5, 7)
     target = stream.normal(4, 7)
     _, g = ad.training_pass(model, x, target)
@@ -273,7 +275,7 @@ def test_lora_grads_match_direct_finite_differences():
 
     def loss_with(a=None, b=None):
         probe = ad.LoraLayer(layer.w0, layer.a if a is None else a, layer.b if b is None else b, layer.alpha)
-        y, _ = ad.forward(ad.ToyModel(ad.LINEAR_REGRESSION, probe), x)
+        y, _ = ad.forward(ad.ToyModel(probe), x)
         return ad.mse_loss(y, target)
 
     fd_a = np.zeros_like(layer.a)
@@ -297,14 +299,14 @@ def test_lora_grads_match_direct_finite_differences():
 def _random_model(kind, k, d, r, m, seed):
     stream = RandomStream(seed)
     layer = ad.LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), 2.0 * r)
-    w2 = stream.normal(3, k) if kind == ad.TWO_LAYER_RELU else None
-    model = ad.ToyModel(kind, layer, w2=w2)
+    w2 = stream.normal(3, k) if kind == RELU else None
+    model = ad.ToyModel(layer, w2)
     x = stream.normal(d, m)
     target = stream.normal(k if w2 is None else 3, m)
     return model, x, target
 
 
-@pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
+@pytest.mark.parametrize("kind", [LINEAR, RELU])
 @pytest.mark.parametrize("k, d, r", [(12, 7, 3), (12, 7, 7), (5, 9, 5)])
 def test_lora_grads_outer_product_matches_dense(kind, k, d, r):
     model, x, target = _random_model(kind, k, d, r, 11, seed=k + d + r)
@@ -318,7 +320,7 @@ def test_lora_grads_outer_product_matches_dense(kind, k, d, r):
     np.testing.assert_array_equal(g.g, dense)
 
 
-@pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
+@pytest.mark.parametrize("kind", [LINEAR, RELU])
 def test_outer_product_grad_a_exactly_zero_when_b_is_zero(kind):
     model, x, target = _random_model(kind, 6, 5, 2, 8, seed=21)
     model.layer.b = np.zeros_like(model.layer.b)
@@ -328,7 +330,7 @@ def test_outer_product_grad_a_exactly_zero_when_b_is_zero(kind):
 
 
 def test_lora_grads_rejects_mismatched_factors():
-    model, x, target = _random_model(ad.LINEAR_REGRESSION, 6, 5, 2, 8, seed=22)
+    model, x, target = _random_model(LINEAR, 6, 5, 2, 8, seed=22)
     _, g = ad.training_pass(model, x, target)
     with pytest.raises(ad.ShapeMismatch):
         ad.lora_grads(ad.FullGradient(g.u, g.v[:, :-1]), model.layer)
@@ -337,7 +339,7 @@ def test_lora_grads_rejects_mismatched_factors():
 
 
 def test_the_memo_serves_w0_x_only_for_its_batch_and_base():
-    model, x, _ = _random_model(ad.TWO_LAYER_RELU, 12, 7, 3, 9, seed=23)
+    model, x, _ = _random_model(RELU, 12, 7, 3, 9, seed=23)
     fresh, _ = ad.forward(model, x)
     held = model.layer._memo["w0x"]
     assert held[0] is model.layer.w0 and held[1] is x
@@ -360,11 +362,11 @@ def _read_only_arrays() -> dict:
     base = np.stack((stream.normal(12, 8), stream.normal(12, 8)))  # owns its memory
     x = base[0]
     target = ad.FactoredTarget(stream.normal(16, 2), stream.normal(2, 8))
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    model = ad.ToyModel(layer)
     _, g = ad.training_pass(model, x, target)  # residual form
-    relu = ad.ToyModel(ad.TWO_LAYER_RELU, layer.copy(), w2=stream.normal(3, 16))
+    relu = ad.ToyModel(layer.copy(), stream.normal(3, 16))
     ad.training_pass(relu, x, stream.normal(3, 8))
-    wide = ad.ToyModel(ad.LINEAR_REGRESSION, ad.init_layer(stream.normal(256, 4), 2, stream=stream))
+    wide = ad.ToyModel(ad.init_layer(stream.normal(256, 4), 2, stream=stream))
     wide_x = stream.normal(4, 257)
     assert ad._compressed(256, 257)
     _, compressed = ad.training_pass(wide, wide_x, ad.FactoredTarget(stream.normal(256, 1), stream.normal(1, 257)))
@@ -395,7 +397,7 @@ def test_a_write_through_the_base_of_a_view_handed_in_raises(name):
     arrays = {"w0": stream.normal(6, 5), "a": stream.normal(2, 5), "b": stream.normal(6, 2), "x": stream.normal(5, 7)}
     base = np.stack((arrays[name], arrays[name]))  # owns its memory
     arrays[name] = base[0]
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, ad.LoraLayer(arrays["w0"], arrays["a"], arrays["b"], 2.0))
+    model = ad.ToyModel(ad.LoraLayer(arrays["w0"], arrays["a"], arrays["b"], 2.0))
     target = stream.normal(6, 7)
     loss, _ = ad.training_pass(model, arrays["x"], target)
     with pytest.raises(ValueError, match="read-only"):
@@ -411,7 +413,7 @@ def test_a_caller_array_becomes_read_only_once_handed_in():
     assert not layer.b.flags.writeable
 
 
-@pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
+@pytest.mark.parametrize("kind", [LINEAR, RELU])
 def test_lora_grads_reuses_forward_ax_bit_for_bit(kind):
     model, x, target = _random_model(kind, 12, 7, 3, 11, seed=25)
     layer = model.layer
@@ -429,7 +431,7 @@ def test_lora_grads_reuses_forward_ax_bit_for_bit(kind):
 
 
 def test_lora_grads_ignores_ax_of_another_a_or_batch():
-    model, x, target = _random_model(ad.LINEAR_REGRESSION, 12, 7, 3, 11, seed=26)
+    model, x, target = _random_model(LINEAR, 12, 7, 3, 11, seed=26)
     layer = model.layer
     _, g = ad.training_pass(model, x, target)
     want = ad.lora_grads(g, layer.copy())[1]
@@ -575,14 +577,14 @@ def test_per_slice_reduction_is_bitwise_the_2d_reduction(spec):
         assert got[i] == np.add.reduce(np.square(m), axis=(-2, -1))
 
 
-@pytest.mark.parametrize("kind", [ad.LINEAR_REGRESSION, ad.TWO_LAYER_RELU])
+@pytest.mark.parametrize("kind", [LINEAR, RELU])
 def test_training_pass_never_forms_a_k_by_d_array(kind):
     k = d = 1024
     r, m = 4, 64
     stream = RandomStream(24)
     layer = ad.init_layer(stream.normal(k, d), r, init_b="gaussian", stream=stream)
-    w2 = stream.normal(8, k) if kind == ad.TWO_LAYER_RELU else None
-    model = ad.ToyModel(kind, layer, w2=w2)
+    w2 = stream.normal(8, k) if kind == RELU else None
+    model = ad.ToyModel(layer, w2)
     x = stream.normal(d, m)
     target = stream.normal(k if w2 is None else 8, m)
     ad.training_pass(model, x, target)  # warms the memo, as the run's first pass does
@@ -603,7 +605,7 @@ def test_linear_pass_holds_no_k_by_m_temporary_beyond_z():
     r, m = 8, 4 * d
     stream = RandomStream(26)
     layer = ad.init_layer(stream.normal(k, d), r, init_b="gaussian", stream=stream)
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    model = ad.ToyModel(layer)
     x, target = stream.normal(d, m), stream.normal(k, m)
     ad.training_pass(model, x, target)  # warms the memo, as the run's first pass does
     tracemalloc.start()
@@ -624,7 +626,7 @@ def test_relu_backward_forms_one_k_by_m_float_array():
     k, d, r, m, out = 128, 32, 4, 128, 32
     stream = RandomStream(25)
     layer = ad.init_layer(stream.normal(k, d), r, init_b="gaussian", stream=stream)
-    model = ad.ToyModel(ad.TWO_LAYER_RELU, layer, w2=stream.normal(out, k))
+    model = ad.ToyModel(layer, stream.normal(out, k))
     x = stream.normal(d, m)
     target = stream.normal(out, m)
     y, cache = ad.forward(model, x)
@@ -649,7 +651,7 @@ def test_merged_weight_basics():
 def test_merged_weight_consistent_with_forward_on_identity():
     stream = RandomStream(5)
     layer = ad.LoraLayer(stream.normal(4, 4), stream.normal(2, 4), stream.normal(4, 2), 2.0)
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    model = ad.ToyModel(layer)
     y, _ = ad.forward(model, np.eye(4))
     assert rel_error(y, ad.merged_weight(layer)) < 1e-12
 
@@ -689,7 +691,7 @@ def test_shape_validation():
     with pytest.raises(ad.ShapeMismatch):
         ad.LoraLayer(np.zeros((3, 4)), np.zeros((5, 4)), np.zeros((3, 5)), 1.0)  # r > min(k, d)
     layer = ad.LoraLayer(np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((3, 2)), 1.0)
-    model = ad.ToyModel(ad.LINEAR_REGRESSION, layer)
+    model = ad.ToyModel(layer)
     with pytest.raises(ad.ShapeMismatch):
         ad.forward(model, np.zeros((5, 2)))
     with pytest.raises(ad.ShapeMismatch):
@@ -706,8 +708,9 @@ def test_layer_rejects_a_malformed_base_or_factor(w0, a, b, match):
         ad.LoraLayer(np.zeros(w0), np.zeros(a), np.zeros(b), 1.0)
 
 
-def test_linear_head_rejects_a_second_layer():
-    # forward never applies w2 on the linear head, so a model holding one would be wrong silently
+def test_a_second_layer_must_compose_with_the_width():
     layer = ad.LoraLayer(np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((3, 2)), 1.0)
-    with pytest.raises(ValueError, match="^linear_regression has no second layer"):
-        ad.ToyModel(ad.LINEAR_REGRESSION, layer, w2=np.zeros((2, 3)))
+    assert ad.ToyModel(layer).w2 is None
+    assert ad.ToyModel(layer, [[1, 2, 3]]).w2.dtype == np.float64
+    with pytest.raises(ad.ShapeMismatch, match=r"^second layer \(3, 2\) does not compose with width 3$"):
+        ad.ToyModel(layer, np.zeros((3, 2)))

@@ -12,7 +12,6 @@ import pytest
 import pass_reference as pass_ref
 from altlora import adapter, bench, cli, optim
 from altlora.adapter import (
-    LINEAR_REGRESSION,
     FactoredTarget,
     FullGradient,
     LoraLayer,
@@ -374,7 +373,7 @@ def _stacked_pass_meets_the_dense_pass():
     layer = LoraLayer(*(np.stack([getattr(t.model.layer, f) for t in tasks]) for f in ("w0", "a", "b")), 2.5)
     x = np.stack([t.x for t in tasks])
     target = FactoredTarget(np.stack([t.target.us for t in tasks]), np.stack([t.target.vx for t in tasks]))
-    loss, g = training_pass(ToyModel(LINEAR_REGRESSION, layer), x, target)
+    loss, g = training_pass(ToyModel(layer), x, target)
     for i, task in enumerate(tasks):
         model, teacher = task.model, task.teacher_weight
         dense = _dense_pass(model, task.x, teacher @ task.x)
@@ -495,6 +494,30 @@ def test_generation_holds_no_transient_of_xs_size_and_no_second_w0():
     bound = (k * d + d * m + NORMAL_CHUNK) * 8 + factors + 65536
     assert peak <= bound, (peak, bound)
 
+
+
+def test_conditioned_inputs_keep_no_dead_array_of_xs_size():
+    d, m = 128, 512
+    stream = RandomStream(5)
+    tracemalloc.start()
+    try:
+        x = bench._conditioned_inputs(d, m, 10.0, stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (d, m)
+    # Two X-sized arrays at a time (the whitened draw and its rotation), d x d
+    # factors (a quarter of X here) and slack. The raw draw kept beside the
+    # whitened one, or the rotation as a temporary beside both, exceeds it.
+    assert peak <= 3 * d * m * 8, peak / (d * m * 8)
+
+
+@pytest.mark.parametrize("task", bench.TASKS)
+@pytest.mark.parametrize("alpha", [None, 2, 2.5])
+def test_a_null_alpha_is_the_rank(task, alpha):
+    spec = _spec(task=task, d=8, width=32, r=3, teacher_rank=2, alpha=alpha)
+    got = bench.generate_task(spec).model.layer.alpha
+    assert type(got) is float and got == (float(spec.r) if alpha is None else float(alpha))
 
 def test_cosine_schedule_runs_and_decays():
     cfg = optim.TrainConfig(eta=0.3, beta1=0.0, steps=100, schedule="cosine", warmup_ratio=0.1)

@@ -284,9 +284,9 @@ def test_altlora_plus_trust_region_bound():
     x = stream.normal(14, 40)
     cfg = optim.TrainConfig(eta=0.01, lam=1e-6, order=optim.B_FIRST)
     state = optim.make_state(optim.ALTLORA_PLUS, layer)
-    from altlora.adapter import LINEAR_REGRESSION, ToyModel, training_pass
+    from altlora.adapter import ToyModel, training_pass
 
-    model = ToyModel(LINEAR_REGRESSION, layer)
+    model = ToyModel(layer)
     y = teacher @ x
     provable = cfg.eta * (1.0 - cfg.beta1) / np.sqrt(1.0 - cfg.beta2) * (1.0 + 1e-6)
     worst = 0.0

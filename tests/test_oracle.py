@@ -181,6 +181,15 @@ def test_trajectory_invariance_identity_gauge_is_exact():
     assert passed and devs.max() < 1e-12
 
 
+def test_trajectory_invariance_keeps_the_models_head():
+    # the twins keep a ReLU head's w2, so its factored target is rejected, not trained as a linear head
+    model, x, target = oracle._invariance_task(RandomStream(41))
+    relu = adapter.ToyModel(model.layer, np.ones((2, model.layer.k)))
+    cfg = optim.TrainConfig(eta=0.2, lam=0.0)
+    with pytest.raises(ValueError, match="^a factored target needs the linear head$"):
+        oracle.trajectory_invariance_check((relu, x, target), cfg, np.eye(model.layer.r), 1)
+
+
 @pytest.mark.parametrize("beta1", [0.0, 0.9])
 def test_trajectory_invariance_random_gauges(beta1):
     stream = RandomStream(43)
@@ -208,9 +217,9 @@ def test_fd_merged_gradient_on_quadratic():
     # linear model: loss is quadratic in W, central differences are exact
     stream = RandomStream(53)
     layer = LoraLayer(stream.normal(3, 4), stream.normal(2, 4), stream.normal(3, 2), 2.0)
-    from altlora.adapter import LINEAR_REGRESSION, ToyModel, training_pass
+    from altlora.adapter import ToyModel, training_pass
 
-    model = ToyModel(LINEAR_REGRESSION, layer)
+    model = ToyModel(layer)
     x = stream.normal(4, 7)
     y = stream.normal(3, 7)
     got = training_pass(model, x, y)[1].g

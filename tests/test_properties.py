@@ -223,7 +223,7 @@ def test_forward_keeps_the_scaled_bits(unit, data):
     layer = _layer(data, unit)
     relu = data.draw(st.booleans())
     w2 = _matrix(data, data.draw(st.integers(1, 6)), layer.k) if relu else None
-    model = ad.ToyModel(ad.TWO_LAYER_RELU if relu else ad.LINEAR_REGRESSION, layer, w2=w2)
+    model = ad.ToyModel(layer, w2)
     x = _matrix(data, layer.d, data.draw(st.integers(1, 6)))
     y, cache = ad.forward(model, x)
     want_y, want = pass_ref.forward(model, x)

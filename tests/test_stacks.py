@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from altlora import adapter, optim, oracle
-from altlora.adapter import LINEAR_REGRESSION, TWO_LAYER_RELU, FactoredTarget, LoraLayer, ToyModel
+from altlora.adapter import FactoredTarget, LoraLayer, ToyModel
 from altlora.matcore import RandomStream, SingularGram, cholesky_factor, damped_gram_inverse, gauge_sample
 
 S, STEPS = 3, 6
+# The two heads as parametrize labels; a model has the ReLU head when it has a w2.
+LINEAR, RELU = "linear_regression", "two_layer_relu"
 
 
 def _same_bits(got, want):
@@ -19,9 +21,9 @@ def _task(stream, head, s, k=16, d=12, r=3, m=20, out=5):
     """One run: (model, x, target) at scale s, for the linear or the ReLU head."""
     layer = LoraLayer(stream.normal(k, d) / np.sqrt(d), stream.normal(r, d) / np.sqrt(d),
                       stream.normal(k, r) / np.sqrt(r), s * r)
-    w2 = stream.normal(out, k) / np.sqrt(k) if head == TWO_LAYER_RELU else None
+    w2 = stream.normal(out, k) / np.sqrt(k) if head == RELU else None
     x = stream.normal(d, m)
-    return ToyModel(head, layer, w2), x, stream.normal(k if w2 is None else out, m)
+    return ToyModel(layer, w2), x, stream.normal(k if w2 is None else out, m)
 
 
 def _stack(tasks):
@@ -35,7 +37,7 @@ def _stack(tasks):
         target = FactoredTarget(np.stack([t.us for t in targets]), np.stack([t.vx for t in targets]))
     else:
         target = np.stack(targets)
-    return ToyModel(model.kind, layer, w2), np.stack([t[1] for t in tasks]), target
+    return ToyModel(layer, w2), np.stack([t[1] for t in tasks]), target
 
 
 def _buffers(layer, state):
@@ -73,7 +75,7 @@ def _assert_stack_steps_as_alone(runs, stacked, kind, beta1):
 
 
 @pytest.mark.parametrize("kind", optim.OPTIMIZERS)
-@pytest.mark.parametrize("head", [LINEAR_REGRESSION, TWO_LAYER_RELU])
+@pytest.mark.parametrize("head", [LINEAR, RELU])
 @pytest.mark.parametrize("beta1", [0.0, 0.9])
 @pytest.mark.parametrize("s", [1.0, 2.5])
 def test_a_stack_steps_each_run_as_it_steps_alone(kind, head, beta1, s):
@@ -101,7 +103,7 @@ def _assert_shared_factored_target_steps_as_alone(kind, beta1, s):
     # Every run trains toward one batch and one factored target, which the
     # stack holds once: a batch axis of length 1, broadcast views of the target.
     stream = RandomStream(66)
-    runs = [_task(stream, LINEAR_REGRESSION, s) for _ in range(S)]
+    runs = [_task(stream, LINEAR, s) for _ in range(S)]
     x = runs[0][1]
     target = FactoredTarget(stream.normal(16, 2), stream.normal(2, x.shape[1]))
     runs = [(model, x, target) for model, _, _ in runs]
@@ -117,9 +119,9 @@ def test_the_pass_cache_leaves_a_compressed_stack_as_it_was(kind, order, beta1, 
     monkeypatch.setattr(adapter, "SQUARE_CHUNK", 0)
     stream = RandomStream(67)
     runs = [(model, x, FactoredTarget(stream.normal(16, 2), stream.normal(2, x.shape[1])))
-            for model, x, _ in (_task(stream, LINEAR_REGRESSION, 2.5) for _ in range(S))]
+            for model, x, _ in (_task(stream, LINEAR, 2.5) for _ in range(S))]
     model, x, target = _stack(runs)
-    twin = ToyModel(model.kind, model.layer.copy())
+    twin = ToyModel(model.layer.copy())
     cfg = optim.TrainConfig(eta=0.01, beta1=beta1, gamma=0.01, order=order)
     stepper = optim.make_stepper(kind)
     states = [optim.make_state(kind, model.layer), optim.make_state(kind, twin.layer)]
