@@ -44,9 +44,9 @@ class LoraLayer:
     A stack of S runs gives each array a leading axis (S, ...).
     w0, a and b are bound read-only: a step rebinds a factor, never writes it.
 
-    _memo, the library's one memo, holds the products keyed on those arrays
-    as _held's entries: W0 X, A X and X QX^T of the pass (_product), and the
-    Gram carry (factor, lam, inverse) of an alternating step.
+    _memo, the library's one memo, is read by _held and written, frozen, by
+    _product alone; each entry (first, second, product) keys on the identity of
+    first and second: W0 X, A X, X QX^T and the Gram carry (factor, lam, inverse).
     """
 
     w0: np.ndarray
@@ -89,10 +89,16 @@ class LoraLayer:
         """A layer over the same read-only w0, a and b, with an empty memo."""
         return LoraLayer(self.w0, self.a, self.b, self.alpha)
 
+    def _held(self, name: str, first, second):
+        """The product of memo entry name computed from these very objects, else
+        None (README, "Read-only inputs and the pass memo")."""
+        held_first, held_second, product = self._memo.get(name, (None, None, None))
+        return product if held_first is first and held_second is second else None
+
     def _product(self, name: str, first, second, dot, *operands) -> np.ndarray:
         """The product of the memo entry (first, second, dot(*operands)), the
         operands by default (first, second); multiplied only when _held misses."""
-        product = _held(self._memo.get(name), first, second)
+        product = self._held(name, first, second)
         if product is None:
             product = dot(*(operands or (first, second)))
             product.setflags(False)
@@ -135,14 +141,6 @@ def _frozen(x) -> np.ndarray:
     if isinstance(x.base, np.ndarray):
         x.base.setflags(False)
     return x
-
-
-def _held(entry, first, second):
-    """The product of a memo entry (first, second, product) computed from these
-    very objects, else None (README, "Read-only inputs and the pass memo")."""
-    if entry is not None and entry[0] is first and entry[1] is second:
-        return entry[2]
-    return None
 
 
 @dataclass(frozen=True)
@@ -363,7 +361,7 @@ def lora_grad_b(g: FullGradient, layer: LoraLayer) -> np.ndarray:
     s, a = layer.s, layer.a
     u, v = _factors(g, layer)
     dot = np.dot if a.ndim == u.ndim == 2 else np.matmul
-    av = _held(layer._memo.get("ax"), a, v)
+    av = layer._held("ax", a, v)
     if av is None:
         av = dot(a, v)
     if s != 1.0:  # av may be the memo's, so it is scaled into a new array

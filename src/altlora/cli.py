@@ -291,6 +291,7 @@ def cmd_sweep(args) -> int:
 
 def _load_runs(directory: Path):
     offenders = []
+    incomplete = []  # run CSVs with no sidecar yet
     runs = []
     for csv_path in sorted(directory.glob("*.csv")):
         if csv_path.name == "summary.csv":
@@ -302,6 +303,7 @@ def _load_runs(directory: Path):
             continue
         sidecar_path = csv_path.with_suffix(".json")
         if not sidecar_path.exists():
+            incomplete.append(csv_path.name)
             continue
         try:
             meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
@@ -319,14 +321,16 @@ def _load_runs(directory: Path):
             offenders.append(sidecar_path.name)
             continue
         runs.append((csv_path.stem, meta, record))
-    return runs, offenders
+    return runs, offenders, incomplete
 
 
 def cmd_report(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise ConfigError(f"not a directory: {directory}")
-    runs, offenders = _load_runs(directory)
+    runs, offenders, incomplete = _load_runs(directory)
+    if incomplete:  # what a killed sweep leaves; a resume finishes them, so no error
+        print("incomplete run(s) (no sidecar), skipped: " + ", ".join(incomplete), file=sys.stderr)
     if offenders:
         print("malformed or schema-mismatched run file(s): " + ", ".join(offenders), file=sys.stderr)
         return EXIT_CONFIG

@@ -245,7 +245,9 @@ class RandomStream:
             np.sin(theta, theta)
             theta *= rho
             rho *= cos[:theta.size]
-        return z[:count].reshape(shape) if shape else float(z[0])
+        out = z if count == z.size else z[:count].copy()  # an odd count drew one spare entry
+        out.shape = shape  # in place: the output owns its memory, so freezing it freezes all of it
+        return out if shape else float(z[0])
 
 
 def orthonormal_columns(rows: int, cols: int, stream: RandomStream) -> np.ndarray:

@@ -124,7 +124,7 @@ class AltLoraState:
     ma (r x d) and mb (k x r) are first moments, each kept in the
     coordinates of the current opposite factor. va / vb are elementwise
     second moments (AltLoRA+ and Adam baselines only). t counts steps.
-    For a stack of runs every buffer carries the layer's leading axis.
+    init shapes each buffer as its factor, leading axes included.
     """
 
     ma: np.ndarray
@@ -135,13 +135,11 @@ class AltLoraState:
 
     @classmethod
     def init(cls, layer: LoraLayer, second_moment: bool = False) -> "AltLoraState":
-        lead, r = layer.a.shape[:-2], layer.r
-        a_shape, b_shape = lead + (r, layer.d), lead + (layer.k, r)
         return cls(
-            ma=np.zeros(a_shape),
-            mb=np.zeros(b_shape),
-            va=np.zeros(a_shape) if second_moment else None,
-            vb=np.zeros(b_shape) if second_moment else None,
+            ma=np.zeros(layer.a.shape),
+            mb=np.zeros(layer.b.shape),
+            va=np.zeros(layer.a.shape) if second_moment else None,
+            vb=np.zeros(layer.b.shape) if second_moment else None,
         )
 
     def copy(self) -> "AltLoraState":
@@ -259,9 +257,9 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
 
     Only the moving factor's gradient is formed. The Gram inverse of the
     fixed factor y is the carried one, else a fresh one. With beta1 != 0 the
-    realignment's read-only inverse for the moved factor is carried on in
-    the layer's memo as (factor, lam, inverse), keyed on the array bound to
-    layer.a or layer.b and on lam by value.
+    realignment's inverse for the moved factor is the layer's memo entry
+    "gram", keyed on the array bound to layer.a or layer.b and on the cfg.lam
+    object: an equal lam in another float misses and recomputes the same bits.
     """
     a_phase = update_phase(state.t, cfg.order) == "a"
     if a_phase:
@@ -272,10 +270,8 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
         grad = lora_grad_b(g, layer).mT
     # a stack skips the public name, whose perfbench FLOP hook reads a 2-D shape
     inverse = damped_gram_inverse if x.ndim == 2 else _gram_inverse
-    carry = layer._memo.get("gram")
-    if carry is not None and carry[0] is y_bound and carry[1] == cfg.lam:
-        y_inv = carry[2]
-    else:
+    y_inv = layer._held("gram", y_bound, cfg.lam)
+    if y_inv is None:
         y_inv = inverse(y, "left", cfg.lam)
     tilde = precondition_a(y_inv, grad, layer.s)
     v = (state.va if a_phase else state.vb.mT) if adaptive else None
@@ -285,10 +281,8 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
     x_new = _descend(x, cfg.eta, direction, cfg.gamma)
     x_bound = x_new if a_phase else x_new.mT  # the array layer.a or layer.b is bound to
     if cfg.beta1 != 0.0:  # x moved: align_momentum_b, in this phase's orientation
-        x_inv = inverse(x_new.mT, "left", cfg.lam)
-        x_inv.setflags(False)
+        x_inv = layer._product("gram", x_bound, cfg.lam, inverse, x_new.mT, "left", cfg.lam)
         m_y = realign_a(x_inv, m_y, x.mT, x_new.mT)
-        layer._memo["gram"] = (x_bound, cfg.lam, x_inv)
     if a_phase:
         layer.a, state.ma, state.mb = x_bound, m, m_y.mT
     else:

@@ -359,7 +359,7 @@ def _read_only_arrays() -> dict:
     """Every array a layer, a target and a pass bind or hold, by name, and a batch view's base."""
     stream = RandomStream(29)
     layer = ad.init_layer(stream.normal(16, 12), 4, init_b="gaussian", stream=stream)
-    base = np.stack((stream.normal(12, 8), stream.normal(12, 8)))  # owns its memory
+    base = stream.normal(2, 12, 8)  # a draw owns its memory, so freezing the batch x freezes it
     x = base[0]
     target = ad.FactoredTarget(stream.normal(16, 2), stream.normal(2, 8))
     model = ad.ToyModel(layer)

@@ -525,6 +525,24 @@ def test_cosine_schedule_runs_and_decays():
     assert rec.final_loss < 1e-3
 
 
+@pytest.mark.parametrize("optimizer", [optim.ALTLORA, optim.ALTLORA_PLUS])
+def test_a_cosine_run_keeps_the_gram_carry_across_its_per_step_configs(optimizer, monkeypatch):
+    # Under a schedule the runner steps with replace(cfg, eta=eta_t), which
+    # keeps cfg's lam object, so the carry keyed on it still hits: T + 1
+    # Gram inverses in T steps, as at a constant rate.
+    calls = []
+    real = optim.damped_gram_inverse
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optim, "damped_gram_inverse", counted)
+    cfg = optim.TrainConfig(eta=0.3, beta1=0.9, steps=40, schedule="cosine", warmup_ratio=0.1)
+    bench.run_experiment(_spec(optimizer=optimizer, train=cfg))
+    assert len(calls) == cfg.steps + 1
+
+
 def test_update_order_property_a_first_stalls_under_standard_init():
     """With B = 0, the first A-phase moves A only through weight decay."""
     spec = _spec(train=optim.TrainConfig(eta=0.3, beta1=0.9, gamma=0.0, order=optim.A_FIRST, steps=1))

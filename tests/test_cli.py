@@ -345,6 +345,18 @@ def test_report_mixed_schema_lists_offenders(tmp_path, capsys):
     assert "weird.csv" in capsys.readouterr().err
 
 
+def test_report_names_a_run_without_a_sidecar(tmp_path, capsys):
+    # A killed sweep leaves a CSV whose sidecar was never written; report
+    # summarizes the complete runs, names the incomplete one and exits 0.
+    _fake_run(tmp_path, "config", "altlora", 1.0, 12)
+    (tmp_path / "odd.csv").write_bytes((tmp_path / "config.csv").read_bytes())
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert "odd.csv" in captured.err and "config.csv" not in captured.err
+    assert "1 run(s)" in captured.out
+    assert len((tmp_path / "summary.csv").read_text().splitlines()) == 2
+
+
 def _fake_run(directory, name, optimizer, kappa, stt, seed=1):
     spec = bench.ExperimentSpec(
         task="lowrank",

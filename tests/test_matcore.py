@@ -308,6 +308,7 @@ def test_random_stream_is_bitwise_the_two_draw_reference(seed):
         a, b = got.normal(*shape), want.normal(*shape)
         assert type(a) is type(b)
         assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), shape
+        assert type(a) is float or a.base is None, shape  # owns its memory, at an even and an odd count
         assert got.uniform() == want.uniform()
         assert np.array_equal(got.uniform(3), want.uniform(3))
     assert type(mc.RandomStream(seed).normal()) is float

@@ -523,6 +523,36 @@ def test_a_carry_whose_key_does_not_match_is_not_used(kind, order, change):
             assert (got is None and want is None) or np.array_equal(got, want), t
 
 
+@pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
+@pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
+def test_an_equal_lam_in_another_float_misses_the_carry_with_the_same_bits(kind, order, monkeypatch):
+    # The carry keys on the lam object, as every memo entry keys on its
+    # operands. A twin holding the same carry but stepping with an equal lam
+    # built as a new float factors the fixed factor's Gram afresh, and that
+    # inverse has the carried one's bits.
+    calls = _count_calls(monkeypatch, "damped_gram_inverse")
+    stream = RandomStream(148)
+    layer = _random_layer(stream, k=12, d=20, r=3)
+    cfg = optim.TrainConfig(eta=0.05, beta1=0.9, lam=1e-6, order=order)
+    state = optim.make_state(kind, layer)
+    step = optim.make_stepper(kind)
+    step(layer, state, as_gradient(stream.normal(12, 20)), cfg)
+    twin, twin_state = layer.copy(), state.copy()
+    twin._memo.update(layer._memo)  # the same carry
+    equal = replace(cfg, lam=float("1e-6"))
+    assert equal.lam == cfg.lam and equal.lam is not cfg.lam
+    g = FullGradient(stream.normal(12, 8), stream.normal(20, 8) / np.sqrt(20))
+    calls.clear()
+    step(layer, state, g, cfg)
+    assert len(calls) == 1  # the carry hits: only the realignment's inverse
+    step(twin, twin_state, g, equal)
+    assert len(calls) == 3  # the carry misses: a fresh inverse, then the realignment's
+    pairs = [(layer.a, twin.a), (layer.b, twin.b), (state.ma, twin_state.ma), (state.mb, twin_state.mb),
+             (state.va, twin_state.va), (state.vb, twin_state.vb)]
+    for got, want in pairs:
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
 def test_a_copied_layer_starts_with_an_empty_memo():
     # The copy binds the same read-only arrays, which nothing can write.
     stream = RandomStream(146)
