@@ -245,24 +245,12 @@ def mse_loss(y: np.ndarray, target: np.ndarray):
     return _mean_square(diff, out=diff)
 
 
-def _residual_p(layer: LoraLayer, target: FactoredTarget) -> np.ndarray:
-    """P = [s B, -us] (k x r'), r' = r + r*."""
+def _residual_factors(layer: LoraLayer, ax: np.ndarray, target: FactoredTarget):
+    """P = [s B, -us] (k x r') and QX = [A X; vx] (r' x m), r' = r + r*: Y - T = P QX."""
     p = np.concatenate((layer.b, target._neg_us), axis=-1)
     if layer.s != 1.0:  # as in forward
         p[..., :layer.r] *= layer.s
-    return p
-
-
-def _residual_factors(layer: LoraLayer, ax: np.ndarray, target: FactoredTarget):
-    """P and QX = [A X; vx] (r' x m): Y - T = P QX."""
-    return _residual_p(layer, target), np.concatenate((ax, target.vx), axis=-2)
-
-
-def _compressed(k: int, m: int) -> bool:
-    """Whether a factored pass with k outputs and m columns is compressed: once
-    one run's residual would exceed SQUARE_CHUNK entries, the size from which
-    sum_of_squares stops squaring whole. Below it one GEMM P QX is cheaper."""
-    return k * m > SQUARE_CHUNK
+    return p, np.concatenate((ax, target.vx), axis=-2)
 
 
 def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tuple[float, FullGradient]:
@@ -284,7 +272,7 @@ def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tu
     except ValueError:
         raise ShapeMismatch(f"factored target {target.us.shape} x {target.vx.shape} does not fit the layer "
                             f"{layer.b.shape[:-1]} and batch {x.shape}") from None
-    if _compressed(layer.k, m):
+    if layer.k * m > SQUARE_CHUNK:  # past sum_of_squares' whole-square size; below it one GEMM P QX is cheaper
         v = layer._product("v", ax, target, dot, x, qx.mT)
         rq = dot(np.linalg.qr(p, mode="r"), qx)
         p *= 2.0 / m
@@ -301,7 +289,7 @@ def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGr
 
     The library's one pass: the runner, the width probe and the checks of
     gradients and gauge invariance all call it. The target's type picks the
-    residual Y - T: P QX for a FactoredTarget (unless _compressed), else
+    residual Y - T: P QX for a FactoredTarget (unless compressed), else
     subtracted in place from forward's fresh output. It is formed once,
     reduced into the loss by mse_loss's arithmetic and then scaled in place
     into dY; the gradient is kept as the factors of G = dZ X^T. x is made
@@ -315,20 +303,18 @@ def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGr
     return _mean_square(res), _backward(model, x, res, cache)
 
 
-def factored_norms(layer: LoraLayer, x: np.ndarray, target: FactoredTarget, vt: np.ndarray, g: FullGradient):
-    """(||s B A - U Sigma V^T||_F, ||G||_F) of one run's pass g toward target = (U Sigma, V^T X).
+def factored_norms(layer: LoraLayer, x: np.ndarray, target: FactoredTarget, vt: np.ndarray):
+    """(||s B A - U Sigma V^T||_F, ||G||_F) of one run's pass toward target = (U Sigma, V^T X).
 
     ||P M||_F = ||R_P M||_F for R_P = qr(P), and s B A - U Sigma V^T = P [A; V^T],
-    G = (2/m) P (QX X^T): neither norm forms a k x d or k x m array. A compressed
-    g already holds X QX^T; else QX X^T takes the pass's A X from the layer's memo.
+    G = (2/m) P (X QX^T)^T: neither norm forms a k x d or k x m array. A X and X QX^T
+    are the memo's, as a compressed pass left them; a residual-form row stores X QX^T.
     """
-    rp = np.linalg.qr(_residual_p(layer, target), mode="r")
+    ax = layer._product("ax", layer.a, x, np.dot)
+    p, qx = _residual_factors(layer, ax, target)
+    rp = np.linalg.qr(p, mode="r")
     err = frobenius(np.dot(rp, np.concatenate((layer.a, vt))))
-    if _compressed(layer.k, x.shape[1]):  # g is ((2/m) P, X QX^T)
-        qx_xt = g.v.T
-    else:
-        qx_xt = np.dot(np.concatenate((layer._product("ax", layer.a, x, np.dot), target.vx)), x.T)
-    return err, 2.0 / x.shape[1] * frobenius(np.dot(rp, qx_xt))
+    return err, 2.0 / x.shape[1] * frobenius(np.dot(rp, layer._product("v", ax, target, np.dot, x, qx.T).T))
 
 
 def _factors(g: FullGradient, layer: LoraLayer):

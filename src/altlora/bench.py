@@ -190,8 +190,6 @@ class RunRecord:
 
 
 def _log_spaced_spectrum(count: int, kappa: float) -> np.ndarray:
-    if count == 1:
-        return np.array([1.0])
     return np.exp(np.linspace(0.0, -math.log(kappa), count))
 
 
@@ -308,7 +306,7 @@ def _evaluator(task: Task):
     teacher_norm = max(math.sqrt(square), 1e-300)
 
     def evaluate(g) -> tuple[float, float]:
-        err, grad_norm = factored_norms(layer, x, task.target, vt, g)
+        err, grad_norm = factored_norms(layer, x, task.target, vt)
         return err / teacher_norm, grad_norm
 
     return evaluate

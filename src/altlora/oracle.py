@@ -213,11 +213,6 @@ def projector_gauge_check(a1, b1, a2, b2, tol: float = 1e-9):
     return dev <= tol, dev
 
 
-def gauge_map_layer(layer: LoraLayer, gauge: np.ndarray) -> LoraLayer:
-    """Equivalent factorization (B R, R^-1 A) of the same merged weight; per slice on stacks."""
-    return LoraLayer(layer.w0, np.linalg.solve(gauge, layer.a), layer.b @ gauge, layer.alpha)
-
-
 # Gauges per stack in the trajectory checks, so 2 x 5 = 10 runs step at once.
 # At 1 / 5 / 10 / 20 gauges per stack, trajectory_invariance_altlora at seed
 # 1789 took 237 / 146 / 123 / 134 ms (one BLAS thread, 2-vCPU VM), and the
@@ -259,8 +254,8 @@ def trajectory_invariance_check(
     (G, steps) for G; passed means every step stayed within tol.
     """
     model, x, target = task
-    layer, twin = model.layer, gauge_map_layer(model.layer, gauge)
-    a, b = np.stack((layer.a, twin.a)), np.stack((layer.b, twin.b))
+    layer = model.layer
+    a, b = np.stack((layer.a, np.linalg.solve(gauge, layer.a))), np.stack((layer.b, layer.b @ gauge))
     runs = ToyModel(LoraLayer(layer.w0, a, b, layer.alpha), model.w2)
     state = optim.make_state(optimizer, runs.layer)
     lead = b.shape[:-2]  # the runs' axes, (2, ...)

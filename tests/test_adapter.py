@@ -368,8 +368,8 @@ def _read_only_arrays() -> dict:
     ad.training_pass(relu, x, stream.normal(3, 8))
     wide = ad.ToyModel(ad.init_layer(stream.normal(256, 4), 2, stream=stream))
     wide_x = stream.normal(4, 257)
-    assert ad._compressed(256, 257)
     _, compressed = ad.training_pass(wide, wide_x, ad.FactoredTarget(stream.normal(256, 1), stream.normal(1, 257)))
+    assert compressed.v is wide.layer._memo["v"][2]  # the compressed form ran
     state = optim.make_state(optim.ALTLORA, layer)
     optim.altlora_step(layer, state, g, optim.TrainConfig(eta=0.1, beta1=0.9))
     return {

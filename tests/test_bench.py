@@ -67,6 +67,11 @@ def test_lowrank_teacher_spectrum_spans_kappa():
     assert abs(sing[0] / sing[3] - 100.0) < 1e-9
 
 
+@pytest.mark.parametrize("kappa", [1.0, 3.7, 10.0, 100.0])
+def test_a_rank_one_spectrum_is_one(kappa):
+    assert np.array_equal(bench._log_spaced_spectrum(1, kappa), [1.0])
+
+
 def test_lowrank_input_knob_conditions_the_data():
     spec = _spec(kappa=50.0, kappa_knob="input")
     task = bench.generate_task(spec)
@@ -239,7 +244,7 @@ def _assert_meets_dense(loss, g, dense, m, ax):
     gap = FLOOR_ULPS * floor  # bounds ||res - res_dense||_F
     assert abs(loss - want_loss) <= (2.0 * math.sqrt(m * want_loss) * gap + gap * gap) / m
     assert np.array_equal(ax, want_ax)
-    if adapter._compressed(g.u.shape[0], m):
+    if g.u.shape[-1] != m:  # a compressed pass's u is (2/m) P, k x r'
         assert frobenius(g.g - want.g) <= 2.0 / m * gap * frobenius(want.v)
     else:
         assert frobenius(g.u - want.u) <= 2.0 / m * gap
@@ -388,6 +393,45 @@ def test_a_stacked_factored_pass_meets_the_dense_pass():
 
 def test_a_stacked_compressed_pass_meets_the_dense_pass(compressed):
     _stacked_pass_meets_the_dense_pass()
+
+
+@pytest.mark.parametrize("k", [32, 192])  # k m = 4,096 is residual-form; 147,456 is past the cut
+def test_factored_norms_meet_the_dense_pass(k):
+    """Both norms of the row after a pass within FLOOR_ULPS of the merged weight's
+    error and the dense ||G||_F; the row reads A X, and X QX^T after a compressed
+    pass, as the very memo entries the pass left, and stores X QX^T after a residual one."""
+    task = bench.generate_task(_spec(k=k, d=k, init_b="gaussian", alpha=2.5, seed=5))
+    model, x, target, teacher = task.model, task.x, task.target, task.teacher_weight
+    layer, m = model.layer, x.shape[1]
+    _, g = training_pass(model, x, target)
+    _, want, floor, _ = _dense_pass(model, x, teacher @ x)
+    ax, v = layer._memo["ax"], layer._memo.get("v")
+    assert (v is not None) == (k * m > SQUARE_CHUNK) == (g.u.shape[1] != m)
+    err, norm = adapter.factored_norms(layer, x, target, task.vt)
+    weight_floor = EPS * (frobenius(layer.w0) + frobenius(layer.s * (layer.b @ layer.a)))
+    assert abs(err - frobenius(merged_weight(layer) - teacher)) <= FLOOR_ULPS * weight_floor
+    assert abs(norm - frobenius(want.g)) <= 2.0 / m * FLOOR_ULPS * floor * frobenius(x)
+    assert layer._memo["ax"] is ax
+    if v is not None:
+        assert layer._memo["v"] is v
+    else:
+        held = layer._memo["v"]
+        assert held[0] is ax[2] and held[1] is target and held[2].shape == (layer.d, layer.r + target.vx.shape[0])
+
+
+def test_a_row_after_a_compressed_pass_forms_no_product_of_inner_dimension_m(monkeypatch):
+    task = bench.generate_task(_spec(k=192, d=192, init_b="gaussian", alpha=2.5, seed=5))
+    model, x, target = task.model, task.x, task.target
+    training_pass(model, x, target)
+    real_dot, inner = np.dot, []
+
+    def dot(a, b, *args):
+        inner.append(np.shape(a)[-1])
+        return real_dot(a, b, *args)
+
+    monkeypatch.setattr(np, "dot", dot)
+    adapter.factored_norms(model.layer, x, target, task.vt)
+    assert inner and x.shape[1] not in inner
 
 
 @pytest.mark.parametrize("optimizer", list(optim.OPTIMIZERS))
