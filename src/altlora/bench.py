@@ -173,6 +173,7 @@ class RunRecord:
 
     @staticmethod
     def parse_csv(text: str) -> "RunRecord":
+        """The rows of to_csv's text; the terminal summary is in the run's sidecar, not the CSV."""
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {lines[0] if lines else '<empty>'}")
@@ -180,9 +181,7 @@ class RunRecord:
         for ln in lines[1:]:
             step, loss, werr, gnorm, entries, flops = ln.split(",")
             rows.append((int(step), float(loss), float(werr), float(gnorm), int(entries), int(flops)))
-        rec = RunRecord(rows)
-        rec.final_loss = rows[-1][1] if rows else math.nan
-        return rec
+        return RunRecord(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import sys
 import traceback
 import typing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__, bench, oracle
@@ -127,14 +128,15 @@ def build_spec(doc: dict, seed_override: int | None = None) -> bench.ExperimentS
 
 
 def resolve_out_dir(flag_value: str | None, doc: dict | None = None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    if doc and doc.get("out"):
-        return Path(doc["out"])
-    env = os.environ.get("ALTLORA_OUT")
-    if env:
-        return Path(env)
-    return Path.cwd() / "runs"
+    """The flag, else the config's "out", else $ALTLORA_OUT, else ./runs.
+
+    Checked before any run starts, and nothing is created: the nearest
+    existing path on the way must be a directory."""
+    out = Path(flag_value or (doc or {}).get("out") or os.environ.get("ALTLORA_OUT") or Path.cwd() / "runs")
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))  # a dangling link blocks too
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out}: {existing} is not a directory")
+    return out
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -196,8 +198,8 @@ def cmd_verify(args) -> int:
     if not names:
         print(f"no checks selected by filter {args.filter!r}", file=sys.stderr)
         return EXIT_CONFIG
-    report = oracle.run_checks(args.filter, seed=args.seed)
     out_dir = resolve_out_dir(args.out)
+    report = oracle.run_checks(args.filter, seed=args.seed)
     atomic_write_text(out_dir / "check_report.json", json.dumps(report, indent=2) + "\n")
     width = max(len(c["name"]) for c in report["checks"])
     for c in report["checks"]:
@@ -267,22 +269,17 @@ def cmd_sweep(args) -> int:
         if (out_dir / f"{name}.json").exists():
             skipped += 1
             continue
-        # a killed sweep leaves its temporary files under its own pid, which no later write replaces
-        for stale in out_dir.glob(".*.tmp"):
-            if re.fullmatch(rf"\.{re.escape(name)}\.(csv|json)\.\d+\.tmp", stale.name):
-                stale.unlink()
         pending.append((_cell_spec(doc, overrides, args.seed), str(out_dir), name))
+    # a killed sweep leaves its temporary files under its own pid, which no later write replaces
+    for stale in out_dir.glob(".*.tmp"):
+        match = re.fullmatch(r"\.(.+)\.(?:csv|json)\.\d+\.tmp", stale.name, re.DOTALL)
+        if match and match[1] in cells and not (out_dir / f"{match[1]}.json").exists():
+            stale.unlink()
     if skipped:
         print(f"resuming: {skipped} completed cell(s) skipped")
     failures = 0
-    if args.threads > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            for ok, message in pool.map(_sweep_worker, pending):
-                print(message)
-                failures += 0 if ok else 1
-    else:
-        for payload in pending:
-            ok, message = _sweep_worker(payload)
+    with ProcessPoolExecutor(args.threads) if args.threads > 1 and len(pending) > 1 else nullcontext() as pool:
+        for ok, message in (pool.map if pool else map)(_sweep_worker, pending):
             print(message)
             failures += 0 if ok else 1
     print(f"sweep: {len(pending)} run, {skipped} skipped, {failures} failed")
@@ -296,9 +293,9 @@ def _load_runs(directory: Path):
     for csv_path in sorted(directory.glob("*.csv")):
         if csv_path.name == "summary.csv":
             continue
-        try:
-            record = bench.RunRecord.parse_csv(csv_path.read_text(encoding="utf-8"))
-        except ValueError:
+        try:  # parsed only to reject a malformed CSV; report reads the sidecar
+            bench.RunRecord.parse_csv(csv_path.read_text(encoding="utf-8"))
+        except (ValueError, OSError):  # OSError: e.g. a directory named x.csv
             offenders.append(csv_path.name)
             continue
         sidecar_path = csv_path.with_suffix(".json")
@@ -315,12 +312,12 @@ def _load_runs(directory: Path):
             ok = ok and type(meta["steps_to_threshold"]) is int and type(meta["diverged"]) is bool
             ok = ok and (loss is None or (type(loss) in (int, float) and not math.isnan(loss)))
             ok = ok and build_spec(meta["spec"]).to_dict() == meta["spec"]
-        except (ValueError, LookupError, TypeError, ConfigError):  # TypeError: not a JSON object
+        except (ValueError, LookupError, TypeError, ConfigError, OSError):  # TypeError: not a JSON object
             ok = False
         if not ok:
             offenders.append(sidecar_path.name)
             continue
-        runs.append((csv_path.stem, meta, record))
+        runs.append((csv_path.stem, meta))
     return runs, offenders, incomplete
 
 
@@ -332,7 +329,7 @@ def cmd_report(args) -> int:
     if incomplete:  # what a killed sweep leaves; a resume finishes them, so no error
         print("incomplete run(s) (no sidecar), skipped: " + ", ".join(incomplete), file=sys.stderr)
     if offenders:
-        print("malformed or schema-mismatched run file(s): " + ", ".join(offenders), file=sys.stderr)
+        print("malformed, unreadable or schema-mismatched run file(s): " + ", ".join(offenders), file=sys.stderr)
         return EXIT_CONFIG
     if not runs:
         print(f"no runs in {directory}")
@@ -340,7 +337,7 @@ def cmd_report(args) -> int:
 
     header = "name,optimizer,task,kappa,eta,alpha,order,seed,steps_to_threshold,final_loss,diverged"
     lines = [header]
-    for name, meta, record in runs:
+    for name, meta in runs:
         spec = meta["spec"]
         lines.append(
             ",".join(
@@ -364,13 +361,11 @@ def cmd_report(args) -> int:
 
     # best cell per optimizer: fewest steps to threshold, else lowest loss
     by_opt: dict = {}
-    for name, meta, record in runs:
+    for name, meta in runs:
         by_opt.setdefault(meta["spec"]["optimizer"], []).append((name, meta))
     print(f"{len(runs)} run(s); summary written to {directory / 'summary.csv'}")
     print("best cell per optimizer:")
-    for opt_name in sorted(by_opt):
-        cells = by_opt[opt_name]
-
+    for opt_name, cells in sorted(by_opt.items()):
         def rank(item):
             stt = item[1]["steps_to_threshold"]
             loss = item[1]["final_loss"]
@@ -382,18 +377,14 @@ def cmd_report(args) -> int:
             f"  final_loss={best[1]['final_loss']}"
         )
 
-    kappas = sorted({meta["spec"]["kappa"] for _, meta, _ in runs})
+    kappas = sorted({meta["spec"]["kappa"] for _, meta in runs})
     if len(kappas) > 1:
         print("steps_to_threshold vs kappa:")
         print("  " + " ".join(f"{'kappa=' + str(k):>12}" for k in kappas))
-        for opt_name in sorted(by_opt):
+        for opt_name, cells in sorted(by_opt.items()):
             per_kappa = []
             for kappa in kappas:
-                vals = [
-                    meta["steps_to_threshold"]
-                    for _, meta, _ in runs
-                    if meta["spec"]["optimizer"] == opt_name and meta["spec"]["kappa"] == kappa
-                ]
+                vals = [meta["steps_to_threshold"] for _, meta in cells if meta["spec"]["kappa"] == kappa]
                 # -1 (never reached) only when no cell at this kappa reached the threshold
                 per_kappa.append(min(vals, key=lambda v: (v < 0, v)) if vals else None)
             print(

@@ -142,16 +142,6 @@ class AltLoraState:
             vb=np.zeros(layer.b.shape) if second_moment else None,
         )
 
-    def copy(self) -> "AltLoraState":
-        """A deep copy of the moments and t."""
-        return AltLoraState(
-            ma=self.ma.copy(),
-            mb=self.mb.copy(),
-            va=None if self.va is None else self.va.copy(),
-            vb=None if self.vb is None else self.vb.copy(),
-            t=self.t,
-        )
-
     def entry_count(self) -> int:
         return sum([buf.size for buf in (self.ma, self.mb, self.va, self.vb) if buf is not None])
 

@@ -1,6 +1,7 @@
 """Layer and toy-model tests: forward, manual backward, factor gradients."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 from pathlib import Path
@@ -471,10 +472,10 @@ _DOT_OPERANDS = [
 ]
 
 
-def _operand(spec, stream, stack=()):
-    """A stored array of the spec's shape, behind leading axes ``stack``; ".T" gives its transposed view."""
+def _operand(spec, draw, stack=()):
+    """A stored array of the spec's shape from ``draw``, behind leading axes ``stack``; ".T": its transpose."""
     rows, cols = (int(n) for n in spec.removesuffix(".T").split("x"))
-    m = stream.normal(*stack, rows, cols)
+    m = draw(*stack, rows, cols)
     return m.mT if spec.endswith(".T") else m
 
 
@@ -482,16 +483,28 @@ def _operand(spec, stream, stack=()):
 _RUNS = 2
 
 
+@pytest.fixture(scope="module")
+def draw_once():
+    # Drawing the 1024 x 4096 operands costs far more than their products, and
+    # four wide cases share them: draw each stored shape once for the module.
+    @functools.cache
+    def draw(*shape):
+        m = RandomStream(27).normal(*shape)
+        m.flags.writeable = False  # every case reads the same array
+        return m
+
+    return draw
+
+
 @pytest.mark.parametrize("left, right", _DOT_OPERANDS, ids=[f"{a}@{b}" for a, b in _DOT_OPERANDS])
-def test_np_dot_is_bitwise_matmul_at_the_pass_shapes(left, right):
+def test_np_dot_is_bitwise_matmul_at_the_pass_shapes(left, right, draw_once):
     # A platform fact the training pass relies on: np.dot makes the same BLAS
     # call as @, so swapping one for the other changes no output bit; and @ on
     # a stack of such operands gives each slice's 2-D product, so a stack of
     # runs steps as each run would alone.
-    stream = RandomStream(27)
-    a, b = _operand(left, stream), _operand(right, stream)
+    a, b = _operand(left, draw_once), _operand(right, draw_once)
     assert np.array_equal(np.dot(a, b), a @ b), f"np.dot differs from @ at {left} @ {right}"
-    sa, sb = _operand(left, stream, (_RUNS,)), _operand(right, stream, (_RUNS,))
+    sa, sb = _operand(left, draw_once, (_RUNS,)), _operand(right, draw_once, (_RUNS,))
     stacked = sa @ sb
     for i in range(_RUNS):
         want = np.dot(sa[i], sb[i])
@@ -528,7 +541,7 @@ _GRAM_OPERANDS = ["32x4", "4x32", "4x32.T", "128x4", "4x128", "1024x16", "16x102
 def test_np_dot_is_bitwise_matmul_at_the_gram_shapes(spec):
     # Same platform fact for the symmetric products m^T m and m m^T, which
     # both np.dot and @ send to BLAS syrk: one exactly symmetric result.
-    m = _operand(spec, RandomStream(28))
+    m = _operand(spec, RandomStream(28).normal)
     for got, want in ((np.dot(m.T, m), m.T @ m), (np.dot(m, m.T), m @ m.T)):
         assert np.array_equal(got, want), f"np.dot differs from @ for the Gram of {spec}"
         assert np.array_equal(got, got.T)
@@ -538,7 +551,7 @@ def test_np_dot_is_bitwise_matmul_at_the_gram_shapes(spec):
 def test_stacked_syrk_gram_is_bitwise_each_slice_np_dot_gram(spec):
     # damped_gram_inverse forms m.mT @ m (or m @ m.mT) and linv.mT @ linv with
     # @ on one run or a stack: each slice must be np.dot's syrk Gram, symmetric.
-    stack = _operand(spec, RandomStream(29), (_RUNS,))
+    stack = _operand(spec, RandomStream(29).normal, (_RUNS,))
     pairs = ((stack.mT @ stack, lambda m: np.dot(m.T, m)), (stack @ stack.mT, lambda m: np.dot(m, m.T)))
     for got, one in pairs:
         for i in range(_RUNS):

@@ -141,6 +141,32 @@ def test_env_var_default_output_dir(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "run.csv").is_file()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep", "verify"])
+@pytest.mark.parametrize("out", ["a-file", "under-a-file", "a-dangling-link"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command, out):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run or check started")
+
+    monkeypatch.setattr(bench, "run_experiment", no_run)
+    monkeypatch.setattr(oracle, "run_checks", no_run)
+    blocker = tmp_path / "blocker"
+    if out == "a-dangling-link":
+        blocker.symlink_to(tmp_path / "nowhere")
+    else:
+        blocker.write_text("a file", encoding="utf-8")
+    argv = [command]
+    if command != "verify":
+        cfg = tmp_path / "run.json"
+        _write_config(cfg, **({"grid": {"eta": [0.1, 0.2]}} if command == "sweep" else {}))
+        argv.append(str(cfg))
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([*argv, "--out", str(blocker / "x" if out == "under-a-file" else blocker)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{blocker} is not a directory" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+    assert out == "a-dangling-link" or blocker.read_text(encoding="utf-8") == "a file"
+
+
 def test_verify_filtered_subset_passes(tmp_path):
     code = cli.main(
         ["verify", "--filter", "projector*", "--out", str(tmp_path), "--seed", "7"]
@@ -247,7 +273,7 @@ def test_sweep_resumes_skipping_completed_cells(tmp_path, capsys):
             assert p.stat().st_mtime_ns == mtimes[p.name]
 
 
-def test_sweep_parallel_threads(tmp_path):
+def test_sweep_parallel_threads(tmp_path, capsys):
     cfg = tmp_path / "grid.json"
     _write_config(
         cfg,
@@ -257,6 +283,14 @@ def test_sweep_parallel_threads(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "2"]) == cli.EXIT_OK
     assert len(list(out.glob("*.csv"))) == 4
+    # the pool and the inline loop write the same bytes and print the same messages in cell order
+    pooled = capsys.readouterr().out
+    inline = tmp_path / "inline"
+    assert cli.main(["sweep", str(cfg), "--out", str(inline), "--threads", "1"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == pooled
+    assert sorted(p.name for p in inline.iterdir()) == sorted(p.name for p in out.iterdir())
+    for path in out.iterdir():
+        assert path.read_bytes() == (inline / path.name).read_bytes()
 
 
 def test_sweep_records_singular_gram_cell_and_runs_the_rest(tmp_path, capsys):
@@ -462,6 +496,17 @@ def test_report_malformed_sidecar_lists_offender(tmp_path, capsys, sidecar):
     assert "bad.json" in err and "good.json" not in err
 
 
+@pytest.mark.parametrize("victim", ["bad.csv", "bad.json"])
+def test_report_names_a_directory_in_place_of_a_run_file(tmp_path, capsys, victim):
+    _fake_run(tmp_path, "good", "altlora", 1.0, 12)
+    _fake_run(tmp_path, "bad", "altlora", 1.0, 12)
+    (tmp_path / victim).unlink()
+    (tmp_path / victim).mkdir()
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert victim in err and "good" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "drop",
     [("spec",), ("steps_to_threshold",), ("final_loss",), ("spec", "optimizer"), ("spec", "train", "eta")],
@@ -596,3 +641,23 @@ def test_sweep_resume_removes_temporary_files_a_killed_sweep_left(tmp_path, caps
     assert "sweep: 1 run, 1 skipped, 0 failed" in capsys.readouterr().out
     assert sorted(p.name for p in out.iterdir() if p.name.endswith(".tmp")) == []
     assert (out / "grid__eta-0.2.json").exists()
+
+
+def test_sweep_resume_removes_only_the_temporary_files_of_pending_cells(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    train = {"eta": 0.3, "beta1": 0.0, "order": "b_first", "steps": 5}
+    _write_config(cfg, train=train, grid={"eta": [0.1, 0.2]})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    (out / "grid__eta-0.2.json").unlink()
+    foreign = os.getpid() + 1
+    pending = [f".grid__eta-0.2.{ext}.{foreign}.tmp" for ext in ("csv", "json")]
+    # a completed cell's, a name outside the grid, a name the pending one prefixes, and no pid
+    kept = [f".grid__eta-0.1.csv.{foreign}.tmp", f".other.json.{foreign}.tmp",
+            f".grid__eta-0.25.csv.{foreign}.tmp", ".grid__eta-0.2.csv.tmp"]
+    for name in pending + kept:
+        (out / name).write_text("half-written", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == cli.EXIT_OK
+    assert "sweep: 1 run, 1 skipped, 0 failed" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir() if p.name.endswith(".tmp")) == sorted(kept)

@@ -1,5 +1,6 @@
 """Optimizer tests: scaled gradients, momentum alignment, steppers, baselines."""
 
+import copy
 import math
 import tracemalloc
 from dataclasses import replace
@@ -513,7 +514,7 @@ def test_a_carry_whose_key_does_not_match_is_not_used(kind, order, change):
             moved = fixed.copy() if change == "rebind" else fixed + 1e-3 * stream.normal(*fixed.shape)
             setattr(layer, owner, moved)
         assert "gram" in layer._memo
-        earlier_layer, earlier_state = layer.copy(), state.copy()
+        earlier_layer, earlier_state = layer.copy(), copy.deepcopy(state)
         g = FullGradient(stream.normal(12, 8), stream.normal(20, 8) / np.sqrt(20))
         step(layer, state, g, cfg)
         pass_ref.alternating_step(earlier_layer, earlier_state, g, cfg, kind == optim.ALTLORA_PLUS)
@@ -537,7 +538,7 @@ def test_an_equal_lam_in_another_float_misses_the_carry_with_the_same_bits(kind,
     state = optim.make_state(kind, layer)
     step = optim.make_stepper(kind)
     step(layer, state, as_gradient(stream.normal(12, 20)), cfg)
-    twin, twin_state = layer.copy(), state.copy()
+    twin, twin_state = layer.copy(), copy.deepcopy(state)
     twin._memo.update(layer._memo)  # the same carry
     equal = replace(cfg, lam=float("1e-6"))
     assert equal.lam == cfg.lam and equal.lam is not cfg.lam
@@ -564,7 +565,7 @@ def test_a_copied_layer_starts_with_an_empty_memo():
     twin = layer.copy()
     assert twin._memo == {}
     assert twin.w0 is layer.w0 and twin.a is layer.a and twin.b is layer.b and twin.alpha == layer.alpha
-    optim.altlora_step(twin, state.copy(), g, optim.TrainConfig(eta=0.05, beta1=0.9, lam=1e-6))
+    optim.altlora_step(twin, copy.deepcopy(state), g, optim.TrainConfig(eta=0.05, beta1=0.9, lam=1e-6))
     assert layer._memo == {"gram": carry}  # the source keeps its own
 
 
@@ -578,7 +579,7 @@ def test_the_carry_follows_the_layer_not_the_state(monkeypatch):
     cfg = optim.TrainConfig(eta=0.05, beta1=0.9, lam=1e-6)
     state = optim.make_state(optim.ALTLORA, layer)
     optim.altlora_step(layer, state, as_gradient(stream.normal(12, 20)), cfg)
-    earlier_layer, earlier_state, other = layer.copy(), state.copy(), state.copy()
+    earlier_layer, earlier_state, other = layer.copy(), copy.deepcopy(state), copy.deepcopy(state)
     g = as_gradient(stream.normal(12, 20))
     calls.clear()
     optim.altlora_step(layer, other, g, cfg)
