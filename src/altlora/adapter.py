@@ -46,7 +46,9 @@ class LoraLayer:
 
     _memo, the library's one memo, is read by _held and written, frozen, by
     _product alone; each entry (first, second, product) keys on the identity of
-    first and second: W0 X, A X, X QX^T and the Gram carry (factor, lam, inverse).
+    first and second: W0 X, A X, X QX^T, R_P (B, target) and the Gram carry
+    (factor, lam, inverse); rebinding alpha, which R_P reads, empties it. _work,
+    never in it, holds what never leaves a pass: a compressed pass's QX and R_P QX.
     """
 
     w0: np.ndarray
@@ -54,8 +56,11 @@ class LoraLayer:
     b: np.ndarray
     alpha: float
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
+        if name == "alpha" and "_memo" in self.__dict__:
+            self._memo.clear()
         object.__setattr__(self, name, _frozen(value) if name in ("w0", "a", "b") else value)
 
     def __post_init__(self):
@@ -86,8 +91,14 @@ class LoraLayer:
         return self.alpha / self.a.shape[-2]
 
     def copy(self) -> "LoraLayer":
-        """A layer over the same read-only w0, a and b, with an empty memo."""
+        """A layer over the same read-only w0, a and b, with an empty memo and workspace."""
         return LoraLayer(self.w0, self.a, self.b, self.alpha)
+
+    def _buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """The workspace's float64 array name of this shape, made on first use."""
+        if (buf := self._work.get(name)) is None or buf.shape != shape:
+            buf = self._work[name] = np.empty(shape)
+        return buf
 
     def _held(self, name: str, first, second):
         """The product of memo entry name computed from these very objects, else
@@ -219,14 +230,16 @@ def _residual(y: np.ndarray, target, out=None) -> np.ndarray:
 
 
 def _mean_square(res: np.ndarray, out=None):
-    """sum(res^2) / m by np.sum's reduction, minus its wrapper.
+    """sum(res^2) / m by np.sum's reduction, minus its wrapper: a float for one
+    run, the (S,) array of each slice's value for a stack.
 
-    A float for one run, by sum_of_squares: no res-sized temporary. For a
-    stack, the (S,) array of each slice's value; out=res squares it in place.
+    out=res squares res in place. Without out, one run reduces by
+    sum_of_squares, which makes no res-sized temporary.
     """
-    if res.ndim == 2:  # sum_of_squares reduces with axis=None: the same bits as (-2, -1)
+    if out is None and res.ndim == 2:  # sum_of_squares reduces with axis=None: the same bits as (-2, -1)
         return float(sum_of_squares(res) / res.shape[1])
-    return np.add.reduce(np.square(res, out=out), axis=(-2, -1)) / res.shape[-1]
+    mean = np.add.reduce(np.square(res, out=out), axis=(-2, -1)) / res.shape[-1]
+    return float(mean) if res.ndim == 2 else mean
 
 
 def _backward(model: ToyModel, x: np.ndarray, dy: np.ndarray, cache) -> FullGradient:
@@ -245,12 +258,15 @@ def mse_loss(y: np.ndarray, target: np.ndarray):
     return _mean_square(diff, out=diff)
 
 
-def _residual_factors(layer: LoraLayer, ax: np.ndarray, target: FactoredTarget):
-    """P = [s B, -us] (k x r') and QX = [A X; vx] (r' x m), r' = r + r*: Y - T = P QX."""
+def _residual_factors(layer: LoraLayer, ax: np.ndarray, target: FactoredTarget, work: bool = False):
+    """P = [s B, -us] (k x r') and QX = [A X; vx] (r' x m), r' = r + r*: Y - T = P QX;
+    new arrays, but with work QX is written over the layer's workspace."""
     p = np.concatenate((layer.b, target._neg_us), axis=-1)
     if layer.s != 1.0:  # as in forward
         p[..., :layer.r] *= layer.s
-    return p, np.concatenate((ax, target.vx), axis=-2)
+    vx = target.vx
+    qx = layer._buffer("qx", (*ax.shape[:-2], ax.shape[-2] + vx.shape[-2], ax.shape[-1])) if work else None
+    return p, np.concatenate((ax, vx), axis=-2, out=qx)
 
 
 def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tuple[float, FullGradient]:
@@ -259,22 +275,25 @@ def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tu
     A compressed pass forms no k x m array: its loss is ||R_P QX||_F^2 / m
     for R_P = qr(P), as accurate as P QX since Householder QR is backward
     stable, and its gradient the rank-r' factors ((2/m) P, X QX^T). A X and
-    X QX^T, the products of inner dimension m, come from the layer's memo,
-    so the pass after a B-phase reuses them; P, QX and R_P are formed anew."""
+    X QX^T, the products of inner dimension m, and R_P come from the layer's
+    memo: the pass after a B-phase reuses the first two, the pass after an
+    A-phase R_P. QX and R_P QX are written over the layer's workspace; P is
+    new, and scaled in place into u. The residual form takes new arrays."""
     layer = model.layer
     if model.w2 is not None:
         raise ValueError("a factored target needs the linear head")
     dot = np.dot if layer.a.ndim == x.ndim == 2 else np.matmul
     m = x.shape[-1]
+    compressed = layer.k * m > SQUARE_CHUNK  # past sum_of_squares' whole-square size; below it one GEMM P QX is cheaper
     try:  # the product and the concatenations check that k, m and the run axes fit
         ax = layer._product("ax", layer.a, x, dot)
-        p, qx = _residual_factors(layer, ax, target)
+        p, qx = _residual_factors(layer, ax, target, work=compressed)
     except ValueError:
         raise ShapeMismatch(f"factored target {target.us.shape} x {target.vx.shape} does not fit the layer "
                             f"{layer.b.shape[:-1]} and batch {x.shape}") from None
-    if layer.k * m > SQUARE_CHUNK:  # past sum_of_squares' whole-square size; below it one GEMM P QX is cheaper
+    if compressed:
         v = layer._product("v", ax, target, dot, x, qx.mT)
-        rq = dot(np.linalg.qr(p, mode="r"), qx)
+        rq = dot(layer._product("rp", layer.b, target, np.linalg.qr, p, "r"), qx, out=layer._buffer("rq", qx.shape))
         p *= 2.0 / m
         return _mean_square(rq, out=rq), FullGradient(p, v)
     res = dot(p, qx)
@@ -307,14 +326,18 @@ def factored_norms(layer: LoraLayer, x: np.ndarray, target: FactoredTarget, vt: 
     """(||s B A - U Sigma V^T||_F, ||G||_F) of one run's pass toward target = (U Sigma, V^T X).
 
     ||P M||_F = ||R_P M||_F for R_P = qr(P), and s B A - U Sigma V^T = P [A; V^T],
-    G = (2/m) P (X QX^T)^T: neither norm forms a k x d or k x m array. A X and X QX^T
-    are the memo's, as a compressed pass left them; a residual-form row stores X QX^T.
+    G = (2/m) P (X QX^T)^T: neither norm forms a k x d or k x m array. R_P and X QX^T
+    are the memo's, as a compressed pass left them, and the row then forms no P and
+    no QX; otherwise it forms both and stores what it missed.
     """
     ax = layer._product("ax", layer.a, x, np.dot)
-    p, qx = _residual_factors(layer, ax, target)
-    rp = np.linalg.qr(p, mode="r")
+    rp, v = layer._held("rp", layer.b, target), layer._held("v", ax, target)
+    if rp is None or v is None:
+        p, qx = _residual_factors(layer, ax, target)
+        rp = layer._product("rp", layer.b, target, np.linalg.qr, p, "r")
+        v = layer._product("v", ax, target, np.dot, x, qx.T)
     err = frobenius(np.dot(rp, np.concatenate((layer.a, vt))))
-    return err, 2.0 / x.shape[1] * frobenius(np.dot(rp, layer._product("v", ax, target, np.dot, x, qx.T).T))
+    return err, 2.0 / x.shape[1] * frobenius(np.dot(rp, v.T))
 
 
 def _factors(g: FullGradient, layer: LoraLayer):

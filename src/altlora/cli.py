@@ -142,8 +142,12 @@ def resolve_out_dir(flag_value: str | None, doc: dict | None = None) -> Path:
 def atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:  # no temporary file outlives a failed write
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _build_id() -> str:
@@ -357,7 +361,10 @@ def cmd_report(args) -> int:
                 )
             )
         )
-    atomic_write_text(directory / "summary.csv", "\n".join(lines) + "\n")
+    try:
+        atomic_write_text(directory / "summary.csv", "\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {directory / 'summary.csv'}: {exc.strerror or exc}") from None
 
     # best cell per optimizer: fewest steps to threshold, else lowest loss
     by_opt: dict = {}

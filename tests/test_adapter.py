@@ -377,12 +377,12 @@ def _read_only_arrays() -> dict:
         "layer.w0": layer.w0, "layer.a": layer.a, "layer.b": layer.b,
         "target.us": target.us, "target.vx": target.vx, "batch": x, "batch base": base,
         "memo w0x": relu.layer._memo["w0x"][2], "memo ax": layer._memo["ax"][2], "memo v": wide.layer._memo["v"][2],
-        "compressed g.v": compressed.v, "memo gram": layer._memo["gram"][2],
+        "compressed g.v": compressed.v, "memo gram": layer._memo["gram"][2], "memo rp": wide.layer._memo["rp"][2],
     }
 
 
 @pytest.mark.parametrize("name", ["layer.w0", "layer.a", "layer.b", "target.us", "target.vx", "batch", "batch base",
-                                  "memo w0x", "memo ax", "memo v", "compressed g.v", "memo gram"])
+                                  "memo w0x", "memo ax", "memo v", "compressed g.v", "memo gram", "memo rp"])
 def test_an_in_place_write_to_a_bound_or_held_array_raises(name):
     array = _read_only_arrays()[name]
     with pytest.raises(ValueError, match="read-only"):
@@ -404,6 +404,69 @@ def test_a_write_through_the_base_of_a_view_handed_in_raises(name):
     with pytest.raises(ValueError, match="read-only"):
         base[0] += 1.0
     assert ad.training_pass(model, arrays["x"], target)[0] == loss
+
+
+def _arrays_in(*items):
+    """The ndarrays among items, a FactoredTarget's and a tuple's own arrays included."""
+    for item in items:
+        if isinstance(item, ad.FactoredTarget):
+            yield from (item.us, item.vx, item._neg_us)
+        elif isinstance(item, tuple):
+            yield from _arrays_in(*item)
+        elif isinstance(item, np.ndarray):
+            yield item
+
+
+@pytest.mark.parametrize("form", ["residual", "compressed", "stacked"])
+def test_no_returned_or_held_array_shares_memory_with_the_workspace(form):
+    # Three passes, each with its eval row and an altlora step (a B-phase, an
+    # A-phase, a B-phase): the workspace's buffers are written by every
+    # compressed pass, so nothing a caller or the memo keeps may be a view of
+    # one. The residual form, whose arrays are small, keeps none.
+    k, d, r, rs = 64, 12, 3, 2
+    m = SQUARE_CHUNK // k + (form != "residual")  # one column past the cut compresses
+    lead = (2,) if form == "stacked" else ()
+    stream = RandomStream(37)
+    layer = ad.LoraLayer(stream.normal(*lead, k, d), stream.normal(*lead, r, d), stream.normal(*lead, k, r), 2.0)
+    x, vt = stream.normal(*lead, d, m), stream.normal(*lead, rs, d)
+    target = ad.FactoredTarget(stream.normal(*lead, k, rs), vt @ x)
+    model, state = ad.ToyModel(layer), optim.make_state(optim.ALTLORA, layer)
+    kept = []
+    for _ in range(3):
+        loss, g = ad.training_pass(model, x, target)
+        row = () if lead else ad.factored_norms(layer, x, target, vt)
+        assert all(type(norm) is float for norm in row)
+        optim.altlora_step(layer, state, g, optim.TrainConfig(eta=0.1, beta1=0.9))
+        kept += [loss, g.u, g.v, layer.a, layer.b, state.ma, state.mb]
+    assert sorted(layer._work) == ([] if form == "residual" else ["qx", "rq"])
+    assert (type(loss) is float) == (not lead) and "rp" in layer._memo
+    work = list(layer._work.values())
+    for array in _arrays_in(*kept, *layer._memo.values()):
+        assert not any(np.shares_memory(array, buf) for buf in work)
+
+
+def test_a_compressed_pass_after_a_b_phase_allocates_less_than_one_r_by_m_array():
+    # A X and X QX^T are held, QX and R_P QX are written over the workspace and
+    # squared there, and the B-phase's new B costs one r' x r' QR of the k x r' P.
+    k, d, r, rs = 64, 12, 3, 2
+    m = 4 * SQUARE_CHUNK // k
+    stream = RandomStream(38)
+    layer = ad.LoraLayer(stream.normal(k, d), stream.normal(r, d), stream.normal(k, r), 2.0)
+    x = stream.normal(d, m)
+    target = ad.FactoredTarget(stream.normal(k, rs), stream.normal(rs, m))
+    model = ad.ToyModel(layer)
+    _, g = ad.training_pass(model, x, target)  # fills the memo and the workspace, as a run's first pass does
+    optim.altlora_step(layer, optim.make_state(optim.ALTLORA, layer), g, optim.TrainConfig(eta=0.1))
+    assert layer._held("ax", layer.a, x) is not None and layer._held("rp", layer.b, target) is None  # a B-phase
+    del g
+    tracemalloc.start()
+    try:
+        _, g = ad.training_pass(model, x, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.u.shape == (k, r + rs)  # the compressed form ran
+    assert peak < (r + rs) * m * 8
 
 
 def test_a_caller_array_becomes_read_only_once_handed_in():

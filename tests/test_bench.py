@@ -434,6 +434,65 @@ def test_a_row_after_a_compressed_pass_forms_no_product_of_inner_dimension_m(mon
     assert inner and x.shape[1] not in inner
 
 
+def _count_qr(monkeypatch) -> list:
+    """The shapes np.linalg.qr factors from now on, in call order."""
+    real_qr, calls = np.linalg.qr, []
+
+    def qr(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    return calls
+
+
+def test_a_row_takes_r_p_from_the_memo_and_a_new_b_misses(monkeypatch):
+    # R_P = qr(P) is the memo entry (B, target, R_P): the row after a
+    # compressed pass forms no P or QX, factors nothing and gives a fresh
+    # layer's bits; a new B, even one of the same values, is factored afresh.
+    task = bench.generate_task(_spec(k=192, d=192, init_b="gaussian", alpha=2.5, seed=5))
+    model, x, target, vt = task.model, task.x, task.target, task.vt
+    layer = model.layer
+    training_pass(model, x, target)
+    held = layer._memo["rp"]
+    assert held[0] is layer.b and held[1] is target
+    calls = _count_qr(monkeypatch)
+    with monkeypatch.context() as held_only:
+        held_only.setattr(adapter, "_residual_factors", None)  # calling it raises
+        row = adapter.factored_norms(layer, x, target, vt)
+    assert calls == [] and layer._memo["rp"] is held
+    assert adapter.factored_norms(layer.copy(), x, target, vt) == row and len(calls) == 1
+    layer.b = layer.b.copy()
+    assert adapter.factored_norms(layer, x, target, vt) == row and len(calls) == 2
+    layer.b = 2.0 * layer.b
+    moved = adapter.factored_norms(layer, x, target, vt)
+    assert moved != row and moved == adapter.factored_norms(layer.copy(), x, target, vt) and len(calls) == 4
+
+
+def test_rebinding_alpha_empties_the_memo_that_r_p_is_held_in():
+    # P = [s B, -us] reads s = alpha / r, which no memo key names.
+    task = bench.generate_task(_spec(k=192, d=192, init_b="gaussian", alpha=2.5, seed=5))
+    model, x, target, vt = task.model, task.x, task.target, task.vt
+    layer = model.layer
+    training_pass(model, x, target)
+    layer.alpha = 5.0
+    assert layer._memo == {}
+    want = adapter.factored_norms(adapter.LoraLayer(layer.w0, layer.a, layer.b, 5.0), x, target, vt)
+    assert adapter.factored_norms(layer, x, target, vt) == want
+
+
+@pytest.mark.parametrize("form", ["residual", "compressed"])
+def test_a_run_factors_p_once_per_b(monkeypatch, form):
+    # 6 b_first steps bind 4 B's; the pass after an A-phase and every row,
+    # one per step, reuse the R_P of the B they meet.
+    if form == "compressed":
+        monkeypatch.setattr(adapter, "SQUARE_CHUNK", 0)
+    spec = _spec(eval_every=1, train=optim.TrainConfig(eta=0.3, beta1=0.9, lam=1e-6, order=optim.B_FIRST, steps=6))
+    calls = _count_qr(monkeypatch)
+    assert len(bench.run_experiment(spec).rows) == 7
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("optimizer", list(optim.OPTIMIZERS))
 @pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
 @pytest.mark.parametrize("beta1", [0.0, 0.9])

@@ -507,6 +507,31 @@ def test_report_names_a_directory_in_place_of_a_run_file(tmp_path, capsys, victi
     assert victim in err and "good" not in err and "Traceback" not in err
 
 
+def test_report_that_cannot_write_its_summary_exits_2_and_leaves_no_temporary_file(tmp_path, capsys):
+    _fake_run(tmp_path, "good", "altlora", 1.0, 12)
+    (tmp_path / "summary.csv").mkdir()  # os.replace cannot put a file in place of a directory
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert str(tmp_path / "summary.csv") in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not list(tmp_path.glob(".summary.csv.*.tmp"))
+    assert (tmp_path / "summary.csv").is_dir()
+
+
+@pytest.mark.parametrize("fail_in", ["write_text", "replace"])
+def test_atomic_write_text_removes_its_temporary_file_when_the_write_fails(tmp_path, monkeypatch, fail_in):
+    def fail(tmp, *args, **kwargs):  # the temporary file exists when either call fails
+        tmp.touch()
+        raise OSError(28, "No space left on device")
+
+    if fail_in == "replace":
+        monkeypatch.setattr(cli.os, "replace", fail)
+    else:
+        monkeypatch.setattr(cli.Path, "write_text", fail)
+    with pytest.raises(OSError, match="No space left"):
+        cli.atomic_write_text(tmp_path / "run.csv", "text\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "drop",
     [("spec",), ("steps_to_threshold",), ("final_loss",), ("spec", "optimizer"), ("spec", "train", "eta")],
