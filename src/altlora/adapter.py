@@ -40,7 +40,8 @@ class LoraLayer:
 
     w0: k x d, never mutated by optimizer steps.
     a:  r x d trainable; b: k x r trainable.
-    alpha: scaling numerator; the applied factor is s = alpha / r.
+    alpha: scaling numerator, positive and finite whenever it is bound; the
+    applied factor is s = alpha / r.
     A stack of S runs gives each array a leading axis (S, ...).
     w0, a and b are bound read-only: a step rebinds a factor, never writes it.
 
@@ -59,8 +60,10 @@ class LoraLayer:
     _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
-        if name == "alpha" and "_memo" in self.__dict__:
-            self._memo.clear()
+        if name == "alpha":  # checked before the memo is touched, so a rejected value changes nothing
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"alpha must be positive and finite, got {value}")
+            self.__dict__.get("_memo", {}).clear()
         object.__setattr__(self, name, _frozen(value) if name in ("w0", "a", "b") else value)
 
     def __post_init__(self):
@@ -71,8 +74,6 @@ class LoraLayer:
         r, low = a.shape[-2], min(w0.shape[-2:])
         if not 0 < r <= low:
             raise ShapeMismatch(f"rank {r} of factors {b.shape} x {a.shape} is not in 1..min(k, d) = {low}")
-        if not 0.0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def k(self) -> int:
@@ -258,15 +259,20 @@ def mse_loss(y: np.ndarray, target: np.ndarray):
     return _mean_square(diff, out=diff)
 
 
-def _residual_factors(layer: LoraLayer, ax: np.ndarray, target: FactoredTarget, work: bool = False):
-    """P = [s B, -us] (k x r') and QX = [A X; vx] (r' x m), r' = r + r*: Y - T = P QX;
-    new arrays, but with work QX is written over the layer's workspace."""
+def _p(layer: LoraLayer, target: FactoredTarget) -> np.ndarray:
+    """P = [s B, -us] (k x r'), r' = r + r*, a new array: the one builder of P,
+    which the pass and the eval rows of both heads call. Y - T = P QX."""
     p = np.concatenate((layer.b, target._neg_us), axis=-1)
     if layer.s != 1.0:  # as in forward
         p[..., :layer.r] *= layer.s
+    return p
+
+
+def _qx(layer: LoraLayer, ax: np.ndarray, target: FactoredTarget, work: bool = False) -> np.ndarray:
+    """QX = [A X; vx] (r' x m), a new array, or with work written over the layer's workspace."""
     vx = target.vx
     qx = layer._buffer("qx", (*ax.shape[:-2], ax.shape[-2] + vx.shape[-2], ax.shape[-1])) if work else None
-    return p, np.concatenate((ax, vx), axis=-2, out=qx)
+    return np.concatenate((ax, vx), axis=-2, out=qx)
 
 
 def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tuple[float, FullGradient]:
@@ -287,7 +293,7 @@ def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tu
     compressed = layer.k * m > SQUARE_CHUNK  # past sum_of_squares' whole-square size; below it one GEMM P QX is cheaper
     try:  # the product and the concatenations check that k, m and the run axes fit
         ax = layer._product("ax", layer.a, x, dot)
-        p, qx = _residual_factors(layer, ax, target, work=compressed)
+        p, qx = _p(layer, target), _qx(layer, ax, target, work=compressed)
     except ValueError:
         raise ShapeMismatch(f"factored target {target.us.shape} x {target.vx.shape} does not fit the layer "
                             f"{layer.b.shape[:-1]} and batch {x.shape}") from None
@@ -322,21 +328,21 @@ def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGr
     return _mean_square(res), _backward(model, x, res, cache)
 
 
-def factored_norms(layer: LoraLayer, x: np.ndarray, target: FactoredTarget, vt: np.ndarray):
-    """(||s B A - U Sigma V^T||_F, ||G||_F) of one run's pass toward target = (U Sigma, V^T X).
+def factored_norms(layer: LoraLayer, target: FactoredTarget, vt: np.ndarray, x: np.ndarray | None = None):
+    """(||s B A - U Sigma V^T||_F, ||G||_F) toward target = (U Sigma, V^T X); no batch x, no G.
 
-    ||P M||_F = ||R_P M||_F for R_P = qr(P), and s B A - U Sigma V^T = P [A; V^T],
-    G = (2/m) P (X QX^T)^T: neither norm forms a k x d or k x m array. R_P and X QX^T
-    are the memo's, as a compressed pass left them, and the row then forms no P and
-    no QX; otherwise it forms both and stores what it missed.
+    ||P M||_F = ||R_P M||_F for R_P = qr(P), s B A - U Sigma V^T = P [A; V^T] and
+    G = (2/m) P (X QX^T)^T, so neither norm forms a k x d or k x m array. The ReLU
+    row passes target = FactoredTarget(U Sigma, V^T), W* as the target of X = I, and
+    no x. R_P and X QX^T are the memo's if a pass left them (a compressed pass leaves
+    both), and the row then forms no P and no QX; else it forms and stores what it missed.
     """
-    ax = layer._product("ax", layer.a, x, np.dot)
-    rp, v = layer._held("rp", layer.b, target), layer._held("v", ax, target)
-    if rp is None or v is None:
-        p, qx = _residual_factors(layer, ax, target)
-        rp = layer._product("rp", layer.b, target, np.linalg.qr, p, "r")
-        v = layer._product("v", ax, target, np.dot, x, qx.T)
+    rp = layer._product("rp", layer.b, target, lambda b, t: np.linalg.qr(_p(layer, t), "r"))
     err = frobenius(np.dot(rp, np.concatenate((layer.a, vt))))
+    if x is None:
+        return err, None
+    ax = layer._product("ax", layer.a, x, np.dot)
+    v = layer._product("v", ax, target, lambda ax, t: np.dot(x, _qx(layer, ax, t).T))
     return err, 2.0 / x.shape[1] * frobenius(np.dot(rp, v.T))
 
 

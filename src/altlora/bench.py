@@ -28,7 +28,6 @@ from .adapter import (
     factored_norms,
     forward,
     init_layer,
-    merged_weight,
     training_pass,
 )
 from .matcore import (
@@ -136,18 +135,15 @@ def _json_dict(config) -> dict:
 @dataclass
 class Task:
     """Generated instance: the student model, the batch, its target and the
-    teacher W* = W0 + us vt (us = U Sigma, vt = V^T). The lowrank target is
-    FactoredTarget(us, vt X); the ReLU task's is the dense w2 relu(W* X)."""
+    teacher W* = W0 + us vt (us = U Sigma, vt = V^T), kept as its factors for
+    both heads' eval rows. The lowrank target is FactoredTarget(us, vt X); the
+    ReLU task's is the dense w2 relu(W* X)."""
 
     model: ToyModel
     x: np.ndarray
     target: np.ndarray | FactoredTarget
     us: np.ndarray
     vt: np.ndarray
-
-    @property
-    def teacher_weight(self) -> np.ndarray:  # dense k x d: the ReLU eval rows and the oracles
-        return self.model.layer.w0 + self.us @ self.vt
 
 
 @dataclass
@@ -289,24 +285,23 @@ def _optimizer_flops(spec: ExperimentSpec) -> int:
 
 
 def _evaluator(task: Task):
-    """g -> (weight_err, grad_norm) of the eval row of the pass g.
+    """g -> (weight_err, grad_norm) of the eval row of the pass g, one design for both heads.
 
-    The ReLU head builds the merged weight and the dense G = dZ X^T. A factored
-    pass's rows are adapter.factored_norms, the error over ||W*||_F, whose square
-    is ||W0||^2 + 2 <U Sigma, W0 V> + ||U Sigma V^T||^2.
+    weight_err is adapter.factored_norms' ||s B A - U Sigma V^T||_F over ||W*||_F,
+    whose square is ||W0||^2 + 2 <U Sigma, W0 V> + ||U Sigma V^T||^2; neither
+    forms a k x d array. grad_norm is the lowrank row's factored ||G||_F; the ReLU
+    row's is ||dZ X^T||_F from the dense g.g, a product that is generically full rank.
     """
-    layer, x = task.model.layer, task.x
-    if not isinstance(task.target, FactoredTarget):
-        teacher = task.teacher_weight
-        teacher_norm = max(frobenius(teacher), 1e-300)
-        return lambda g: (frobenius(merged_weight(layer) - teacher) / teacher_norm, frobenius(g.g))
-    us, vt, w0 = task.us, task.vt, layer.w0
+    layer, us, vt, w0 = task.model.layer, task.us, task.vt, task.model.layer.w0
     square = sum_of_squares(w0) + 2.0 * np.vdot(us, np.dot(w0, vt.T)) + np.vdot(us.T @ us, vt @ vt.T)
     teacher_norm = max(math.sqrt(square), 1e-300)
+    # the ReLU row's target is the teacher, as the target of the identity batch: its P is the lowrank row's
+    lowrank = isinstance(task.target, FactoredTarget)
+    target, x = (task.target, task.x) if lowrank else (FactoredTarget(us, vt), None)
 
     def evaluate(g) -> tuple[float, float]:
-        err, grad_norm = factored_norms(layer, x, task.target, vt)
-        return err / teacher_norm, grad_norm
+        err, grad_norm = factored_norms(layer, target, vt, x)
+        return err / teacher_norm, frobenius(g.g) if x is None else grad_norm
 
     return evaluate
 

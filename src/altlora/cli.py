@@ -150,6 +150,13 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _run_name(name: str) -> str:
+    """name, if its run files sit in the output directory itself and neither is report's summary.csv."""
+    if Path(name).name != name or name in ("..", "summary") or "\0" in name:
+        raise ConfigError(f"run name {name!r} must be a plain file name other than 'summary'")
+    return name
+
+
 def _build_id() -> str:
     # ALTLORA_BUILD_ID lets packagers stamp a git describe string
     return os.environ.get("ALTLORA_BUILD_ID", f"altlora-{__version__}")
@@ -224,7 +231,7 @@ def cmd_train(args) -> int:
         raise ConfigError("config has a 'grid' section; use the sweep command")
     spec = build_spec(doc, seed_override=args.seed)
     out_dir = resolve_out_dir(args.out, doc)
-    name = doc.get("name") or Path(args.config).stem
+    name = _run_name(doc.get("name") or Path(args.config).stem)
     ok, message = execute_run(spec, out_dir, name)
     print(message)
     return EXIT_OK if ok else EXIT_FAILURE
@@ -263,7 +270,7 @@ def cmd_sweep(args) -> int:
     base = doc.get("name") or Path(args.config).stem
     cells = {}
     for overrides in _grid_cells(doc):
-        name = _cell_name(base, overrides)
+        name = _run_name(_cell_name(base, overrides))
         if name in cells:
             raise ConfigError(f"grid cells {cells[name]} and {overrides} share the name {name!r}")
         cells[name] = overrides
@@ -343,24 +350,11 @@ def cmd_report(args) -> int:
     lines = [header]
     for name, meta in runs:
         spec = meta["spec"]
-        lines.append(
-            ",".join(
-                str(v)
-                for v in (
-                    name,
-                    spec["optimizer"],
-                    spec["task"],
-                    spec["kappa"],
-                    spec["train"]["eta"],
-                    spec["alpha"] if spec["alpha"] is not None else spec["r"],
-                    spec["train"]["order"],
-                    spec["seed"],
-                    meta["steps_to_threshold"],
-                    meta["final_loss"],
-                    meta["diverged"],
-                )
-            )
-        )
+        alpha = spec["alpha"] if spec["alpha"] is not None else spec["r"]
+        values = (name, spec["optimizer"], spec["task"], spec["kappa"], spec["train"]["eta"], alpha,
+                  spec["train"]["order"], spec["seed"], meta["steps_to_threshold"], meta["final_loss"],
+                  meta["diverged"])
+        lines.append(",".join(map(str, values)))
     try:
         atomic_write_text(directory / "summary.csv", "\n".join(lines) + "\n")
     except OSError as exc:

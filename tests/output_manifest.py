@@ -1,6 +1,8 @@
-"""Build the canonical output set into DIR and print its sha256 manifest.
+"""Build the canonical output set into DIR and print its sha256 manifest,
+or print the drift report of one built tree against another.
 
     PYTHONPATH=src python tests/output_manifest.py DIR
+    PYTHONPATH=src python tests/output_manifest.py --against BASE DIR
 
 DIR must not exist yet. The set is every output a change that claims to
 keep every bit must leave as it was:
@@ -17,13 +19,24 @@ of one checkout, each in its own process, must print the same manifest,
 and so must the builds of two checkouts that claim the same bits. The
 script exits 1 when a sweep, train, report or verify command exits
 non-zero, or when the train report does not hold a row per config.
+
+--against compares two built trees, BASE and DIR, for a change that moves
+bits on purpose, and prints what moved: the files found in only one tree;
+for each CSV that differs, its change in row count and the largest relative
+deviation of each column (rows matched by their first entry, the step or the
+run name); for each JSON file that differs, the top-level keys that changed;
+and whether any steps_to_threshold or diverged moved, in a sidecar or in a
+summary.csv. It is a report: it exits 0 when both trees can be read, and 2
+on a usage error.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -148,15 +161,101 @@ def build(out: Path) -> None:
     train_runs(out / "train")
 
 
+def _files(directory: Path) -> set[str]:
+    """The names, relative to directory, of every file under it."""
+    return {p.relative_to(directory).as_posix() for p in directory.rglob("*") if p.is_file()}
+
+
 def manifest(directory: Path) -> list[str]:
     """Sorted ``sha256  name`` lines of every file under directory."""
-    files = sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*") if p.is_file())
-    return [f"{hashlib.sha256((directory / name).read_bytes()).hexdigest()}  {name}" for name in files]
+    return [f"{hashlib.sha256((directory / name).read_bytes()).hexdigest()}  {name}"
+            for name in sorted(_files(directory))]
+
+
+OUTCOME_KEYS = {"steps_to_threshold", "diverged"}
+
+
+def _relative(base: str, head: str) -> float:
+    """|head - base| / |base| of two entries; 0 for equal ones, inf for a non-number or a zero base."""
+    if base == head:
+        return 0.0
+    try:
+        x, y = float(base), float(head)
+    except ValueError:
+        return math.inf
+    if x == y:
+        return 0.0
+    deviation = abs(y - x) / abs(x) if x else math.inf
+    return math.inf if math.isnan(deviation) else deviation
+
+
+def _csv_drift(base: str, head: str) -> tuple[list[str], set[str]]:
+    """The report lines of two CSV texts and the names of the columns that moved."""
+    (header, *rows), (head_header, *head_rows) = ([line.split(",") for line in text.splitlines()] or [[]]
+                                                  for text in (base, head))
+    if header != head_header:
+        return [f"  header {','.join(header)} -> {','.join(head_header)}"], set(header) | set(head_header)
+    lines = [f"  rows {len(rows)} -> {len(head_rows)}"] if len(rows) != len(head_rows) else []
+    deviations: dict = {}
+    head_by_key = {row[0]: row for row in head_rows}
+    for row in rows:
+        for i, pair in enumerate(itertools.zip_longest(row, head_by_key.get(row[0], row), fillvalue="")):
+            deviations[i] = max(deviations.get(i, 0.0), _relative(*pair))
+    moved = {header[i] if i < len(header) else f"column {i + 1}": dev for i, dev in deviations.items() if dev}
+    lines += [f"  {column}: max relative deviation {dev:.3g}" for column, dev in moved.items()]
+    return lines, set(moved)
+
+
+def _json_drift(base: str, head: str) -> tuple[list[str], set[str]]:
+    """The report line of two JSON texts and the top-level keys that changed."""
+    base_doc, head_doc = json.loads(base), json.loads(head)
+    if not (isinstance(base_doc, dict) and isinstance(head_doc, dict)):
+        return [], set()
+    changed = {key for key in base_doc.keys() | head_doc.keys()
+               if key not in base_doc or key not in head_doc or json.dumps(base_doc[key]) != json.dumps(head_doc[key])}
+    return [f"  keys: {', '.join(sorted(changed))}"], changed
+
+
+def drift(base: Path, head: Path) -> list[str]:
+    """The lines of the drift report of the tree head against the tree base."""
+    base_files, head_files = _files(base), _files(head)
+    common = sorted(base_files & head_files)
+    lines = [f"{len(base_files)} files in {base}, {len(head_files)} in {head}"]
+    lines += [f"only in {base}: {name}" for name in sorted(base_files - head_files)]
+    lines += [f"only in {head}: {name}" for name in sorted(head_files - base_files)]
+    identical, moved = 0, []
+    for name in common:
+        texts = [(tree / name).read_bytes() for tree in (base, head)]
+        if texts[0] == texts[1]:
+            identical += 1
+            continue
+        lines.append(f"differs: {name}")
+        compare = {".csv": _csv_drift, ".json": _json_drift}.get(Path(name).suffix)
+        try:
+            detail, keys = compare(*(text.decode("utf-8") for text in texts)) if compare else ([], set())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            detail, keys = [f"  not comparable: {exc}"], set()
+        lines += detail
+        if keys & OUTCOME_KEYS:
+            moved.append(name)
+    lines.append(f"{identical} of {len(common)} common files byte-identical")
+    lines.append("steps_to_threshold and diverged: " + (f"moved in {', '.join(moved)}" if moved else "none moved"))
+    return lines
+
+
+USAGE = "usage: output_manifest.py DIR | output_manifest.py --against BASE DIR"
 
 
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--against"]:
+        trees = [Path(arg) for arg in argv[1:]]
+        if len(trees) != 2 or not all(tree.is_dir() for tree in trees):
+            print(f"{USAGE}\n--against takes two directories, got {argv[1:]}", file=sys.stderr)
+            return 2
+        print("\n".join(drift(*trees)))
+        return 0
     if len(argv) != 1:
-        print("usage: output_manifest.py DIR", file=sys.stderr)
+        print(USAGE, file=sys.stderr)
         return 2
     out = Path(argv[0])
     try:

@@ -11,11 +11,13 @@ mse_loss, then full_gradient, with s always applied; a phase that forms
 both factor gradients and a fresh Gram inverse in every scaled gradient
 and realignment; and baseline steps that write each moment formula out in
 their own branch. The tests check that every output bit stayed the same.
-Its run_experiment is also the dense oracle of the lowrank task: it trains
-toward Y = W* X from W0 X formed once per run and takes weight_err and grad_norm from
-the merged weight and the dense gradient, where the runner forms the residual
-from the factored target and both norms from one QR (bench._evaluator); the
-lowrank head is compared within a rounding bound, the ReLU head byte for byte.
+Its run_experiment is also the dense oracle of both heads: it trains toward
+Y = W* X (the lowrank head) from W0 X formed once per run and takes weight_err and
+grad_norm from the merged weight, the dense teacher_weight and the dense gradient,
+where the runner forms the lowrank residual from the factored target and, for both
+heads, weight_err from one QR (bench._evaluator). The lowrank head is compared
+within a rounding bound; the ReLU head byte for byte, but for its weight_err,
+which takes the lowrank head's bound.
 """
 
 import math
@@ -26,6 +28,11 @@ import numpy as np
 from altlora import bench, optim
 from altlora.adapter import FullGradient, merged_weight
 from altlora.matcore import SingularGram, damped_gram_inverse, frobenius
+
+
+def teacher_weight(task):
+    """The dense k x d teacher W* = W0 + U Sigma V^T of a generated task."""
+    return task.model.layer.w0 + task.us @ task.vt
 
 
 def forward(model, x, base=None):
@@ -143,7 +150,7 @@ def run_experiment(spec):
     replaced by the ones above, which the library's steppers then call.
     """
     task = bench.generate_task(spec)
-    model, x, teacher = task.model, task.x, task.teacher_weight
+    model, x, teacher = task.model, task.x, teacher_weight(task)
     y = teacher @ x if model.w2 is None else task.target
     cfg = spec.train
     stepper = optim.make_stepper(spec.optimizer)

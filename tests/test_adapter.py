@@ -33,6 +33,16 @@ def test_layer_rejects_an_alpha_that_is_not_positive_and_finite(alpha):
         _layer(np.eye(2), [[0.3, -0.7]], np.zeros((2, 1)), alpha)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_rebinding_alpha_takes_the_same_check_and_a_rejected_value_changes_nothing(alpha):
+    layer = _layer(np.eye(2), [[0.3, -0.7]], [[1.0], [2.0]], 2.0)
+    ad.forward(ad.ToyModel(layer), np.eye(2))
+    memo = dict(layer._memo)
+    with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+        layer.alpha = alpha
+    assert layer.alpha == 2.0 and layer.s == 2.0 and layer._memo == memo and memo
+
+
 def test_forward_zero_b_passes_base_weight_through():
     layer = _layer(np.eye(2), [[0.3, -0.7]], np.zeros((2, 1)), 1.0)
     model = ad.ToyModel(layer)
@@ -149,7 +159,7 @@ def test_factored_pass_is_the_dense_pass_of_its_target():
     want_ax = pass_ref.forward(model, x)[1]["ax"]
     np.testing.assert_array_equal(held[2], want_ax)
     assert g.v is x and held[0] is model.layer.a and held[1] is x
-    p, qx = ad._residual_factors(model.layer, held[2], target)
+    p, qx = ad._p(model.layer, target), ad._qx(model.layer, held[2], target)
     np.testing.assert_array_equal(p, np.hstack((model.layer.s * model.layer.b, -target.us)))
     np.testing.assert_array_equal(qx, np.vstack((want_ax, target.vx)))
 
@@ -180,7 +190,7 @@ def test_compressed_pass_is_the_qr_form_of_the_residual_pass(monkeypatch):
     layer = model.layer
     target = ad.FactoredTarget(layer.s * layer.b, layer.a @ x + 1e-6 * RandomStream(34).normal(3, m))
     loss, g = ad.training_pass(model, x, target)
-    p, qx = ad._residual_factors(layer, layer.a @ x, target)
+    p, qx = ad._p(layer, target), ad._qx(layer, layer.a @ x, target)
     assert loss == float(sum_of_squares(np.linalg.qr(p, mode="r") @ qx) / m)
     np.testing.assert_array_equal(g.u, 2.0 / m * p)
     np.testing.assert_array_equal(g.v, x @ qx.T)
@@ -434,7 +444,7 @@ def test_no_returned_or_held_array_shares_memory_with_the_workspace(form):
     kept = []
     for _ in range(3):
         loss, g = ad.training_pass(model, x, target)
-        row = () if lead else ad.factored_norms(layer, x, target, vt)
+        row = () if lead else ad.factored_norms(layer, target, vt, x)
         assert all(type(norm) is float for norm in row)
         optim.altlora_step(layer, state, g, optim.TrainConfig(eta=0.1, beta1=0.9))
         kept += [loss, g.u, g.v, layer.a, layer.b, state.ma, state.mb]

@@ -45,7 +45,7 @@ def _spec(**kw):
 
 def test_lowrank_rank_one_teacher_has_single_direction():
     task = bench.generate_task(_spec(teacher_rank=1, r=2))
-    delta = task.teacher_weight - task.model.layer.w0
+    delta = pass_ref.teacher_weight(task) - task.model.layer.w0
     sing = jacobi_svd(delta)[1]
     assert sing[0] > 0.9
     assert np.all(sing[1:] < 1e-12)
@@ -56,13 +56,13 @@ def test_lowrank_task_deterministic():
     b = bench.generate_task(_spec(seed=5))
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.target.us, b.target.us) and np.array_equal(a.target.vx, b.target.vx)
-    assert np.array_equal(a.teacher_weight, b.teacher_weight)
+    assert np.array_equal(pass_ref.teacher_weight(a), pass_ref.teacher_weight(b))
     assert np.array_equal(a.model.layer.a, b.model.layer.a)
 
 
 def test_lowrank_teacher_spectrum_spans_kappa():
     task = bench.generate_task(_spec(kappa=100.0))
-    delta = task.teacher_weight - task.model.layer.w0
+    delta = pass_ref.teacher_weight(task) - task.model.layer.w0
     sing = jacobi_svd(delta)[1][:4]
     assert abs(sing[0] / sing[3] - 100.0) < 1e-9
 
@@ -79,7 +79,7 @@ def test_lowrank_input_knob_conditions_the_data():
     eig = jacobi_svd(cov)[1]
     assert abs(eig[0] / eig[-1] - 50.0) < 1e-6
     # teacher spectrum stays flat when the knob is on the inputs
-    delta = task.teacher_weight - task.model.layer.w0
+    delta = pass_ref.teacher_weight(task) - task.model.layer.w0
     sing = jacobi_svd(delta)[1][:4]
     assert sing[0] / sing[3] < 1.0 + 1e-9
 
@@ -89,7 +89,7 @@ def test_relu_task_mirrors_lowrank_contracts():
     a = bench.generate_task(spec)
     b = bench.generate_task(spec)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.target, b.target)
-    delta = a.teacher_weight - a.model.layer.w0
+    delta = pass_ref.teacher_weight(a) - a.model.layer.w0
     sing = jacobi_svd(delta)[1]
     assert np.all(sing[2:] < 1e-12)  # rank r* perturbation
     cov = a.x @ a.x.T / a.x.shape[1]
@@ -250,12 +250,17 @@ def _assert_meets_dense(loss, g, dense, m, ax):
         assert frobenius(g.u - want.u) <= 2.0 / m * gap
 
 
+def _weight_floor(layer):
+    """The dense weight error's rounding floor, eps (||W0||_F + ||s B A||_F)."""
+    return EPS * (frobenius(layer.w0) + frobenius(layer.s * (layer.b @ layer.a)))
+
+
 def _assert_eval_meets_dense(evaluate, g, dense, layer, teacher, x):
     """weight_err and grad_norm of a factored pass against the merged weight and the dense G."""
     werr, norm = evaluate(g)
     _, want, floor, _ = dense
     teacher_norm = frobenius(teacher)
-    weight_floor = EPS * (frobenius(layer.w0) + frobenius(layer.s * (layer.b @ layer.a)))
+    weight_floor = _weight_floor(layer)
     dense_err = frobenius(merged_weight(layer) - teacher) / teacher_norm
     assert abs(werr - dense_err) <= FLOOR_ULPS * weight_floor / teacher_norm
     assert abs(norm - frobenius(want.g)) <= 2.0 / x.shape[1] * FLOOR_ULPS * floor * frobenius(x)
@@ -274,7 +279,7 @@ def _meets_the_dense_pass(spec, monkeypatch):
     columns. Returns its _outcome.
     """
     task = bench.generate_task(spec)
-    teacher, m = task.teacher_weight, task.x.shape[1]
+    teacher, m = pass_ref.teacher_weight(task), task.x.shape[1]
     y = teacher @ task.x
     real_pass, real_evaluator, dense = bench.training_pass, bench._evaluator, []
 
@@ -301,17 +306,45 @@ def _meets_the_dense_pass(spec, monkeypatch):
     return got
 
 
+def _relu_run_meets_the_earlier_pass(spec, monkeypatch):
+    """A ReLU run: every column of the earlier run byte for byte but weight_err, which
+    is within FLOOR_ULPS dense weight floors of the earlier run's dense value."""
+    real_evaluator, floors = bench._evaluator, []
+
+    def evaluator(task):
+        evaluate, layer = real_evaluator(task), task.model.layer
+        teacher_norm = frobenius(pass_ref.teacher_weight(task))
+
+        def row(g):
+            floors.append(FLOOR_ULPS * _weight_floor(layer) / teacher_norm)
+            return evaluate(g)
+
+        return row
+
+    with monkeypatch.context() as hooked:
+        hooked.setattr(bench, "_evaluator", evaluator)
+        got = _outcome(bench.run_experiment, spec)
+    want = _earlier_outcome(spec, monkeypatch)
+    case = (spec.train.beta1, spec.alpha, spec.train.gamma, spec.train.bias_correction)
+    assert got[:2] == want[:2], case
+    got_rows, want_rows = ([line.split(",") for line in lines] for lines in (got[2], want[2]))
+    assert [row[:2] + row[3:] for row in got_rows] == [row[:2] + row[3:] for row in want_rows], case
+    assert len(floors) == len(got_rows) - 1, case  # the header has no row
+    for got_row, want_row, floor in zip(got_rows[1:], want_rows[1:], floors):
+        assert abs(float(got_row[2]) - float(want_row[2])) <= floor, case
+
+
 @pytest.mark.parametrize("task", bench.TASKS)
 @pytest.mark.parametrize("optimizer", list(optim.OPTIMIZERS))
 def test_runner_matches_the_earlier_pass_byte_for_byte(task, optimizer, monkeypatch):
-    """The ReLU head byte for byte; the lowrank head within the dense pass's floor."""
+    """The ReLU head byte for byte but for weight_err; the lowrank head, and the ReLU
+    head's weight_err, within the dense pass's floor."""
     shape = dict(k=16, d=12) if task == "lowrank" else dict(d=8, width=32)
     for spec in _byte_grid(task, optimizer, shape):
         if task == "lowrank":
             _meets_the_dense_pass(spec, monkeypatch)
         else:
-            case = (spec.train.beta1, spec.alpha, spec.train.gamma, spec.train.bias_correction)
-            assert _outcome(bench.run_experiment, spec) == _earlier_outcome(spec, monkeypatch), case
+            _relu_run_meets_the_earlier_pass(spec, monkeypatch)
 
 
 @pytest.mark.parametrize("optimizer", list(optim.OPTIMIZERS))
@@ -380,7 +413,7 @@ def _stacked_pass_meets_the_dense_pass():
     target = FactoredTarget(np.stack([t.target.us for t in tasks]), np.stack([t.target.vx for t in tasks]))
     loss, g = training_pass(ToyModel(layer), x, target)
     for i, task in enumerate(tasks):
-        model, teacher = task.model, task.teacher_weight
+        model, teacher = task.model, pass_ref.teacher_weight(task)
         dense = _dense_pass(model, task.x, teacher @ task.x)
         one = FullGradient(g.u[i], g.v[i])
         _assert_meets_dense(loss[i], one, dense, task.x.shape[1], layer._memo["ax"][2][i])
@@ -401,15 +434,14 @@ def test_factored_norms_meet_the_dense_pass(k):
     error and the dense ||G||_F; the row reads A X, and X QX^T after a compressed
     pass, as the very memo entries the pass left, and stores X QX^T after a residual one."""
     task = bench.generate_task(_spec(k=k, d=k, init_b="gaussian", alpha=2.5, seed=5))
-    model, x, target, teacher = task.model, task.x, task.target, task.teacher_weight
+    model, x, target, teacher = task.model, task.x, task.target, pass_ref.teacher_weight(task)
     layer, m = model.layer, x.shape[1]
     _, g = training_pass(model, x, target)
     _, want, floor, _ = _dense_pass(model, x, teacher @ x)
     ax, v = layer._memo["ax"], layer._memo.get("v")
     assert (v is not None) == (k * m > SQUARE_CHUNK) == (g.u.shape[1] != m)
-    err, norm = adapter.factored_norms(layer, x, target, task.vt)
-    weight_floor = EPS * (frobenius(layer.w0) + frobenius(layer.s * (layer.b @ layer.a)))
-    assert abs(err - frobenius(merged_weight(layer) - teacher)) <= FLOOR_ULPS * weight_floor
+    err, norm = adapter.factored_norms(layer, target, task.vt, x)
+    assert abs(err - frobenius(merged_weight(layer) - teacher)) <= FLOOR_ULPS * _weight_floor(layer)
     assert abs(norm - frobenius(want.g)) <= 2.0 / m * FLOOR_ULPS * floor * frobenius(x)
     assert layer._memo["ax"] is ax
     if v is not None:
@@ -430,7 +462,7 @@ def test_a_row_after_a_compressed_pass_forms_no_product_of_inner_dimension_m(mon
         return real_dot(a, b, *args)
 
     monkeypatch.setattr(np, "dot", dot)
-    adapter.factored_norms(model.layer, x, target, task.vt)
+    adapter.factored_norms(model.layer, target, task.vt, x)
     assert inner and x.shape[1] not in inner
 
 
@@ -458,15 +490,16 @@ def test_a_row_takes_r_p_from_the_memo_and_a_new_b_misses(monkeypatch):
     assert held[0] is layer.b and held[1] is target
     calls = _count_qr(monkeypatch)
     with monkeypatch.context() as held_only:
-        held_only.setattr(adapter, "_residual_factors", None)  # calling it raises
-        row = adapter.factored_norms(layer, x, target, vt)
+        held_only.setattr(adapter, "_p", None)  # calling either raises
+        held_only.setattr(adapter, "_qx", None)
+        row = adapter.factored_norms(layer, target, vt, x)
     assert calls == [] and layer._memo["rp"] is held
-    assert adapter.factored_norms(layer.copy(), x, target, vt) == row and len(calls) == 1
+    assert adapter.factored_norms(layer.copy(), target, vt, x) == row and len(calls) == 1
     layer.b = layer.b.copy()
-    assert adapter.factored_norms(layer, x, target, vt) == row and len(calls) == 2
+    assert adapter.factored_norms(layer, target, vt, x) == row and len(calls) == 2
     layer.b = 2.0 * layer.b
-    moved = adapter.factored_norms(layer, x, target, vt)
-    assert moved != row and moved == adapter.factored_norms(layer.copy(), x, target, vt) and len(calls) == 4
+    moved = adapter.factored_norms(layer, target, vt, x)
+    assert moved != row and moved == adapter.factored_norms(layer.copy(), target, vt, x) and len(calls) == 4
 
 
 def test_rebinding_alpha_empties_the_memo_that_r_p_is_held_in():
@@ -477,8 +510,8 @@ def test_rebinding_alpha_empties_the_memo_that_r_p_is_held_in():
     training_pass(model, x, target)
     layer.alpha = 5.0
     assert layer._memo == {}
-    want = adapter.factored_norms(adapter.LoraLayer(layer.w0, layer.a, layer.b, 5.0), x, target, vt)
-    assert adapter.factored_norms(layer, x, target, vt) == want
+    want = adapter.factored_norms(adapter.LoraLayer(layer.w0, layer.a, layer.b, 5.0), target, vt, x)
+    assert adapter.factored_norms(layer, target, vt, x) == want
 
 
 @pytest.mark.parametrize("form", ["residual", "compressed"])
@@ -576,6 +609,27 @@ def test_run_holds_no_k_by_m_or_k_by_d_array(monkeypatch):
     rr = r + spec.teacher_rank
     bound = SQUARE_CHUNK * 8 + 4 * rr * (k + d + m) * 8
     assert peak - held[0] <= bound
+
+
+def test_a_relu_eval_row_allocates_less_than_one_k_by_d_array():
+    # weight_err from one QR of the k x r' P, as in the lowrank row; grad_norm
+    # reads the dense G = dZ X^T, formed before the trace, and squares it one
+    # chunk at a time, since k d is past one chunk. The merged weight, or its
+    # difference from the teacher, is one k x d array and exceeds the bound.
+    spec = _spec(task="two_layer_relu", d=128, width=1024, init_b="gaussian", alpha=2.5)
+    task = bench.generate_task(spec)
+    k, d = task.model.layer.k, task.model.layer.d
+    evaluate = bench._evaluator(task)
+    g = training_pass(task.model, task.x, task.target)[1]
+    assert g.g.shape == (k, d) and k * d > SQUARE_CHUNK
+    tracemalloc.start()
+    try:
+        werr, norm = evaluate(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < werr < math.inf and norm == frobenius(g.g)
+    assert peak < k * d * 8, peak
 
 
 def test_generation_holds_no_transient_of_xs_size_and_no_second_w0():

@@ -167,6 +167,30 @@ def test_an_out_that_cannot_be_a_directory_exits_2_before_any_run(tmp_path, caps
     assert out == "a-dangling-link" or blocker.read_text(encoding="utf-8") == "a file"
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("name", ["../escaped", "sub/cell", "summary", "summary.json"])
+def test_a_run_name_that_escapes_nests_or_is_summary_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                                             command, name):
+    # "summary.json" names the config file, whose stem names the run. A run
+    # named summary writes report's summary.csv; an empty grid makes one cell
+    # named as the config.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench, "run_experiment", no_run)
+    stem = name.endswith(".json")
+    cfg = tmp_path / (name if stem else "run.json")
+    doc = {} if stem else {"name": name}
+    if command == "sweep":
+        doc["grid"] = {} if "summary" in name else {"eta": [0.1, 0.2]}
+    _write_config(cfg, **doc)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([command, str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"run name '{'summary' if stem else name}" in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_verify_filtered_subset_passes(tmp_path):
     code = cli.main(
         ["verify", "--filter", "projector*", "--out", str(tmp_path), "--seed", "7"]

@@ -1,4 +1,8 @@
-"""The bit check of tests/output_manifest.py: its manifest is repeatable and sees one ulp."""
+"""The bit check of tests/output_manifest.py: its manifest is repeatable and sees one ulp,
+and its drift report names the file and column that moved."""
+
+import json
+import shutil
 
 import numpy as np
 
@@ -26,3 +30,61 @@ def test_two_builds_of_a_config_give_one_manifest_that_sees_a_one_ulp_change(tmp
     second = _entries(tmp_path / "second")
     assert second.keys() == first.keys()
     assert [name for name in first if first[name] != second[name]] == ["runs/config.csv"]
+
+
+def _tree(directory, steps=20):
+    """A hand-made run tree: one run CSV, its sidecar, a summary.csv and a config file."""
+    (directory / "runs").mkdir(parents=True)
+    (directory / "runs" / "a.csv").write_text(
+        "step,loss,weight_err,grad_norm,state_entries,flops\n"
+        "0,0.5,0.25,1.5,64,0\n10,0.125,0.0625,0.75,64,100\n", encoding="utf-8")
+    sidecar = {"schema": "altlora-run/1", "steps_to_threshold": steps, "diverged": False, "final_loss": 0.125}
+    (directory / "runs" / "a.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    (directory / "runs" / "summary.csv").write_text(
+        f"name,optimizer,steps_to_threshold,diverged\na,altlora,{steps},False\n", encoding="utf-8")
+    (directory / "config.json").write_text("{}", encoding="utf-8")
+
+
+def test_the_drift_report_names_the_file_and_column_of_a_one_ulp_edit_and_a_moved_outcome(tmp_path, capsys):
+    base, head = tmp_path / "base", tmp_path / "head"
+    _tree(base)
+    shutil.copytree(base, head)
+    assert output_manifest.main(["--against", str(base), str(head)]) == 0
+    same = capsys.readouterr().out.splitlines()
+    assert same[-2:] == ["4 of 4 common files byte-identical", "steps_to_threshold and diverged: none moved"]
+
+    csv = head / "runs" / "a.csv"
+    up = repr(float(np.nextafter(0.0625, np.inf)))  # the second row's weight_err, one ulp up
+    csv.write_text(csv.read_text(encoding="utf-8").replace(",0.0625,", f",{up},"), encoding="utf-8")
+    (head / "runs" / "extra.diverged").write_text("loss inf at step 3\n", encoding="utf-8")
+    assert output_manifest.main(["--against", str(base), str(head)]) == 0
+    report = capsys.readouterr().out.splitlines()
+    relative = (float(up) - 0.0625) / 0.0625
+    assert report == [
+        f"4 files in {base}, 5 in {head}",
+        f"only in {head}: runs/extra.diverged",
+        "differs: runs/a.csv",
+        f"  weight_err: max relative deviation {relative:.3g}",
+        "3 of 4 common files byte-identical",
+        "steps_to_threshold and diverged: none moved",
+    ]
+
+    shutil.rmtree(head)
+    _tree(head, steps=21)
+    assert output_manifest.main(["--against", str(base), str(head)]) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert report[1:] == [
+        "differs: runs/a.json",
+        "  keys: steps_to_threshold",
+        "differs: runs/summary.csv",
+        "  steps_to_threshold: max relative deviation 0.05",
+        "2 of 4 common files byte-identical",
+        "steps_to_threshold and diverged: moved in runs/a.json, runs/summary.csv",
+    ]
+
+
+def test_the_drift_report_takes_two_directories(tmp_path, capsys):
+    _tree(tmp_path / "base")
+    for argv in (["--against", str(tmp_path / "base")], ["--against", str(tmp_path / "base"), str(tmp_path / "none")]):
+        assert output_manifest.main(argv) == 2
+        assert "usage: output_manifest.py" in capsys.readouterr().err
