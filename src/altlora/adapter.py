@@ -206,7 +206,7 @@ def forward(model: ToyModel, x: np.ndarray):
 
     The adapted layer computes Z = W0 X + s B (A X), with W0 X and A X from
     the layer's memo; the merged weight is never formed. x is made read-only.
-    Returns (y, cache); cache holds Z for backward.
+    Returns (y, z): the output and Z, which the ReLU head's backward reads.
     """
     x = _frozen(x)
     layer = model.layer
@@ -219,7 +219,7 @@ def forward(model: ToyModel, x: np.ndarray):
         z *= s
     z += layer._product("w0x", layer.w0, x, np.matmul)
     y = z if model.w2 is None else dot(model.w2, np.maximum(z, 0.0))
-    return y, {"z": z}
+    return y, z
 
 
 def _residual(y: np.ndarray, target, out=None) -> np.ndarray:
@@ -243,13 +243,14 @@ def _mean_square(res: np.ndarray, out=None):
     return float(mean) if res.ndim == 2 else mean
 
 
-def _backward(model: ToyModel, x: np.ndarray, dy: np.ndarray, cache) -> FullGradient:
-    """The factors of G = dZ X^T; dy holds Y - T and is scaled in place into dY = (2/m) (Y - T)."""
+def _backward(model: ToyModel, x: np.ndarray, dy: np.ndarray, z) -> FullGradient:
+    """The factors of G = dZ X^T; dy holds Y - T and is scaled in place into dY = (2/m) (Y - T).
+    z is forward's Z, which only the ReLU head reads."""
     dy *= 2.0 / x.shape[-1]
     if model.w2 is None:
         return FullGradient(dy, x)
     dz = model.w2.mT @ dy
-    dz *= cache["z"] > 0.0  # ReLU derivative at exactly 0 is taken as 0; in place, no k x m temporary
+    dz *= z > 0.0  # ReLU derivative at exactly 0 is taken as 0; in place, no k x m temporary
     return FullGradient(dz, x)
 
 
@@ -323,9 +324,9 @@ def training_pass(model: ToyModel, x: np.ndarray, target) -> tuple[float, FullGr
     x = _frozen(x)
     if isinstance(target, FactoredTarget):
         return _factored_pass(model, x, target)
-    y, cache = forward(model, x)
+    y, z = forward(model, x)
     res = _residual(y, target, out=y)
-    return _mean_square(res), _backward(model, x, res, cache)
+    return _mean_square(res), _backward(model, x, res, z)
 
 
 def factored_norms(layer: LoraLayer, target: FactoredTarget, vt: np.ndarray, x: np.ndarray | None = None):

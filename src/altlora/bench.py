@@ -361,7 +361,6 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
 
 @dataclass
 class ProbeResult:
-    widths: list
     magnitudes: list
     slope: float
 
@@ -403,40 +402,30 @@ def width_scaling_probe(
     cfg: optim.TrainConfig,
     rank: int = 4,
     seeds: int = 8,
-    teacher_scale: float = 1.0,
 ) -> ProbeResult:
     """Feature-update magnitude versus width, with a fitted log-log slope.
 
     For each width the probe takes one B-phase plus one A-phase (two joint
     steps for joint baselines) from standard init and measures the merged
-    update's action on a random probe vector, averaged over seeds. A slope
-    near zero means width-stable feature updates.
+    update's action on a random probe vector, averaged over seeds. Returns
+    the magnitudes, one per width in order, and the slope; a slope near zero
+    means width-stable feature updates.
     """
     widths = [int(w) for w in widths]
     if len(widths) < 4 or any(b <= a for a, b in zip(widths, widths[1:])):
         raise InvalidSpec("widths must be strictly increasing with at least 4 values")
-    magnitudes = []
-    for n in widths:
-        vals = [
-            _probe_once(n, rank, 1000 * n + i, optimizer_kind, cfg, teacher_scale)
-            for i in range(seeds)
-        ]
-        magnitudes.append(float(np.mean(vals)))
+    magnitudes = [
+        float(np.mean([_probe_once(n, rank, 1000 * n + i, optimizer_kind, cfg) for i in range(seeds)]))
+        for n in widths
+    ]
     if min(magnitudes) <= 0.0:
-        return ProbeResult(widths, magnitudes, math.nan)
+        return ProbeResult(magnitudes, math.nan)
     slope = float(np.polyfit(np.log(widths), np.log(magnitudes), 1)[0])
-    return ProbeResult(widths, magnitudes, slope)
+    return ProbeResult(magnitudes, slope)
 
 
 # ---------------------------------------------------------------------------
 # State accounting (Table-style space comparison; analytic, never allocated)
-
-
-@dataclass
-class StateAccounting:
-    trainable: int
-    optimizer_state: int
-    peak_verification: int
 
 
 # Factor-shaped buffer multiples per optimizer: persistent state plus the
@@ -453,20 +442,15 @@ _STATE_UNITS = {
 FULL_MOMENT = "lorapro_full_moment"
 
 
-def state_accounting(k: int, d: int, r: int, method: str) -> StateAccounting:
-    """Exact entry counts for trainables, optimizer state, and verification.
+def state_accounting(k: int, d: int, r: int, method: str) -> int:
+    """Exact optimizer-state entry count of ``method`` on a k x d layer at rank r.
 
     The full-moment comparison layout keeps dense k x d first and second
     moments (2 k d entries); it is computed here for comparison and never
-    allocated anywhere in the library. peak_verification is the dense
-    merged-weight pair the oracle checks materialize; that allocation is
-    exempt from the optimizer memory budget.
+    allocated anywhere in the library.
     """
-    unit = k * r + r * d
     if method == FULL_MOMENT:
-        state = 2 * k * d
-    elif method in _STATE_UNITS:
-        state = _STATE_UNITS[method] * unit
-    else:
+        return 2 * k * d
+    if method not in _STATE_UNITS:
         raise InvalidSpec(f"unknown accounting method {method!r}")
-    return StateAccounting(trainable=unit, optimizer_state=state, peak_verification=2 * k * d)
+    return _STATE_UNITS[method] * (k * r + r * d)

@@ -26,6 +26,7 @@ import sys
 import traceback
 import typing
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -151,9 +152,13 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def _run_name(name: str) -> str:
-    """name, if its run files sit in the output directory itself and neither is report's summary.csv."""
+    """name, if its run files sit in the output directory itself, neither is report's summary.csv,
+    and the longest temporary file atomic_write_text makes for them, .{name}.json.{pid}.tmp with a
+    pid of up to 7 digits, fits the 255-byte file-name limit."""
     if Path(name).name != name or name in ("..", "summary") or "\0" in name:
         raise ConfigError(f"run name {name!r} must be a plain file name other than 'summary'")
+    if len(name.encode("utf-8", "surrogatepass")) > 255 - len("..json.9999999.tmp"):
+        raise ConfigError(f"run name {name!r} is longer than 237 bytes, too long for its temporary files")
     return name
 
 
@@ -288,11 +293,20 @@ def cmd_sweep(args) -> int:
             stale.unlink()
     if skipped:
         print(f"resuming: {skipped} completed cell(s) skipped")
-    failures = 0
-    with ProcessPoolExecutor(args.threads) if args.threads > 1 and len(pending) > 1 else nullcontext() as pool:
-        for ok, message in (pool.map if pool else map)(_sweep_worker, pending):
-            print(message)
-            failures += 0 if ok else 1
+    failures = done = 0
+    # ProcessPoolExecutor starts all its workers at once, so no more than there are cells and CPUs
+    workers = min(args.threads, len(pending), os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        try:
+            for ok, message in (pool.map if pool else map)(_sweep_worker, pending):
+                print(message)
+                failures += 0 if ok else 1
+                done += 1
+        except BrokenProcessPool as exc:  # a worker died: the cells it leaves without a sidecar fail
+            lost = [name for _, _, name in pending[done:] if not (out_dir / f"{name}.json").exists()]
+            for name in lost:
+                print(f"{name}: failed, a worker process died ({exc})", file=sys.stderr)
+            failures += len(lost)
     print(f"sweep: {len(pending)} run, {skipped} skipped, {failures} failed")
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 

@@ -291,26 +291,28 @@ def gauge_sample(r: int, cond_max: float, seed: int) -> np.ndarray:
 # One-sided Jacobi SVD (independent spectral oracle)
 
 
-def jacobi_svd(a: np.ndarray, max_sweeps: int = 60, tol: float = 1e-14):
+def jacobi_svd(a: np.ndarray):
     """Singular value decomposition by one-sided Jacobi rotations.
 
     Returns (u, s, vt) with a = u @ diag(s) @ vt and s descending. Chosen
     for its independence from the construction paths under test; adequate
-    for the matrix sizes this library targets.
+    for the matrix sizes this library targets. Sweeps stop after one that
+    rotates nothing, or after 60; a pair of columns is not rotated when its
+    inner product is within 1e-14 of the product of its norms.
     """
     a = np.asarray(a, dtype=np.float64)
     transposed = a.shape[0] < a.shape[1]
     w = (a.T if transposed else a).copy()
     n = w.shape[1]
     v = np.eye(n)
-    for _ in range(max_sweeps):
+    for _ in range(60):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 app = w[:, p] @ w[:, p]
                 aqq = w[:, q] @ w[:, q]
                 apq = w[:, p] @ w[:, q]
-                if abs(apq) <= tol * math.sqrt(app * aqq) or apq == 0.0:
+                if abs(apq) <= 1e-14 * math.sqrt(app * aqq) or apq == 0.0:
                     continue
                 rotated = True
                 tau = (aqq - app) / (2.0 * apq)

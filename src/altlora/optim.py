@@ -279,7 +279,6 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
         layer.b, state.mb, state.ma = x_bound, m.mT, m_y
     state.t += 1
     state.check_budget(layer)
-    return layer, state
 
 
 def altlora_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig):
@@ -290,7 +289,7 @@ def altlora_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: Tr
     factor's moment, and applied with decoupled weight decay. The opposite
     factor's moment is then realigned to the factor that moved.
     """
-    return _alternating_step(layer, state, g, cfg, adaptive=False)
+    _alternating_step(layer, state, g, cfg, adaptive=False)
 
 
 def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig):
@@ -304,7 +303,7 @@ def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
     """
     if state.va is None or state.vb is None:
         raise ValueError("altlora_plus_step needs a state built with second_moment=True")
-    return _alternating_step(layer, state, g, cfg, adaptive=True)
+    _alternating_step(layer, state, g, cfg, adaptive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +338,6 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g: FullGradi
     layer.b = _descend(layer.b, eta_b, dir_b, cfg.gamma)
     state.t += 1
     state.check_budget(layer)
-    return layer, state
 
 
 def make_state(kind: str, layer: LoraLayer) -> AltLoraState:
@@ -350,7 +348,8 @@ def make_state(kind: str, layer: LoraLayer) -> AltLoraState:
 
 
 def make_stepper(kind: str):
-    """Uniform stepping callable (layer, state, g, cfg) for any optimizer."""
+    """Uniform stepping callable (layer, state, g, cfg) for any optimizer. A step
+    returns None: it rebinds the layer's factors and updates the state in place."""
     if kind == ALTLORA:
         return altlora_step
     if kind == ALTLORA_PLUS:

@@ -197,20 +197,19 @@ def decompose_pair_step(
 # Gauge invariance
 
 
-def projector_gauge_check(a1, b1, a2, b2, tol: float = 1e-9):
-    """Do two factorizations of the same update share their projectors?
+def projector_gauge_check(a1, b1, a2, b2) -> float:
+    """How far apart are the projectors of two factorizations of the same update?
 
-    Requires b1 @ a1 == b2 @ a2 (relative Frobenius 1e-10). Returns
-    (passed, max_deviation) comparing column- and row-space projectors at
-    zero damping.
+    Requires b1 @ a1 == b2 @ a2 (relative Frobenius 1e-10). Returns the larger
+    relative deviation of the column- and row-space projectors at zero damping;
+    the C04 check judges it.
     """
     prod_dev = rel_error(b2 @ a2, b1 @ a1)
     if prod_dev > 1e-10:
         raise PreconditionViolated(f"factor products differ by {prod_dev:.3e} > 1e-10")
     col_dev = rel_error(projector(b2, "column", 0.0), projector(b1, "column", 0.0))
     row_dev = rel_error(projector(a2, "row", 0.0), projector(a1, "row", 0.0))
-    dev = _worst([col_dev, row_dev])
-    return dev <= tol, dev
+    return _worst([col_dev, row_dev])
 
 
 # Gauges per stack in the trajectory checks, so 2 x 5 = 10 runs step at once.
@@ -232,9 +231,8 @@ def trajectory_invariance_check(
     cfg: optim.TrainConfig,
     gauge: np.ndarray,
     steps: int,
-    tol: float = 1e-6,
     optimizer: str = optim.ALTLORA,
-):
+) -> np.ndarray:
     """Per-step relative merged-weight deviation between gauge twins.
 
     Runs the optimizer from (A, B) and from (R^-1 A, B R), both from fresh
@@ -250,8 +248,8 @@ def trajectory_invariance_check(
     is a broadcast view with the runs' axes. The twins step in lockstep with
     one shared t: each step is one adapter.training_pass, the pass the runner
     trains with, and one call of optim.make_stepper(optimizer).
-    Returns (passed, deviations): deviations is (steps,) for one gauge and
-    (G, steps) for G; passed means every step stayed within tol.
+    Returns the deviations, (steps,) for one gauge and (G, steps) for G; the
+    C05 checks judge them.
     """
     model, x, target = task
     layer = model.layer
@@ -266,7 +264,7 @@ def trajectory_invariance_check(
     for t in range(steps):
         stepper(runs.layer, state, training_pass(runs, x, target)[1], cfg)
         devs[..., t] = _twin_deviations(merged_weight(runs.layer))
-    return _worst(devs) <= tol, devs
+    return devs
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +481,7 @@ def _projector_gauge_invariance(stream: RandomStream, instance_seed: int) -> flo
     a1 = stream.normal(r, d)
     b1 = stream.normal(k, r)
     gauge = gauge_sample(r, 10.0, instance_seed + 1000)
-    return projector_gauge_check(a1, b1, np.linalg.solve(gauge, a1), b1 @ gauge)[1]
+    return projector_gauge_check(a1, b1, np.linalg.solve(gauge, a1), b1 @ gauge)
 
 
 def _invariance_task(stream: RandomStream, k: int = 16, d: int = 32, r: int = 4):
@@ -519,14 +517,14 @@ def _trajectory_invariance_altlora(seed: int, gauges: int = 20, steps: int = 50)
     for task, gauge in _gauge_stacks(stream, gauges, seed + 31):
         for beta1 in (0.0, 0.9):
             cfg = optim.TrainConfig(eta=0.2, beta1=beta1, lam=0.0, order=optim.B_FIRST)
-            devs.append(trajectory_invariance_check(task, cfg, gauge, steps)[1])
+            devs.append(trajectory_invariance_check(task, cfg, gauge, steps))
     worst = _worst(np.concatenate(devs))
     # informational only: behavior under nonzero weight decay is not part
     # of the gated claim but is recorded alongside it
     decay_task = _invariance_task(stream)
     decay_gauge = gauge_sample(decay_task[0].layer.r, 10.0, seed + 997)
     decay_cfg = optim.TrainConfig(eta=0.2, beta1=0.9, gamma=0.01, lam=0.0, order=optim.B_FIRST)
-    _, decay_devs = trajectory_invariance_check(decay_task, decay_cfg, decay_gauge, steps)
+    decay_devs = trajectory_invariance_check(decay_task, decay_cfg, decay_gauge, steps)
     info = {"weight_decay_deviation_informational": float(decay_devs.max())}
     return gauges, worst, worst <= 1e-6, info
 
@@ -538,7 +536,7 @@ def _trajectory_invariance_negative_control(seed: int, gauges: int = 20, steps: 
     cfg = optim.TrainConfig(eta=0.02, beta1=0.9, beta2=0.999, lam=0.0)
     run_devs = []
     for task, gauge in _gauge_stacks(stream, gauges, seed + 97):
-        _, devs = trajectory_invariance_check(task, cfg, gauge, steps, optimizer=optim.LORA_ADAM)
+        devs = trajectory_invariance_check(task, cfg, gauge, steps, optimizer=optim.LORA_ADAM)
         run_devs.append(devs.max(axis=1))  # each gauge's worst step; NaN propagates
     least = _worst(np.concatenate(run_devs), least=True)
     note = "max_deviation is the smallest observed divergence; it must exceed 1e-3"

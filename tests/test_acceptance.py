@@ -158,18 +158,16 @@ def test_c09_memory_complexity_separation():
                 state = optim.make_state(kind, layer)
                 state.check_budget(layer)
                 assert state.entry_count() <= 6 * (k * r + r * d)
-                assert bench.state_accounting(k, d, r, kind).optimizer_state <= 6 * (k * r + r * d)
+                assert bench.state_accounting(k, d, r, kind) <= 6 * (k * r + r * d)
         alt = bench.state_accounting(4096, 4096, 8, optim.ALTLORA)
         plus = bench.state_accounting(4096, 4096, 8, optim.ALTLORA_PLUS)
         full = bench.state_accounting(4096, 4096, 8, bench.FULL_MOMENT)
-        assert plus.optimizer_state == 393216
-        assert full.optimizer_state == 33554432
-        assert full.optimizer_state / alt.optimizer_state >= 100.0  # 128x
+        assert plus == 393216
+        assert full == 33554432
+        assert full / alt >= 100.0  # 128x
         print(
-            f"  altlora {alt.optimizer_state} / altlora+ {plus.optimizer_state} "
-            f"vs full-moment {full.optimizer_state} "
-            f"({full.optimizer_state / alt.optimizer_state:.0f}x / "
-            f"{full.optimizer_state / plus.optimizer_state:.1f}x reduction)"
+            f"  altlora {alt} / altlora+ {plus} vs full-moment {full} "
+            f"({full / alt:.0f}x / {full / plus:.1f}x reduction)"
         )
 
 

@@ -359,11 +359,11 @@ def test_the_memo_serves_w0_x_only_for_its_batch_and_base():
     np.testing.assert_array_equal(cached, fresh)
     np.testing.assert_array_equal(cached, pass_ref.forward(model, x)[0])
     other = x + 1.0
-    got, cache = ad.forward(model, other)
-    assert rel_error(cache["z"], ad.merged_weight(model.layer) @ other) < 1e-12
+    _, z = ad.forward(model, other)
+    assert rel_error(z, ad.merged_weight(model.layer) @ other) < 1e-12
     model.layer.w0 = 2.0 * model.layer.w0  # rebound on the same layer, whose memo holds W0 X
-    _, cache = ad.forward(model, x)
-    assert rel_error(cache["z"], ad.merged_weight(model.layer) @ x) < 1e-12
+    _, z = ad.forward(model, x)
+    assert rel_error(z, ad.merged_weight(model.layer) @ x) < 1e-12
 
 
 def _read_only_arrays() -> dict:
@@ -715,10 +715,10 @@ def test_relu_backward_forms_one_k_by_m_float_array():
     model = ad.ToyModel(layer, stream.normal(out, k))
     x = stream.normal(d, m)
     target = stream.normal(out, m)
-    y, cache = ad.forward(model, x)
+    y, z = ad.forward(model, x)
     tracemalloc.start()
     try:
-        ad._backward(model, x, ad._residual(y, target), cache)
+        ad._backward(model, x, ad._residual(y, target), z)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -765,13 +765,13 @@ def test_width_probe_validates_widths():
 
 def test_state_accounting_reference_shapes():
     acc = bench.state_accounting(4096, 4096, 8, optim.ALTLORA)
-    assert acc.optimizer_state == 4 * (4096 * 8 + 8 * 4096) == 262144
+    assert acc == 4 * (4096 * 8 + 8 * 4096) == 262144
     full = bench.state_accounting(4096, 4096, 8, bench.FULL_MOMENT)
-    assert full.optimizer_state == 2 * 4096 * 4096 == 33554432
-    assert full.optimizer_state / acc.optimizer_state == 128.0
+    assert full == 2 * 4096 * 4096 == 33554432
+    assert full / acc == 128.0
     plus = bench.state_accounting(4096, 4096, 8, optim.ALTLORA_PLUS)
-    assert plus.optimizer_state == 393216
-    assert plus.optimizer_state - acc.optimizer_state == 2 * (4096 * 8 + 8 * 4096)
+    assert plus == 393216
+    assert plus - acc == 2 * (4096 * 8 + 8 * 4096)
 
 
 def test_state_accounting_degenerate_full_rank():
@@ -779,8 +779,8 @@ def test_state_accounting_degenerate_full_rank():
     acc = bench.state_accounting(k, d, r, optim.ALTLORA)
     full = bench.state_accounting(k, d, r, bench.FULL_MOMENT)
     # at r = k = d the counts coincide up to constants
-    assert acc.optimizer_state == 4 * 2 * k * k
-    assert full.optimizer_state == 2 * k * k
+    assert acc == 4 * 2 * k * k
+    assert full == 2 * k * k
 
 
 def test_state_accounting_matches_real_state_within_bound():
@@ -790,7 +790,7 @@ def test_state_accounting_matches_real_state_within_bound():
     for kind in (optim.ALTLORA, optim.ALTLORA_PLUS):
         acc = bench.state_accounting(k, d, r, kind)
         real = optim.make_state(kind, layer).entry_count()
-        assert real <= acc.optimizer_state <= 6 * (k * r + r * d)
+        assert real <= acc <= 6 * (k * r + r * d)
 
 
 def test_flop_model_counts_a_factored_pass():

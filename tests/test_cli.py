@@ -1,6 +1,7 @@
 """CLI tests: exit codes, atomic outputs, strict configs, sweeps, reports."""
 
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -168,12 +169,14 @@ def test_an_out_that_cannot_be_a_directory_exits_2_before_any_run(tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
-@pytest.mark.parametrize("name", ["../escaped", "sub/cell", "summary", "summary.json"])
+@pytest.mark.parametrize("name", ["../escaped", "sub/cell", "summary", "summary.json",
+                                  pytest.param("x" * 238, id="238-ascii"), pytest.param("é" * 119, id="238-utf8")])
 def test_a_run_name_that_escapes_nests_or_is_summary_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
                                                                              command, name):
     # "summary.json" names the config file, whose stem names the run. A run
     # named summary writes report's summary.csv; an empty grid makes one cell
-    # named as the config.
+    # named as the config. A name of 238 bytes is too long: its temporary
+    # file .<name>.json.<pid>.tmp, with a 7-digit pid, would pass 255 bytes.
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
@@ -189,6 +192,15 @@ def test_a_run_name_that_escapes_nests_or_is_summary_exits_2_before_any_run(tmp_
     err = capsys.readouterr().err
     assert f"run name '{'summary' if stem else name}" in err and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("name", ["x" * 237, "é" * 118 + "x"], ids=["237-ascii", "237-utf8"])
+def test_a_run_name_of_237_bytes_trains_and_writes_its_files(tmp_path, name):
+    cfg = tmp_path / "run.json"
+    _write_config(cfg, name=name)
+    out = tmp_path / "out"
+    assert cli.main(["train", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [f"{name}.csv", f"{name}.json"]
 
 
 def test_verify_filtered_subset_passes(tmp_path):
@@ -315,6 +327,77 @@ def test_sweep_parallel_threads(tmp_path, capsys):
     assert sorted(p.name for p in inline.iterdir()) == sorted(p.name for p in out.iterdir())
     for path in out.iterdir():
         assert path.read_bytes() == (inline / path.name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, cells, done, workers",
+    [
+        ("100000", 8, 2, 0, 2),  # two cells: two workers, not 100,000
+        ("100000", 8, 4, 2, 2),  # four cells, two of them done: two pending
+        ("100000", 3, 4, 0, 3),  # as many as the CPUs
+        ("2", 8, 4, 0, 2),  # as many as asked for
+        ("100000", 1, 4, 0, None),  # one CPU: inline, no pool
+        ("100000", None, 4, 0, None),  # CPU count unknown: counts as one
+    ],
+)
+def test_the_sweep_pool_starts_no_more_workers_than_cells_or_cpus(tmp_path, capsys, monkeypatch,
+                                                                  threads, cpus, cells, done, workers):
+    made = []
+
+    class InlinePool:
+        """Records max_workers and maps inline, so that no process starts."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = tmp_path / "grid.json"
+    _write_config(cfg, train={"eta": 0.3, "steps": 5}, grid={"eta": [0.1, 0.2, 0.3, 0.4][:cells]})
+    out = tmp_path / "out"
+    out.mkdir()
+    for eta in (0.1, 0.2)[:done]:  # a sidecar marks a cell complete
+        (out / f"grid__eta-{eta:g}.json").write_text("{}", encoding="utf-8")
+    assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", threads]) == cli.EXIT_OK
+    assert made == ([] if workers is None else [workers])
+    assert f"sweep: {cells - done} run, {done} skipped, 0 failed" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the workers must inherit the patch")
+def test_a_dead_worker_fails_the_cells_it_leaves_without_a_sidecar(tmp_path, capsys, monkeypatch):
+    real = bench.run_experiment
+
+    def dies(spec):
+        if spec.train.eta == 0.2:
+            os._exit(1)  # in a forked worker only: the pool path is forced below
+        return real(spec)
+
+    monkeypatch.setattr(bench, "run_experiment", dies)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers at most, on any machine
+    cfg = tmp_path / "grid.json"
+    _write_config(cfg, grid={"eta": [0.1, 0.2, 0.3, 0.4]})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "2"]) == cli.EXIT_FAILURE
+    captured = capsys.readouterr()
+    names = [f"grid__eta-{eta:g}" for eta in (0.1, 0.2, 0.3, 0.4)]
+    lost = [name for name in names if not (out / f"{name}.json").exists()]
+    assert "grid__eta-0.2" in lost and "Traceback" not in captured.err
+    for name in names:
+        assert (f"{name}: failed, a worker process died" in captured.err) == (name in lost)
+    assert f"sweep: 4 run, 0 skipped, {len(lost)} failed" in captured.out
+    # a resumed sweep reruns exactly the cells left without a sidecar
+    monkeypatch.setattr(bench, "run_experiment", real)
+    assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == cli.EXIT_OK
+    assert f"sweep: {len(lost)} run, {4 - len(lost)} skipped, 0 failed" in capsys.readouterr().out
 
 
 def test_sweep_records_singular_gram_cell_and_runs_the_rest(tmp_path, capsys):

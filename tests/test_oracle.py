@@ -148,11 +148,11 @@ def test_projector_gauge_check_identity_and_scaling():
     stream = RandomStream(29)
     a = stream.normal(3, 20)
     b = stream.normal(12, 3)
-    ok, dev = oracle.projector_gauge_check(a, b, a, b)
-    assert ok and dev < 1e-14
+    dev = oracle.projector_gauge_check(a, b, a, b)
+    assert dev < 1e-14
     # pure rescaling cancels inside the projectors
-    ok, dev = oracle.projector_gauge_check(a, b, a / 2.0, b * 2.0)
-    assert ok and dev < 1e-12
+    dev = oracle.projector_gauge_check(a, b, a / 2.0, b * 2.0)
+    assert dev < 1e-12
 
 
 def test_projector_gauge_check_random_gauges():
@@ -161,8 +161,8 @@ def test_projector_gauge_check_random_gauges():
     b = stream.normal(12, 3)
     for i in range(20):
         gauge = gauge_sample(3, 10.0, 500 + i)
-        ok, dev = oracle.projector_gauge_check(a, b, np.linalg.solve(gauge, a), b @ gauge)
-        assert ok and dev < 1e-9
+        dev = oracle.projector_gauge_check(a, b, np.linalg.solve(gauge, a), b @ gauge)
+        assert dev < 1e-9
 
 
 def test_projector_gauge_check_rejects_mismatched_products():
@@ -177,8 +177,8 @@ def test_trajectory_invariance_identity_gauge_is_exact():
     stream = RandomStream(41)
     task = oracle._invariance_task(stream)
     cfg = optim.TrainConfig(eta=0.2, beta1=0.9, lam=0.0, order=optim.B_FIRST)
-    passed, devs = oracle.trajectory_invariance_check(task, cfg, np.eye(task[0].layer.r), 20)
-    assert passed and devs.max() < 1e-12
+    devs = oracle.trajectory_invariance_check(task, cfg, np.eye(task[0].layer.r), 20)
+    assert devs.max() < 1e-12
 
 
 def test_trajectory_invariance_keeps_the_models_head():
@@ -196,8 +196,8 @@ def test_trajectory_invariance_random_gauges(beta1):
     task = oracle._invariance_task(stream)
     gauge = gauge_sample(task[0].layer.r, 10.0, 77)
     cfg = optim.TrainConfig(eta=0.2, beta1=beta1, lam=0.0, order=optim.B_FIRST)
-    passed, devs = oracle.trajectory_invariance_check(task, cfg, gauge, 50)
-    assert passed and devs.max() <= 1e-6
+    devs = oracle.trajectory_invariance_check(task, cfg, gauge, 50)
+    assert devs.max() <= 1e-6
     assert len(devs) == 50
 
 
@@ -206,10 +206,7 @@ def test_trajectory_invariance_fails_for_elementwise_adam():
     task = oracle._invariance_task(stream)
     gauge = gauge_sample(task[0].layer.r, 10.0, 99)
     cfg = optim.TrainConfig(eta=0.02, beta1=0.9, lam=0.0)
-    passed, devs = oracle.trajectory_invariance_check(
-        task, cfg, gauge, 50, optimizer=optim.LORA_ADAM
-    )
-    assert not passed
+    devs = oracle.trajectory_invariance_check(task, cfg, gauge, 50, optimizer=optim.LORA_ADAM)
     assert devs.max() > 1e-3
 
 

@@ -197,12 +197,11 @@ def test_the_stacked_trajectory_check_is_each_gauge_checked_alone():
     task, gauge = _stack(tasks), np.stack(gauges)
     for kind, beta1 in ((optim.ALTLORA, 0.0), (optim.ALTLORA, 0.9), (optim.LORA_ADAM, 0.9)):
         cfg = optim.TrainConfig(eta=0.02, beta1=beta1, lam=0.0)
-        passed, devs = oracle.trajectory_invariance_check(task, cfg, gauge, 8, optimizer=kind)
+        devs = oracle.trajectory_invariance_check(task, cfg, gauge, 8, optimizer=kind)
         assert devs.shape == (3, 8)
         check = oracle.trajectory_invariance_check
         rows = [check(t, cfg, g, 8, optimizer=kind) for t, g in zip(tasks, gauges)]
-        assert passed == all(ok for ok, _ in rows)
-        for i, (_, row) in enumerate(rows):
+        for i, row in enumerate(rows):
             assert _same_bits(devs[i], row), f"{kind} beta1={beta1} gauge {i}"
 
 
