@@ -141,14 +141,18 @@ def resolve_out_dir(flag_value: str | None, doc: dict | None = None) -> Path:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write text to path by way of a temporary file; an OSError becomes a ConfigError, exit 2."""
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:  # no temporary file outlives a failed write
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:  # no temporary file outlives a failed write
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _run_name(name: str) -> str:
@@ -369,10 +373,7 @@ def cmd_report(args) -> int:
                   spec["train"]["order"], spec["seed"], meta["steps_to_threshold"], meta["final_loss"],
                   meta["diverged"])
         lines.append(",".join(map(str, values)))
-    try:
-        atomic_write_text(directory / "summary.csv", "\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {directory / 'summary.csv'}: {exc.strerror or exc}") from None
+    atomic_write_text(directory / "summary.csv", "\n".join(lines) + "\n")
 
     # best cell per optimizer: fewest steps to threshold, else lowest loss
     by_opt: dict = {}

@@ -1,9 +1,9 @@
 """Independent brute-force verifiers for the library's closed-form claims.
 
 Every optimality claim made by :mod:`altlora.optim` is re-derived here by a
-deliberately different route: least-squares objectives are flattened to
-normal-equation systems and solved for all columns with a generic LU
-solver, merged-weight updates are materialized densely, and optimizer
+deliberately different route: each least-squares objective is solved by
+SVD least squares on its own design, never through the Gram the library
+factors, merged-weight updates are materialized densely, and optimizer
 trajectories are replayed under gauge changes. This module is allowed to
 allocate k x d verification buffers; it is exempt from the optimizer's
 memory budget.
@@ -44,14 +44,9 @@ from .matcore import (
     rel_error,
 )
 
-LEFT_FACTOR = "left_factor"
-RIGHT_FACTOR = "right_factor"
-MOMENTUM_A = "momentum_a"
-MOMENTUM_B = "momentum_b"
-
 
 class SingularSystem(Exception):
-    """Flattened normal-equation system is rank-deficient."""
+    """A least-squares design of short column rank."""
 
 
 class PreconditionViolated(Exception):
@@ -68,53 +63,18 @@ def _worst(devs, least: bool = False) -> float:
 # Least-squares oracle
 
 
-def _solve_normal_columns(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve coef @ z_j = rhs_j for every column with a generic LU solve.
+def lstsq_oracle(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """argmin_Z || Y Z - T ||_F, by numpy's SVD least squares on Y itself.
 
-    Deliberately not the library's Cholesky path.
+    Deliberately not the library's route: no Gram Y^T Y is formed, so the
+    oracle's error grows with kappa(Y), not kappa(Y)^2. A right-side
+    objective || Z Y - T ||_F is lstsq_oracle(Y.T, T.T).T. Full column rank
+    only (the oracle works at zero damping).
     """
-    if np.linalg.matrix_rank(coef) < coef.shape[0]:
-        raise SingularSystem(f"normal matrix of shape {coef.shape} is rank-deficient")
-    return np.linalg.solve(coef, rhs)
-
-
-# objective -> its inputs as (Y, T, s, side): min_Z || s Y Z - T ||_F (left)
-# or || s Z Y - T ||_F (right)
-_OBJECTIVES = {
-    LEFT_FACTOR: lambda i: (i["b"], i["g"], float(i.get("s", 1.0)), "left"),
-    RIGHT_FACTOR: lambda i: (i["a"], i["g"], float(i.get("s", 1.0)), "right"),
-    MOMENTUM_B: lambda i: (i["a_new"], i["mb"] @ i["a_old"], 1.0, "right"),
-    MOMENTUM_A: lambda i: (i["b_new"], i["b_old"] @ i["ma"], 1.0, "left"),
-}
-
-
-def _objective(objective: str, inputs: dict):
-    if objective not in _OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    return _OBJECTIVES[objective](inputs)
-
-
-def lstsq_oracle(objective: str, **inputs) -> np.ndarray:
-    """Independent minimizer for the library's four projection objectives.
-
-    left_factor:  min_Z || s B Z - G ||_F        (inputs b, g, s)
-    right_factor: min_Z || s Z A - G ||_F        (inputs a, g, s)
-    momentum_b:   min_Z || Mb Aold - Z Anew ||_F (inputs mb, a_old, a_new)
-    momentum_a:   min_Z || Bold Ma - Bnew Z ||_F (inputs ma, b_old, b_new)
-
-    Full-rank instances only (the oracle works at zero damping).
-    """
-    y, t, s, side = _objective(objective, inputs)
-    if side == "left":
-        return _solve_normal_columns((s * s) * (y.T @ y), s * (y.T @ t))
-    # rows of Z decouple: (s^2 Y Y^T) z_i^T = s Y t_i^T
-    return _solve_normal_columns((s * s) * (y @ y.T), s * (y @ t.T)).T
-
-
-def lstsq_residual(objective: str, z: np.ndarray, **inputs) -> float:
-    """Frobenius residual of a candidate Z under the chosen objective."""
-    y, t, s, side = _objective(objective, inputs)
-    return frobenius(((s * y) @ z if side == "left" else (s * z) @ y) - t)
+    z, _, rank, _ = np.linalg.lstsq(y, t, rcond=None)
+    if rank < y.shape[1]:
+        raise SingularSystem(f"design of shape {y.shape} has rank {rank}")
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +323,7 @@ def _lstsq_scaled_grad_a(stream: RandomStream, *_) -> float:
     g = stream.normal(k, d)
     b = stream.normal(k, r)
     got = optim.scaled_grad_a(s * (b.T @ g), b, s, 0.0)
-    return rel_error(got, lstsq_oracle(LEFT_FACTOR, b=b, g=g, s=s))
+    return rel_error(got, lstsq_oracle(s * b, g))
 
 
 @_per_instance(200, 1e-9)
@@ -372,7 +332,7 @@ def _lstsq_scaled_grad_b(stream: RandomStream, *_) -> float:
     g = stream.normal(k, d)
     a = stream.normal(r, d)
     got = optim.scaled_grad_b(s * (g @ a.T), a, s, 0.0)
-    return rel_error(got, lstsq_oracle(RIGHT_FACTOR, a=a, g=g, s=s))
+    return rel_error(got, lstsq_oracle(s * a.T, g.T).T)
 
 
 @_per_instance(200, 1e-9)
@@ -381,7 +341,7 @@ def _lstsq_align_momentum_b(stream: RandomStream, *_) -> float:
     g = stream.normal(k, d)
     mb, a_old, a_new = stream.normal(k, r), stream.normal(r, d), stream.normal(r, d)
     got = optim.align_momentum_b(mb, a_old, a_new, 0.0)
-    return rel_error(got, lstsq_oracle(MOMENTUM_B, mb=mb, a_old=a_old, a_new=a_new))
+    return rel_error(got, lstsq_oracle(a_new.T, (mb @ a_old).T).T)
 
 
 @_per_instance(200, 1e-9)
@@ -390,23 +350,22 @@ def _lstsq_align_momentum_a(stream: RandomStream, *_) -> float:
     g = stream.normal(k, d)
     ma, b_old, b_new = stream.normal(r, d), stream.normal(k, r), stream.normal(k, r)
     got = optim.align_momentum_a(ma, b_old, b_new, 0.0)
-    return rel_error(got, lstsq_oracle(MOMENTUM_A, ma=ma, b_old=b_old, b_new=b_new))
+    return rel_error(got, lstsq_oracle(b_new, b_old @ ma))
 
 
 @_check
 def _lstsq_local_minimality(seed: int, instances: int = 5, probes: int = 1000):
     stream = RandomStream(seed)
     for _ in range(instances):
-        k, d, r, s = 16, 32, 4, 1.0
+        k, d, r = 16, 32, 4
         b = stream.normal(k, r)
         g = stream.normal(k, d)
-        z = lstsq_oracle(LEFT_FACTOR, b=b, g=g, s=s)
-        base = lstsq_residual(LEFT_FACTOR, z, b=b, g=g, s=s)
+        z = lstsq_oracle(b, g)
+        base = frobenius(b @ z - g)
         for _ in range(probes):
             delta = stream.normal(r, d)
             delta *= 1e-3 / frobenius(delta)
-            perturbed = lstsq_residual(LEFT_FACTOR, z + delta, b=b, g=g, s=s)
-            if perturbed <= base:
+            if frobenius(b @ (z + delta) - g) <= base:
                 return instances, np.inf, False
     return instances, 0.0, True, {"probes": probes}
 

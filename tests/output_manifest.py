@@ -24,10 +24,11 @@ non-zero, or when the train report does not hold a row per config.
 bits on purpose, and prints what moved: the files found in only one tree;
 for each CSV that differs, its change in row count and the largest relative
 deviation of each column (rows matched by their first entry, the step or the
-run name); for each JSON file that differs, the top-level keys that changed;
-and whether any steps_to_threshold or diverged moved, in a sidecar or in a
-summary.csv. It is a report: it exits 0 when both trees can be read, and 2
-on a usage error.
+run name); for each JSON file that differs, the top-level keys that changed,
+and for a check report of `altlora verify` each check field that moved, old
+-> new; whether any steps_to_threshold or diverged moved, in a sidecar or in
+a summary.csv; and whether any check's passed moved. It is a report: it
+exits 0 when both trees can be read, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -206,14 +207,42 @@ def _csv_drift(base: str, head: str) -> tuple[list[str], set[str]]:
     return lines, set(moved)
 
 
+CHECK_SCHEMA = "altlora-check-report/1"
+CHECK_FIELDS = ("instances", "max_deviation", "passed", "info")
+
+
+def _brief(value) -> str:
+    return f"{value:.3g}" if isinstance(value, float) else json.dumps(value)
+
+
+def _check_drift(base_doc: dict, head_doc: dict) -> tuple[list[str], set[str]]:
+    """A line per check field that moved between two check reports, and those fields as check.field."""
+    base_checks, head_checks = ({check["name"]: check for check in doc["checks"]} for doc in (base_doc, head_doc))
+    lines, moved = [], set()
+    for name in sorted(base_checks.keys() | head_checks.keys()):
+        old, new = base_checks.get(name, {}), head_checks.get(name, {})
+        for key in CHECK_FIELDS:
+            if json.dumps(old.get(key)) != json.dumps(new.get(key)):
+                lines.append(f"  {name}: {key} {_brief(old.get(key))} -> {_brief(new.get(key))}")
+                moved.add(f"{name}.{key}")
+    return lines, moved
+
+
 def _json_drift(base: str, head: str) -> tuple[list[str], set[str]]:
-    """The report line of two JSON texts and the top-level keys that changed."""
+    """The report lines of two JSON texts and the top-level keys that changed.
+
+    Of two check reports, the checks key gives way to the check fields that moved, as check.field.
+    """
     base_doc, head_doc = json.loads(base), json.loads(head)
     if not (isinstance(base_doc, dict) and isinstance(head_doc, dict)):
         return [], set()
     changed = {key for key in base_doc.keys() | head_doc.keys()
                if key not in base_doc or key not in head_doc or json.dumps(base_doc[key]) != json.dumps(head_doc[key])}
-    return [f"  keys: {', '.join(sorted(changed))}"], changed
+    checks, moved = [], set()
+    if base_doc.get("schema") == head_doc.get("schema") == CHECK_SCHEMA:
+        changed.discard("checks")
+        checks, moved = _check_drift(base_doc, head_doc)
+    return ([f"  keys: {', '.join(sorted(changed))}"] if changed else []) + checks, changed | moved
 
 
 def drift(base: Path, head: Path) -> list[str]:
@@ -223,7 +252,7 @@ def drift(base: Path, head: Path) -> list[str]:
     lines = [f"{len(base_files)} files in {base}, {len(head_files)} in {head}"]
     lines += [f"only in {base}: {name}" for name in sorted(base_files - head_files)]
     lines += [f"only in {head}: {name}" for name in sorted(head_files - base_files)]
-    identical, moved = 0, []
+    identical, moved, verdicts = 0, [], []
     for name in common:
         texts = [(tree / name).read_bytes() for tree in (base, head)]
         if texts[0] == texts[1]:
@@ -233,13 +262,17 @@ def drift(base: Path, head: Path) -> list[str]:
         compare = {".csv": _csv_drift, ".json": _json_drift}.get(Path(name).suffix)
         try:
             detail, keys = compare(*(text.decode("utf-8") for text in texts)) if compare else ([], set())
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, LookupError, TypeError) as exc:  # not UTF-8, not JSON, or a check report without checks
             detail, keys = [f"  not comparable: {exc}"], set()
         lines += detail
         if keys & OUTCOME_KEYS:
             moved.append(name)
+        flipped = sorted(key.removesuffix(".passed") for key in keys if key.endswith(".passed"))
+        if flipped:
+            verdicts.append(f"{name} ({', '.join(flipped)})")
     lines.append(f"{identical} of {len(common)} common files byte-identical")
     lines.append("steps_to_threshold and diverged: " + (f"moved in {', '.join(moved)}" if moved else "none moved"))
+    lines.append("check verdicts: " + (f"moved in {', '.join(verdicts)}" if verdicts else "none moved"))
     return lines
 
 

@@ -624,6 +624,35 @@ def test_report_that_cannot_write_its_summary_exits_2_and_leaves_no_temporary_fi
     assert (tmp_path / "summary.csv").is_dir()
 
 
+@pytest.mark.parametrize("command", ["verify", "train"])
+def test_verify_and_train_that_cannot_write_their_output_exit_2_and_leave_no_temporary_file(
+    tmp_path, capsys, command
+):
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
+    out = tmp_path / "out"
+    blocked = out / ("check_report.json" if command == "verify" else "cfg.csv")
+    blocked.mkdir(parents=True)  # os.replace cannot put a file in place of a directory
+    argv = ["verify", "--filter", "projector_idempotence"] if command == "verify" else ["train", str(cfg)]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {blocked}: ")
+    assert list(out.iterdir()) == [blocked] and blocked.is_dir()
+
+
+def test_sweep_cell_that_cannot_write_its_run_is_a_failed_cell(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    _write_config(cfg, grid={"eta": [0.1, 0.2]})
+    out = tmp_path / "out"
+    (out / "grid__eta-0.2.csv").mkdir(parents=True)
+    assert cli.main(["sweep", str(cfg), "--out", str(out), "--threads", "1"]) == cli.EXIT_FAILURE
+    text = capsys.readouterr().out
+    assert f"grid__eta-0.2: error (ConfigError: cannot write {out / 'grid__eta-0.2.csv'}: " in text
+    assert "sweep: 2 run, 0 skipped, 1 failed" in text
+    assert sorted(p.name for p in out.glob("*.json")) == ["grid__eta-0.1.json"]
+    assert not list(out.glob(".*.tmp"))
+
+
 @pytest.mark.parametrize("fail_in", ["write_text", "replace"])
 def test_atomic_write_text_removes_its_temporary_file_when_the_write_fails(tmp_path, monkeypatch, fail_in):
     def fail(tmp, *args, **kwargs):  # the temporary file exists when either call fails
@@ -634,7 +663,7 @@ def test_atomic_write_text_removes_its_temporary_file_when_the_write_fails(tmp_p
         monkeypatch.setattr(cli.os, "replace", fail)
     else:
         monkeypatch.setattr(cli.Path, "write_text", fail)
-    with pytest.raises(OSError, match="No space left"):
+    with pytest.raises(cli.ConfigError, match="No space left"):
         cli.atomic_write_text(tmp_path / "run.csv", "text\n")
     assert list(tmp_path.iterdir()) == []
 

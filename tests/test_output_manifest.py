@@ -1,5 +1,5 @@
 """The bit check of tests/output_manifest.py: its manifest is repeatable and sees one ulp,
-and its drift report names the file and column that moved."""
+and its drift report names the file and column, or the check, that moved."""
 
 import json
 import shutil
@@ -51,7 +51,11 @@ def test_the_drift_report_names_the_file_and_column_of_a_one_ulp_edit_and_a_move
     shutil.copytree(base, head)
     assert output_manifest.main(["--against", str(base), str(head)]) == 0
     same = capsys.readouterr().out.splitlines()
-    assert same[-2:] == ["4 of 4 common files byte-identical", "steps_to_threshold and diverged: none moved"]
+    assert same[-3:] == [
+        "4 of 4 common files byte-identical",
+        "steps_to_threshold and diverged: none moved",
+        "check verdicts: none moved",
+    ]
 
     csv = head / "runs" / "a.csv"
     up = repr(float(np.nextafter(0.0625, np.inf)))  # the second row's weight_err, one ulp up
@@ -67,6 +71,7 @@ def test_the_drift_report_names_the_file_and_column_of_a_one_ulp_edit_and_a_move
         f"  weight_err: max relative deviation {relative:.3g}",
         "3 of 4 common files byte-identical",
         "steps_to_threshold and diverged: none moved",
+        "check verdicts: none moved",
     ]
 
     shutil.rmtree(head)
@@ -80,6 +85,47 @@ def test_the_drift_report_names_the_file_and_column_of_a_one_ulp_edit_and_a_move
         "  steps_to_threshold: max relative deviation 0.05",
         "2 of 4 common files byte-identical",
         "steps_to_threshold and diverged: moved in runs/a.json, runs/summary.csv",
+        "check verdicts: none moved",
+    ]
+
+
+def _check_report(directory, deviations: dict, passed: dict) -> None:
+    """A hand-made check report in directory, one check per entry of deviations."""
+    checks = [{"name": name, "instances": 200, "max_deviation": dev, "passed": passed[name], "info": {}}
+              for name, dev in deviations.items()]
+    doc = {"schema": "altlora-check-report/1", "seed": 0, "passed": all(passed.values()), "checks": checks}
+    directory.mkdir(parents=True)
+    (directory / "check_report.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def test_the_drift_report_names_each_check_whose_deviation_or_verdict_moved(tmp_path, capsys):
+    base, head = tmp_path / "base", tmp_path / "head"
+    names = ("gram_inverse_identity", "lstsq_scaled_grad_a", "lstsq_scaled_grad_b")
+    _check_report(base / "verify_seed0", dict(zip(names, (1e-15, 6.77e-15, 2e-10))), dict.fromkeys(names, True))
+    _check_report(head / "verify_seed0", dict(zip(names, (1e-15, 1.02e-14, 2e-9))),
+                  {**dict.fromkeys(names, True), "lstsq_scaled_grad_b": False})
+    assert output_manifest.main(["--against", str(base), str(head)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"1 files in {base}, 1 in {head}",
+        "differs: verify_seed0/check_report.json",
+        "  keys: passed",
+        "  lstsq_scaled_grad_a: max_deviation 6.77e-15 -> 1.02e-14",
+        "  lstsq_scaled_grad_b: max_deviation 2e-10 -> 2e-09",
+        "  lstsq_scaled_grad_b: passed true -> false",
+        "0 of 1 common files byte-identical",
+        "steps_to_threshold and diverged: none moved",
+        "check verdicts: moved in verify_seed0/check_report.json (lstsq_scaled_grad_b)",
+    ]
+
+    shutil.rmtree(head)
+    _check_report(head / "verify_seed0", dict(zip(names, (1e-15, 1.02e-14, 2e-10))), dict.fromkeys(names, True))
+    assert output_manifest.main(["--against", str(base), str(head)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "differs: verify_seed0/check_report.json",
+        "  lstsq_scaled_grad_a: max_deviation 6.77e-15 -> 1.02e-14",
+        "0 of 1 common files byte-identical",
+        "steps_to_threshold and diverged: none moved",
+        "check verdicts: none moved",
     ]
 
 

@@ -52,14 +52,7 @@ from altlora.matcore import (  # noqa: E402
     frobenius,
     rel_error,
 )
-from altlora.oracle import (  # noqa: E402
-    LEFT_FACTOR,
-    MOMENTUM_A,
-    MOMENTUM_B,
-    RIGHT_FACTOR,
-    SingularSystem,
-    lstsq_oracle,
-)
+from altlora.oracle import SingularSystem, lstsq_oracle  # noqa: E402
 
 # 6000 random draws per form reached 1.4 of the bound at C = 1
 C = 16.0
@@ -98,7 +91,7 @@ def _scaled_grad_a(stream, k, d, r, s, shrink):
     return (
         lambda lam: optim.scaled_grad_a(grad_a, b, s, lam),
         b.T @ b,
-        lambda: lstsq_oracle(LEFT_FACTOR, b=b, g=g, s=s),
+        lambda: lstsq_oracle(s * b, g),
         lambda gram: np.linalg.solve(gram, grad_a) / (s * s),
         s * b,
         g,
@@ -111,7 +104,7 @@ def _scaled_grad_b(stream, k, d, r, s, shrink):
     return (
         lambda lam: optim.scaled_grad_b(grad_b, a, s, lam),
         a @ a.T,
-        lambda: lstsq_oracle(RIGHT_FACTOR, a=a, g=g, s=s),
+        lambda: lstsq_oracle(s * a.T, g.T).T,
         lambda gram: np.linalg.solve(gram, grad_b.T).T / (s * s),
         s * a,
         g,
@@ -124,7 +117,7 @@ def _align_momentum_a(stream, k, d, r, s, shrink):
     return (
         lambda lam: optim.align_momentum_a(ma, b_old, b_new, lam),
         b_new.T @ b_new,
-        lambda: lstsq_oracle(MOMENTUM_A, ma=ma, b_old=b_old, b_new=b_new),
+        lambda: lstsq_oracle(b_new, b_old @ ma),
         lambda gram: np.linalg.solve(gram, b_new.T @ (b_old @ ma)),
         b_new,
         b_old @ ma,
@@ -137,7 +130,7 @@ def _align_momentum_b(stream, k, d, r, s, shrink):
     return (
         lambda lam: optim.align_momentum_b(mb, a_old, a_new, lam),
         a_new @ a_new.T,
-        lambda: lstsq_oracle(MOMENTUM_B, mb=mb, a_old=a_old, a_new=a_new),
+        lambda: lstsq_oracle(a_new.T, (mb @ a_old).T).T,
         lambda gram: np.linalg.solve(gram, a_new @ (mb @ a_old).T).T,
         a_new,
         mb @ a_old,
