@@ -2,8 +2,8 @@
 
 Everything here is pure float64 numpy: ridge-damped Gram inverses formed
 from numpy's Cholesky factor under an explicit pivot threshold, subspace
-projectors, seeded random factor generation, and a one-sided Jacobi SVD
-used as an independent spectral oracle.
+projectors from Householder Q (no Gram), seeded random factor generation,
+and a one-sided Jacobi SVD used as an independent spectral oracle.
 
 Randomness contract: all sampling goes through :class:`RandomStream`, a
 PCG64 bit generator whose uniform doubles feed an explicit Box-Muller
@@ -38,7 +38,7 @@ PIVOT_RTOL = 1e-12
 
 
 class SingularGram(Exception):
-    """Gram matrix is numerically singular and no damping was supplied."""
+    """A Gram matrix (or a projector's R) is numerically singular and no damping was supplied."""
 
 
 class ShapeMismatch(Exception):
@@ -191,20 +191,22 @@ def _gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
     return dot(linv.mT, linv)
 
 
-def projector(m: np.ndarray, space: str, lam: float) -> np.ndarray:
-    """Orthogonal projector onto the column space or row space of ``m``.
+def projector(m: np.ndarray, space: str) -> np.ndarray:
+    """Q Q^T, the orthogonal projector onto the column space of m, or of m.T at space="row".
 
-    space="column": m is k x r, returns k x k  m (m.T m + lam I)^-1 m.T.
-    space="row":    m is r x d, returns d x d  m.T (m m.T + lam I)^-1 m.
-
-    With lam = 0 and full-rank m the result is symmetric idempotent.
+    Q is from the reduced Householder QR; no Gram is formed. A factor short of
+    rank raises SingularGram by cholesky_factor's rule: some R_jj^2 is NaN,
+    not positive, or below PIVOT_RTOL * ||m||_F^2.
     """
+    if space not in ("column", "row"):
+        raise ValueError(f"space must be 'column' or 'row', got {space!r}")
     m = np.asarray(m, dtype=np.float64)
-    if space == "column":
-        return m @ damped_gram_inverse(m, "left", lam) @ m.T
-    if space == "row":
-        return m.T @ damped_gram_inverse(m, "right", lam) @ m
-    raise ValueError(f"space must be 'column' or 'row', got {space!r}")
+    q, r = np.linalg.qr(m if space == "column" else m.T)
+    least = np.min(r.diagonal() ** 2) if len(r) == r.shape[1] else 0.0  # a wide R is short of rank
+    tol = PIVOT_RTOL * sum_of_squares(m)
+    if not (least > 0.0 and least >= tol):  # a NaN pivot or tol fails too
+        raise SingularGram(f"{space} space: least pivot {least:.3e} below threshold {tol:.3e}")
+    return q @ q.T
 
 
 # ---------------------------------------------------------------------------

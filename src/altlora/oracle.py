@@ -1,12 +1,12 @@
 """Independent brute-force verifiers for the library's closed-form claims.
 
 Every optimality claim made by :mod:`altlora.optim` is re-derived here by a
-deliberately different route: each least-squares objective is solved by
-SVD least squares on its own design, never through the Gram the library
-factors, merged-weight updates are materialized densely, and optimizer
-trajectories are replayed under gauge changes. This module is allowed to
-allocate k x d verification buffers; it is exempt from the optimizer's
-memory budget.
+deliberately different route, never through the Gram the library factors:
+each least-squares objective (the joint cross term's two included) is solved
+by SVD least squares on its own design, each projector is Householder Q Q^T,
+merged-weight updates are materialized densely, and optimizer trajectories
+are replayed under gauge changes. This module is allowed to allocate k x d
+verification buffers; it is exempt from the optimizer's memory budget.
 
 The named checks at the bottom produce a machine-readable report consumed
 by ``altlora verify``.
@@ -104,16 +104,14 @@ class DecompositionReport:
     residual_norm: float
 
 
-def joint_cross_term(layer: LoraLayer, g: FullGradient, cfg: optim.TrainConfig) -> np.ndarray:
-    """Explicit second-order term of one joint scaled step.
+def joint_cross_term(layer: LoraLayer, g: FullGradient, eta: float) -> np.ndarray:
+    """Explicit second-order term of one undamped joint scaled step.
 
-    (eta^2 / s) G A^T (A A^T + lam I)^-1 (B^T B + lam I)^-1 B^T G, G = g.g.
+    (eta^2 / s) G A^T (A A^T)^-1 (B^T B)^-1 B^T G with G = g.g: the product
+    of argmin_Z ||Z A - G||_F and argmin_Z ||B Z - G||_F, each by lstsq_oracle.
     """
     _factors(g, layer)  # the kernels' check: a FullGradient whose shapes fit the layer
-    gm = g.g
-    right = damped_gram_inverse(layer.a, "right", cfg.lam)
-    left = damped_gram_inverse(layer.b, "left", cfg.lam)
-    return (cfg.eta**2 / layer.s) * (gm @ layer.a.T @ right @ left @ layer.b.T @ gm)
+    return (eta**2 / layer.s) * (lstsq_oracle(layer.a.T, g.g.T).T @ lstsq_oracle(layer.b, g.g))
 
 
 def decompose_pair_step(
@@ -121,13 +119,13 @@ def decompose_pair_step(
 ) -> DecompositionReport:
     """Split one A-phase + one B-phase against one joint step, densely.
 
-    Runs both on copies with pure projected gradients (requires beta1 = 0
-    and gamma = 0): the steppers take the FullGradients, the projector terms
-    their dense forms. The alternating update must equal the sum of the two
-    projector terms exactly; the joint step differs by the cross term.
+    Runs both on copies with pure undamped projected gradients (requires
+    beta1 = 0, gamma = 0 and lam = 0): the steppers take the FullGradients,
+    the projector terms Householder Q Q^T. The alternating update must equal
+    the sum of the two projector terms exactly; the joint step differs by the cross term.
     """
-    if cfg.beta1 != 0.0 or cfg.gamma != 0.0:
-        raise ValueError("decomposition requires beta1 = 0 and gamma = 0")
+    if cfg.beta1 != 0.0 or cfg.gamma != 0.0 or cfg.lam != 0.0:
+        raise ValueError("decomposition requires beta1 = 0, gamma = 0 and lam = 0")
     for g in (g_t, g_half):
         _factors(g, layer)  # the kernels' check: a FullGradient whose shapes fit the layer
     gt, gh = g_t.g, g_half.g
@@ -140,15 +138,15 @@ def decompose_pair_step(
     optim.altlora_step(alt, st, g_half, cfg_alt)
     dw_alt = equivalent_update(layer, alt)
 
-    col_term = cfg.eta * (projector(layer.b, "column", cfg.lam) @ gt)
-    row_term = cfg.eta * (gh @ projector(a_plus, "row", cfg.lam))
+    col_term = cfg.eta * (projector(layer.b, "column") @ gt)
+    row_term = cfg.eta * (gh @ projector(a_plus, "row"))
     residual = frobenius(dw_alt + col_term + row_term)
 
     joint = layer.copy()
     stj = optim.AltLoraState.init(joint)
     optim.baseline_step(optim.SCALEDGD_JOINT, joint, stj, g_t, cfg)
     dw_joint = equivalent_update(layer, joint)
-    cross = dw_joint + col_term + cfg.eta * (gt @ projector(layer.a, "row", cfg.lam))
+    cross = dw_joint + col_term + cfg.eta * (gt @ projector(layer.a, "row"))
 
     return DecompositionReport(col_term, row_term, cross, residual)
 
@@ -161,14 +159,14 @@ def projector_gauge_check(a1, b1, a2, b2) -> float:
     """How far apart are the projectors of two factorizations of the same update?
 
     Requires b1 @ a1 == b2 @ a2 (relative Frobenius 1e-10). Returns the larger
-    relative deviation of the column- and row-space projectors at zero damping;
-    the C04 check judges it.
+    relative deviation of the column- and row-space projectors; the C04 check
+    judges it.
     """
     prod_dev = rel_error(b2 @ a2, b1 @ a1)
     if prod_dev > 1e-10:
         raise PreconditionViolated(f"factor products differ by {prod_dev:.3e} > 1e-10")
-    col_dev = rel_error(projector(b2, "column", 0.0), projector(b1, "column", 0.0))
-    row_dev = rel_error(projector(a2, "row", 0.0), projector(a1, "row", 0.0))
+    col_dev = rel_error(projector(b2, "column"), projector(b1, "column"))
+    row_dev = rel_error(projector(a2, "row"), projector(a1, "row"))
     return _worst([col_dev, row_dev])
 
 
@@ -299,7 +297,7 @@ def _projector_idempotence(stream: RandomStream, *_) -> float:
     k, d, r, _ = _random_instance(stream)
     b = stream.normal(k, r)
     a = stream.normal(r, d)
-    column, row = projector(b, "column", 0.0), projector(a, "row", 0.0)
+    column, row = projector(b, "column"), projector(a, "row")
     devs = [rel_error(column @ b, b)]
     for p in (column, row):
         devs += [rel_error(p @ p, p), float(np.max(np.abs(p - p.T))) / max(frobenius(p), 1e-300)]
@@ -360,7 +358,7 @@ def _lstsq_local_minimality(seed: int, instances: int = 5, probes: int = 1000):
         k, d, r = 16, 32, 4
         b = stream.normal(k, r)
         g = stream.normal(k, d)
-        z = lstsq_oracle(b, g)
+        z = optim.scaled_grad_a(b.T @ g, b, 1.0, 0.0)  # the library's argmin ||B Z - G||_F
         base = frobenius(b @ z - g)
         for _ in range(probes):
             delta = stream.normal(r, d)
@@ -397,7 +395,7 @@ def _joint_cross_term(seed: int, instances: int = 100):
     for _ in range(instances):
         layer, g_t, _ = _pair_instance(stream)
         rep = decompose_pair_step(layer, g_t, g_t, cfg)
-        devs.append(rel_error(rep.cross_term, joint_cross_term(layer, g_t, cfg)))
+        devs.append(rel_error(rep.cross_term, joint_cross_term(layer, g_t, cfg.eta)))
         bound = 1e-8 * cfg.eta**2 * frobenius(g_t.g) ** 2
         nonzero = nonzero and frobenius(rep.cross_term) > bound
     worst = _worst(devs)

@@ -10,7 +10,9 @@ keep every bit must leave as it was:
 - the desk sweeps of perfbench's desk_configs(3) and their summary.csv;
 - wide_spec(3) and wide_spec(11) under every optimizer and both phase
   orders: each run's CSV text, plus the message of a run that diverges;
-- check_report.json of `altlora verify` at seeds 1789, 0, 7 and 42;
+- check_report.json of `altlora verify` at seeds 1789, 0, 7, 42 and 15
+  (at 15 a projector built through the Gram inverse fails projector_idempotence,
+  so a build exits 1 if the projector goes back to that route);
 - the train configs of TRAIN_CONFIGS and their summary.csv.
 
 stdout is the sorted ``sha256  name`` manifest of every file under DIR,
@@ -46,7 +48,7 @@ from altlora import bench, cli, optim
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WIDE_SEEDS = (3, 11)
-VERIFY_SEEDS = (1789, 0, 7, 42)
+VERIFY_SEEDS = (1789, 0, 7, 42, 15)
 
 LOWRANK = {
     "task": "lowrank", "k": 32, "d": 32, "r": 4, "teacher_rank": 4, "kappa": 10.0,

@@ -95,18 +95,28 @@ def test_cholesky_factor_is_lower_and_reconstructs_gram():
 
 
 def test_projector_unit_direction():
-    p = mc.projector(np.array([[1.0], [1.0]]), "column", 0.0)
+    p = mc.projector(np.array([[1.0], [1.0]]), "column")
     np.testing.assert_allclose(p, [[0.5, 0.5], [0.5, 0.5]], rtol=1e-15)
 
 
 def test_projector_axis_aligned_row_space():
-    p = mc.projector(np.array([[1.0, 0.0]]), "row", 0.0)
+    p = mc.projector(np.array([[1.0, 0.0]]), "row")
     np.testing.assert_allclose(p, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_projector_of_a_factor_with_a_zero_column_raises_in_both_spaces(column):
+    b = mc.RandomStream(9).normal(6, 2)
+    b[:, column] = 0.0
+    with pytest.raises(mc.SingularGram, match="column space"):
+        mc.projector(b, "column")
+    with pytest.raises(mc.SingularGram, match="row space"):
+        mc.projector(b.T, "row")
 
 
 def test_projector_idempotent_and_rank_trace():
     b = mc.RandomStream(8).normal(8, 2)
-    p = mc.projector(b, "column", 0.0)
+    p = mc.projector(b, "column")
     assert mc.rel_error(p @ p, p) < 1e-10
     assert abs(np.trace(p) - 2.0) < 1e-8
     assert mc.rel_error(p @ b, b) < 1e-9

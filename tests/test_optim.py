@@ -191,11 +191,11 @@ def test_pair_of_steps_decomposes_into_projected_terms(order):
     optim.altlora_step(work, state, as_gradient(g_half), cfg)
     dw = equivalent_update(layer, work)
     if order == optim.A_FIRST:
-        want = -cfg.eta * (projector(layer.b, "column", 0.0) @ g_t)
-        want -= cfg.eta * (g_half @ projector(first_updated, "row", 0.0))
+        want = -cfg.eta * (projector(layer.b, "column") @ g_t)
+        want -= cfg.eta * (g_half @ projector(first_updated, "row"))
     else:
-        want = -cfg.eta * (g_t @ projector(layer.a, "row", 0.0))
-        want -= cfg.eta * (projector(first_updated, "column", 0.0) @ g_half)
+        want = -cfg.eta * (g_t @ projector(layer.a, "row"))
+        want -= cfg.eta * (projector(first_updated, "column") @ g_half)
     assert rel_error(dw, want) < 1e-10
 
 
@@ -625,8 +625,6 @@ def test_lora_sgd_zero_b_keeps_a_fixed():
 
 
 def test_scaledgd_joint_update_term_by_term():
-    from altlora.matcore import projector
-
     stream = RandomStream(79)
     layer = _random_layer(stream, alpha=8)  # s = 2
     g = stream.normal(16, 32)
@@ -637,8 +635,8 @@ def test_scaledgd_joint_update_term_by_term():
     dw = equivalent_update(layer, work)
     right = damped_gram_inverse(layer.a, "right", cfg.lam)
     left = damped_gram_inverse(layer.b, "left", cfg.lam)
-    want = -cfg.eta * (projector(layer.b, "column", cfg.lam) @ g)
-    want -= cfg.eta * (g @ projector(layer.a, "row", cfg.lam))
+    want = -cfg.eta * (layer.b @ left @ layer.b.T @ g)
+    want -= cfg.eta * (g @ layer.a.T @ right @ layer.a)
     want += (cfg.eta**2 / layer.s) * (g @ layer.a.T @ right @ left @ layer.b.T @ g)
     assert rel_error(dw, want) < 1e-10
 
