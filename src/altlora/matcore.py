@@ -4,6 +4,8 @@ Everything here is pure float64 numpy: ridge-damped Gram inverses formed
 from numpy's Cholesky factor under an explicit pivot threshold, subspace
 projectors from Householder Q (no Gram), seeded random factor generation,
 and a one-sided Jacobi SVD used as an independent spectral oracle.
+``projector``, ``frobenius_slices`` and ``rel_error_slices`` also take a
+stack of matrices on leading axes, each slice giving its 2-D bits.
 
 Randomness contract: all sampling goes through :class:`RandomStream`, a
 PCG64 bit generator whose uniform doubles feed an explicit Box-Muller
@@ -29,7 +31,9 @@ __all__ = [
     "gauge_sample",
     "jacobi_svd",
     "frobenius",
+    "frobenius_slices",
     "rel_error",
+    "rel_error_slices",
     "sum_of_squares",
 ]
 
@@ -99,6 +103,28 @@ def rel_error(got: np.ndarray, want: np.ndarray) -> float:
     return num / denom
 
 
+def frobenius_slices(m: np.ndarray):
+    """frobenius of a matrix, or the array of each trailing 2-D slice's for a stack.
+
+    Each slice is reduced whole, by numpy's pairwise sum: its frobenius bit for
+    bit up to SQUARE_CHUNK entries a slice (tests/test_adapter.py).
+    """
+    return frobenius(m) if np.ndim(m) == 2 else np.sqrt(_slice_squares(m))
+
+
+def _slice_squares(m: np.ndarray) -> np.ndarray:
+    """sum_of_squares of each trailing 2-D slice of a stack, each slice reduced whole."""
+    return np.add.reduce(np.square(m, dtype=np.float64), axis=(-2, -1))
+
+
+def rel_error_slices(got: np.ndarray, want: np.ndarray):
+    """rel_error of a matrix, or the array of each slice's for a stack, by the same arithmetic."""
+    if np.ndim(want) == 2:
+        return rel_error(got, want)
+    num, denom = frobenius_slices(np.asarray(got) - np.asarray(want)), frobenius_slices(want)
+    return np.divide(num, denom, out=np.where(num == 0.0, 0.0, math.inf), where=denom != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Gram factorization and inverses
 
@@ -123,13 +149,18 @@ def cholesky_factor(gram: np.ndarray) -> np.ndarray:
     least = pivots.min(-1)
     healthy = (least > 0.0) & (least >= tol)  # a NaN pivot or tol fails here too
     if not (healthy if lo.ndim == 2 else healthy.all()):  # a matrix skips .all(), a microsecond per call
-        *where, j = np.argwhere(~((pivots > 0.0) & (pivots >= tol[..., None])))[0]
+        *where, j = _first_index(~((pivots > 0.0) & (pivots >= tol[..., None])))
         where = tuple(where)
         raise SingularGram(
             f"{_slice_name(where)}pivot {pivots[where][j]:.3e} below threshold {tol[where]:.3e} "
             f"at column {j}; supply a damping lambda > 0"
         )
     return lo
+
+
+def _first_index(bad) -> tuple:
+    """The index of bad's first True entry, () for a true 0-d bad."""
+    return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
 def _slice_name(where: tuple) -> str:
@@ -164,7 +195,7 @@ def damped_gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
 
 
 def _gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
-    """The body of damped_gram_inverse, which the alternating step calls on a stack.
+    """The body of damped_gram_inverse, which the optimizer steps call on a stack.
 
     perfbench's tracer wraps only public names, and its FLOP hook for
     damped_gram_inverse reads a 2-D shape.
@@ -196,17 +227,24 @@ def projector(m: np.ndarray, space: str) -> np.ndarray:
 
     Q is from the reduced Householder QR; no Gram is formed. A factor short of
     rank raises SingularGram by cholesky_factor's rule: some R_jj^2 is NaN,
-    not positive, or below PIVOT_RTOL * ||m||_F^2.
+    not positive, or below PIVOT_RTOL * ||m||_F^2. A stack (S, rows, cols)
+    gives the stack of the slices' projectors, bit for bit, each slice judged
+    by its own pivots and norm; one singular slice raises for the stack,
+    naming it as cholesky_factor does.
     """
     if space not in ("column", "row"):
         raise ValueError(f"space must be 'column' or 'row', got {space!r}")
     m = np.asarray(m, dtype=np.float64)
-    q, r = np.linalg.qr(m if space == "column" else m.T)
-    least = np.min(r.diagonal() ** 2) if len(r) == r.shape[1] else 0.0  # a wide R is short of rank
-    tol = PIVOT_RTOL * sum_of_squares(m)
-    if not (least > 0.0 and least >= tol):  # a NaN pivot or tol fails too
-        raise SingularGram(f"{space} space: least pivot {least:.3e} below threshold {tol:.3e}")
-    return q @ q.T
+    q, r = np.linalg.qr(m if space == "column" else m.mT)
+    square = r.shape[-2] == r.shape[-1]  # a wide R is short of rank
+    least = (r.diagonal(0, -2, -1) ** 2).min(-1) if square else np.zeros(r.shape[:-2])
+    tol = PIVOT_RTOL * (_slice_squares(m) if m.ndim > 2 else sum_of_squares(m))
+    healthy = (least > 0.0) & (least >= tol)  # a NaN pivot or tol fails too
+    if not healthy.all():
+        where = _first_index(~healthy)
+        raise SingularGram(f"{_slice_name(where)}{space} space: least pivot {least[where]:.3e} "
+                           f"below threshold {tol[where]:.3e}")
+    return q @ q.mT
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +269,48 @@ class RandomStream:
         return self._gen.random(shape if shape else None)
 
     def normal(self, *shape: int) -> np.ndarray:
-        count = math.prod(shape)
-        half = (count + 1) // 2
-        z = self._gen.random(2 * half)  # u1 then u2, one draw of 2 ceil(count/2), into the output
-        radius, angle = z[:half], z[half:]
-        np.subtract(1.0, radius, radius)  # (0, 1]: log is finite
-        np.log(radius, radius)
-        radius *= -2.0
-        np.sqrt(radius, radius)
-        angle *= 2.0 * np.pi
-        cos = np.empty(min(half, NORMAL_CHUNK))  # the only temporary: cos of one chunk of angles
-        for lo in range(0, half, NORMAL_CHUNK):  # sin over the angles, then radius times each, in place
-            rho, theta = radius[lo:lo + NORMAL_CHUNK], angle[lo:lo + NORMAL_CHUNK]
-            np.cos(theta, cos[:theta.size])
-            np.sin(theta, theta)
-            theta *= rho
-            rho *= cos[:theta.size]
-        out = z if count == z.size else z[:count].copy()  # an odd count drew one spare entry
+        out = self._box_muller(1, math.prod(shape))
         out.shape = shape  # in place: the output owns its memory, so freezing it freezes all of it
-        return out if shape else float(z[0])
+        return out if shape else float(out[()])
+
+    def normal_stack(self, n: int, *shape: int) -> np.ndarray:
+        """n consecutive normal(*shape) draws as one (n, *shape) array, bit for bit."""
+        out = self._box_muller(n, math.prod(shape))
+        out.shape = (n, *shape)
+        return out
+
+    def _box_muller(self, blocks: int, count: int) -> np.ndarray:
+        """blocks consecutive draws of count Gaussians: one uniform draw, (blocks, 2, half) as u1 and u2.
+
+        Transformed in place a chunk at a time: up to NORMAL_CHUNK pairs of one
+        block, or whole blocks of at most NORMAL_CHUNK / 8 pairs, whose strided
+        ufuncs numpy buffers (3 operands of a product); the cos buffer and those
+        buffers stay within NORMAL_CHUNK pairs. Returns the owned (blocks, count).
+        """
+        half = (count + 1) // 2
+        z = self._gen.random(blocks * 2 * half)
+        z.shape = (blocks, 2, half)
+        radius, angle = z[:, 0], z[:, 1]
+        rows = max(1, NORMAL_CHUNK // 8 // max(half, 1))
+        if rows >= blocks and half <= NORMAL_CHUNK:
+            chunks = ((radius, angle),)
+        else:
+            chunks = ((radius[i:i + rows, lo:lo + NORMAL_CHUNK], angle[i:i + rows, lo:lo + NORMAL_CHUNK])
+                      for i in range(0, blocks, rows) for lo in range(0, half, NORMAL_CHUNK))
+        cos = np.empty(min(min(rows, blocks) * half, NORMAL_CHUNK))  # the only temporary: cos of one chunk
+        for rho, theta in chunks:
+            np.subtract(1.0, rho, rho)  # (0, 1]: log is finite
+            np.log(rho, rho)
+            rho *= -2.0
+            np.sqrt(rho, rho)
+            theta *= 2.0 * np.pi
+            c = cos[:theta.size].reshape(theta.shape)
+            np.cos(theta, c)
+            np.sin(theta, theta)  # then radius times each, in place
+            theta *= rho
+            rho *= c
+        z.shape = (blocks, 2 * half)
+        return z if count == 2 * half else z[:, :count].copy()  # an odd count drew one spare entry a block
 
 
 def orthonormal_columns(rows: int, cols: int, stream: RandomStream) -> np.ndarray:

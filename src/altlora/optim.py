@@ -328,8 +328,12 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g: FullGradi
         # the stepper whose merged-weight update carries the eta^2 cross
         # term that the alternating scheme avoids. Momentum, when enabled,
         # is a plain EMA on the scaled gradients (no realignment).
-        tilde_a = scaled_grad_a(grad_a, layer.b, layer.s, cfg.lam)
-        tilde_b = scaled_grad_b(grad_b, layer.a, layer.s, cfg.lam)
+        if layer.a.ndim == 2:
+            tilde_a = scaled_grad_a(grad_a, layer.b, layer.s, cfg.lam)
+            tilde_b = scaled_grad_b(grad_b, layer.a, layer.s, cfg.lam)
+        else:  # scaled_grad_a / _b's arithmetic: a stack skips the public names, as in _alternating_step
+            tilde_a = precondition_a(_gram_inverse(layer.b, "left", cfg.lam), grad_a, layer.s)
+            tilde_b = precondition_a(_gram_inverse(layer.a.mT, "left", cfg.lam), grad_b.mT, layer.s).mT
         state.ma, _, dir_a = _moments(state.ma, tilde_a, cfg)
         state.mb, _, dir_b = _moments(state.mb, tilde_b, cfg)
     else:

@@ -8,6 +8,12 @@ merged-weight updates are materialized densely, and optimizer trajectories
 are replayed under gauge changes. This module is allowed to allocate k x d
 verification buffers; it is exempt from the optimizer's memory budget.
 
+The checks of fixed-shape instances step and score them as stacks of at
+most STACK_INSTANCES on a leading axis (projector_gauge_check and
+decompose_pair_step take stacks, and trajectory_invariance_check steps its
+gauge twins as one), drawing them in the stream's order; every deviation is
+the one the instance would give alone, bit for bit.
+
 The named checks at the bottom produce a machine-readable report consumed
 by ``altlora verify``.
 """
@@ -36,12 +42,16 @@ from .adapter import (
 from .matcore import (
     RandomStream,
     ShapeMismatch,
+    _first_index,
+    _slice_name,
     damped_gram_inverse,
     frobenius,
+    frobenius_slices,
     gauge_sample,
     jacobi_svd,
     projector,
     rel_error,
+    rel_error_slices,
 )
 
 
@@ -95,13 +105,14 @@ class DecompositionReport:
     projected_col_term / projected_row_term are the positive quantities the
     alternating pair subtracts from the merged weight; cross_term is the
     measured second-order excess of one joint step; residual_norm is the
-    Frobenius defect of the alternating decomposition.
+    Frobenius defect of the alternating decomposition, one per slice of a
+    stack.
     """
 
     projected_col_term: np.ndarray
     projected_row_term: np.ndarray
     cross_term: np.ndarray
-    residual_norm: float
+    residual_norm: float | np.ndarray
 
 
 def joint_cross_term(layer: LoraLayer, g: FullGradient, eta: float) -> np.ndarray:
@@ -123,6 +134,7 @@ def decompose_pair_step(
     beta1 = 0, gamma = 0 and lam = 0): the steppers take the FullGradients,
     the projector terms Householder Q Q^T. The alternating update must equal
     the sum of the two projector terms exactly; the joint step differs by the cross term.
+    A stacked layer and gradients (S, ...) give each slice's report, stacked.
     """
     if cfg.beta1 != 0.0 or cfg.gamma != 0.0 or cfg.lam != 0.0:
         raise ValueError("decomposition requires beta1 = 0, gamma = 0 and lam = 0")
@@ -140,7 +152,7 @@ def decompose_pair_step(
 
     col_term = cfg.eta * (projector(layer.b, "column") @ gt)
     row_term = cfg.eta * (gh @ projector(a_plus, "row"))
-    residual = frobenius(dw_alt + col_term + row_term)
+    residual = frobenius_slices(dw_alt + col_term + row_term)
 
     joint = layer.copy()
     stj = optim.AltLoraState.init(joint)
@@ -155,19 +167,21 @@ def decompose_pair_step(
 # Gauge invariance
 
 
-def projector_gauge_check(a1, b1, a2, b2) -> float:
+def projector_gauge_check(a1, b1, a2, b2) -> float | np.ndarray:
     """How far apart are the projectors of two factorizations of the same update?
 
     Requires b1 @ a1 == b2 @ a2 (relative Frobenius 1e-10). Returns the larger
     relative deviation of the column- and row-space projectors; the C04 check
-    judges it.
+    judges it. Stacked factors (S, ...) give the (S,) deviations, and a slice
+    whose products differ raises for the stack, naming it.
     """
-    prod_dev = rel_error(b2 @ a2, b1 @ a1)
-    if prod_dev > 1e-10:
-        raise PreconditionViolated(f"factor products differ by {prod_dev:.3e} > 1e-10")
-    col_dev = rel_error(projector(b2, "column"), projector(b1, "column"))
-    row_dev = rel_error(projector(a2, "row"), projector(a1, "row"))
-    return _worst([col_dev, row_dev])
+    prod_dev = np.asarray(rel_error_slices(b2 @ a2, b1 @ a1))
+    if (prod_dev > 1e-10).any():
+        where = _first_index(prod_dev > 1e-10)
+        raise PreconditionViolated(f"{_slice_name(where)}factor products differ by {prod_dev[where]:.3e} > 1e-10")
+    col_dev = rel_error_slices(projector(b2, "column"), projector(b1, "column"))
+    row_dev = rel_error_slices(projector(a2, "row"), projector(a1, "row"))
+    return np.maximum(col_dev, row_dev)  # NaN propagates
 
 
 # Gauges per stack in the trajectory checks, so 2 x 5 = 10 runs step at once.
@@ -176,12 +190,6 @@ def projector_gauge_check(a1, b1, a2, b2) -> float:
 # peak RSS of all 19 checks grew by 0 / 0.3 / 1.2 / 2.9 MB: 5 takes most of
 # the time for the least memory (README, "Stacked runs").
 TWIN_STACK_GAUGES = 5
-
-
-def _twin_deviations(w: np.ndarray) -> np.ndarray:
-    """rel_error(W2, W1) of each gauge's twin pair of merged weights, by frobenius's arithmetic."""
-    num, den = (np.sqrt(np.add.reduce(np.square(m), axis=(-2, -1))) for m in (w[1] - w[0], w[0]))
-    return np.divide(num, den, out=np.where(num == 0.0, 0.0, np.inf), where=den != 0.0)
 
 
 def trajectory_invariance_check(
@@ -221,7 +229,9 @@ def trajectory_invariance_check(
     devs = np.empty(lead[1:] + (steps,))
     for t in range(steps):
         stepper(runs.layer, state, training_pass(runs, x, target)[1], cfg)
-        devs[..., t] = _twin_deviations(merged_weight(runs.layer))
+        w = merged_weight(runs.layer)
+        devs[..., t] = rel_error_slices(w[1], w[0])
+        del w  # freed before the next pass: held through it, it doubled the check's page faults
     return devs
 
 
@@ -269,6 +279,39 @@ def _per_instance(instances: int, tol: float):
         def run(seed: int):
             stream = RandomStream(seed)
             worst = _worst([deviation(stream, seed + i) for i in range(instances)])
+            return instances, worst, worst <= tol
+
+        return _check(run)
+
+    return register
+
+
+# Instances per stack in the stacked checks, and probes per block in
+# lstsq_local_minimality. 15 keeps a pair stack's largest arrays, its 32 x 32
+# row projectors, at 120 KiB, under glibc's 128 KiB mmap threshold; the
+# trajectory checks keep TWIN_STACK_GAUGES (README, "Stacked runs").
+STACK_INSTANCES = 15
+
+
+def _stacks(instances: int, first: int = 0) -> list[range]:
+    """first, first + 1, ... for ``instances`` in order, as ranges of at most STACK_INSTANCES."""
+    end = first + instances
+    return [range(lo, min(lo + STACK_INSTANCES, end)) for lo in range(first, end, STACK_INSTANCES)]
+
+
+def _per_stack(instances: int, tol: float):
+    """Register a check from its deviations on a stack, fn(stream, seeds) -> one per seed.
+
+    As _per_instance, but fn draws and scores the next len(seeds) instances,
+    instance i seeded seed + i, at once: seeds is a range of at most
+    STACK_INSTANCES.
+    """
+
+    def register(deviations):
+        @functools.wraps(deviations)
+        def run(seed: int):
+            stream = RandomStream(seed)
+            worst = _worst(np.concatenate([deviations(stream, seeds) for seeds in _stacks(instances, seed)]))
             return instances, worst, worst <= tol
 
         return _check(run)
@@ -360,45 +403,48 @@ def _lstsq_local_minimality(seed: int, instances: int = 5, probes: int = 1000):
         g = stream.normal(k, d)
         z = optim.scaled_grad_a(b.T @ g, b, 1.0, 0.0)  # the library's argmin ||B Z - G||_F
         base = frobenius(b @ z - g)
-        for _ in range(probes):
-            delta = stream.normal(r, d)
-            delta *= 1e-3 / frobenius(delta)
-            if frobenius(b @ (z + delta) - g) <= base:
+        for block in _stacks(probes):  # a block of probes, each a normal(r, d) draw in turn
+            delta = stream.normal_stack(len(block), r, d)
+            delta *= (1e-3 / frobenius_slices(delta))[:, None, None]
+            if (frobenius_slices(b @ (z + delta) - g) <= base).any():
                 return instances, np.inf, False
     return instances, 0.0, True, {"probes": probes}
 
 
-def _pair_instance(stream: RandomStream, k: int = 16, d: int = 32, r: int = 4):
-    layer = LoraLayer(
-        stream.normal(k, d) / np.sqrt(d),
-        stream.normal(r, d),
-        stream.normal(k, r),
-        alpha=float(r),
-    )
-    g_t = stream.normal(k, d)
-    g_half = stream.normal(k, d)
-    return layer, FullGradient(g_t, np.eye(d)), FullGradient(g_half, np.eye(d))
+def _pair_stack(stream: RandomStream, count: int, k: int = 16, d: int = 32, r: int = 4):
+    """count pair instances drawn in turn, as one stack: (layer, g_t, g_half) with dense gradients."""
+    drawn = [(stream.normal(k, d) / np.sqrt(d), stream.normal(r, d), stream.normal(k, r),
+              stream.normal(k, d), stream.normal(k, d)) for _ in range(count)]
+    w0, a, b, g_t, g_half = (np.stack(arrays) for arrays in zip(*drawn))
+    eye = np.eye(d)
+    return LoraLayer(w0, a, b, alpha=float(r)), FullGradient(g_t, eye), FullGradient(g_half, eye)
 
 
-@_per_instance(100, 1e-10)
-def _pair_step_residual(stream: RandomStream, *_) -> float:
-    cfg = optim.TrainConfig(eta=0.05, beta1=0.0, lam=0.0)
-    rep = decompose_pair_step(*_pair_instance(stream), cfg)
-    return rep.residual_norm / max(frobenius(rep.projected_col_term + rep.projected_row_term), 1e-300)
+_PAIR_CFG = optim.TrainConfig(eta=0.05, beta1=0.0, lam=0.0)
+
+
+@_per_stack(100, 1e-10)
+def _pair_step_residual(stream: RandomStream, seeds: range) -> np.ndarray:
+    rep = decompose_pair_step(*_pair_stack(stream, len(seeds)), _PAIR_CFG)
+    return rep.residual_norm / np.maximum(frobenius_slices(rep.projected_col_term + rep.projected_row_term), 1e-300)
 
 
 @_check
 def _joint_cross_term(seed: int, instances: int = 100):
     stream = RandomStream(seed)
-    cfg = optim.TrainConfig(eta=0.05, beta1=0.0, lam=0.0)
+    eta = _PAIR_CFG.eta
     devs, nonzero = [], True
-    for _ in range(instances):
-        layer, g_t, _ = _pair_instance(stream)
-        rep = decompose_pair_step(layer, g_t, g_t, cfg)
-        devs.append(rel_error(rep.cross_term, joint_cross_term(layer, g_t, cfg.eta)))
-        bound = 1e-8 * cfg.eta**2 * frobenius(g_t.g) ** 2
-        nonzero = nonzero and frobenius(rep.cross_term) > bound
-    worst = _worst(devs)
+    for stack in _stacks(instances):
+        layer, g_t, _ = _pair_stack(stream, len(stack))
+        explicit, bounds = [], []
+        for i in range(len(stack)):  # the oracle solves one instance at a time
+            one = FullGradient(g_t.u[i], g_t.v)
+            explicit.append(joint_cross_term(LoraLayer(layer.w0[i], layer.a[i], layer.b[i], layer.alpha), one, eta))
+            bounds.append(1e-8 * eta**2 * frobenius(one.g) ** 2)
+        cross = decompose_pair_step(layer, g_t, g_t, _PAIR_CFG).cross_term
+        devs.append(rel_error_slices(cross, np.stack(explicit)))
+        nonzero = nonzero and bool((frobenius_slices(cross) > np.array(bounds)).all())
+    worst = _worst(np.concatenate(devs))
     return instances, worst, worst <= 1e-10 and nonzero, {"nonzero": nonzero}
 
 
@@ -432,12 +478,11 @@ def _eta_order_slopes(seed: int):
     return len(etas), dev, dev <= 0.01, {"proj_slope": proj_slope, "cross_slope": cross_slope}
 
 
-@_per_instance(200, 1e-9)
-def _projector_gauge_invariance(stream: RandomStream, instance_seed: int) -> float:
+@_per_stack(200, 1e-9)
+def _projector_gauge_invariance(stream: RandomStream, seeds: range) -> np.ndarray:
     k, d, r = 12, 20, 3
-    a1 = stream.normal(r, d)
-    b1 = stream.normal(k, r)
-    gauge = gauge_sample(r, 10.0, instance_seed + 1000)
+    drawn = [(stream.normal(r, d), stream.normal(k, r), gauge_sample(r, 10.0, seed + 1000)) for seed in seeds]
+    a1, b1, gauge = (np.stack(arrays) for arrays in zip(*drawn))
     return projector_gauge_check(a1, b1, np.linalg.solve(gauge, a1), b1 @ gauge)
 
 

@@ -647,10 +647,37 @@ def test_batched_cholesky_and_inverse_are_bitwise_per_slice(r):
         assert gram.trace(0, -2, -1)[i] == np.trace(gram[i])
 
 
+# (rows, cols) of the QR factorizations of the stacked checks: B and A^T of
+# the gauge check (k = 12, d = 20, r = 3) and of the pair instances (k = 16,
+# d = 32, r = 4); ".T" marks the transposed view of a stored array, as
+# projector's row space takes it.
+_QR_OPERANDS = ["12x3", "20x3", "16x4", "32x4", "3x20.T", "4x32.T"]
+
+
+@pytest.mark.parametrize("spec", _QR_OPERANDS)
+def test_stacked_qr_projector_and_solve_are_bitwise_per_slice(spec):
+    # projector factors a stack with one np.linalg.qr and forms Q Q^T with @,
+    # and the gauge check solves R A2 = A1 for a stack of gauges: each slice
+    # must be its 2-D result.
+    stack = _operand(spec, RandomStream(33).normal, (3,))
+    q, r = np.linalg.qr(stack)
+    p = q @ q.mT
+    cols = stack.shape[-1]
+    gauge, rhs = RandomStream(34).normal(3, cols, cols), RandomStream(35).normal(3, cols, stack.shape[-2])
+    solved = np.linalg.solve(gauge, rhs)
+    for i in range(3):
+        q1, r1 = np.linalg.qr(stack[i])
+        assert q[i].tobytes() == q1.tobytes() and r[i].tobytes() == r1.tobytes(), f"stacked qr differs at {spec}"
+        assert p[i].tobytes() == (q1 @ q1.T).tobytes(), f"stacked Q Q^T differs at {spec}"
+        assert solved[i].tobytes() == np.linalg.solve(gauge[i], rhs[i]).tobytes(), f"stacked solve differs at {spec}"
+
+
 # (runs, rows, cols) of the per-slice reductions: the losses of the checks'
-# and the desk runs' residuals, and the checks' merged weights, whose twins
-# are read as every other slice of a stack.
-_REDUCED = ["10x16x128", "10x32x128", "3x128x128", "10x16x32", "20x16x32::2"]
+# and the desk runs' residuals, the checks' merged weights, whose twins
+# are read as every other slice of a stack, and the stacked checks' norms
+# (the probes, the pair terms and the gauge check's projectors).
+_REDUCED = ["10x16x128", "10x32x128", "3x128x128", "10x16x32", "20x16x32::2", "15x4x32", "15x16x32", "15x12x12",
+            "15x20x20"]
 
 
 @pytest.mark.parametrize("spec", _REDUCED)

@@ -341,6 +341,39 @@ def test_normal_holds_only_its_draw_and_its_output():
     assert got.tobytes() == want.tobytes()  # an odd count: z's last entry is dropped
 
 
+# Shapes of the stacked draw: a probe, an odd count, one and three entries,
+# and one draw whose pairs cross NORMAL_CHUNK; 300 blocks of the small shapes
+# cross it too, a chunk of whole blocks at a time.
+_STACKED_DRAWS = [(300, (4, 32)), (300, (5, 7)), (300, (1,)), (300, (3,)), (3, (2 * mc.NORMAL_CHUNK + 3,))]
+
+
+@pytest.mark.parametrize("n, shape", _STACKED_DRAWS, ids=[f"{n}x{shape}" for n, shape in _STACKED_DRAWS])
+def test_normal_stack_is_bitwise_consecutive_normal_draws(n, shape):
+    got, want = mc.RandomStream(38), mc.RandomStream(38)
+    stack = got.normal_stack(n, *shape)
+    draws = np.stack([want.normal(*shape) for _ in range(n)])
+    assert stack.shape == (n, *shape) and stack.tobytes() == draws.tobytes()
+    assert stack.base is None  # owns its memory, at an even and an odd count
+    assert got.uniform() == want.uniform()
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (5, 7)])
+def test_normal_stack_holds_what_normal_holds_per_draw(shape):
+    # As test_normal_holds_only_its_draw_and_its_output: the draw, one chunk's
+    # cos buffer, and at an odd count the copy of the output.
+    n, count = 256, math.prod(shape)
+    drawn = n * 2 * ((count + 1) // 2)
+    stream = mc.RandomStream(39)
+    tracemalloc.start()
+    try:
+        stream.normal_stack(n, *shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    copy = 0 if drawn == n * count else n * count
+    assert peak <= (drawn + copy + mc.NORMAL_CHUNK) * 8 + 4096
+
+
 def test_matrix_text_round_trip_is_exact():
     stream = mc.RandomStream(21)
     for _ in range(5):
