@@ -4,8 +4,9 @@ Everything here is pure float64 numpy: ridge-damped Gram inverses formed
 from numpy's Cholesky factor under an explicit pivot threshold, subspace
 projectors from Householder Q (no Gram), seeded random factor generation,
 and a one-sided Jacobi SVD used as an independent spectral oracle.
-``projector``, ``frobenius_slices`` and ``rel_error_slices`` also take a
-stack of matrices on leading axes, each slice giving its 2-D bits.
+``cholesky_factor``, ``damped_gram_inverse``, ``projector``, ``frobenius``
+and ``rel_error`` also take a stack of matrices on leading axes, each
+slice giving its 2-D bits.
 
 Randomness contract: all sampling goes through :class:`RandomStream`, a
 PCG64 bit generator whose uniform doubles feed an explicit Box-Muller
@@ -31,9 +32,7 @@ __all__ = [
     "gauge_sample",
     "jacobi_svd",
     "frobenius",
-    "frobenius_slices",
     "rel_error",
-    "rel_error_slices",
     "sum_of_squares",
 ]
 
@@ -90,39 +89,31 @@ def _pairwise_square_sum(flat: np.ndarray, lo: int, hi: int, buf: np.ndarray) ->
     return _pairwise_square_sum(flat, lo, lo + half, buf) + _pairwise_square_sum(flat, lo + half, hi, buf)
 
 
-def frobenius(m: np.ndarray) -> float:
-    return math.sqrt(sum_of_squares(m))
+def _squares(m) -> np.float64 | np.ndarray:
+    """sum_of_squares of a matrix, or of each trailing 2-D slice of a stack, each slice reduced whole:
+    its matrix's bits up to SQUARE_CHUNK entries a slice (tests/test_adapter.py)."""
+    return sum_of_squares(m) if np.ndim(m) <= 2 else np.add.reduce(np.square(m, dtype=np.float64), axis=(-2, -1))
 
 
-def rel_error(got: np.ndarray, want: np.ndarray) -> float:
-    """Relative Frobenius error ||got - want||_F / ||want||_F (0 if both zero)."""
+def frobenius(m) -> float | np.ndarray:
+    """||m||_F as a float, or the array of each trailing 2-D slice's for a stack."""
+    squares = _squares(m)
+    return np.sqrt(squares) if type(squares) is np.ndarray else math.sqrt(squares)
+
+
+def rel_error(got, want) -> float | np.ndarray:
+    """Relative Frobenius error ||got - want||_F / ||want||_F (0 if both zero).
+
+    A stack gives each slice's, by the same arithmetic: 0 where both are
+    zero, inf where only the difference is nonzero.
+    """
     denom = frobenius(want)
     num = frobenius(np.asarray(got) - np.asarray(want))
+    if type(num) is np.ndarray:
+        return np.divide(num, denom, out=np.where(num == 0.0, 0.0, math.inf), where=denom != 0.0)
     if denom == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / denom
-
-
-def frobenius_slices(m: np.ndarray):
-    """frobenius of a matrix, or the array of each trailing 2-D slice's for a stack.
-
-    Each slice is reduced whole, by numpy's pairwise sum: its frobenius bit for
-    bit up to SQUARE_CHUNK entries a slice (tests/test_adapter.py).
-    """
-    return frobenius(m) if np.ndim(m) == 2 else np.sqrt(_slice_squares(m))
-
-
-def _slice_squares(m: np.ndarray) -> np.ndarray:
-    """sum_of_squares of each trailing 2-D slice of a stack, each slice reduced whole."""
-    return np.add.reduce(np.square(m, dtype=np.float64), axis=(-2, -1))
-
-
-def rel_error_slices(got: np.ndarray, want: np.ndarray):
-    """rel_error of a matrix, or the array of each slice's for a stack, by the same arithmetic."""
-    if np.ndim(want) == 2:
-        return rel_error(got, want)
-    num, denom = frobenius_slices(np.asarray(got) - np.asarray(want)), frobenius_slices(want)
-    return np.divide(num, denom, out=np.where(num == 0.0, 0.0, math.inf), where=denom != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +186,7 @@ def damped_gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
 
 
 def _gram_inverse(m: np.ndarray, side: str, lam: float) -> np.ndarray:
-    """The body of damped_gram_inverse, which the optimizer steps call on a stack.
-
-    perfbench's tracer wraps only public names, and its FLOP hook for
-    damped_gram_inverse reads a 2-D shape.
-    """
+    """The body of damped_gram_inverse, which optim._left_gram_inverse calls on a stack."""
     m = np.asarray(m, dtype=np.float64)
     if not 0.0 <= lam < math.inf:  # NaN fails too
         raise ValueError(f"damping must be nonnegative and finite, got {lam}")
@@ -238,7 +225,7 @@ def projector(m: np.ndarray, space: str) -> np.ndarray:
     q, r = np.linalg.qr(m if space == "column" else m.mT)
     square = r.shape[-2] == r.shape[-1]  # a wide R is short of rank
     least = (r.diagonal(0, -2, -1) ** 2).min(-1) if square else np.zeros(r.shape[:-2])
-    tol = PIVOT_RTOL * (_slice_squares(m) if m.ndim > 2 else sum_of_squares(m))
+    tol = PIVOT_RTOL * _squares(m)
     healthy = (least > 0.0) & (least >= tol)  # a NaN pivot or tol fails too
     if not healthy.all():
         where = _first_index(~healthy)

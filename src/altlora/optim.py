@@ -33,6 +33,8 @@ leading axis (S, ...), with the state built for it): the runs move in
 lockstep under one cfg and one shared t, so one phase, one learning rate
 and one bias correction hold for all of them, and each slice ends bit for
 bit where it would alone. A singular Gram in any slice fails the stack.
+The steppers take every Gram inverse from _left_gram_inverse, the one place
+that routes a stack past the public damped_gram_inverse.
 """
 
 from __future__ import annotations
@@ -207,6 +209,12 @@ def align_momentum_a(ma: np.ndarray, b_old: np.ndarray, b_new: np.ndarray, lam: 
     return realign_a(damped_gram_inverse(b_new, "left", lam), ma, b_old, b_new)
 
 
+def _left_gram_inverse(y: np.ndarray, lam: float) -> np.ndarray:
+    """(y^T y + lam I)^-1 for the steppers: damped_gram_inverse for a matrix, and for a stack
+    its private body matcore._gram_inverse, since perfbench's FLOP hook on the public name reads a 2-D shape."""
+    return (damped_gram_inverse if y.ndim == 2 else _gram_inverse)(y, "left", lam)
+
+
 def update_phase(t: int, order: str) -> str:
     """Which factor moves at step t under order a_first or b_first: "a" or "b"."""
     return "a" if (t % 2 == 0) == (order == A_FIRST) else "b"
@@ -258,11 +266,9 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
     else:
         x, y, y_bound, m, m_y = layer.b.mT, layer.a.mT, layer.a, state.mb.mT, state.ma
         grad = lora_grad_b(g, layer).mT
-    # a stack skips the public name, whose perfbench FLOP hook reads a 2-D shape
-    inverse = damped_gram_inverse if x.ndim == 2 else _gram_inverse
     y_inv = layer._held("gram", y_bound, cfg.lam)
     if y_inv is None:
-        y_inv = inverse(y, "left", cfg.lam)
+        y_inv = _left_gram_inverse(y, cfg.lam)
     tilde = precondition_a(y_inv, grad, layer.s)
     v = (state.va if a_phase else state.vb.mT) if adaptive else None
     m, v, direction = _moments(m, tilde, cfg, v, state.t // 2 + 1)  # tau: this factor's update count
@@ -271,7 +277,7 @@ def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
     x_new = _descend(x, cfg.eta, direction, cfg.gamma)
     x_bound = x_new if a_phase else x_new.mT  # the array layer.a or layer.b is bound to
     if cfg.beta1 != 0.0:  # x moved: align_momentum_b, in this phase's orientation
-        x_inv = layer._product("gram", x_bound, cfg.lam, inverse, x_new.mT, "left", cfg.lam)
+        x_inv = layer._product("gram", x_bound, cfg.lam, _left_gram_inverse, x_new.mT, cfg.lam)
         m_y = realign_a(x_inv, m_y, x.mT, x_new.mT)
     if a_phase:
         layer.a, state.ma, state.mb = x_bound, m, m_y.mT
@@ -327,13 +333,10 @@ def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g: FullGradi
         # Both scaled gradients from the same G at the same point; this is
         # the stepper whose merged-weight update carries the eta^2 cross
         # term that the alternating scheme avoids. Momentum, when enabled,
-        # is a plain EMA on the scaled gradients (no realignment).
-        if layer.a.ndim == 2:
-            tilde_a = scaled_grad_a(grad_a, layer.b, layer.s, cfg.lam)
-            tilde_b = scaled_grad_b(grad_b, layer.a, layer.s, cfg.lam)
-        else:  # scaled_grad_a / _b's arithmetic: a stack skips the public names, as in _alternating_step
-            tilde_a = precondition_a(_gram_inverse(layer.b, "left", cfg.lam), grad_a, layer.s)
-            tilde_b = precondition_a(_gram_inverse(layer.a.mT, "left", cfg.lam), grad_b.mT, layer.s).mT
+        # is a plain EMA on the scaled gradients (no realignment). The
+        # B-direction is scaled_grad_b's: the transposed A-form.
+        tilde_a = precondition_a(_left_gram_inverse(layer.b, cfg.lam), grad_a, layer.s)
+        tilde_b = precondition_a(_left_gram_inverse(layer.a.mT, cfg.lam), grad_b.mT, layer.s).mT
         state.ma, _, dir_a = _moments(state.ma, tilde_a, cfg)
         state.mb, _, dir_b = _moments(state.mb, tilde_b, cfg)
     else:

@@ -12,7 +12,9 @@ The checks of fixed-shape instances step and score them as stacks of at
 most STACK_INSTANCES on a leading axis (projector_gauge_check and
 decompose_pair_step take stacks, and trajectory_invariance_check steps its
 gauge twins as one), drawing them in the stream's order; every deviation is
-the one the instance would give alone, bit for bit.
+the one the instance would give alone, bit for bit. The checks of
+random-shape instances register through the same loop, _per_stack, one
+instance at a time (_per_instance).
 
 The named checks at the bottom produce a machine-readable report consumed
 by ``altlora verify``.
@@ -46,12 +48,10 @@ from .matcore import (
     _slice_name,
     damped_gram_inverse,
     frobenius,
-    frobenius_slices,
     gauge_sample,
     jacobi_svd,
     projector,
     rel_error,
-    rel_error_slices,
 )
 
 
@@ -152,7 +152,7 @@ def decompose_pair_step(
 
     col_term = cfg.eta * (projector(layer.b, "column") @ gt)
     row_term = cfg.eta * (gh @ projector(a_plus, "row"))
-    residual = frobenius_slices(dw_alt + col_term + row_term)
+    residual = frobenius(dw_alt + col_term + row_term)
 
     joint = layer.copy()
     stj = optim.AltLoraState.init(joint)
@@ -175,12 +175,12 @@ def projector_gauge_check(a1, b1, a2, b2) -> float | np.ndarray:
     judges it. Stacked factors (S, ...) give the (S,) deviations, and a slice
     whose products differ raises for the stack, naming it.
     """
-    prod_dev = np.asarray(rel_error_slices(b2 @ a2, b1 @ a1))
+    prod_dev = np.asarray(rel_error(b2 @ a2, b1 @ a1))
     if (prod_dev > 1e-10).any():
         where = _first_index(prod_dev > 1e-10)
         raise PreconditionViolated(f"{_slice_name(where)}factor products differ by {prod_dev[where]:.3e} > 1e-10")
-    col_dev = rel_error_slices(projector(b2, "column"), projector(b1, "column"))
-    row_dev = rel_error_slices(projector(a2, "row"), projector(a1, "row"))
+    col_dev = rel_error(projector(b2, "column"), projector(b1, "column"))
+    row_dev = rel_error(projector(a2, "row"), projector(a1, "row"))
     return np.maximum(col_dev, row_dev)  # NaN propagates
 
 
@@ -230,7 +230,7 @@ def trajectory_invariance_check(
     for t in range(steps):
         stepper(runs.layer, state, training_pass(runs, x, target)[1], cfg)
         w = merged_weight(runs.layer)
-        devs[..., t] = rel_error_slices(w[1], w[0])
+        devs[..., t] = rel_error(w[1], w[0])
         del w  # freed before the next pass: held through it, it doubled the check's page faults
     return devs
 
@@ -268,24 +268,6 @@ def _check(fn):
     return fn
 
 
-def _per_instance(instances: int, tol: float):
-    """Register a check from its deviation on one instance, fn(stream, seed + i).
-
-    One stream serves the instances in order; the worst deviation must be within tol.
-    """
-
-    def register(deviation):
-        @functools.wraps(deviation)
-        def run(seed: int):
-            stream = RandomStream(seed)
-            worst = _worst([deviation(stream, seed + i) for i in range(instances)])
-            return instances, worst, worst <= tol
-
-        return _check(run)
-
-    return register
-
-
 # Instances per stack in the stacked checks, and probes per block in
 # lstsq_local_minimality. 15 keeps a pair stack's largest arrays, its 32 x 32
 # row projectors, at 120 KiB, under glibc's 128 KiB mmap threshold; the
@@ -302,9 +284,9 @@ def _stacks(instances: int, first: int = 0) -> list[range]:
 def _per_stack(instances: int, tol: float):
     """Register a check from its deviations on a stack, fn(stream, seeds) -> one per seed.
 
-    As _per_instance, but fn draws and scores the next len(seeds) instances,
-    instance i seeded seed + i, at once: seeds is a range of at most
-    STACK_INSTANCES.
+    fn draws and scores the next len(seeds) instances, instance i seeded
+    seed + i, at once: seeds is a range of at most STACK_INSTANCES. One
+    stream serves the stacks in order; the worst deviation must be within tol.
     """
 
     def register(deviations):
@@ -315,6 +297,19 @@ def _per_stack(instances: int, tol: float):
             return instances, worst, worst <= tol
 
         return _check(run)
+
+    return register
+
+
+def _per_instance(instances: int, tol: float):
+    """_per_stack for a check that draws and scores one instance at a time, fn(stream, seed + i)."""
+
+    def register(deviation):
+        @functools.wraps(deviation)
+        def deviations(stream: RandomStream, seeds: range) -> list:
+            return [deviation(stream, seed) for seed in seeds]
+
+        return _per_stack(instances, tol)(deviations)
 
     return register
 
@@ -395,7 +390,8 @@ def _lstsq_align_momentum_a(stream: RandomStream, *_) -> float:
 
 
 @_check
-def _lstsq_local_minimality(seed: int, instances: int = 5, probes: int = 1000):
+def _lstsq_local_minimality(seed: int):
+    instances, probes = 5, 1000
     stream = RandomStream(seed)
     for _ in range(instances):
         k, d, r = 16, 32, 4
@@ -405,14 +401,15 @@ def _lstsq_local_minimality(seed: int, instances: int = 5, probes: int = 1000):
         base = frobenius(b @ z - g)
         for block in _stacks(probes):  # a block of probes, each a normal(r, d) draw in turn
             delta = stream.normal_stack(len(block), r, d)
-            delta *= (1e-3 / frobenius_slices(delta))[:, None, None]
-            if (frobenius_slices(b @ (z + delta) - g) <= base).any():
+            delta *= (1e-3 / frobenius(delta))[:, None, None]
+            if (frobenius(b @ (z + delta) - g) <= base).any():
                 return instances, np.inf, False
     return instances, 0.0, True, {"probes": probes}
 
 
-def _pair_stack(stream: RandomStream, count: int, k: int = 16, d: int = 32, r: int = 4):
+def _pair_stack(stream: RandomStream, count: int):
     """count pair instances drawn in turn, as one stack: (layer, g_t, g_half) with dense gradients."""
+    k, d, r = 16, 32, 4
     drawn = [(stream.normal(k, d) / np.sqrt(d), stream.normal(r, d), stream.normal(k, r),
               stream.normal(k, d), stream.normal(k, d)) for _ in range(count)]
     w0, a, b, g_t, g_half = (np.stack(arrays) for arrays in zip(*drawn))
@@ -426,11 +423,12 @@ _PAIR_CFG = optim.TrainConfig(eta=0.05, beta1=0.0, lam=0.0)
 @_per_stack(100, 1e-10)
 def _pair_step_residual(stream: RandomStream, seeds: range) -> np.ndarray:
     rep = decompose_pair_step(*_pair_stack(stream, len(seeds)), _PAIR_CFG)
-    return rep.residual_norm / np.maximum(frobenius_slices(rep.projected_col_term + rep.projected_row_term), 1e-300)
+    return rep.residual_norm / np.maximum(frobenius(rep.projected_col_term + rep.projected_row_term), 1e-300)
 
 
 @_check
-def _joint_cross_term(seed: int, instances: int = 100):
+def _joint_cross_term(seed: int):
+    instances = 100
     stream = RandomStream(seed)
     eta = _PAIR_CFG.eta
     devs, nonzero = [], True
@@ -442,8 +440,8 @@ def _joint_cross_term(seed: int, instances: int = 100):
             explicit.append(joint_cross_term(LoraLayer(layer.w0[i], layer.a[i], layer.b[i], layer.alpha), one, eta))
             bounds.append(1e-8 * eta**2 * frobenius(one.g) ** 2)
         cross = decompose_pair_step(layer, g_t, g_t, _PAIR_CFG).cross_term
-        devs.append(rel_error_slices(cross, np.stack(explicit)))
-        nonzero = nonzero and bool((frobenius_slices(cross) > np.array(bounds)).all())
+        devs.append(rel_error(cross, np.stack(explicit)))
+        nonzero = nonzero and bool((frobenius(cross) > np.array(bounds)).all())
     worst = _worst(np.concatenate(devs))
     return instances, worst, worst <= 1e-10 and nonzero, {"nonzero": nonzero}
 
@@ -486,9 +484,10 @@ def _projector_gauge_invariance(stream: RandomStream, seeds: range) -> np.ndarra
     return projector_gauge_check(a1, b1, np.linalg.solve(gauge, a1), b1 @ gauge)
 
 
-def _invariance_task(stream: RandomStream, k: int = 16, d: int = 32, r: int = 4):
+def _invariance_task(stream: RandomStream):
     """Linear-regression task with full-rank factors (safe at lam = 0); its
     teacher's Delta is full rank and k < d, so the target is (I, Delta X)."""
+    k, d, r = 16, 32, 4
     w0 = stream.normal(k, d) / np.sqrt(d)
     layer = LoraLayer(w0, stream.normal(r, d) / np.sqrt(d), stream.normal(k, r) / np.sqrt(r), float(r))
     delta = stream.normal(k, d) / np.sqrt(d)
@@ -513,7 +512,8 @@ def _gauge_stacks(stream: RandomStream, gauges: int, gauge_seed: int):
 
 
 @_check
-def _trajectory_invariance_altlora(seed: int, gauges: int = 20, steps: int = 50):
+def _trajectory_invariance_altlora(seed: int):
+    gauges, steps = 20, 50
     stream = RandomStream(seed)
     devs = []
     for task, gauge in _gauge_stacks(stream, gauges, seed + 31):
@@ -532,8 +532,9 @@ def _trajectory_invariance_altlora(seed: int, gauges: int = 20, steps: int = 50)
 
 
 @_check
-def _trajectory_invariance_negative_control(seed: int, gauges: int = 20, steps: int = 50):
+def _trajectory_invariance_negative_control(seed: int):
     """Elementwise-adaptive baseline must break gauge invariance."""
+    gauges, steps = 20, 50
     stream = RandomStream(seed)
     cfg = optim.TrainConfig(eta=0.02, beta1=0.9, beta2=0.999, lam=0.0)
     run_devs = []

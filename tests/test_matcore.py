@@ -257,9 +257,35 @@ def test_frobenius_is_bitwise_the_reference_formula():
     ]
     for m in cases:
         got = mc.frobenius(m)
+        if np.ndim(m) > 2:  # a stack: each trailing 2-D slice's value
+            assert got.tobytes() == np.array([ref.frobenius(one) for one in m]).tobytes()
+            continue
         want = ref.frobenius(m)
         assert type(got) is float
         assert got == want or (np.isnan(got) and np.isnan(want)), m
+
+
+@pytest.mark.parametrize("lead", [(6,), (2, 3)], ids=["S", "GxS"])
+def test_norms_of_a_stack_are_each_slice_alone(lead):
+    stream = mc.RandomStream(35)
+    want = stream.normal(*lead, 4, 5)
+    got = want + 1e-3 * stream.normal(*lead, 4, 5)
+    flat_got, flat_want = got.reshape(6, 4, 5), want.reshape(6, 4, 5)  # views: slice i of the flattened lead
+    flat_got[1] = flat_want[1] = 0.0  # both zero: 0
+    flat_want[2] = 0.0  # only the difference is nonzero: inf
+    flat_got[3, 2, 1] = np.nan  # a NaN slice: NaN
+    errs, norms = mc.rel_error(got, want), mc.frobenius(got)
+    assert errs.shape == norms.shape == lead and errs.dtype == norms.dtype == np.float64
+    errs, norms = errs.reshape(6), norms.reshape(6)
+    assert errs[1] == 0.0 and errs[2] == math.inf and np.isnan(errs[3])
+    for i in range(6):
+        one_err, one_norm = mc.rel_error(flat_got[i], flat_want[i]), mc.frobenius(flat_got[i])
+        assert type(one_err) is float and type(one_norm) is float
+        if i == 3:
+            assert np.isnan(one_err) and np.isnan(one_norm) and np.isnan(norms[i])
+            continue
+        assert errs[i].tobytes() == np.float64(one_err).tobytes(), i
+        assert norms[i].tobytes() == np.float64(one_norm).tobytes(), i
 
 
 CHUNK = mc.SQUARE_CHUNK
