@@ -443,11 +443,12 @@ FULL_MOMENT = "lorapro_full_moment"
 
 
 def state_accounting(k: int, d: int, r: int, method: str) -> int:
-    """Exact optimizer-state entry count of ``method`` on a k x d layer at rank r.
+    """Entries ``method`` holds on a k x d layer at rank r: its state plus one step's work buffers.
 
-    The full-moment comparison layout keeps dense k x d first and second
-    moments (2 k d entries); it is computed here for comparison and never
-    allocated anywhere in the library.
+    Counted in _STATE_UNITS factor pairs of k r + r d entries, so altlora counts 4
+    where AltLoraState.entry_count() (the CSV's state_entries) holds 1 pair. The
+    full-moment comparison layout keeps dense k x d first and second moments
+    (2 k d entries); it is computed here for comparison and never allocated.
     """
     if method == FULL_MOMENT:
         return 2 * k * d

@@ -166,11 +166,6 @@ def _run_name(name: str) -> str:
     return name
 
 
-def _build_id() -> str:
-    # ALTLORA_BUILD_ID lets packagers stamp a git describe string
-    return os.environ.get("ALTLORA_BUILD_ID", f"altlora-{__version__}")
-
-
 def _sidecar(spec: bench.ExperimentSpec, record: bench.RunRecord) -> dict:
     return {
         "schema": RUN_SCHEMA,
@@ -178,7 +173,7 @@ def _sidecar(spec: bench.ExperimentSpec, record: bench.RunRecord) -> dict:
         "steps_to_threshold": record.steps_to_threshold,
         "diverged": record.diverged,
         "final_loss": None if math.isnan(record.final_loss) else record.final_loss,
-        "build_id": _build_id(),
+        "build_id": f"altlora-{__version__}",
     }
 
 
@@ -350,6 +345,13 @@ def _load_runs(directory: Path):
     return runs, offenders, incomplete
 
 
+def _best_cell_key(cell: tuple) -> tuple:
+    """Rank a (name, meta) run cell: fewest steps to threshold first, then, among cells that never
+    reached it, the lowest final loss."""
+    stt, loss = cell[1]["steps_to_threshold"], cell[1]["final_loss"]
+    return (0, stt) if stt >= 0 else (1, loss if loss is not None else math.inf)
+
+
 def cmd_report(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
@@ -375,19 +377,13 @@ def cmd_report(args) -> int:
         lines.append(",".join(map(str, values)))
     atomic_write_text(directory / "summary.csv", "\n".join(lines) + "\n")
 
-    # best cell per optimizer: fewest steps to threshold, else lowest loss
     by_opt: dict = {}
     for name, meta in runs:
         by_opt.setdefault(meta["spec"]["optimizer"], []).append((name, meta))
     print(f"{len(runs)} run(s); summary written to {directory / 'summary.csv'}")
     print("best cell per optimizer:")
     for opt_name, cells in sorted(by_opt.items()):
-        def rank(item):
-            stt = item[1]["steps_to_threshold"]
-            loss = item[1]["final_loss"]
-            return (0, stt) if stt >= 0 else (1, loss if loss is not None else math.inf)
-
-        best = min(cells, key=rank)
+        best = min(cells, key=_best_cell_key)
         print(
             f"  {opt_name:<16} {best[0]}  steps_to_threshold={best[1]['steps_to_threshold']}"
             f"  final_loss={best[1]['final_loss']}"
@@ -400,9 +396,8 @@ def cmd_report(args) -> int:
         for opt_name, cells in sorted(by_opt.items()):
             per_kappa = []
             for kappa in kappas:
-                vals = [meta["steps_to_threshold"] for _, meta in cells if meta["spec"]["kappa"] == kappa]
-                # -1 (never reached) only when no cell at this kappa reached the threshold
-                per_kappa.append(min(vals, key=lambda v: (v < 0, v)) if vals else None)
+                at_kappa = [cell for cell in cells if cell[1]["spec"]["kappa"] == kappa]
+                per_kappa.append(min(at_kappa, key=_best_cell_key)[1]["steps_to_threshold"] if at_kappa else None)
             print(
                 f"  {opt_name:<16}"
                 + " ".join(f"{v if v is not None else '-':>12}" for v in per_kappa)

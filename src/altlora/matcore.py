@@ -36,7 +36,7 @@ __all__ = [
     "sum_of_squares",
 ]
 
-# Cholesky pivots below PIVOT_RTOL * trace(gram) are treated as singular.
+# Squared pivots below PIVOT_RTOL * scale are numerically singular (_judge_pivots).
 PIVOT_RTOL = 1e-12
 
 
@@ -123,10 +123,9 @@ def rel_error(got, want) -> float | np.ndarray:
 def cholesky_factor(gram: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix, pivot-thresholded.
 
-    Raises SingularGram when LAPACK rejects the matrix or any pivot L_jj^2
-    is not positive or falls below PIVOT_RTOL * trace(gram), which is the
-    library's definition of "numerically singular". A Gram with NaN entries
-    raises too instead of factoring into NaNs.
+    Raises SingularGram when LAPACK rejects the matrix, or when _judge_pivots
+    fails a pivot L_jj^2 against the scale trace(gram). A Gram with NaN
+    entries raises too instead of factoring into NaNs.
 
     A stack (S, r, r) is factored slice by slice with each slice's own
     threshold; one singular slice raises for the whole stack, naming it.
@@ -135,18 +134,24 @@ def cholesky_factor(gram: np.ndarray) -> np.ndarray:
         lo = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularGram(f"{_failing_slice(gram)}{exc}; supply a damping lambda > 0") from exc
-    tol = PIVOT_RTOL * gram.trace(0, -2, -1)
-    pivots = lo.diagonal(0, -2, -1) ** 2
+    _judge_pivots(lo.diagonal(0, -2, -1) ** 2, gram.trace(0, -2, -1), hint="; supply a damping lambda > 0")
+    return lo
+
+
+def _judge_pivots(pivots: np.ndarray, scale, what: str = "", hint: str = "") -> None:
+    """The library's one "numerically singular" rule, on a factor's squared pivots (..., n).
+
+    Raises SingularGram if a pivot is NaN, not positive or below PIVOT_RTOL * scale (one scale
+    per slice), naming the first failing slice and column between ``what`` and ``hint``.
+    """
+    tol = PIVOT_RTOL * scale
     least = pivots.min(-1)
     healthy = (least > 0.0) & (least >= tol)  # a NaN pivot or tol fails here too
-    if not (healthy if lo.ndim == 2 else healthy.all()):  # a matrix skips .all(), a microsecond per call
+    if not (healthy if pivots.ndim == 1 else healthy.all()):  # a matrix skips .all(), a microsecond per call
         *where, j = _first_index(~((pivots > 0.0) & (pivots >= tol[..., None])))
         where = tuple(where)
-        raise SingularGram(
-            f"{_slice_name(where)}pivot {pivots[where][j]:.3e} below threshold {tol[where]:.3e} "
-            f"at column {j}; supply a damping lambda > 0"
-        )
-    return lo
+        raise SingularGram(f"{_slice_name(where)}{what}pivot {pivots[where][j]:.3e} below threshold "
+                           f"{tol[where]:.3e} at column {j}{hint}")
 
 
 def _first_index(bad) -> tuple:
@@ -213,24 +218,20 @@ def projector(m: np.ndarray, space: str) -> np.ndarray:
     """Q Q^T, the orthogonal projector onto the column space of m, or of m.T at space="row".
 
     Q is from the reduced Householder QR; no Gram is formed. A factor short of
-    rank raises SingularGram by cholesky_factor's rule: some R_jj^2 is NaN,
-    not positive, or below PIVOT_RTOL * ||m||_F^2. A stack (S, rows, cols)
-    gives the stack of the slices' projectors, bit for bit, each slice judged
-    by its own pivots and norm; one singular slice raises for the stack,
-    naming it as cholesky_factor does.
+    rank raises SingularGram: _judge_pivots fails a pivot R_jj^2 against the
+    scale ||m||_F^2, and a wide R's missing pivots count as zeros. A stack
+    (S, rows, cols) gives the stack of the slices' projectors, bit for bit,
+    each slice judged by its own pivots and norm; one singular slice raises
+    for the stack, naming it as cholesky_factor does.
     """
     if space not in ("column", "row"):
         raise ValueError(f"space must be 'column' or 'row', got {space!r}")
     m = np.asarray(m, dtype=np.float64)
     q, r = np.linalg.qr(m if space == "column" else m.mT)
-    square = r.shape[-2] == r.shape[-1]  # a wide R is short of rank
-    least = (r.diagonal(0, -2, -1) ** 2).min(-1) if square else np.zeros(r.shape[:-2])
-    tol = PIVOT_RTOL * _squares(m)
-    healthy = (least > 0.0) & (least >= tol)  # a NaN pivot or tol fails too
-    if not healthy.all():
-        where = _first_index(~healthy)
-        raise SingularGram(f"{_slice_name(where)}{space} space: least pivot {least[where]:.3e} "
-                           f"below threshold {tol[where]:.3e}")
+    pivots = r.diagonal(0, -2, -1) ** 2
+    if r.shape[-2] < r.shape[-1]:  # a wide R is short of rank
+        pivots = np.concatenate((pivots, np.zeros((*r.shape[:-2], r.shape[-1] - r.shape[-2]))), -1)
+    _judge_pivots(pivots, _squares(m), f"{space} space: ")
     return q @ q.mT
 
 

@@ -114,6 +114,21 @@ def test_projector_of_a_factor_with_a_zero_column_raises_in_both_spaces(column):
         mc.projector(b.T, "row")
 
 
+def test_cholesky_and_projector_share_one_pivot_verdict():
+    m = mc.RandomStream(21).normal(8, 3)
+    m[:, 2] = 2.0 * m[:, 0]  # short of rank at lam = 0: column 2 is a multiple of column 0
+    stack = mc.RandomStream(22).normal_stack(3, 8, 3)
+    stack[1] = m
+    for got, where in ((m, ""), (stack, "slice 1: ")):
+        with pytest.raises(mc.SingularGram, match=f"^{where}"):
+            mc.damped_gram_inverse(got, "left", 0.0)
+        with pytest.raises(mc.SingularGram, match=rf"^{where}column space: pivot \S+ below threshold \S+ at column 2$"):
+            mc.projector(got, "column")
+    # a wide factor's R has no pivot past its rows: the first missing one fails
+    with pytest.raises(mc.SingularGram, match=r"^column space: pivot 0\.000e\+00 below threshold \S+ at column 2$"):
+        mc.projector(mc.RandomStream(23).normal(2, 3), "column")
+
+
 def test_projector_idempotent_and_rank_trace():
     b = mc.RandomStream(8).normal(8, 2)
     p = mc.projector(b, "column")
