@@ -47,9 +47,10 @@ class LoraLayer:
 
     _memo, the library's one memo, is read by _held and written, frozen, by
     _product alone; each entry (first, second, product) keys on the identity of
-    first and second: W0 X, A X, X QX^T, R_P (B, target) and the Gram carry
-    (factor, lam, inverse); rebinding alpha, which R_P reads, empties it. _work,
-    never in it, holds what never leaves a pass: a compressed pass's QX and R_P QX.
+    first and second: W0 X, A X, X QX^T (A X, target), X vx^T (x, target), R_P
+    (B, target) and the Gram carry (factor, lam, inverse); rebinding alpha, which
+    R_P reads, empties it. _work, never in it, holds what never leaves a pass: a
+    compressed pass's QX and R_P QX.
     """
 
     w0: np.ndarray
@@ -276,22 +277,50 @@ def _qx(layer: LoraLayer, ax: np.ndarray, target: FactoredTarget, work: bool = F
     return np.concatenate((ax, vx), axis=-2, out=qx)
 
 
+def _compressed(layer: LoraLayer, x: np.ndarray) -> bool:
+    """Whether a factored pass over batch x takes the compressed form: past
+    sum_of_squares' whole-square size; below it one GEMM P QX is cheaper."""
+    return layer.k * x.shape[-1] > SQUARE_CHUNK
+
+
+def _gradient_v(layer: LoraLayer, x: np.ndarray, ax: np.ndarray, target: FactoredTarget, dot,
+                qx: np.ndarray | None = None) -> np.ndarray:
+    """v = X QX^T (d x r'), the memo's entry for (A X, target): the one route to it.
+
+    In the compressed form the first v for (x, target) is multiplied whole and
+    its vx block X vx^T, which no step changes, is kept as the memo's entry for
+    (x, target); every later v, after a new A, is [X (A X)^T, X vx^T], one
+    product of width r. The residual form multiplies it whole. qx is QX when
+    the caller has it, else it is formed on a miss."""
+    def form(ax, target):
+        xvx = layer._held("xvx", x, target)
+        if xvx is not None:
+            return np.concatenate((dot(x, ax.mT), xvx), axis=-1)
+        v = dot(x, (_qx(layer, ax, target) if qx is None else qx).mT)
+        if _compressed(layer, x):
+            layer._product("xvx", x, target, np.copy, v[..., ax.shape[-2]:])
+        return v
+
+    return layer._product("v", ax, target, form)
+
+
 def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tuple[float, FullGradient]:
     """training_pass toward a FactoredTarget: Y - T = s B (A X) - us vx = P QX, with no W0 X.
 
     A compressed pass forms no k x m array: its loss is ||R_P QX||_F^2 / m
     for R_P = qr(P), as accurate as P QX since Householder QR is backward
-    stable, and its gradient the rank-r' factors ((2/m) P, X QX^T). A X and
-    X QX^T, the products of inner dimension m, and R_P come from the layer's
-    memo: the pass after a B-phase reuses the first two, the pass after an
-    A-phase R_P. QX and R_P QX are written over the layer's workspace; P is
+    stable, and its gradient the rank-r' factors ((2/m) P, X QX^T). A X,
+    X QX^T and X vx^T, the products of inner dimension m, and R_P come from
+    the layer's memo: the pass after a B-phase reuses the first two, the pass
+    after an A-phase R_P and X vx^T, so its X QX^T is one product of width r
+    (_gradient_v). QX and R_P QX are written over the layer's workspace; P is
     new, and scaled in place into u. The residual form takes new arrays."""
     layer = model.layer
     if model.w2 is not None:
         raise ValueError("a factored target needs the linear head")
     dot = np.dot if layer.a.ndim == x.ndim == 2 else np.matmul
     m = x.shape[-1]
-    compressed = layer.k * m > SQUARE_CHUNK  # past sum_of_squares' whole-square size; below it one GEMM P QX is cheaper
+    compressed = _compressed(layer, x)
     try:  # the product and the concatenations check that k, m and the run axes fit
         ax = layer._product("ax", layer.a, x, dot)
         p, qx = _p(layer, target), _qx(layer, ax, target, work=compressed)
@@ -299,7 +328,7 @@ def _factored_pass(model: ToyModel, x: np.ndarray, target: FactoredTarget) -> tu
         raise ShapeMismatch(f"factored target {target.us.shape} x {target.vx.shape} does not fit the layer "
                             f"{layer.b.shape[:-1]} and batch {x.shape}") from None
     if compressed:
-        v = layer._product("v", ax, target, dot, x, qx.mT)
+        v = _gradient_v(layer, x, ax, target, dot, qx)
         rq = dot(layer._product("rp", layer.b, target, np.linalg.qr, p, "r"), qx, out=layer._buffer("rq", qx.shape))
         p *= 2.0 / m
         return _mean_square(rq, out=rq), FullGradient(p, v)
@@ -336,14 +365,15 @@ def factored_norms(layer: LoraLayer, target: FactoredTarget, vt: np.ndarray, x: 
     G = (2/m) P (X QX^T)^T, so neither norm forms a k x d or k x m array. The ReLU
     row passes target = FactoredTarget(U Sigma, V^T), W* as the target of X = I, and
     no x. R_P and X QX^T are the memo's if a pass left them (a compressed pass leaves
-    both), and the row then forms no P and no QX; else it forms and stores what it missed.
+    both), and the row then forms no P and no QX; else it forms and stores what it missed,
+    X QX^T through _gradient_v, which also stores or reads X vx^T (x, target) in the
+    compressed form.
     """
     rp = layer._product("rp", layer.b, target, lambda b, t: np.linalg.qr(_p(layer, t), "r"))
     err = frobenius(np.dot(rp, np.concatenate((layer.a, vt))))
     if x is None:
         return err, None
-    ax = layer._product("ax", layer.a, x, np.dot)
-    v = layer._product("v", ax, target, lambda ax, t: np.dot(x, _qx(layer, ax, t).T))
+    v = _gradient_v(layer, x, layer._product("ax", layer.a, x, np.dot), target, np.dot)
     return err, 2.0 / x.shape[1] * frobenius(np.dot(rp, v.T))
 
 

@@ -558,11 +558,34 @@ def _lorapro_x_independence(stream: RandomStream, *_) -> float:
     return rel_error(optim.equivalent_gradient(ga2, gb2, layer), eq1)
 
 
+# The least probe fd_steps takes, as a fraction of the step it was given.
+FD_STEP_FLOOR = 1e-3
+
+
+def fd_steps(model: ToyModel, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """The central-difference step of each merged-weight entry: step, or for
+    the ReLU head h_ij = min(step, 1/2 min_n |z_in| / |x_jn|), z = W X at the
+    unperturbed merged weight W and n over x_jn != 0. A probe on W[i, j] moves
+    z_in by h_ij |x_jn|, so it stays on its side of every ReLU kink, and entries
+    with no kink in reach keep step exactly. h_ij is floored at
+    FD_STEP_FLOOR * step: a pre-activation nearer its kink than that (an exact
+    zero included) may be crossed, and the check reports the deviation."""
+    base = merged_weight(model.layer)
+    if model.w2 is None:
+        return np.full(base.shape, step)
+    abs_x = np.abs(x)  # reach[i, j, n] = |z_in| / |x_jn|, inf where x_jn = 0
+    reach = np.divide(np.abs(base @ x)[:, None, :], abs_x, out=np.full(base.shape + x.shape[1:], np.inf),
+                      where=abs_x != 0.0)
+    return np.maximum(np.minimum(step, 0.5 * reach.min(axis=-1)), FD_STEP_FLOOR * step)
+
+
 def fd_merged_gradient(model: ToyModel, x: np.ndarray, y: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the loss w.r.t. the merged weight."""
+    """Central finite differences of the loss w.r.t. the merged weight, entry
+    (i, j) at fd_steps' step h_ij."""
     layer = model.layer
     base = merged_weight(layer)
     grad = np.zeros_like(base)
+    steps = fd_steps(model, x, step)
 
     def loss_at(w):
         if model.w2 is None:
@@ -571,11 +594,12 @@ def fd_merged_gradient(model: ToyModel, x: np.ndarray, y: np.ndarray, step: floa
 
     for i in range(base.shape[0]):
         for j in range(base.shape[1]):
+            h = steps[i, j]
             wp = base.copy()
-            wp[i, j] += step
+            wp[i, j] += h
             wm = base.copy()
-            wm[i, j] -= step
-            grad[i, j] = (loss_at(wp) - loss_at(wm)) / (2.0 * step)
+            wm[i, j] -= h
+            grad[i, j] = (loss_at(wp) - loss_at(wm)) / (2.0 * h)
     return grad
 
 

@@ -224,6 +224,65 @@ def test_the_pass_cache_serves_only_its_a_batch_and_target(monkeypatch):
         np.testing.assert_array_equal(g.v, want.v)
 
 
+def test_a_compressed_run_forms_x_vx_once_and_every_later_v_from_it(monkeypatch):
+    # Six altlora steps, B first: the first pass multiplies X QX^T whole and
+    # keeps an owned, read-only copy of its vx block; every later pass holds
+    # that very entry, and after an A-phase its v is [X (A X)^T, X vx^T], so
+    # every later product with X on the left is r wide, not r + r*.
+    model, x, target = _factored_task(SQUARE_CHUNK // 64 + 1, seed=39)
+    layer, r, vt = model.layer, model.layer.r, RandomStream(40).normal(2, 12)
+    state, cfg = optim.make_state(optim.ALTLORA, layer), optim.TrainConfig(eta=0.1, beta1=0.9, order=optim.B_FIRST)
+    _, g = ad.training_pass(model, x, target)
+    held = layer._memo["xvx"]
+    assert held[0] is x and held[1] is target and held[2].base is None and not held[2].flags.writeable
+    assert held[2].tobytes() == g.v[:, r:].tobytes()
+    real_dot, widths = np.dot, []
+
+    def dot(a, b, *args, **kwargs):
+        if a is x:
+            widths.append(np.shape(b)[-1])
+        return real_dot(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", dot)
+    for t in range(6):
+        optim.altlora_step(layer, state, g, cfg)
+        _, g = ad.training_pass(model, x, target)
+        assert layer._memo["xvx"] is held and g.v is layer._memo["v"][2], t
+        if optim.update_phase(t, cfg.order) == "a":
+            ax = layer._memo["ax"][2]
+            assert g.v.tobytes() == np.concatenate((real_dot(x, ax.T), held[2]), axis=-1).tobytes(), t
+        ad.factored_norms(layer, target, vt, x)  # the eval row reads the pass's v
+        assert layer._memo["xvx"] is held and layer._memo["v"][2] is g.v, t
+    assert widths == [r] * 3  # one product per A-phase
+
+
+@pytest.mark.parametrize("case", ["new target", "copied layer", "rebound alpha"])
+def test_a_new_target_a_copied_layer_or_a_rebound_alpha_misses_x_vx(case):
+    model, x, target = _factored_task(SQUARE_CHUNK // 64 + 1, seed=40)
+    ad.training_pass(model, x, target)
+    held = model.layer._memo["xvx"]
+    if case == "new target":
+        target = ad.FactoredTarget(target.us, target.vx)  # the same arrays, another object
+    elif case == "copied layer":
+        model = ad.ToyModel(model.layer.copy())
+    else:
+        model.layer.alpha = model.layer.alpha  # rebinding empties the memo, whatever the value
+        assert "xvx" not in model.layer._memo
+    _, g = ad.training_pass(model, x, target)
+    now = model.layer._memo["xvx"]
+    assert now is not held and now[1] is target and now[2] is not held[2]
+    whole = np.dot(x, ad._qx(model.layer, np.dot(model.layer.a, x), target).T)  # a miss multiplies X QX^T whole
+    assert now[2].tobytes() == held[2].tobytes() and g.v.tobytes() == whole.tobytes()
+
+
+def test_the_residual_form_keeps_no_x_vx():
+    # Below the cut neither the pass nor its eval row stores X vx^T: their X QX^T is multiplied whole.
+    model, x, target = _factored_task(SQUARE_CHUNK // 64, seed=41)
+    ad.training_pass(model, x, target)
+    ad.factored_norms(model.layer, target, RandomStream(42).normal(2, 12), x)
+    assert "v" in model.layer._memo and "xvx" not in model.layer._memo
+
+
 def test_a_factored_target_is_frozen():
     target = ad.FactoredTarget(np.ones((4, 2)), np.ones((2, 3)))
     for name in ("us", "vx"):
@@ -388,11 +447,13 @@ def _read_only_arrays() -> dict:
         "target.us": target.us, "target.vx": target.vx, "batch": x, "batch base": base,
         "memo w0x": relu.layer._memo["w0x"][2], "memo ax": layer._memo["ax"][2], "memo v": wide.layer._memo["v"][2],
         "compressed g.v": compressed.v, "memo gram": layer._memo["gram"][2], "memo rp": wide.layer._memo["rp"][2],
+        "memo xvx": wide.layer._memo["xvx"][2],
     }
 
 
 @pytest.mark.parametrize("name", ["layer.w0", "layer.a", "layer.b", "target.us", "target.vx", "batch", "batch base",
-                                  "memo w0x", "memo ax", "memo v", "compressed g.v", "memo gram", "memo rp"])
+                                  "memo w0x", "memo ax", "memo v", "compressed g.v", "memo gram", "memo rp",
+                                  "memo xvx"])
 def test_an_in_place_write_to_a_bound_or_held_array_raises(name):
     array = _read_only_arrays()[name]
     with pytest.raises(ValueError, match="read-only"):

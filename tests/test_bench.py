@@ -532,7 +532,9 @@ def test_a_run_factors_p_once_per_b(monkeypatch, form):
 @pytest.mark.parametrize("form", ["residual", "compressed", "relu"])
 def test_the_pass_memo_leaves_every_run_as_it_was(optimizer, order, beta1, form, monkeypatch):
     """The runner's record, bit for bit, is that of a run whose layer memo (the pass's
-    products and the Gram carry) is cleared before every pass."""
+    products and the Gram carry) is cleared before every pass. In the compressed form
+    that holds at this shape only: the split X QX^T = [X (A X)^T, X vx^T] of a later
+    pass keeps numpy's bits here, and moves the chunked configs at rounding level."""
     eta = {"lora_plus": 0.02}.get(optimizer, 0.1)
     train = optim.TrainConfig(eta=eta, beta1=beta1, gamma=0.01, lam=1e-6, order=order, steps=30)
     shape = dict(task="two_layer_relu", width=48) if form == "relu" else dict(k=16)

@@ -302,6 +302,36 @@ def test_fd_merged_gradient_on_quadratic():
     assert oracle.fd_entrywise_deviation(got, want) < 1e-9
 
 
+def test_gradient_finite_difference_passes_at_a_seed_whose_probe_reached_a_relu_kink():
+    # At seed 212 the ReLU model's z[0, 0] is 4.93e-6, and a 1e-5 probe on W[0, 1]
+    # moved it by 1.08e-5, across the kink: the check read 0.231. The per-entry
+    # step keeps every probe on its pre-activations' sides.
+    (_, _, _, _), (relu, x, _, _) = oracle._fd_models(212)
+    steps = oracle.fd_steps(relu, x)
+    z = adapter.merged_weight(relu.layer) @ x
+    assert steps[0, 1] < 1e-5 and (steps <= 1e-5).all()
+    assert (steps[:, :, None] * np.abs(x)[None] < np.abs(z)[:, None, :]).all()
+    result = oracle.CHECKS["gradient_finite_difference"](212)
+    assert result.passed and result.max_deviation < 1e-6
+
+
+@pytest.mark.parametrize("seed", [1789, 0, 7, 42, 15])
+def test_the_fd_step_is_exactly_the_default_where_no_kink_is_in_reach(seed):
+    for model, x, _, _ in oracle._fd_models(seed):
+        steps = oracle.fd_steps(model, x)
+        assert steps.shape == model.layer.w0.shape and (steps == 1e-5).all()
+
+
+def test_the_fd_step_stops_at_its_floor_for_a_pre_activation_at_its_kink():
+    # Column 0 of x is zero, so it bounds no step (and 0 / 0 raises no warning);
+    # in column 1, z[0, 1] = 1 - 2 (0.5) = 0 pins row 0 to the floor, and
+    # z[1, 1] = 1 leaves row 1 at the step.
+    layer = LoraLayer(np.array([[1.0, 2.0], [0.5, -1.0]]), np.zeros((1, 2)), np.zeros((2, 1)), 1.0)
+    x = np.array([[0.0, 1.0], [0.0, -0.5]])
+    steps = oracle.fd_steps(adapter.ToyModel(layer, np.ones((1, 2))), x, step=1e-5)
+    np.testing.assert_array_equal(steps, [[oracle.FD_STEP_FLOOR * 1e-5] * 2, [1e-5] * 2])
+
+
 def test_run_checks_all_pass_and_report_shape():
     report = oracle.run_checks()
     assert report["schema"] == oracle.REPORT_SCHEMA

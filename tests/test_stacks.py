@@ -137,6 +137,39 @@ def test_the_pass_cache_leaves_a_compressed_stack_as_it_was(kind, order, beta1, 
         assert buf is None and want is None or _same_bits(buf, want), name
 
 
+@pytest.mark.parametrize("batch", ["stacked", "shared"])
+def test_a_compressed_stack_gives_each_slice_its_single_runs_v(batch, monkeypatch):
+    # Alternating altlora steps: every pass's v, the split [X (A X)^T, X vx^T]
+    # after an A-phase included, is each run's own bit for bit; the stack holds
+    # one X vx^T for the whole (x, target), formed by its first pass. A shared
+    # batch is an axis of length 1 and its target broadcast views.
+    monkeypatch.setattr(adapter, "SQUARE_CHUNK", 0)
+    stream = RandomStream(68)
+    runs = [_task(stream, LINEAR, 2.5) for _ in range(S)]
+    if batch == "shared":
+        x = runs[0][1]
+        target = FactoredTarget(stream.normal(16, 2), stream.normal(2, x.shape[1]))
+        runs = [(model, x, target) for model, _, _ in runs]
+        shared = FactoredTarget(*(np.broadcast_to(f, (S,) + f.shape) for f in (target.us, target.vx)))
+        stacked = (_stack(runs)[0], x[None], shared)
+    else:
+        runs = [(model, x, FactoredTarget(stream.normal(16, 2), stream.normal(2, x.shape[1]))) for model, x, _ in runs]
+        stacked = _stack(runs)
+    cfg = optim.TrainConfig(eta=0.01, beta1=0.9, order=optim.B_FIRST)
+    states = [optim.make_state(optim.ALTLORA, model.layer) for model, _, _ in runs]
+    state, layer = optim.make_state(optim.ALTLORA, stacked[0].layer), stacked[0].layer
+    for t in range(STEPS):
+        g = adapter.training_pass(*stacked)[1]
+        if t == 0:
+            held = layer._memo["xvx"]
+        assert layer._memo["xvx"] is held and held[0] is stacked[1] and held[1] is stacked[2]
+        for i, ((model, x, target), one) in enumerate(zip(runs, states)):
+            alone = adapter.training_pass(model, x, target)[1]
+            assert _same_bits(g.v[i], alone.v) and _same_bits(held[2][i], model.layer._memo["xvx"][2]), (t, i)
+            optim.altlora_step(model.layer, one, alone, cfg)
+        optim.altlora_step(layer, state, g, cfg)
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("lam", [0.0, 1e-3])
 def test_damped_gram_inverse_of_a_stack_is_each_slice_inverse(side, lam):
