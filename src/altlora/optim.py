@@ -3,44 +3,36 @@
 The centerpiece is the alternating scheme: each step updates exactly one
 factor with a Gram-preconditioned ("scaled") gradient, and the opposite
 factor's first moment is at once re-expressed in the coordinates of the
-factor that moved. That realignment is what keeps the momentum's
-contribution to the merged weight intact across subspace changes, and it is
-what the trajectory-invariance checks in :mod:`altlora.oracle` exercise.
+factor that moved. That realignment keeps the momentum's contribution to the
+merged weight intact across subspace changes, and it is what the
+trajectory-invariance checks in :mod:`altlora.oracle` exercise.
 
-Scaled gradients (one factor at a time, damping lam >= 0):
-
-    scaled_grad_a = (1/s^2) (B^T B + lam I)^-1 grad_a
+    scaled_grad_a = (1/s^2) (B^T B + lam I)^-1 grad_a       (damping lam >= 0)
     scaled_grad_b = (1/s^2) grad_b (A A^T + lam I)^-1
+    align_momentum_a = (Bn^T Bn + lam I)^-1 Bn^T Bo M^A      (old -> new B)
+    align_momentum_b = M^B Ao An^T (An An^T + lam I)^-1      (old -> new A)
 
-Momentum realignment (old -> new opposite factor):
+Each _b form is the _a form of the transposed problem (A <-> B^T, G <-> G^T).
+So one factor move, _move, written for A, serves every optimizer, and each
+optimizer is a row of one table, _RULES. The baselines (SGD on the raw factor
+gradients, its two-rate LoRA+ variant, elementwise AdamW and the joint
+scaled-gradient step) share the state record and move both factors from one
+G with parts of the move off; AltLoRA+ adds the elementwise second moment.
+No stepper allocates a k x d buffer.
 
-    align_momentum_a = (Bn^T Bn + lam I)^-1 Bn^T Bo M^A
-    align_momentum_b = M^B Ao An^T (An An^T + lam I)^-1
-
-Each _b form is the transpose of its _a form on the transposed problem
-(A <-> B^T, G <-> G^T). So the B-phase is the A-phase of that problem, and
-one phase body serves both phases of AltLoRA and of AltLoRA+, which only
-adds an elementwise second-moment transform.
-
-Baselines (plain SGD on raw factor gradients, elementwise AdamW, a two-rate
-variant, and a joint scaled-gradient stepper) share the same state record.
-One moment rule, _moments, serves every stepper: the beta1 EMA and, for
-AltLoRA+ and AdamW, the bias-corrected elementwise second-moment direction.
-No stepper in this module allocates a k x d buffer.
-
-Every stepper also steps a stack of S runs (a layer whose arrays carry a
-leading axis (S, ...), with the state built for it): the runs move in
-lockstep under one cfg and one shared t, so one phase, one learning rate
-and one bias correction hold for all of them, and each slice ends bit for
-bit where it would alone. A singular Gram in any slice fails the stack.
-The steppers take every Gram inverse from _left_gram_inverse, the one place
-that routes a stack past the public damped_gram_inverse.
+Every stepper also steps a stack of S runs (arrays with a leading axis
+(S, ...), the state built for it) in lockstep under one cfg and one t, so one
+phase, learning rate and bias correction hold for all: each slice ends bit for
+bit where it would alone, and a singular Gram in any slice fails the stack.
+Every Gram inverse comes from _left_gram_inverse, the one place that routes a
+stack past the public damped_gram_inverse.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,47 +234,87 @@ def _moments(m: np.ndarray, grad: np.ndarray, cfg: TrainConfig, v: np.ndarray | 
 
 
 # ---------------------------------------------------------------------------
-# Alternating steppers
+# The six optimizers: one rule table, one factor move, one step
 
 
-def _alternating_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig, adaptive: bool):
-    """One phase of altlora_step, or of altlora_plus_step when ``adaptive``.
+# One row per optimizer, read by make_state and _step. alternating: one factor per step, the
+# phase from (t, order), with momentum; else both move from one G. precondition: the
+# Gram-scaled gradient. momentum: the beta1 EMA. adaptive: the elementwise second moment (a
+# row with it has momentum). lora_plus: B moves at lora_plus_ratio * eta.
+_Rule = namedtuple("_Rule", "alternating precondition momentum adaptive lora_plus")
+_RULES = {  # alternating, precondition, momentum, adaptive, lora_plus
+    ALTLORA: _Rule(True, True, True, False, False),
+    ALTLORA_PLUS: _Rule(True, True, True, True, False),
+    LORA_SGD: _Rule(False, False, False, False, False),
+    LORA_ADAM: _Rule(False, False, True, True, False),
+    LORA_PLUS: _Rule(False, False, False, False, True),
+    SCALEDGD_JOINT: _Rule(False, True, True, False, False),
+}
 
-    Written for the A-phase. The B-phase is the A-phase of the transposed
-    problem (A <-> B^T, G <-> G^T): it runs on transposed views of the
-    factors and moments, and stores the transposes back. m_y is the opposite
-    factor's moment with r rows (mb^T or ma), as align_momentum_a takes it.
 
-    Only the moving factor's gradient is formed. The Gram inverse of the
-    fixed factor y is the carried one, else a fresh one. With beta1 != 0 the
-    realignment's inverse for the moved factor is the layer's memo entry
-    "gram", keyed on the array bound to layer.a or layer.b and on the cfg.lam
-    object: an equal lam in another float misses and recomputes the same bits.
+def _move(x, grad, y_inv, m, v, tau: int, eta: float, cfg: TrainConfig, s: float | None):
+    """One factor's move, written for A: (x_new, m, v) after its gradient grad, scaled by
+    y_inv, the fixed factor's Gram inverse, unless that is None. Without m, no moments."""
+    if y_inv is not None:
+        grad = precondition_a(y_inv, grad, s)
+    m, v, direction = (None, None, grad) if m is None else _moments(m, grad, cfg, v, tau)
+    return _descend(x, eta, direction, cfg.gamma), m, v
+
+
+def _fixed_inverse(layer: LoraLayer, y: np.ndarray, turn: bool, lam: float) -> np.ndarray:
+    """(y^T y + lam I)^-1, of y.mT when turn: the memo entry "gram" if it holds y's, else fresh."""
+    inv = layer._held("gram", y, lam)
+    return inv if inv is not None else _left_gram_inverse(y.mT if turn else y, lam)
+
+
+def _step(kind: str, layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig):
+    """One step of optimizer kind: its row of _RULES, each moving factor through _move.
+
+    Every gradient and Gram inverse is taken before anything moves, so a
+    SingularGram leaves the layer and the state untouched. An alternating row
+    moves B as A of the transposed problem, on .mT views bound back, and at
+    beta1 != 0 realigns the other moment to the moved factor, whose inverse
+    becomes the memo entry "gram", keyed on the array bound to the factor and
+    on the cfg.lam object. A joint row moves B as it is, scaled in
+    scaled_grad_b's transposed A form, so each array keeps its memory order.
     """
-    a_phase = update_phase(state.t, cfg.order) == "a"
-    if a_phase:
-        x, y, y_bound, m, m_y = layer.a, layer.b, layer.b, state.ma, state.mb.mT
-        grad = lora_grad_a(g, layer)
+    alternating, precondition, momentum, adaptive, lora_plus = _RULES[kind]
+    if adaptive and (state.va is None or state.vb is None):
+        raise ValueError(f"{kind} needs a state built with second_moment=True")
+    a, b, lam, s = layer.a, layer.b, cfg.lam, layer.s if precondition else None  # s enters only with a Gram
+    if alternating:  # only the moving factor's gradient; tau is its own update count
+        moves_a = update_phase(state.t, cfg.order) == "a"
+        grad_a, grad_b = (lora_grad_a(g, layer), None) if moves_a else (None, lora_grad_b(g, layer))
+        tau = state.t // 2 + 1
     else:
-        x, y, y_bound, m, m_y = layer.b.mT, layer.a.mT, layer.a, state.mb.mT, state.ma
-        grad = lora_grad_b(g, layer).mT
-    y_inv = layer._held("gram", y_bound, cfg.lam)
-    if y_inv is None:
-        y_inv = _left_gram_inverse(y, cfg.lam)
-    tilde = precondition_a(y_inv, grad, layer.s)
-    v = (state.va if a_phase else state.vb.mT) if adaptive else None
-    m, v, direction = _moments(m, tilde, cfg, v, state.t // 2 + 1)  # tau: this factor's update count
-    if adaptive:
-        state.va, state.vb = (v, state.vb) if a_phase else (state.va, v.mT)
-    x_new = _descend(x, cfg.eta, direction, cfg.gamma)
-    x_bound = x_new if a_phase else x_new.mT  # the array layer.a or layer.b is bound to
-    if cfg.beta1 != 0.0:  # x moved: align_momentum_b, in this phase's orientation
-        x_inv = layer._product("gram", x_bound, cfg.lam, _left_gram_inverse, x_new.mT, cfg.lam)
-        m_y = realign_a(x_inv, m_y, x.mT, x_new.mT)
-    if a_phase:
-        layer.a, state.ma, state.mb = x_bound, m, m_y.mT
-    else:
-        layer.b, state.mb, state.ma = x_bound, m.mT, m_y
+        (grad_a, grad_b), tau = lora_grads(g, layer), state.t + 1
+    inv_a = _fixed_inverse(layer, b, False, lam) if precondition and grad_a is not None else None
+    inv_b = _fixed_inverse(layer, a, True, lam) if precondition and grad_b is not None else None
+    if grad_a is not None:
+        layer.a, ma, va = _move(a, grad_a, inv_a, state.ma if momentum else None, state.va if adaptive else None,
+                                tau, cfg.eta, cfg, s)
+        if momentum:
+            state.ma, state.va = ma, va if adaptive else state.va
+    if grad_b is not None:
+        x, mb, vb = b, state.mb if momentum else None, state.vb if adaptive else None
+        if alternating:
+            x, grad_b, mb, vb = b.mT, grad_b.mT, mb.mT, vb if vb is None else vb.mT
+        elif inv_b is not None:
+            grad_b, inv_b = precondition_a(inv_b, grad_b.mT, s).mT, None
+        eta = cfg.lora_plus_ratio * cfg.eta if lora_plus else cfg.eta
+        x, mb, vb = _move(x, grad_b, inv_b, mb, vb, tau, eta, cfg, s)
+        if alternating:
+            x, mb, vb = x.mT, mb.mT, vb if vb is None else vb.mT
+        layer.b = x  # the one array that also keys the realignment's memo entry
+        if momentum:
+            state.mb, state.vb = mb, vb if adaptive else state.vb
+    if alternating and cfg.beta1 != 0.0:
+        if moves_a:
+            a_inv = layer._product("gram", layer.a, lam, _left_gram_inverse, layer.a.mT, lam)
+            state.mb = realign_a(a_inv, state.mb.mT, a.mT, layer.a.mT).mT
+        else:
+            b_inv = layer._product("gram", layer.b, lam, _left_gram_inverse, layer.b, lam)
+            state.ma = realign_a(b_inv, state.ma, b, layer.b)
     state.t += 1
     state.check_budget(layer)
 
@@ -295,7 +327,7 @@ def altlora_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: Tr
     factor's moment, and applied with decoupled weight decay. The opposite
     factor's moment is then realigned to the factor that moved.
     """
-    _alternating_step(layer, state, g, cfg, adaptive=False)
+    _step(ALTLORA, layer, state, g, cfg)
 
 
 def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig):
@@ -307,63 +339,30 @@ def altlora_plus_step(layer: LoraLayer, state: AltLoraState, g: FullGradient, cf
     invariance. Bias correction (per-factor update counts, t // 2 + 1) is on
     by default behind cfg.bias_correction.
     """
-    if state.va is None or state.vb is None:
-        raise ValueError("altlora_plus_step needs a state built with second_moment=True")
-    _alternating_step(layer, state, g, cfg, adaptive=True)
-
-
-# ---------------------------------------------------------------------------
-# Baselines
+    _step(ALTLORA_PLUS, layer, state, g, cfg)
 
 
 def baseline_step(kind: str, layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig):
-    """One joint step of a baseline optimizer (both factors move at once) for the FullGradient g."""
-    grad_a, grad_b = lora_grads(g, layer)
-    eta_b = cfg.eta
-    if kind in (LORA_SGD, LORA_PLUS):
-        dir_a, dir_b = grad_a, grad_b
-        if kind == LORA_PLUS:
-            eta_b = cfg.lora_plus_ratio * cfg.eta
-    elif kind == LORA_ADAM:
-        if state.va is None or state.vb is None:
-            raise ValueError("lora_adam needs a state built with second_moment=True")
-        state.ma, state.va, dir_a = _moments(state.ma, grad_a, cfg, state.va, state.t + 1)
-        state.mb, state.vb, dir_b = _moments(state.mb, grad_b, cfg, state.vb, state.t + 1)
-    elif kind == SCALEDGD_JOINT:
-        # Both scaled gradients from the same G at the same point; this is
-        # the stepper whose merged-weight update carries the eta^2 cross
-        # term that the alternating scheme avoids. Momentum, when enabled,
-        # is a plain EMA on the scaled gradients (no realignment). The
-        # B-direction is scaled_grad_b's: the transposed A-form.
-        tilde_a = precondition_a(_left_gram_inverse(layer.b, cfg.lam), grad_a, layer.s)
-        tilde_b = precondition_a(_left_gram_inverse(layer.a.mT, cfg.lam), grad_b.mT, layer.s).mT
-        state.ma, _, dir_a = _moments(state.ma, tilde_a, cfg)
-        state.mb, _, dir_b = _moments(state.mb, tilde_b, cfg)
-    else:
+    """One joint step of a baseline optimizer (both factors move at once) for the FullGradient g.
+    scaledgd_joint's merged-weight update carries the eta^2 cross term that alternating avoids."""
+    if kind not in BASELINES:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    layer.a = _descend(layer.a, cfg.eta, dir_a, cfg.gamma)
-    layer.b = _descend(layer.b, eta_b, dir_b, cfg.gamma)
-    state.t += 1
-    state.check_budget(layer)
+    _step(kind, layer, state, g, cfg)
 
 
 def make_state(kind: str, layer: LoraLayer) -> AltLoraState:
     """State record sized for the given optimizer kind."""
-    if kind not in OPTIMIZERS:
+    if kind not in _RULES:
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    return AltLoraState.init(layer, second_moment=kind in (ALTLORA_PLUS, LORA_ADAM))
+    return AltLoraState.init(layer, second_moment=_RULES[kind].adaptive)
 
 
 def make_stepper(kind: str):
     """Uniform stepping callable (layer, state, g, cfg) for any optimizer. A step
     returns None: it rebinds the layer's factors and updates the state in place."""
-    if kind == ALTLORA:
-        return altlora_step
-    if kind == ALTLORA_PLUS:
-        return altlora_plus_step
-    if kind in BASELINES:
-        return functools.partial(baseline_step, kind)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
+    if kind not in _RULES:
+        raise ValueError(f"unknown optimizer kind {kind!r}")
+    return {ALTLORA: altlora_step, ALTLORA_PLUS: altlora_plus_step}.get(kind) or functools.partial(baseline_step, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ forms the residual Y - T once for both the loss and dY; and `forward`, the
 factored `lora_grads` and `scaled_grad_a` skip the scale s = alpha / r
 when it is 1.0. An alternating phase now forms only the moving factor's
 gradient and takes the fixed factor's Gram inverse from the previous
-realignment; and every stepper takes its moments from one shared rule.
+realignment; every stepper takes its moments from one shared rule; and
+every optimizer is a row of one rule table, stepped through one factor move.
 The functions here are the formulations they replaced: forward, then
 mse_loss, then full_gradient, with s always applied; a phase that forms
 both factor gradients and a fresh Gram inverse in every scaled gradient
 and realignment; and baseline steps that write each moment formula out in
-their own branch. The tests check that every output bit stayed the same.
+their own branch, all reached through make_stepper. The tests check that
+every output bit stayed the same.
 Its run_experiment is also the dense oracle of both heads: it trains toward
 Y = W* X (the lowrank head) from W0 X formed once per run and takes weight_err and
 grad_norm from the merged weight, the dense teacher_weight and the dense gradient,
@@ -20,6 +22,7 @@ within a rounding bound; the ReLU head byte for byte, but for its weight_err,
 which takes the lowrank head's bound.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -143,11 +146,18 @@ def baseline_step(kind, layer, state, g, cfg):
     return layer, state
 
 
+def make_stepper(kind):
+    """The stepper of optimizer kind, (layer, state, g, cfg), from the written-out bodies above."""
+    if kind in (optim.ALTLORA, optim.ALTLORA_PLUS):
+        return functools.partial(alternating_step, adaptive=kind == optim.ALTLORA_PLUS)
+    return functools.partial(baseline_step, kind)
+
+
 def run_experiment(spec):
     """The runner loop: forward, mse_loss and full_gradient on every pass.
 
-    Run it with `optim._alternating_step` and `optim.baseline_step`
-    replaced by the ones above, which the library's steppers then call.
+    Run it with `optim.make_stepper` replaced by make_stepper above, so that
+    the steppers it trains with are the written-out ones.
     """
     task = bench.generate_task(spec)
     model, x, teacher = task.model, task.x, teacher_weight(task)

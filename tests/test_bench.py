@@ -213,8 +213,7 @@ def _outcome(run, spec):
 def _earlier_outcome(spec, monkeypatch):
     """_outcome of the run of tests/pass_reference.py, with its steppers."""
     with monkeypatch.context() as earlier:
-        earlier.setattr(optim, "_alternating_step", pass_ref.alternating_step)
-        earlier.setattr(optim, "baseline_step", pass_ref.baseline_step)
+        earlier.setattr(optim, "make_stepper", pass_ref.make_stepper)
         return _outcome(pass_ref.run_experiment, spec)
 
 
@@ -325,7 +324,7 @@ def _relu_run_meets_the_earlier_pass(spec, monkeypatch):
         hooked.setattr(bench, "_evaluator", evaluator)
         got = _outcome(bench.run_experiment, spec)
     want = _earlier_outcome(spec, monkeypatch)
-    case = (spec.train.beta1, spec.alpha, spec.train.gamma, spec.train.bias_correction)
+    case = (spec.train.beta1, spec.alpha, spec.train.gamma, spec.train.bias_correction, spec.train.order)
     assert got[:2] == want[:2], case
     got_rows, want_rows = ([line.split(",") for line in lines] for lines in (got[2], want[2]))
     assert [row[:2] + row[3:] for row in got_rows] == [row[:2] + row[3:] for row in want_rows], case
@@ -355,12 +354,14 @@ def test_the_compressed_runner_meets_the_dense_pass(optimizer, compressed, monke
 
 
 def _byte_grid(task, optimizer, shape):
-    """s = 1 and s != 1, momentum or not, with decay and bias correction or not."""
+    """s = 1 and s != 1, momentum or not, with decay and bias correction or not; an
+    alternating optimizer in both orders (a baseline reads no order)."""
     eta = {"lora_plus": 0.02}.get(optimizer, 0.1)
-    grid = itertools.product((0.0, 0.9), (None, 2.5), (0.0, 0.01), (True, False))
-    for beta1, alpha, gamma, unbiased in grid:
+    orders = (optim.B_FIRST,) if optimizer in optim.BASELINES else (optim.B_FIRST, optim.A_FIRST)
+    grid = itertools.product((0.0, 0.9), (None, 2.5), (0.0, 0.01), (True, False), orders)
+    for beta1, alpha, gamma, unbiased, order in grid:
         train = optim.TrainConfig(
-            eta=eta, beta1=beta1, gamma=gamma, lam=1e-6, steps=30, bias_correction=unbiased
+            eta=eta, beta1=beta1, gamma=gamma, lam=1e-6, order=order, steps=30, bias_correction=unbiased
         )
         yield _spec(
             task=task, **shape, r=4, teacher_rank=3, kappa=10.0, optimizer=optimizer, alpha=alpha,

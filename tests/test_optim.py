@@ -340,12 +340,16 @@ def test_altlora_plus_bias_correction_counts_per_factor_updates(order):
         np.testing.assert_allclose(layer.a if phase == "a" else layer.b, want, rtol=1e-12)
 
 
-def test_altlora_plus_requires_second_moment_state():
+@pytest.mark.parametrize("kind", [optim.ALTLORA_PLUS, optim.LORA_ADAM])
+def test_an_adaptive_step_requires_second_moment_state(kind):
+    # One guard for both adaptive rows, and nothing moves before it trips.
     stream = RandomStream(71)
     layer = _random_layer(stream, k=4, d=6, r=2)
     state = optim.AltLoraState.init(layer)  # no second moments
-    with pytest.raises(ValueError):
-        optim.altlora_plus_step(layer, state, as_gradient(np.zeros((4, 6))), optim.TrainConfig(eta=0.1))
+    a, b, ma, mb, t = layer.a, layer.b, state.ma, state.mb, state.t
+    with pytest.raises(ValueError, match=rf"^{kind} needs a state built with second_moment=True$"):
+        optim.make_stepper(kind)(layer, state, as_gradient(stream.normal(4, 6)), optim.TrainConfig(eta=0.1))
+    assert layer.a is a and layer.b is b and state.ma is ma and state.mb is mb and state.t == t
 
 
 @pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
