@@ -13,11 +13,13 @@ trajectory-invariance checks in :mod:`altlora.oracle` exercise.
     align_momentum_b = M^B Ao An^T (An An^T + lam I)^-1      (old -> new A)
 
 Each _b form is the _a form of the transposed problem (A <-> B^T, G <-> G^T).
-So one factor move, _move, written for A, serves every optimizer, and each
-optimizer is a row of one table, _RULES. The baselines (SGD on the raw factor
-gradients, its two-rate LoRA+ variant, elementwise AdamW and the joint
-scaled-gradient step) share the state record and move both factors from one
-G with parts of the move off; AltLoRA+ adds the elementwise second moment.
+So one factor move, _move (moment, then descent, on an already scaled
+gradient), written for A, serves every optimizer, and every row of the one
+table, _RULES, moves B as A of the transposed problem. The baselines (SGD on
+the raw factor gradients, its two-rate LoRA+ variant, elementwise AdamW and
+the joint scaled-gradient step) share the state record and move both factors
+from one G with parts of the move off; AltLoRA+ adds the elementwise second
+moment.
 No stepper allocates a k x d buffer.
 
 Every stepper also steps a stack of S runs (arrays with a leading axis
@@ -49,9 +51,6 @@ LORA_SGD = "lora_sgd"
 LORA_ADAM = "lora_adam"
 LORA_PLUS = "lora_plus"
 SCALEDGD_JOINT = "scaledgd_joint"
-
-OPTIMIZERS = (ALTLORA, ALTLORA_PLUS, LORA_SGD, LORA_ADAM, LORA_PLUS, SCALEDGD_JOINT)
-BASELINES = (LORA_SGD, LORA_ADAM, LORA_PLUS, SCALEDGD_JOINT)
 
 # Default Gram damping; removes full-rank requirements and makes the
 # standard B = 0 initialization work without branching.
@@ -212,35 +211,15 @@ def update_phase(t: int, order: str) -> str:
     return "a" if (t % 2 == 0) == (order == A_FIRST) else "b"
 
 
-def _descend(x: np.ndarray, eta: float, direction: np.ndarray, gamma: float) -> np.ndarray:
-    """x - eta (direction + gamma x); the decay term is formed only when gamma != 0."""
-    return x - eta * (direction + gamma * x) if gamma else x - eta * direction
-
-
-def _moments(m: np.ndarray, grad: np.ndarray, cfg: TrainConfig, v: np.ndarray | None = None, tau: int = 1):
-    """(m, v, direction) after one gradient: the moment rule of every stepper.
-
-    m is the beta1 EMA of grad (grad itself at beta1 = 0). The direction is
-    m, or, given a second moment v (the beta2 EMA of grad^2), the AdamW
-    m_hat / (sqrt(v_hat) + eps), bias corrected for update count tau when
-    cfg.bias_correction is on.
-    """
-    m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad if cfg.beta1 != 0.0 else grad
-    if v is None:
-        return m, None, m
-    v = cfg.beta2 * v + (1.0 - cfg.beta2) * (grad * grad)
-    c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
-    return m, v, (m / c1) / (np.sqrt(v / c2) + cfg.eps)
-
-
 # ---------------------------------------------------------------------------
 # The six optimizers: one rule table, one factor move, one step
 
 
-# One row per optimizer, read by make_state and _step. alternating: one factor per step, the
-# phase from (t, order), with momentum; else both move from one G. precondition: the
-# Gram-scaled gradient. momentum: the beta1 EMA. adaptive: the elementwise second moment (a
-# row with it has momentum). lora_plus: B moves at lora_plus_ratio * eta.
+# One row per optimizer, read by make_state and _step; OPTIMIZERS is its keys in order and
+# BASELINES its rows that are not alternating. alternating: one factor per step, the phase
+# from (t, order), with momentum; else both move from one G. precondition: the Gram-scaled
+# gradient. momentum: the beta1 EMA. adaptive: the elementwise second moment (a row with it
+# has momentum). lora_plus: B moves at lora_plus_ratio * eta.
 _Rule = namedtuple("_Rule", "alternating precondition momentum adaptive lora_plus")
 _RULES = {  # alternating, precondition, momentum, adaptive, lora_plus
     ALTLORA: _Rule(True, True, True, False, False),
@@ -250,15 +229,24 @@ _RULES = {  # alternating, precondition, momentum, adaptive, lora_plus
     LORA_PLUS: _Rule(False, False, False, False, True),
     SCALEDGD_JOINT: _Rule(False, True, True, False, False),
 }
+OPTIMIZERS = tuple(_RULES)
+BASELINES = tuple(kind for kind, rule in _RULES.items() if not rule.alternating)
 
 
-def _move(x, grad, y_inv, m, v, tau: int, eta: float, cfg: TrainConfig, s: float | None):
-    """One factor's move, written for A: (x_new, m, v) after its gradient grad, scaled by
-    y_inv, the fixed factor's Gram inverse, unless that is None. Without m, no moments."""
-    if y_inv is not None:
-        grad = precondition_a(y_inv, grad, s)
-    m, v, direction = (None, None, grad) if m is None else _moments(m, grad, cfg, v, tau)
-    return _descend(x, eta, direction, cfg.gamma), m, v
+def _move(x, grad, m, v, tau: int, eta: float, cfg: TrainConfig):
+    """One factor's move, written for A: (x_new, m, v) after its gradient grad, already
+    Gram-scaled on a row that preconditions. The moment rule of every stepper: without m the
+    direction is grad; with m it is m, the beta1 EMA of grad (grad itself at beta1 = 0), or,
+    given a second moment v (the beta2 EMA of grad^2), the AdamW m_hat / (sqrt(v_hat) + eps),
+    bias corrected for update count tau when cfg.bias_correction is on. The descent is
+    x - eta (direction + gamma x), its decay term formed only when gamma != 0."""
+    if m is not None:
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad if cfg.beta1 != 0.0 else grad
+        if v is not None:
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (grad * grad)
+            c1, c2 = (1.0 - cfg.beta1**tau, 1.0 - cfg.beta2**tau) if cfg.bias_correction else (1.0, 1.0)
+        grad = m if v is None else (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+    return (x - eta * (grad + cfg.gamma * x) if cfg.gamma else x - eta * grad), m, v
 
 
 def _fixed_inverse(layer: LoraLayer, y: np.ndarray, turn: bool, lam: float) -> np.ndarray:
@@ -270,44 +258,45 @@ def _fixed_inverse(layer: LoraLayer, y: np.ndarray, turn: bool, lam: float) -> n
 def _step(kind: str, layer: LoraLayer, state: AltLoraState, g: FullGradient, cfg: TrainConfig):
     """One step of optimizer kind: its row of _RULES, each moving factor through _move.
 
-    Every gradient and Gram inverse is taken before anything moves, so a
-    SingularGram leaves the layer and the state untouched. An alternating row
-    moves B as A of the transposed problem, on .mT views bound back, and at
-    beta1 != 0 realigns the other moment to the moved factor, whose inverse
-    becomes the memo entry "gram", keyed on the array bound to the factor and
-    on the cfg.lam object. A joint row moves B as it is, scaled in
-    scaled_grad_b's transposed A form, so each array keeps its memory order.
+    Every row moves B as A of the transposed problem (A <-> B^T, G <-> G^T),
+    on .mT views bound back. Every gradient and Gram inverse is taken before
+    anything moves, so a SingularGram leaves the layer and the state
+    untouched; a row that preconditions rebinds each gradient to its scaled
+    form where it takes the inverse, so the raw one is freed before the move,
+    and a joint row frees A's gradient before B moves. An alternating row at
+    beta1 != 0 then realigns the other moment to the moved factor, whose
+    inverse becomes the memo entry "gram", keyed on the array bound to the
+    factor and on the cfg.lam object.
     """
     alternating, precondition, momentum, adaptive, lora_plus = _RULES[kind]
     if adaptive and (state.va is None or state.vb is None):
         raise ValueError(f"{kind} needs a state built with second_moment=True")
-    a, b, lam, s = layer.a, layer.b, cfg.lam, layer.s if precondition else None  # s enters only with a Gram
+    a, b, lam = layer.a, layer.b, cfg.lam
     if alternating:  # only the moving factor's gradient; tau is its own update count
         moves_a = update_phase(state.t, cfg.order) == "a"
         grad_a, grad_b = (lora_grad_a(g, layer), None) if moves_a else (None, lora_grad_b(g, layer))
         tau = state.t // 2 + 1
     else:
         (grad_a, grad_b), tau = lora_grads(g, layer), state.t + 1
-    inv_a = _fixed_inverse(layer, b, False, lam) if precondition and grad_a is not None else None
-    inv_b = _fixed_inverse(layer, a, True, lam) if precondition and grad_b is not None else None
+    grad_b = grad_b if grad_b is None else grad_b.mT
+    if precondition:  # layer.s enters only with a Gram
+        if grad_a is not None:
+            grad_a = precondition_a(_fixed_inverse(layer, b, False, lam), grad_a, layer.s)
+        if grad_b is not None:
+            grad_b = precondition_a(_fixed_inverse(layer, a, True, lam), grad_b, layer.s)
     if grad_a is not None:
-        layer.a, ma, va = _move(a, grad_a, inv_a, state.ma if momentum else None, state.va if adaptive else None,
-                                tau, cfg.eta, cfg, s)
+        layer.a, ma, va = _move(a, grad_a, state.ma if momentum else None, state.va if adaptive else None,
+                                tau, cfg.eta, cfg)
         if momentum:
             state.ma, state.va = ma, va if adaptive else state.va
+        del grad_a  # a joint row's B move need not hold it
     if grad_b is not None:
-        x, mb, vb = b, state.mb if momentum else None, state.vb if adaptive else None
-        if alternating:
-            x, grad_b, mb, vb = b.mT, grad_b.mT, mb.mT, vb if vb is None else vb.mT
-        elif inv_b is not None:
-            grad_b, inv_b = precondition_a(inv_b, grad_b.mT, s).mT, None
         eta = cfg.lora_plus_ratio * cfg.eta if lora_plus else cfg.eta
-        x, mb, vb = _move(x, grad_b, inv_b, mb, vb, tau, eta, cfg, s)
-        if alternating:
-            x, mb, vb = x.mT, mb.mT, vb if vb is None else vb.mT
-        layer.b = x  # the one array that also keys the realignment's memo entry
+        x, mb, vb = _move(b.mT, grad_b, state.mb.mT if momentum else None, state.vb.mT if adaptive else None,
+                          tau, eta, cfg)
+        layer.b = x.mT  # the one array that also keys the realignment's memo entry
         if momentum:
-            state.mb, state.vb = mb, vb if adaptive else state.vb
+            state.mb, state.vb = mb.mT, vb.mT if adaptive else state.vb
     if alternating and cfg.beta1 != 0.0:
         if moves_a:
             a_inv = layer._product("gram", layer.a, lam, _left_gram_inverse, layer.a.mT, lam)

@@ -352,11 +352,16 @@ def test_an_adaptive_step_requires_second_moment_state(kind):
     assert layer.a is a and layer.b is b and state.ma is ma and state.mb is mb and state.t == t
 
 
-@pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
-@pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
+@pytest.mark.parametrize(
+    "order, kind",
+    [(order, kind) for order in (optim.A_FIRST, optim.B_FIRST) for kind in (optim.ALTLORA, optim.ALTLORA_PLUS)]
+    + [(optim.B_FIRST, kind) for kind in (optim.LORA_SGD, optim.LORA_ADAM, optim.SCALEDGD_JOINT)],
+)
 def test_b_phase_is_the_a_phase_of_the_transposed_problem(kind, order):
     # The twin (W0^T, B^T, A^T) trained on G^T in the opposite order must
     # track the transposes of every factor and buffer of the original run.
+    # A joint row ignores the order, so one serves it. lora_plus has no twin
+    # in the table: its ratio scales B's rate only.
     stream = RandomStream(113)
     layer = _random_layer(stream, k=12, d=20, r=3)
     target = stream.normal(12, 20) / np.sqrt(20)
@@ -369,11 +374,42 @@ def test_b_phase_is_the_a_phase_of_the_transposed_problem(kind, order):
         step(layer, state, as_gradient(merged_weight(layer) - target), cfg)
         step(twin, state_twin, as_gradient(merged_weight(twin) - target.T), cfg_twin)
         pairs = [(layer.a, twin.b), (layer.b, twin.a), (state.ma, state_twin.mb), (state.mb, state_twin.ma)]
-        if kind == optim.ALTLORA_PLUS:
+        if state.va is not None:
             pairs += [(state.va, state_twin.vb), (state.vb, state_twin.va)]
         for got, twin_buf in pairs:
             assert rel_error(twin_buf.T, got) <= 1e-12
         assert state.t == state_twin.t
+
+
+@pytest.mark.parametrize("kind", optim.OPTIMIZERS)
+@pytest.mark.parametrize("runs", [1, 2])
+@pytest.mark.parametrize("order", [optim.A_FIRST, optim.B_FIRST])
+def test_one_step_peaks_at_a_few_factor_pairs_per_run(kind, runs, order):
+    # Every stepper, alone and stacked, on a compressed gradient (u = P,
+    # k x r', and v = X QX^T, d x r'): a step holds factor-shaped arrays
+    # only. One factor pair, (k + d) r floats, is 1/64 of one k x d array
+    # here. Two steps after the first are traced, so both phases of an
+    # alternating row are, with moments already nonzero.
+    k, d, r, rr = 512, 512, 4, 8
+    lead = (runs,) if runs > 1 else ()
+    stream = RandomStream(167)
+    layer = LoraLayer(stream.normal(*lead, k, d) / np.sqrt(d), stream.normal(*lead, r, d) / np.sqrt(d),
+                      stream.normal(*lead, k, r) / 2, float(r))
+    u, v = stream.normal(*lead, k, rr) / k, stream.normal(*lead, d, rr)
+    cfg = optim.TrainConfig(eta=0.01, beta1=0.9, gamma=0.01, order=order)
+    state, step = optim.make_state(kind, layer), optim.make_stepper(kind)
+    step(layer, state, FullGradient(u, v), cfg)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            step(layer, state, FullGradient(u, v), cfg)  # a fresh one, whose dense g is not yet built
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 6 * (k + d) * r * 8 * runs
 
 
 @pytest.mark.parametrize("kind", [optim.ALTLORA, optim.ALTLORA_PLUS])
