@@ -22,10 +22,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .matcore import SQUARE_CHUNK, RandomStream, ShapeMismatch, as_matrix, frobenius, jacobi_svd, sum_of_squares
+from .matcore import _F64, SQUARE_CHUNK, RandomStream, ShapeMismatch, as_matrix, frobenius, jacobi_svd, sum_of_squares
 
 INIT_POLICIES = ("gaussian", "kaiming", "spectral", "zero")
-_F64 = np.dtype(np.float64)
 
 # The pass multiplies matrices with np.dot, the BLAS call @ makes without
 # matmul's dispatch. np.dot has no stacked form, so a stack takes np.matmul.
@@ -236,7 +235,9 @@ def _mean_square(res: np.ndarray, out=None):
     run, the (S,) array of each slice's value for a stack.
 
     out=res squares res in place. Without out, one run reduces by
-    sum_of_squares, which makes no res-sized temporary.
+    sum_of_squares: up to SQUARE_CHUNK entries (every desk residual) it
+    squares res whole into one res-sized temporary, past that a chunk at a
+    time into a chunk-sized one.
     """
     if out is None and res.ndim == 2:  # sum_of_squares reduces with axis=None: the same bits as (-2, -1)
         return float(sum_of_squares(res) / res.shape[1])
@@ -390,13 +391,8 @@ def _factors(g: FullGradient, layer: LoraLayer):
 
 def lora_grad_a(g: FullGradient, layer: LoraLayer) -> np.ndarray:
     """grad_a = s B^T G for the FullGradient G = u v^T, as s (B^T u) v^T."""
-    s, b = layer.s, layer.b
     u, v = _factors(g, layer)
-    dot = np.dot if b.ndim == u.ndim == 2 else np.matmul
-    btu = dot(b.mT, u)
-    if s != 1.0:  # as in forward
-        btu *= s
-    return dot(btu, v.mT)
+    return _grad_a(layer.b, u, v, layer.s)
 
 
 def lora_grad_b(g: FullGradient, layer: LoraLayer) -> np.ndarray:
@@ -404,8 +400,33 @@ def lora_grad_b(g: FullGradient, layer: LoraLayer) -> np.ndarray:
 
     A v is the pass's A X when the layer's memo holds it for this very A and v.
     """
-    s, a = layer.s, layer.a
     u, v = _factors(g, layer)
+    return _grad_b(layer, u, v, layer.s)
+
+
+def lora_grads(g: FullGradient, layer: LoraLayer):
+    """Factor gradients induced by the chain rule through W = W0 + s B A.
+
+    (lora_grad_a, lora_grad_b): grad_a = s B^T G, grad_b = s G A^T, with no
+    k x d product; g is a FullGradient (a dense G is FullGradient(G, I)), checked
+    once for both. An alternating phase calls only the one for the factor it moves.
+    """
+    (u, v), s = _factors(g, layer), layer.s
+    return _grad_a(layer.b, u, v, s), _grad_b(layer, u, v, s)
+
+
+def _grad_a(b: np.ndarray, u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
+    """The body of lora_grad_a on the factors _factors returned."""
+    dot = np.dot if b.ndim == u.ndim == 2 else np.matmul
+    btu = dot(b.mT, u)
+    if s != 1.0:  # as in forward
+        btu *= s
+    return dot(btu, v.mT)
+
+
+def _grad_b(layer: LoraLayer, u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
+    """The body of lora_grad_b on the factors _factors returned."""
+    a = layer.a
     dot = np.dot if a.ndim == u.ndim == 2 else np.matmul
     av = layer._held("ax", a, v)
     if av is None:
@@ -413,16 +434,6 @@ def lora_grad_b(g: FullGradient, layer: LoraLayer) -> np.ndarray:
     if s != 1.0:  # av may be the memo's, so it is scaled into a new array
         av = s * av
     return dot(u, av.mT)
-
-
-def lora_grads(g: FullGradient, layer: LoraLayer):
-    """Factor gradients induced by the chain rule through W = W0 + s B A.
-
-    (lora_grad_a, lora_grad_b): grad_a = s B^T G, grad_b = s G A^T, with no
-    k x d product; g is a FullGradient (a dense G is FullGradient(G, I)). An
-    alternating phase calls only the one for the factor it moves.
-    """
-    return lora_grad_a(g, layer), lora_grad_b(g, layer)
 
 
 # ---------------------------------------------------------------------------

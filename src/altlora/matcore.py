@@ -60,6 +60,7 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
 
 # Entries sum_of_squares squares at once: 512 KiB of float64.
 SQUARE_CHUNK = 1 << 16
+_F64 = np.dtype(np.float64)  # native float64, matched by identity: cheaper than dtype ==
 
 
 def sum_of_squares(m) -> np.float64:
@@ -72,10 +73,11 @@ def sum_of_squares(m) -> np.float64:
     (halves, each rounded down to a multiple of 8), so no m-sized temporary
     is made and the sum keeps numpy's bits.
     """
-    if type(m) is np.ndarray and m.size > SQUARE_CHUNK and m.dtype == np.float64 and m.flags.c_contiguous:
+    f64 = type(m) is np.ndarray and m.dtype is _F64  # then square without dtype=, a tenth of a microsecond less
+    if f64 and m.size > SQUARE_CHUNK and m.flags.c_contiguous:
         flat = m.reshape(-1)
         return _pairwise_square_sum(flat, 0, flat.size, np.empty(SQUARE_CHUNK))
-    return np.add.reduce(np.square(m, dtype=np.float64), axis=None)
+    return np.add.reduce(np.square(m) if f64 else np.square(m, dtype=np.float64), axis=None)
 
 
 def _pairwise_square_sum(flat: np.ndarray, lo: int, hi: int, buf: np.ndarray) -> np.float64:

@@ -146,11 +146,13 @@ class AltLoraState:
         optimizer buffer or puts a buffer in the wrong slot. The shape check
         is the whole budget: 2(kr + rd) entries per run.
         """
-        lead, r = layer.a.shape[:-2], layer.r
-        a_shape, b_shape = lead + (r, layer.d), lead + (layer.k, r)
-        slots = (("ma", self.ma, a_shape), ("va", self.va, a_shape), ("mb", self.mb, b_shape),
-                 ("vb", self.vb, b_shape))
-        for name, buf, shape in slots:
+        a_shape = layer.a.shape[:-1] + layer.w0.shape[-1:]  # lead + (r, d)
+        b_shape = a_shape[:-2] + (layer.w0.shape[-2], a_shape[-2])  # lead + (k, r)
+        ma, va, mb, vb = self.ma, self.va, self.mb, self.vb
+        if ((ma is None or ma.shape == a_shape) and (va is None or va.shape == a_shape)
+                and (mb is None or mb.shape == b_shape) and (vb is None or vb.shape == b_shape)):
+            return  # the slot table below only names the first failing slot
+        for name, buf, shape in (("ma", ma, a_shape), ("va", va, a_shape), ("mb", mb, b_shape), ("vb", vb, b_shape)):
             if buf is not None and buf.shape != shape:
                 raise AssertionError(f"optimizer buffer {name} has non-factor shape {buf.shape}, not {shape}")
 

@@ -408,6 +408,42 @@ def test_lora_grads_rejects_mismatched_factors():
         ad.lora_grads(ad.FullGradient(g.v, g.u), model.layer)
 
 
+@pytest.mark.parametrize("form", ["residual", "compressed", "dense"])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
+@pytest.mark.parametrize("alpha", [3.0, 7.5], ids=["s=1", "s=2.5"])
+def test_lora_grads_is_lora_grad_a_and_lora_grad_b_bit_for_bit(form, lead, alpha):
+    # lora_grads checks g and reads s once for both factors; each entry must
+    # still give its own kernel's bits, with and without the memo's A X.
+    k, d, r, rs = 64, 12, 3, 2
+    m = SQUARE_CHUNK // k + (form == "compressed")  # one column past the cut compresses
+    stream = RandomStream(38)
+    layer = ad.LoraLayer(stream.normal(*lead, k, d), stream.normal(*lead, r, d), stream.normal(*lead, k, r), alpha)
+    x = stream.normal(*lead, d, m)
+    target = ad.FactoredTarget(stream.normal(*lead, k, rs), stream.normal(*lead, rs, m))
+    _, g = ad.training_pass(ad.ToyModel(layer), x, target)
+    assert (g.v is x) == (form != "compressed")  # the memo's A X serves grad_b
+    if form == "dense":
+        g = ad.FullGradient(np.matmul(g.u, g.v.mT), np.broadcast_to(np.eye(d), (*lead, d, d)))
+    both = ad.lora_grads(g, layer)
+    assert type(both) is tuple and len(both) == 2
+    for got, want in zip(both, (ad.lora_grad_a(g, layer), ad.lora_grad_b(g, layer))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("entry", [ad.lora_grads, ad.lora_grad_a, ad.lora_grad_b])
+def test_every_gradient_entry_rejects_a_bad_gradient_with_the_same_message(entry):
+    model, x, target = _random_model(LINEAR, 6, 5, 2, 8, seed=24)
+    _, g = ad.training_pass(model, x, target)
+    with pytest.raises(TypeError) as exc:
+        entry(g.u @ g.v.T, model.layer)
+    assert str(exc.value) == ("a gradient is a FullGradient, not ndarray; "
+                              "pass a dense k x d G as FullGradient(G, np.eye(d))")
+    for u, v in ((g.u, g.v[:, :-1]), (g.v, g.u), (g.u[:-1], g.v)):
+        with pytest.raises(ad.ShapeMismatch) as exc:
+            entry(ad.FullGradient(u, v), model.layer)
+        assert str(exc.value) == f"gradient factors {u.shape} x {v.shape} vs layer (6, 5)"
+
+
 def test_the_memo_serves_w0_x_only_for_its_batch_and_base():
     model, x, _ = _random_model(RELU, 12, 7, 3, 9, seed=23)
     fresh, _ = ad.forward(model, x)

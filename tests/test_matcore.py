@@ -334,6 +334,27 @@ def test_sum_of_squares_is_bitwise_numpys_pairwise_sum(shape):
         assert type(got) is np.float64 and got.tobytes() == want.tobytes(), (shape, want, got)
 
 
+def _layouts():
+    """(label, input) pairs for sum_of_squares beyond a C-ordered float64 array."""
+    base = mc.RandomStream(35).normal(48, 64)
+    yield "C-ordered", base
+    yield "F-ordered", np.asfortranarray(base)
+    yield "strided", base[::3, 1::2]
+    yield "transposed", base.T
+    yield "big-endian", base.astype(">f8")
+    yield "past a chunk, F-ordered", np.asfortranarray(mc.RandomStream(36).normal(300, 300))
+    yield "list", base[:5, :7].tolist()
+    yield "integer", np.arange(-40, 44).reshape(12, 7)
+    yield "float32", base.astype(np.float32)
+
+
+@pytest.mark.parametrize("label, case", list(_layouts()), ids=[label for label, _ in _layouts()])
+def test_sum_of_squares_keeps_numpys_bits_on_every_layout_and_input_type(label, case):
+    want = np.add.reduce(np.square(case, dtype=np.float64), axis=None)
+    got = mc.sum_of_squares(case)
+    assert type(got) is np.float64 and got.tobytes() == want.tobytes(), (label, want, got)
+
+
 def test_sum_of_squares_makes_no_array_of_the_inputs_size():
     a = mc.RandomStream(34).normal(512, 1024)
     tracemalloc.start()

@@ -794,6 +794,24 @@ def test_check_budget_trips_on_the_other_factor_shape(slot, shape):
         state.check_budget(layer)
 
 
+_SLOTS = ("ma", "va", "mb", "vb")
+
+
+@pytest.mark.parametrize("first, second", [(x, y) for i, x in enumerate(_SLOTS) for y in _SLOTS[i + 1:]])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+def test_check_budget_names_the_first_wrong_slot_in_the_order_ma_va_mb_vb(first, second, lead):
+    stream = RandomStream(110)
+    layer = LoraLayer(stream.normal(*lead, 32, 48), stream.normal(*lead, 4, 48), stream.normal(*lead, 32, 4), 4.0)
+    state = optim.make_state(optim.ALTLORA_PLUS, layer)
+    state.check_budget(layer)
+    setattr(state, second, np.zeros((*lead, 32, 48)))
+    setattr(state, first, np.zeros((5, 5)))
+    want = (*lead, 4, 48) if first in ("ma", "va") else (*lead, 32, 4)
+    with pytest.raises(AssertionError) as exc:
+        state.check_budget(layer)
+    assert str(exc.value) == f"optimizer buffer {first} has non-factor shape (5, 5), not {want}"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["eta", "gamma", "lam", "eps", "lora_plus_ratio"])
 def test_train_config_rejects_a_non_finite_hyperparameter(name, value):
