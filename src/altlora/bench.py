@@ -55,11 +55,7 @@ class InvalidSpec(Exception):
 
 
 class DivergenceDetected(Exception):
-    """Loss blew past the divergence limit; carries the partial record."""
-
-    def __init__(self, message: str, record: "RunRecord"):
-        super().__init__(message)
-        self.record = record
+    """Why a run ended early, a diverging loss or a singular Gram: the type of RunRecord.failure."""
 
 
 @dataclass
@@ -153,13 +149,18 @@ class RunRecord:
     Rows are (step, loss, weight_err, grad_norm, state_entries, flops);
     weight_err is the relative Frobenius distance of the merged weight to
     the teacher weight of the adapted layer. steps_to_threshold is the
-    first step with loss <= 1e-3, or -1 if never reached.
+    first step with loss <= 1e-3, or -1 if never reached. failure says why
+    the run ended early; it is None for a run that took all its steps.
     """
 
     rows: list
     steps_to_threshold: int = -1
-    diverged: bool = False
     final_loss: float = math.nan
+    failure: DivergenceDetected | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.failure is not None
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -317,9 +318,9 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     layer.a bound, and the pass after it reuses them. A pass runs in
     O((r + r*) (k + d) m) and forms no k x d array. Records an eval row
     (_evaluator) at step 0, every eval_every steps, and at the final step.
-    Deterministic per spec. Raises DivergenceDetected (carrying the partial
-    record) when the loss exceeds 1e6 or stops being finite, or when a step
-    meets a singular Gram.
+    Deterministic per spec. Returns the partial record, with failure set,
+    when the loss exceeds 1e6 or stops being finite, or when a step meets a
+    singular Gram.
     """
     task = generate_task(spec)
     model, x, target = task.model, task.x, task.target
@@ -336,8 +337,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     for t in range(steps + 1):
         loss, g = training_pass(model, x, target)
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            rec = RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)
-            raise DivergenceDetected(f"loss {loss} at step {t}", rec)
+            return RunRecord(rows, steps_to_threshold, loss, DivergenceDetected(f"loss {loss} at step {t}"))
         if steps_to_threshold < 0 and loss <= LOSS_THRESHOLD:
             steps_to_threshold = t
         if t % eval_every == 0 or t == steps:
@@ -349,10 +349,10 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
         try:
             stepper(layer, state, g, step_cfg)
         except SingularGram as exc:
-            rec = RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)
-            raise DivergenceDetected(f"singular Gram in the update at step {t}: {exc}", rec) from exc
+            failure = DivergenceDetected(f"singular Gram in the update at step {t}: {exc}")
+            return RunRecord(rows, steps_to_threshold, loss, failure)
         del g  # no k x m array of a pass outlives it
-    return RunRecord(rows, steps_to_threshold, final_loss=loss)
+    return RunRecord(rows, steps_to_threshold, loss)
 
 
 # ---------------------------------------------------------------------------

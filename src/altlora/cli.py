@@ -4,8 +4,8 @@ JSON configs in, CSV metric streams out. All file writes are atomic
 (write-temp-then-rename), sweep cells are resumable (a cell is complete
 exactly when its JSON sidecar exists), and configs are validated strictly
 against the fields of bench.ExperimentSpec and optim.TrainConfig: unknown
-keys, values of the wrong JSON type and non-finite numbers are rejected, so
-typos in sweep files fail loudly.
+keys, repeated keys, values of the wrong JSON type and non-finite numbers
+are rejected, so typos in sweep files fail loudly.
 
 Exit codes: 0 success, 1 check/run failure, 2 usage/config error,
 3 internal error.
@@ -82,9 +82,18 @@ def load_config(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"duplicate key {key!r} in {path}")
+            obj[key] = value
+        return obj
+
     try:
         # NaN and Infinity are not JSON: as Decimals they fail every type check
-        doc = json.loads(p.read_text(encoding="utf-8"), parse_constant=decimal.Decimal)
+        doc = json.loads(p.read_text(encoding="utf-8"), parse_constant=decimal.Decimal, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -185,12 +194,10 @@ def _write_run(out_dir: Path, name: str, spec: bench.ExperimentSpec, record: ben
 
 def execute_run(spec: bench.ExperimentSpec, out_dir: Path, name: str) -> tuple[bool, str]:
     """Run one experiment and persist it; returns (ok, message)."""
-    try:
-        record = bench.run_experiment(spec)
-    except bench.DivergenceDetected as exc:
-        _write_run(out_dir, name, spec, exc.record)
-        return False, f"{name}: diverged ({exc})"
+    record = bench.run_experiment(spec)
     _write_run(out_dir, name, spec, record)
+    if record.diverged:
+        return False, f"{name}: diverged ({record.failure})"
     return True, f"{name}: steps_to_threshold={record.steps_to_threshold}"
 
 

@@ -146,11 +146,9 @@ def wide_runs(out: Path) -> None:
             for order in (optim.A_FIRST, optim.B_FIRST):
                 name = f"seed{seed}_{optimizer}_{order}"
                 run = replace(spec, optimizer=optimizer, train=replace(spec.train, order=order))
-                try:
-                    record = bench.run_experiment(run)
-                except bench.DivergenceDetected as exc:
-                    record = exc.record
-                    (out / f"{name}.diverged").write_text(f"{exc}\n", encoding="utf-8")
+                record = bench.run_experiment(run)
+                if record.diverged:
+                    (out / f"{name}.diverged").write_text(f"{record.failure}\n", encoding="utf-8")
                 (out / f"{name}.csv").write_text(record.to_csv(), encoding="utf-8")
 
 

@@ -177,8 +177,8 @@ def run_experiment(spec):
         y_hat, cache = forward(model, x, base)
         loss = mse_loss(y_hat, y)
         if not math.isfinite(loss) or loss > bench.DIVERGENCE_LIMIT:
-            rec = bench.RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)
-            raise bench.DivergenceDetected(f"loss {loss} at step {t}", rec)
+            failure = bench.DivergenceDetected(f"loss {loss} at step {t}")
+            return bench.RunRecord(rows, steps_to_threshold, loss, failure)
         if steps_to_threshold < 0 and loss <= bench.LOSS_THRESHOLD:
             steps_to_threshold = t
         g = full_gradient(model, x, y, cache)[0]
@@ -192,6 +192,6 @@ def run_experiment(spec):
         try:
             stepper(layer, state, g, step_cfg)
         except SingularGram as exc:
-            rec = bench.RunRecord(rows, steps_to_threshold, diverged=True, final_loss=loss)
-            raise bench.DivergenceDetected(f"singular Gram in the update at step {t}: {exc}", rec) from exc
-    return bench.RunRecord(rows, steps_to_threshold, final_loss=loss)
+            failure = bench.DivergenceDetected(f"singular Gram in the update at step {t}: {exc}")
+            return bench.RunRecord(rows, steps_to_threshold, loss, failure)
+    return bench.RunRecord(rows, steps_to_threshold, loss)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import MISSING, fields
 
@@ -147,6 +148,8 @@ def test_run_record_determinism_and_csv_round_trip():
     assert rec1.to_csv() == rec2.to_csv()
     parsed = bench.RunRecord.parse_csv(rec1.to_csv())
     assert parsed.rows == rec1.rows
+    for record in (bench.RunRecord(rec1.rows), parsed):
+        assert record.failure is None and record.diverged is False
     with pytest.raises(ValueError):
         bench.RunRecord.parse_csv("a,b,c\n1,2,3\n")
 
@@ -162,10 +165,22 @@ def test_run_record_rows_monotone_and_state_constant():
 
 def test_divergence_detection_flags_partial_record():
     spec = _spec(optimizer=optim.LORA_SGD, train=optim.TrainConfig(eta=50.0, steps=200))
-    with pytest.raises(bench.DivergenceDetected) as info:
-        bench.run_experiment(spec)
-    assert info.value.record.diverged is True
-    assert len(info.value.record.rows) >= 1
+    record = bench.run_experiment(spec)
+    assert record.diverged is True
+    assert isinstance(record.failure, bench.DivergenceDetected)
+    match = re.fullmatch(r"loss (\S+) at step \d+", str(record.failure))
+    assert match and match[1] == str(record.final_loss)
+    assert len(record.rows) >= 1
+
+
+def test_singular_gram_returns_the_step_0_record():
+    """The singular cell of the CLI's sweep test: lambda = 0, B = 0 and the A phase first."""
+    cfg = optim.TrainConfig(eta=0.3, beta1=0.0, lam=0.0, order=optim.A_FIRST, steps=10)
+    record = bench.run_experiment(_spec(k=8, d=8, r=2, teacher_rank=2, seed=3, eval_every=5, init_b="zero", train=cfg))
+    assert record.diverged is True
+    assert isinstance(record.failure, bench.DivergenceDetected)
+    assert str(record.failure).startswith("singular Gram in the update at step 0: ")
+    assert [row[0] for row in record.rows] == [0]
 
 
 def test_relu_task_trains():
@@ -203,10 +218,8 @@ FLOOR_ULPS = 8
 
 def _outcome(run, spec):
     """The divergence message (None when the run finishes), steps_to_threshold and the CSV lines."""
-    try:
-        message, record = None, run(spec)
-    except bench.DivergenceDetected as exc:
-        message, record = str(exc), exc.record
+    record = run(spec)
+    message = None if record.failure is None else str(record.failure)
     return message, record.steps_to_threshold, record.to_csv().splitlines()
 
 

@@ -62,6 +62,24 @@ def test_train_malformed_json_exits_2_without_partial_files(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("train", '{"seed": 1, "train": {"eta": 0.1, "steps": 3}, "seed": 2}', "seed"),
+        ("train", '{"train": {"eta": 0.1, "steps": 3, "eta": 0.2}}', "eta"),
+        ("sweep", '{"train": {"eta": 0.1, "steps": 3}, "grid": {"eta": [0.1], "eta": [0.2]}}', "eta"),
+    ],
+    ids=["top_level", "train", "grid"],
+)
+def test_duplicate_key_exits_2_naming_it_and_the_file(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "dup.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"duplicate key '{key}' in {cfg}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "typo.json"
     _write_config(cfg, etaa=0.5)
